@@ -8,14 +8,14 @@ length genuinely matters later on.
 
 import numpy as np
 
-from cbcontrol import LtiSystem, build_scheme, lift, power, simulate, unpack
+from cbcontrol import LtiSystem, build_scheme, lift, simulate, unpack
 
 A = np.array([[-0.5, -np.sqrt(3) / 2], [np.sqrt(3) / 2, -0.5]])
 system = LtiSystem(A=A, B=[[1.0], [0.0]])
 
-print("eigenvalues of A:", np.linalg.eigvals(system.A))
+print("eigenvalues of A:", system.eigenvalues)
 print("A^3 (cycles back to the identity):")
-print(power(system, 3).round(12))
+print(np.linalg.matrix_power(system.A, 3).round(12))
 
 # zero inputs: the state just rotates
 traj = simulate(system, [1.0, 0.0], np.zeros((6, 1)))

@@ -23,7 +23,6 @@ from .analysis import (
 )
 from .bundled import bundled_problem, list_bundled
 from .charge_balance import (
-    BlockInput,
     BlockScheme,
     build_scheme,
     pack,
@@ -51,14 +50,13 @@ from .errors import (
 )
 from .lifting import GramianBundle, LiftedSystem, h_sum, lift, reachability_matrix
 from .problem_io import Problem, load_problem, parse_problem
-from .system import LtiSystem, Trajectory, power, simulate
+from .system import LtiSystem, Trajectory, simulate
 from .tolerances import DEFAULT, Tolerances
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisError",
-    "BlockInput",
     "BlockScheme",
     "ChargeBalanceError",
     "ConditionCheck",
@@ -97,7 +95,6 @@ __all__ = [
     "pack",
     "parse_problem",
     "pbh_controllable",
-    "power",
     "reachability_matrix",
     "rollout",
     "select_h",

@@ -32,14 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charge_balance import build_scheme
-from .errors import AnalysisError, PreconditionError
+from .design import NON_REPETITIVE, REPETITIVE
+from .errors import PreconditionError
 from .lifting import h_sum, lift, reachability_matrix
 from .numeric import numeric_rank
-from .system import LtiSystem, power
+from .system import LtiSystem
 from .tolerances import DEFAULT, Tolerances
-
-NON_REPETITIVE = "non-repetitive"
-REPETITIVE = "repetitive"
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,14 +75,18 @@ class ConditionCheck:
 class ControllabilityVerdict:
     """Aggregate verdict for one regime at one configuration.
 
-    ``controllable`` is "yes", "no", or "undetermined". ``reasons`` lists
-    every condition that was evaluated with its truth value.
+    ``controllable`` is "yes", "no", or "undetermined". ``conditions`` is
+    what the conditions alone decide, before the numeric rank fallback:
+    "no" when a necessary condition fails, "yes" when the sufficient
+    conditions hold, "undetermined" otherwise. ``reasons`` lists every
+    condition that was evaluated with its truth value.
     ``numeric_rank`` and ``singular_values`` describe the n-block Gramian
     (non-repetitive) or the geometric-sum map H_b Bbar (repetitive).
     """
 
     mode: str
     controllable: str
+    conditions: str
     reasons: tuple[ConditionCheck, ...]
     numeric_rank: int
     singular_values: np.ndarray
@@ -99,16 +101,6 @@ class RatioOrder:
     order: int
 
 
-def _eigvals(A: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(A))
-        raise AnalysisError(
-            f"eigensolver failed to converge (condition estimate {cond:.3e})"
-        ) from exc
-
-
 def _spectral_scale(eigs: np.ndarray) -> float:
     radius = float(np.abs(eigs).max()) if eigs.size else 0.0
     return max(radius, 1.0)
@@ -116,41 +108,39 @@ def _spectral_scale(eigs: np.ndarray) -> float:
 
 def _pairwise_distinct(eigs: np.ndarray, tol: Tolerances) -> bool:
     gap = tol.eig_sep * _spectral_scale(eigs)
-    for i in range(eigs.size):
-        for j in range(i + 1, eigs.size):
-            if abs(eigs[i] - eigs[j]) <= gap:
-                return False
-    return True
+    upper = np.triu_indices(eigs.size, 1)
+    return not np.any(np.abs(eigs[:, None] - eigs[None, :])[upper] <= gap)
 
 
 def _has_unit_eigenvalue(eigs: np.ndarray, tol: Tolerances) -> bool:
     return bool(np.any(np.abs(eigs - 1.0) <= tol.unit_eigenvalue))
 
 
-def _rank_with_floor(matrix: np.ndarray, floor: float, tol: Tolerances):
-    """Numeric rank with an absolute scale floor alongside the relative rule.
+def _all_real(eigs: np.ndarray, tol: Tolerances) -> bool:
+    return bool(np.all(np.abs(eigs.imag) <= tol.eig_sep * _spectral_scale(eigs)))
 
-    Objects assembled from S carry absolute rounding noise at the scale of
-    ||S||, so singular values below cutoff * floor are indistinguishable
-    from assembly noise even when they dominate sigma_max (e.g. Bbar = 0
-    in exact arithmetic).
-    """
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    top = svals[0] if svals.size else 0.0
-    cutoff = tol.rank_cutoff(matrix.shape) * max(top, floor)
-    return int(np.count_nonzero(svals > cutoff)), svals
+
+def _require_blocks(h, b=1) -> tuple[int, int]:
+    """(h, b) as ints, after checking h >= 2 and b >= 1."""
+    h, b = int(h), int(b)
+    if h < 2:
+        raise PreconditionError(f"block length must be at least 2, got {h}")
+    if b < 1:
+        raise PreconditionError(f"block horizon must be at least 1, got {b}")
+    return h, b
 
 
 def spectral_report(system: LtiSystem, h: int, tol: Tolerances = DEFAULT) -> SpectralReport:
-    """Eigenvalues of A plus the flags used by the sufficient conditions."""
-    eigs = _eigvals(system.A)
-    eigs_h = _eigvals(power(system, h))
-    scale = _spectral_scale(eigs)
+    """Eigenvalues of A plus the flags used by the sufficient conditions.
+
+    The spectrum of A^h is taken as lambda^h over the spectrum of A.
+    """
+    eigs = system.eigenvalues
     return SpectralReport(
         eigenvalues=eigs,
         has_unit_eigenvalue=_has_unit_eigenvalue(eigs, tol),
-        simple_spectrum_of_power=_pairwise_distinct(eigs_h, tol),
-        all_real=bool(np.all(np.abs(eigs.imag) <= tol.eig_sep * scale)),
+        simple_spectrum_of_power=_pairwise_distinct(eigs ** int(h), tol),
+        all_real=_all_real(eigs, tol),
     )
 
 
@@ -161,9 +151,8 @@ def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
     eigenvector phi whose product phi^T B is numerically zero.
     """
     n = system.n
-    eigs = _eigvals(system.A)
     eye = np.eye(n)
-    for lam in eigs:
+    for lam in system.eigenvalues:
         pencil = np.hstack([lam * eye - system.A.astype(complex), system.B])
         rank, _ = numeric_rank(pencil, tol)
         if rank < n:
@@ -173,6 +162,69 @@ def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
             phi = np.conj(u[:, -1])
             return PbhResult(False, complex(lam), phi / np.linalg.norm(phi))
     return PbhResult(True)
+
+
+def _necessary_conditions(system: LtiSystem, tol: Tolerances) -> tuple[list, bool]:
+    """Reasons for the two necessary conditions, and whether both hold."""
+    pbh = pbh_controllable(system, tol).controllable
+    unit = _has_unit_eigenvalue(system.eigenvalues, tol)
+    reasons = [
+        ConditionCheck("pair (A, B) controllable (PBH)", pbh),
+        ConditionCheck("no eigenvalue of A at 1", not unit),
+    ]
+    return reasons, pbh and not unit
+
+
+_NECESSARY_FAILED = ConditionCheck(
+    "necessary conditions hold", False,
+    "an uncontrollable pair or an eigenvalue at 1 rules out every block length",
+)
+# once the necessary conditions hold: (sufficient, full rank) -> verdict,
+# closing reason, and the key of its detail in the regime's wording
+_LADDER = {
+    (True, True): ("yes", "sufficient conditions hold", "sufficient"),
+    (False, True): ("yes", "numeric rank fallback", "fallback_yes"),
+    (True, False): ("undetermined", "analysis disagreement", "disagreement"),
+    (False, False): ("no", "numeric rank fallback", "fallback_no"),
+}
+
+
+def _verdict(
+    mode: str, reasons: list, necessary: bool, sufficient: bool,
+    rank: int, svals: np.ndarray, n: int, wording: dict,
+) -> ControllabilityVerdict:
+    """The shared verdict ladder: conditions first, numeric rank as fallback.
+
+    ``wording`` maps each ladder key to the regime's detail template, and
+    "warning" to its disagreement warning; templates take ``rank`` and ``n``.
+    """
+    if not necessary:
+        conditions = verdict = "no"
+        last = _NECESSARY_FAILED
+    else:
+        conditions = "yes" if sufficient else "undetermined"
+        verdict, name, key = _LADDER[sufficient, rank == n]
+        last = ConditionCheck(name, verdict == "yes", wording[key].format(rank=rank, n=n))
+        if verdict == "undetermined":
+            warnings.warn(wording["warning"], RuntimeWarning)
+    return ControllabilityVerdict(
+        mode=mode,
+        controllable=verdict,
+        conditions=conditions,
+        reasons=tuple(reasons) + (last,),
+        numeric_rank=rank,
+        singular_values=svals,
+    )
+
+
+_NONREPETITIVE_WORDING = {
+    "sufficient": "Gramian rank {rank} of {n}",
+    "fallback_yes": "rank(G) = {rank} = n over {n} blocks; sufficient conditions did not decide",
+    "disagreement": "conditions certify controllability but rank(G) = {rank} < {n}",
+    "fallback_no": "rank(G) = {rank} < {n} at the n-block horizon",
+    "warning": "sufficient conditions and numeric Gramian rank disagree; "
+    "verdict left undetermined",
+}
 
 
 def check_nonrepetitive_sufficient(
@@ -186,79 +238,19 @@ def check_nonrepetitive_sufficient(
     numeric rank of the n-block Gramian at this h, which can still
     certify controllability.
     """
-    h = int(h)
-    if h < 2:
-        raise PreconditionError(f"block length must be at least 2, got {h}")
-    pbh = pbh_controllable(system, tol)
-    report = spectral_report(system, h, tol)
+    h, _ = _require_blocks(h)
+    reasons, necessary = _necessary_conditions(system, tol)
+    simple = spectral_report(system, h, tol).simple_spectrum_of_power
 
-    scheme = build_scheme(h, system.m)
-    lifted = lift(system, scheme)
+    lifted = lift(system, build_scheme(h, system.m))
     bundle = reachability_matrix(lifted, system.n)
     s_norm = float(np.linalg.norm(lifted.S, 2))
-    rank, svals = _rank_with_floor(bundle.G, s_norm**2, tol)
-    full = rank == system.n
+    rank, svals = numeric_rank(bundle.G, tol, floor=s_norm**2)
 
-    reasons = [
-        ConditionCheck("pair (A, B) controllable (PBH)", pbh.controllable),
-        ConditionCheck("no eigenvalue of A at 1", not report.has_unit_eigenvalue),
-        ConditionCheck(
-            f"A^{h} has a simple spectrum", report.simple_spectrum_of_power
-        ),
-    ]
-    sufficient = (
-        pbh.controllable
-        and not report.has_unit_eigenvalue
-        and report.simple_spectrum_of_power
-    )
-    if not pbh.controllable or report.has_unit_eigenvalue:
-        verdict = "no"
-        reasons.append(
-            ConditionCheck(
-                "necessary conditions hold", False,
-                "an uncontrollable pair or an eigenvalue at 1 rules out every block length",
-            )
-        )
-    elif sufficient and full:
-        verdict = "yes"
-        reasons.append(
-            ConditionCheck("sufficient conditions hold", True, f"Gramian rank {rank} of {system.n}")
-        )
-    elif full:
-        verdict = "yes"
-        reasons.append(
-            ConditionCheck(
-                "numeric rank fallback", True,
-                f"rank(G) = {rank} = n over {system.n} blocks; sufficient conditions did not decide",
-            )
-        )
-    elif sufficient:
-        verdict = "undetermined"
-        reasons.append(
-            ConditionCheck(
-                "analysis disagreement", False,
-                f"conditions certify controllability but rank(G) = {rank} < {system.n}",
-            )
-        )
-        warnings.warn(
-            "sufficient conditions and numeric Gramian rank disagree; "
-            "verdict left undetermined",
-            RuntimeWarning,
-        )
-    else:
-        verdict = "no"
-        reasons.append(
-            ConditionCheck(
-                "numeric rank fallback", False,
-                f"rank(G) = {rank} < {system.n} at the n-block horizon",
-            )
-        )
-    return ControllabilityVerdict(
-        mode=NON_REPETITIVE,
-        controllable=verdict,
-        reasons=tuple(reasons),
-        numeric_rank=rank,
-        singular_values=svals,
+    reasons.append(ConditionCheck(f"A^{h} has a simple spectrum", simple))
+    return _verdict(
+        NON_REPETITIVE, reasons, necessary, necessary and simple,
+        rank, svals, system.n, _NONREPETITIVE_WORDING,
     )
 
 
@@ -274,7 +266,7 @@ def unit_ratio_orders(
     skipped with a warning.
     """
     limit = tol.max_order if max_order is None else int(max_order)
-    eigs = _eigvals(system.A)
+    eigs = system.eigenvalues
     scale = _spectral_scale(eigs)
     found: list[RatioOrder] = []
     for i in range(eigs.size):
@@ -284,21 +276,18 @@ def unit_ratio_orders(
             ratio = eigs[i] / eigs[j]
             if abs(abs(ratio) - 1.0) > tol.unit_modulus:
                 continue
-            order = None
             rk = ratio
             for k in range(1, limit + 1):
                 if abs(rk - 1.0) <= tol.root_of_unity:
-                    order = k
+                    found.append(RatioOrder(i=i, j=j, order=k))
                     break
                 rk *= ratio
-            if order is None:
+            else:
                 warnings.warn(
                     f"eigenvalue ratio for pair ({i}, {j}) stays on the unit "
                     f"circle but has no order <= {limit}; pair skipped",
                     RuntimeWarning,
                 )
-            else:
-                found.append(RatioOrder(i=i, j=j, order=order))
     return found
 
 
@@ -311,7 +300,7 @@ def select_h(
     Returns lcm(orders) + 1 over all root-of-unity ratio orders, or 2
     when no ratio is a root of unity.
     """
-    eigs = _eigvals(system.A)
+    eigs = system.eigenvalues
     if not _pairwise_distinct(eigs, tol):
         raise PreconditionError(
             "eigenvalues of A are not numerically distinct; block-length "
@@ -334,11 +323,9 @@ def check_real_spectrum_shortcut(system: LtiSystem, tol: Tolerances = DEFAULT) -
     real and distinct; distinct reals keep cubes distinct, so h = 3 makes
     the lifted pair controllable.
     """
-    eigs = _eigvals(system.A)
-    scale = _spectral_scale(eigs)
-    all_real = bool(np.all(np.abs(eigs.imag) <= tol.eig_sep * scale))
+    eigs = system.eigenvalues
     return (
-        all_real
+        _all_real(eigs, tol)
         and _pairwise_distinct(eigs, tol)
         and not _has_unit_eigenvalue(eigs, tol)
         and pbh_controllable(system, tol).controllable
@@ -347,13 +334,10 @@ def check_real_spectrum_shortcut(system: LtiSystem, tol: Tolerances = DEFAULT) -
 
 def _no_disruptive_roots(eigs: np.ndarray, h: int, b: int, tol: Tolerances) -> bool:
     """True when no eigenvalue satisfies lambda^(hb) = 1 with lambda^h != 1."""
-    for lam in eigs:
-        if (
-            abs(lam ** (h * b) - 1.0) <= tol.root_of_unity
-            and abs(lam**h - 1.0) > tol.root_of_unity
-        ):
-            return False
-    return True
+    disruptive = (np.abs(eigs ** (h * b) - 1.0) <= tol.root_of_unity) & (
+        np.abs(eigs**h - 1.0) > tol.root_of_unity
+    )
+    return not np.any(disruptive)
 
 
 def hb_invertible(system: LtiSystem, h: int, b: int, tol: Tolerances = DEFAULT) -> bool:
@@ -365,22 +349,14 @@ def hb_invertible(system: LtiSystem, h: int, b: int, tol: Tolerances = DEFAULT) 
     singular values of the assembled H_b; a disagreement raises a warning
     and the spectral verdict is returned.
     """
-    h, b = int(h), int(b)
-    if h < 2:
-        raise PreconditionError(f"block length must be at least 2, got {h}")
-    if b < 1:
-        raise PreconditionError(f"block horizon must be at least 1, got {b}")
-    eigs = _eigvals(system.A)
-    invertible = _no_disruptive_roots(eigs, h, b, tol)
+    h, b = _require_blocks(h, b)
+    invertible = _no_disruptive_roots(system.eigenvalues, h, b, tol)
 
-    scheme = build_scheme(h, system.m)
-    lifted = lift(system, scheme)
-    total = h_sum(lifted, b)
-    svals = np.linalg.svd(total, compute_uv=False)
+    total = h_sum(lift(system, build_scheme(h, system.m)), b)
     # absolute floor of 1: the sum starts at the identity, so a uniformly
     # tiny H_b means exact cancellation, not a well-scaled invertible matrix
-    numeric = bool(svals[-1] > tol.rank_cutoff(total.shape) * max(svals[0], 1.0))
-    if numeric != invertible:
+    rank, svals = numeric_rank(total, tol, floor=1.0)
+    if (rank == system.n) != invertible:
         warnings.warn(
             f"spectral and numeric invertibility of the geometric sum disagree "
             f"(spectral {invertible}, smallest singular value {svals[-1]:.3e})",
@@ -400,29 +376,16 @@ def check_repetitive_sufficient(
     not decide, the verdict falls back to the numeric rank of H_b Bbar at
     the given (h, b).
     """
-    h, b = int(h), int(b)
-    if h < 2:
-        raise PreconditionError(f"block length must be at least 2, got {h}")
-    if b < 1:
-        raise PreconditionError(f"block horizon must be at least 1, got {b}")
-    eigs = _eigvals(system.A)
-    pbh = pbh_controllable(system, tol)
-    unit = _has_unit_eigenvalue(eigs, tol)
+    h, b = _require_blocks(h, b)
+    reasons, necessary = _necessary_conditions(system, tol)
 
-    scheme = build_scheme(h, system.m)
-    lifted = lift(system, scheme)
+    lifted = lift(system, build_scheme(h, system.m))
     s_norm = float(np.linalg.norm(lifted.S, 2))
-    rank, svals = _rank_with_floor(h_sum(lifted, b) @ lifted.Bbar, s_norm, tol)
-    full = rank == system.n
+    rank, svals = numeric_rank(h_sum(lifted, b) @ lifted.Bbar, tol, floor=s_norm)
 
-    reasons = [
-        ConditionCheck("pair (A, B) controllable (PBH)", pbh.controllable),
-        ConditionCheck("no eigenvalue of A at 1", not unit),
-    ]
-    conditions_apply = h == 2
     sufficient = False
-    if conditions_apply:
-        clean_roots = _no_disruptive_roots(eigs, 2, b, tol)
+    if h == 2:
+        clean_roots = _no_disruptive_roots(system.eigenvalues, 2, b, tol)
         rank_b, _ = numeric_rank(system.B, tol)
         full_b = rank_b == system.n
         reasons.append(
@@ -431,9 +394,7 @@ def check_repetitive_sufficient(
             )
         )
         reasons.append(ConditionCheck("rank(B) = n", full_b, f"rank {rank_b} of {system.n}"))
-        sufficient = (
-            pbh.controllable and not unit and clean_roots and full_b
-        )
+        sufficient = necessary and clean_roots and full_b
     else:
         reasons.append(
             ConditionCheck(
@@ -442,52 +403,12 @@ def check_repetitive_sufficient(
                 f"h = {h}; falling back to the numeric rank at this configuration",
             )
         )
-
-    if not pbh.controllable or unit:
-        verdict = "no"
-        reasons.append(
-            ConditionCheck(
-                "necessary conditions hold", False,
-                "an uncontrollable pair or an eigenvalue at 1 rules out every block length",
-            )
-        )
-    elif sufficient and full:
-        verdict = "yes"
-        reasons.append(
-            ConditionCheck("sufficient conditions hold", True, f"rank {rank} of {system.n}")
-        )
-    elif full:
-        verdict = "yes"
-        reasons.append(
-            ConditionCheck(
-                "numeric rank fallback", True,
-                f"rank(H_b Bbar) = {rank} = n at h = {h}, b = {b}",
-            )
-        )
-    elif sufficient:
-        verdict = "undetermined"
-        reasons.append(
-            ConditionCheck(
-                "analysis disagreement", False,
-                f"conditions certify controllability but rank(H_b Bbar) = {rank} < {system.n}",
-            )
-        )
-        warnings.warn(
-            "sufficient conditions and numeric rank disagree; verdict left undetermined",
-            RuntimeWarning,
-        )
-    else:
-        verdict = "no"
-        reasons.append(
-            ConditionCheck(
-                "numeric rank fallback", False,
-                f"rank(H_b Bbar) = {rank} < {system.n} at h = {h}, b = {b}",
-            )
-        )
-    return ControllabilityVerdict(
-        mode=REPETITIVE,
-        controllable=verdict,
-        reasons=tuple(reasons),
-        numeric_rank=rank,
-        singular_values=svals,
-    )
+    at = f" at h = {h}, b = {b}"
+    wording = {
+        "sufficient": "rank {rank} of {n}",
+        "fallback_yes": "rank(H_b Bbar) = {rank} = n" + at,
+        "disagreement": "conditions certify controllability but rank(H_b Bbar) = {rank} < {n}",
+        "fallback_no": "rank(H_b Bbar) = {rank} < {n}" + at,
+        "warning": "sufficient conditions and numeric rank disagree; verdict left undetermined",
+    }
+    return _verdict(REPETITIVE, reasons, necessary, sufficient, rank, svals, system.n, wording)

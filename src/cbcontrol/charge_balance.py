@@ -97,10 +97,6 @@ def build_scheme(h: int, m: int) -> BlockScheme:
     larger h it is V kron I_m with V = zero_sum_basis(h), which keeps the
     channels decoupled inside the basis.
     """
-    if h < 2:
-        raise PreconditionError("charge balance needs at least two steps per block")
-    if m < 1:
-        raise PreconditionError(f"input dimension must be positive, got {m}")
     R = np.kron(np.ones((1, h)), np.eye(m))
     Q = np.kron(zero_sum_basis(h), np.eye(m))
     return BlockScheme(h=h, m=m, R=R, Q=Q)
@@ -133,20 +129,3 @@ def unpack(w, scheme: BlockScheme) -> np.ndarray:
         raise DimensionError(f"w has length {w.size}, expected {scheme.latent_dim}")
     return scheme.Q @ w
 
-
-@dataclass(frozen=True, eq=False)
-class BlockInput:
-    """One charge-balanced block stored in both coordinates: U = Q @ w."""
-
-    U: np.ndarray
-    w: np.ndarray
-
-    @classmethod
-    def from_latent(cls, w, scheme: BlockScheme) -> "BlockInput":
-        w = np.asarray(w, dtype=float).reshape(-1)
-        return cls(U=unpack(w, scheme), w=w)
-
-    @classmethod
-    def from_stacked(cls, U, scheme: BlockScheme, tol: Tolerances = DEFAULT) -> "BlockInput":
-        U = np.asarray(U, dtype=float).reshape(-1)
-        return cls(U=U, w=pack(U, scheme, tol))

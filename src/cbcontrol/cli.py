@@ -1,7 +1,8 @@
 """Command-line front end: analyze, design, sweep-h, and simulate (replay).
 
 Exit codes: 0 success, 2 problem-file parse error, 3 unreachable target,
-4 analysis precondition failure.
+4 analysis precondition failure, 5 design wrote a plan that failed its own
+verification (every output file is still written).
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .analysis import (
 )
 from .charge_balance import build_scheme
 from .design import (
+    NON_REPETITIVE,
+    REGIMES,
+    REPETITIVE,
     SteeringTask,
     design_nonrepetitive,
     design_repetitive,
@@ -39,11 +43,13 @@ from .errors import (
 )
 from .lifting import lift
 from .problem_io import Problem, load_problem, read_inputs_csv, write_csv
+from .system import simulate
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_UNREACHABLE = 3
 EXIT_PRECONDITION = 4
+EXIT_UNVERIFIED = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,79 +61,65 @@ class RunReport:
     rows: tuple = ()
     manifest: tuple = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "design": self.design,
-            "rows": list(self.rows),
-            "manifest": list(self.manifest),
-        }
-
 
 def _verdict_dict(verdict: ControllabilityVerdict, h: int, extra: dict | None = None) -> dict:
-    doc = {
+    return {
         "mode": verdict.mode,
         "h": h,
         "controllable": verdict.controllable,
+        "conditions": verdict.conditions,
         "numeric_rank": verdict.numeric_rank,
         "singular_values": [float(s) for s in verdict.singular_values],
         "reasons": [
             {"name": r.name, "holds": r.holds, "detail": r.detail}
             for r in verdict.reasons
         ],
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def _resolve_h(problem: Problem):
     """The block length to use, plus the selection certificate when automatic."""
     if problem.h is not None:
         return problem.h, None
-    if problem.regime == "non-repetitive":
+    if problem.regime == NON_REPETITIVE:
         orders = unit_ratio_orders(problem.system, tol=problem.tolerances)
         h = select_h(problem.system, tol=problem.tolerances)
-        cert = {
-            "selected_h": h,
-            "ratio_orders": [
-                {"i": o.i, "j": o.j, "order": o.order} for o in orders
-            ],
-        }
-        return h, cert
+        return h, {"selected_h": h, "ratio_orders": [dataclasses.asdict(o) for o in orders]}
     # identical blocks: the h = 2 conditions are the ones with coverage
     return 2, {"selected_h": 2, "ratio_orders": []}
 
 
-def _analyze_verdict(problem: Problem, h: int) -> ControllabilityVerdict:
-    if problem.regime == "repetitive":
-        return check_repetitive_sufficient(
+def _analyze(problem: Problem):
+    """(h, verdict, verdict document) for the problem's regime."""
+    h, cert = _resolve_h(problem)
+    if problem.regime == REPETITIVE:
+        verdict = check_repetitive_sufficient(
             problem.system, problem.b, h=h, tol=problem.tolerances
         )
-    return check_nonrepetitive_sufficient(problem.system, h, tol=problem.tolerances)
+    else:
+        verdict = check_nonrepetitive_sufficient(problem.system, h, tol=problem.tolerances)
+    return h, verdict, _verdict_dict(verdict, h, cert)
 
 
-def _print_verdict(doc: dict, out=None):
-    out = out if out is not None else sys.stdout
-    print(f"mode: {doc['mode']} (h = {doc['h']})", file=out)
+def _print_verdict(doc: dict):
+    print(f"mode: {doc['mode']} (h = {doc['h']})")
     for reason in doc["reasons"]:
         mark = "x" if reason["holds"] else " "
         detail = f"  ({reason['detail']})" if reason["detail"] else ""
-        print(f"  [{mark}] {reason['name']}{detail}", file=out)
-    print(f"numeric rank: {doc['numeric_rank']}", file=out)
+        print(f"  [{mark}] {reason['name']}{detail}")
+    print(f"numeric rank: {doc['numeric_rank']}")
     if "selected_h" in doc:
         orders = ", ".join(
             f"({o['i']},{o['j']}) order {o['order']}" for o in doc["ratio_orders"]
         )
-        print(f"selected h: {doc['selected_h']}" + (f" from ratio orders {orders}" if orders else ""), file=out)
-    print(f"verdict: {doc['controllable']}", file=out)
+        print(f"selected h: {doc['selected_h']}" + (f" from ratio orders {orders}" if orders else ""))
+    print(f"verdict: {doc['controllable']}")
 
 
 def cmd_analyze(problem: Problem, out_dir=None) -> RunReport:
     """Condition-by-condition controllability verdict for the problem."""
-    h, cert = _resolve_h(problem)
-    verdict = _analyze_verdict(problem, h)
-    doc = _verdict_dict(verdict, h, cert)
+    _, _, doc = _analyze(problem)
     _print_verdict(doc)
     manifest = []
     if out_dir is not None:
@@ -168,6 +160,15 @@ def _plot_script(n: int, m: int, xf) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_series(path, prefix: str, series):
+    """Rows k, prefix_1 .. prefix_d: the layout of inputs.csv and states.csv."""
+    write_csv(
+        path,
+        ["k"] + [f"{prefix}_{i + 1}" for i in range(series.shape[1])],
+        ([float(k)] + list(row) for k, row in enumerate(series)),
+    )
+
+
 def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
     """Design, verify, and serialize a minimum-energy plan.
 
@@ -175,9 +176,7 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
     inputs.csv, states.csv, blocks.csv, report.json, and (optionally)
     plot.gp into the output directory.
     """
-    h, cert = _resolve_h(problem)
-    verdict = _analyze_verdict(problem, h)
-    verdict_doc = _verdict_dict(verdict, h, cert)
+    h, verdict, verdict_doc = _analyze(problem)
     if verdict.controllable == "no":
         failing = "; ".join(r.name for r in verdict.reasons if not r.holds)
         raise PreconditionError(
@@ -189,10 +188,8 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
     scheme = build_scheme(h, system.m)
     lifted = lift(system, scheme)
     task = SteeringTask(x0=problem.x0, xf=problem.xf, b=problem.b, regime=problem.regime)
-    if problem.regime == "repetitive":
-        plan = design_repetitive(lifted, task, tol)
-    else:
-        plan = design_nonrepetitive(lifted, task, tol)
+    design = design_repetitive if problem.regime == REPETITIVE else design_nonrepetitive
+    plan = design(lifted, task, tol)
     check = verify_plan(system, scheme, task, plan, tol)
     traj = rollout(system, task, plan)
 
@@ -203,16 +200,8 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
     blocks_path = out_dir / "blocks.csv"
     report_path = out_dir / "report.json"
 
-    write_csv(
-        inputs_path,
-        ["k"] + [f"u_{j + 1}" for j in range(system.m)],
-        ([float(k)] + list(row) for k, row in enumerate(plan.flat_inputs)),
-    )
-    write_csv(
-        states_path,
-        ["k"] + [f"x_{i + 1}" for i in range(system.n)],
-        ([float(k)] + list(row) for k, row in enumerate(traj.states)),
-    )
+    _write_series(inputs_path, "u", plan.flat_inputs)
+    _write_series(states_path, "x", traj.states)
     write_csv(
         blocks_path,
         ["p", "energy", "imbalance"],
@@ -250,19 +239,9 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
     return RunReport(verdict=verdict_doc, design=design_doc, manifest=tuple(manifest))
 
 
-def _conditions_verdict(verdict: ControllabilityVerdict) -> str:
-    """Outcome of the sufficient conditions alone (first three reasons)."""
-    pbh, no_unit, simple = (r.holds for r in verdict.reasons[:3])
-    if not pbh or not no_unit:
-        return "no"
-    if simple:
-        return "yes"
-    return "undetermined"
-
-
 def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> RunReport:
     """Tabulate verdict, rank, and achievable energy across block lengths."""
-    if problem.regime != "non-repetitive":
+    if problem.regime != NON_REPETITIVE:
         raise PreconditionError("sweep-h applies to the non-repetitive regime only")
     if h_min < 2 or h_max < h_min:
         raise PreconditionError(
@@ -274,10 +253,9 @@ def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> RunReport:
         verdict = check_nonrepetitive_sufficient(system, h, tol)
         energy = ""
         if verdict.controllable != "no":
-            scheme = build_scheme(h, system.m)
-            lifted = lift(system, scheme)
+            lifted = lift(system, build_scheme(h, system.m))
             task = SteeringTask(
-                x0=problem.x0, xf=problem.xf, b=problem.b, regime="non-repetitive"
+                x0=problem.x0, xf=problem.xf, b=problem.b, regime=NON_REPETITIVE
             )
             try:
                 energy = design_nonrepetitive(lifted, task, tol).energy
@@ -286,7 +264,7 @@ def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> RunReport:
         rows.append(
             {
                 "h": h,
-                "conditions": _conditions_verdict(verdict),
+                "conditions": verdict.conditions,
                 "numeric_rank": verdict.numeric_rank,
                 "controllable": verdict.controllable,
                 "energy": energy,
@@ -320,17 +298,11 @@ def cmd_simulate(problem: Problem, inputs_path, out_dir) -> RunReport:
     """Replay a serialized input sequence and write the resulting states."""
     system = problem.system
     inputs = read_inputs_csv(inputs_path, system.m)
-    from .system import simulate as _simulate
-
-    traj = _simulate(system, problem.x0, inputs)
+    traj = simulate(system, problem.x0, inputs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     states_path = out_dir / "states.csv"
-    write_csv(
-        states_path,
-        ["k"] + [f"x_{i + 1}" for i in range(system.n)],
-        ([float(k)] + list(row) for k, row in enumerate(traj.states)),
-    )
+    _write_series(states_path, "x", traj.states)
     terminal_error = float(np.linalg.norm(traj.terminal - problem.xf))
     print(
         f"replayed {traj.horizon} steps, terminal error {terminal_error:.3e}, "
@@ -348,18 +320,13 @@ def _parse_h_flag(value: str):
     try:
         h = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError("--h must be an integer >= 2 or 'auto'")
-    if h < 2:
+        h = None
+    if h is None or h < 2:
         raise argparse.ArgumentTypeError("--h must be an integer >= 2 or 'auto'")
     return h
 
 
-_REGIME_ALIASES = {
-    "rep": "repetitive",
-    "repetitive": "repetitive",
-    "nonrep": "non-repetitive",
-    "non-repetitive": "non-repetitive",
-}
+_REGIME_ALIASES = {"rep": REPETITIVE, "nonrep": NON_REPETITIVE, **{r: r for r in REGIMES}}
 
 _UNSET = object()
 
@@ -396,15 +363,13 @@ def _apply_overrides(problem: Problem, args) -> Problem:
         updates["b"] = args.b
     if args.regime is not None:
         updates["regime"] = _REGIME_ALIASES[args.regime]
-    tol_updates = {}
-    if args.tol_term is not None:
-        tol_updates["terminal"] = args.tol_term
-    if args.tol_cb is not None:
-        tol_updates["charge_balance"] = args.tol_cb
-    if args.max_order is not None:
-        tol_updates["max_order"] = args.max_order
+    flags = {"terminal": args.tol_term, "charge_balance": args.tol_cb, "max_order": args.max_order}
+    tol_updates = {name: value for name, value in flags.items() if value is not None}
     if tol_updates:
-        updates["tolerances"] = problem.tolerances.with_overrides(**tol_updates)
+        try:
+            updates["tolerances"] = problem.tolerances.with_overrides(**tol_updates)
+        except ValueError as exc:
+            raise ProblemFormatError(str(exc)) from exc
     return dataclasses.replace(problem, **updates) if updates else problem
 
 
@@ -444,7 +409,11 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             cmd_analyze(problem, args.out)
         elif args.command == "design":
-            cmd_design(problem, args.out, plot=args.plot)
+            report = cmd_design(problem, args.out, plot=args.plot)
+            if not report.design["passed"]:
+                print("error: the designed plan failed verification; see report.json",
+                      file=sys.stderr)
+                return EXIT_UNVERIFIED
         elif args.command == "sweep-h":
             cmd_sweep_h(problem, args.h_min, args.h_max, args.out)
         elif args.command == "simulate":

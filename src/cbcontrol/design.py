@@ -29,7 +29,9 @@ from .numeric import min_norm_solve
 from .system import LtiSystem, Trajectory, simulate
 from .tolerances import DEFAULT, Tolerances
 
-REGIMES = ("non-repetitive", "repetitive")
+NON_REPETITIVE = "non-repetitive"
+REPETITIVE = "repetitive"
+REGIMES = (NON_REPETITIVE, REPETITIVE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +105,9 @@ def _displacement(lifted: LiftedSystem, task: SteeringTask) -> np.ndarray:
     return task.xf - reach_b @ task.x0
 
 
-def _flatten(blocks, scheme: BlockScheme) -> np.ndarray:
-    return np.vstack([U.reshape(scheme.h, scheme.m) for U in blocks])
-
-
 def _build_plan(system: LtiSystem, scheme: BlockScheme, task: SteeringTask, latents) -> ControlPlan:
     blocks = tuple(unpack(w, scheme) for w in latents)
-    flat = _flatten(blocks, scheme)
+    flat = np.vstack([U.reshape(scheme.h, scheme.m) for U in blocks])
     traj = simulate(system, task.x0, flat)
     energy = float(sum(U @ U for U in blocks))
     residual = float(np.linalg.norm(traj.terminal - task.xf))
@@ -122,6 +120,21 @@ def _build_plan(system: LtiSystem, scheme: BlockScheme, task: SteeringTask, late
     )
 
 
+def _solve_reachable(matrix, d, tol: Tolerances, where: str, rank_name: str, n: int):
+    """Minimum-norm x with matrix @ x = d, or ReachabilityError when d is out of reach."""
+    x, rank, _, residual = min_norm_solve(matrix, d, tol)
+    dnorm = float(np.linalg.norm(d))
+    if dnorm > 0.0 and residual > tol.reach * dnorm:
+        raise ReachabilityError(
+            f"target displacement is not reachable {where}: "
+            f"residual {residual:.3e} (relative {residual / dnorm:.3e}), "
+            f"{rank_name} {rank} of {n}",
+            residual=residual,
+            rank=rank,
+        )
+    return x
+
+
 def design_nonrepetitive(
     lifted: LiftedSystem, task: SteeringTask, tol: Tolerances = DEFAULT
 ) -> ControlPlan:
@@ -132,19 +145,10 @@ def design_nonrepetitive(
     reach tolerance); the error carries the least-squares residual and
     the Gramian rank.
     """
-    _require_regime(task, "non-repetitive")
+    _require_regime(task, NON_REPETITIVE)
     d = _displacement(lifted, task)
     bundle = reachability_matrix(lifted, task.b)
-    core, rank, _, residual = min_norm_solve(bundle.G, d, tol)
-    dnorm = float(np.linalg.norm(d))
-    if dnorm > 0.0 and residual > tol.reach * dnorm:
-        raise ReachabilityError(
-            f"target displacement is not reachable in {task.b} blocks: "
-            f"residual {residual:.3e} (relative {residual / dnorm:.3e}), "
-            f"Gramian rank {rank} of {lifted.n}",
-            residual=residual,
-            rank=rank,
-        )
+    core = _solve_reachable(bundle.G, d, tol, f"in {task.b} blocks", "Gramian rank", lifted.n)
     # back-propagated adjoint states (Abar^T)^q core for q = 0 .. b-1
     adjoint = [core]
     for _ in range(task.b - 1):
@@ -161,19 +165,10 @@ def design_repetitive(
     Solves H_b Bbar w = d in the minimum-norm sense; by the isometry of
     the kernel basis the total energy is b * ||w||^2.
     """
-    _require_regime(task, "repetitive")
+    _require_regime(task, REPETITIVE)
     d = _displacement(lifted, task)
     gain = h_sum(lifted, task.b) @ lifted.Bbar
-    w, rank, _, residual = min_norm_solve(gain, d, tol)
-    dnorm = float(np.linalg.norm(d))
-    if dnorm > 0.0 and residual > tol.reach * dnorm:
-        raise ReachabilityError(
-            f"target displacement is not reachable with identical blocks: "
-            f"residual {residual:.3e} (relative {residual / dnorm:.3e}), "
-            f"rank {rank} of {lifted.n}",
-            residual=residual,
-            rank=rank,
-        )
+    w = _solve_reachable(gain, d, tol, "with identical blocks", "rank", lifted.n)
     return _build_plan(lifted.system, lifted.scheme, task, [w] * task.b)
 
 
@@ -211,7 +206,7 @@ def oracle_stacked_ls(
     balance = np.kron(np.eye(b), scheme.R)
     rows = [terminal, balance]
     rhs = [d_full, np.zeros(b * m)]
-    if task.regime == "repetitive":
+    if task.regime == REPETITIVE:
         ties = np.zeros(((b - 1) * block_dim, steps * m))
         eye_block = np.eye(block_dim)
         for p in range(1, b):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .charge_balance import BlockScheme
 from .errors import DimensionError, PreconditionError
-from .system import LtiSystem, power
+from .system import LtiSystem
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +66,7 @@ def lift(system: LtiSystem, scheme: BlockScheme) -> LiftedSystem:
     for _ in range(scheme.h - 1):
         blocks.append(system.A @ blocks[-1])
     S = np.hstack(blocks[::-1])
-    Abar = power(system, scheme.h)
+    Abar = np.linalg.matrix_power(system.A, scheme.h)
     return LiftedSystem(system=system, scheme=scheme, S=S, Abar=Abar, Bbar=S @ scheme.Q)
 
 

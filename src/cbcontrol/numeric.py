@@ -7,18 +7,27 @@ import numpy as np
 from .tolerances import DEFAULT, Tolerances
 
 
-def numeric_rank(matrix, tol: Tolerances = DEFAULT):
-    """Numeric rank: number of singular values above the relative cutoff.
+def _rank(svals: np.ndarray, shape, tol: Tolerances, floor: float = 0.0) -> int:
+    top = svals[0] if svals.size else 0.0
+    cutoff = tol.rank_cutoff(shape) * max(top, floor)
+    return int(np.count_nonzero(svals > cutoff))
+
+
+def numeric_rank(matrix, tol: Tolerances = DEFAULT, floor: float = 0.0):
+    """Numeric rank: number of singular values above the cutoff.
+
+    The cutoff is ``tol.rank_cutoff(shape) * max(sigma_max, floor)``. The
+    absolute ``floor`` serves objects assembled from larger factors: they
+    carry rounding noise at the scale of those factors, so singular values
+    below cutoff * floor are indistinguishable from assembly noise even
+    when they dominate sigma_max (e.g. Bbar = 0 in exact arithmetic).
 
     Accepts real or complex matrices. Returns (rank, singular_values)
     with the values in descending order.
     """
     matrix = np.atleast_2d(np.asarray(matrix))
     svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0, svals
-    cutoff = tol.rank_cutoff(matrix.shape) * svals[0]
-    return int(np.count_nonzero(svals > cutoff)), svals
+    return _rank(svals, matrix.shape, tol, floor), svals
 
 
 def min_norm_solve(matrix, rhs, tol: Tolerances = DEFAULT):
@@ -31,11 +40,7 @@ def min_norm_solve(matrix, rhs, tol: Tolerances = DEFAULT):
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    if s.size and s[0] > 0.0:
-        cutoff = tol.rank_cutoff(matrix.shape) * s[0]
-        rank = int(np.count_nonzero(s > cutoff))
-    else:
-        rank = 0
+    rank = _rank(s, matrix.shape, tol)
     coeffs = u[:, :rank].T @ rhs
     x = vt[:rank].T @ (coeffs / s[:rank])
     residual = float(np.linalg.norm(rhs - u[:, :rank] @ coeffs))

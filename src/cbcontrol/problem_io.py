@@ -25,30 +25,19 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .design import REGIMES
 from .errors import DimensionError, ProblemFormatError
 from .system import LtiSystem
 from .tolerances import DEFAULT, Tolerances
 
 FLOAT_FMT = "{:.17g}"
 
-_TOLERANCE_KEYS = {
-    "charge_balance",
-    "terminal",
-    "reach",
-    "rank_slack",
-    "eig_sep",
-    "unit_modulus",
-    "root_of_unity",
-    "unit_eigenvalue",
-    "max_order",
-}
-
-REGIMES = ("non-repetitive", "repetitive")
+_TOLERANCE_KEYS = {field.name for field in fields(Tolerances)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,23 +63,24 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
-def _as_matrix(value, where) -> np.ndarray:
+# ndim -> (what the field is, what its shape must be)
+_ARRAY_KINDS = {2: ("matrix", "a list of rows"), 1: ("vector", "a flat list of numbers")}
+
+
+def _as_array(value, where, ndim: int) -> np.ndarray:
+    kind, shape = _ARRAY_KINDS[ndim]
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"problem file: field '{where}' is not a numeric matrix") from exc
-    if arr.ndim != 2:
-        raise ProblemFormatError(f"problem file: field '{where}' must be a list of rows")
+        raise ProblemFormatError(f"problem file: field '{where}' is not a numeric {kind}") from exc
+    if arr.ndim != ndim:
+        raise ProblemFormatError(f"problem file: field '{where}' must be {shape}")
     return arr
 
-def _as_vector(value, where) -> np.ndarray:
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"problem file: field '{where}' is not a numeric vector") from exc
-    if arr.ndim != 1:
-        raise ProblemFormatError(f"problem file: field '{where}' must be a flat list of numbers")
-    return arr
+
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_problem(text: str, source: str = "problem") -> Problem:
@@ -105,28 +95,28 @@ def parse_problem(text: str, source: str = "problem") -> Problem:
         raise ProblemFormatError(f"{source}: top level must be an object")
 
     system_doc = _require(doc, "system", "")
-    A = _as_matrix(_require(system_doc, "A", "system"), "system.A")
-    B = _as_matrix(_require(system_doc, "B", "system"), "system.B")
+    A = _as_array(_require(system_doc, "A", "system"), "system.A", 2)
+    B = _as_array(_require(system_doc, "B", "system"), "system.B", 2)
     try:
         system = LtiSystem(A=A, B=B)
     except (DimensionError, ValueError) as exc:
         raise ProblemFormatError(f"{source}: invalid system matrices: {exc}") from exc
 
     task_doc = _require(doc, "task", "")
-    x0 = _as_vector(_require(task_doc, "x0", "task"), "task.x0")
-    xf = _as_vector(_require(task_doc, "xf", "task"), "task.xf")
+    x0 = _as_array(_require(task_doc, "x0", "task"), "task.x0", 1)
+    xf = _as_array(_require(task_doc, "xf", "task"), "task.xf", 1)
     if x0.size != system.n or xf.size != system.n:
         raise ProblemFormatError(
             f"{source}: task vectors must have length {system.n}, "
             f"got x0 of {x0.size} and xf of {xf.size}"
         )
     b = _require(task_doc, "b", "task")
-    if not isinstance(b, int) or b < 1:
+    if not _is_int(b) or b < 1:
         raise ProblemFormatError(f"{source}: field 'task.b' must be a positive integer")
     h_raw = task_doc.get("h", "auto")
     if h_raw == "auto" or h_raw is None:
         h = None
-    elif isinstance(h_raw, int) and h_raw >= 2:
+    elif _is_int(h_raw) and h_raw >= 2:
         h = h_raw
     else:
         raise ProblemFormatError(
@@ -146,7 +136,10 @@ def parse_problem(text: str, source: str = "problem") -> Problem:
         raise ProblemFormatError(
             f"{source}: unknown tolerance fields {sorted(unknown)}"
         )
-    tolerances = DEFAULT.with_overrides(**overrides) if overrides else DEFAULT
+    try:
+        tolerances = DEFAULT.with_overrides(**overrides) if overrides else DEFAULT
+    except ValueError as exc:
+        raise ProblemFormatError(f"{source}: {exc}") from exc
 
     return Problem(
         system=system, x0=x0, xf=xf, b=b, h=h, regime=regime, tolerances=tolerances

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import AnalysisError, DimensionError
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -21,7 +22,8 @@ class LtiSystem:
 
     A is n x n and B is n x m with m >= 1; all entries must be finite.
     Instances are immutable (the arrays are locked) and safe to share
-    between concurrent analyses.
+    between concurrent analyses; the spectrum of A is solved on first use
+    and cached, so every analysis of one system shares one eigen-solve.
     """
 
     A: np.ndarray
@@ -53,6 +55,22 @@ class LtiSystem:
     @property
     def m(self) -> int:
         return self.B.shape[1]
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of A, solved once per system and locked.
+
+        Raises AnalysisError when the eigensolver fails to converge.
+        """
+        try:
+            eigs = np.linalg.eigvals(self.A)
+        except np.linalg.LinAlgError as exc:
+            cond = float(np.linalg.cond(self.A))
+            raise AnalysisError(
+                f"eigensolver failed to converge (condition estimate {cond:.3e})"
+            ) from exc
+        eigs.setflags(write=False)
+        return eigs
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,13 +133,3 @@ def simulate(system: LtiSystem, x0, inputs) -> Trajectory:
     stacked = np.array(rows).reshape(steps, system.m)
     return Trajectory(states=states, inputs=stacked)
 
-
-def power(system: LtiSystem, h: int) -> np.ndarray:
-    """A raised to the h-th power by exponentiation by squaring.
-
-    h = 0 returns the identity; negative h is rejected.
-    """
-    h = int(h)
-    if h < 0:
-        raise ValueError(f"power exponent must be non-negative, got {h}")
-    return np.linalg.matrix_power(system.A, h)

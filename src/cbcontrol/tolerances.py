@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,6 +27,9 @@ class Tolerances:
         an eigenvalue ratio, and in the spectral tests built on it.
     unit_eigenvalue: tolerance on abs(lambda - 1) for the eigenvalue-at-one test.
     max_order: largest ratio order searched when selecting a block length.
+
+    Every float field must be finite and positive, and max_order a positive
+    int; anything else raises ValueError.
     """
 
     charge_balance: float = 1e-9
@@ -36,6 +41,17 @@ class Tolerances:
     root_of_unity: float = 1e-8
     unit_eigenvalue: float = 1e-8
     max_order: int = 64
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name == "max_order":
+                kind, ok = "a positive int", isinstance(value, int) and value >= 1
+            else:
+                kind = "finite and positive"
+                ok = isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+            if isinstance(value, bool) or not ok:
+                raise ValueError(f"tolerance '{field.name}' must be {kind}, got {value!r}")
 
     def rank_cutoff(self, shape) -> float:
         """Relative singular-value cutoff: max(rows, cols) * eps * rank_slack."""

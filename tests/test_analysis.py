@@ -265,3 +265,51 @@ def test_repetitive_rank_deficient_b_at_h2_undecided_then_numeric():
     verdict3 = check_repetitive_sufficient(system, 3, h=3)
     assert verdict3.controllable == "yes"
     assert verdict3.numeric_rank == 2
+
+
+def test_one_eigen_solve_per_system(monkeypatch):
+    calls = []
+    original = np.linalg.eigvals
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    system = expander_system()
+    h = select_h(system)
+    check_nonrepetitive_sufficient(system, h)
+    check_repetitive_sufficient(system, 4)
+    hb_invertible(system, 2, 4)
+    assert len(calls) == 1
+    assert not system.eigenvalues.flags.writeable
+
+
+def test_vectorised_spectral_tests_match_pair_loops():
+    from cbcontrol.analysis import _no_disruptive_roots, _pairwise_distinct, _spectral_scale
+    from cbcontrol.tolerances import DEFAULT as tol
+
+    def distinct_loop(eigs):
+        gap = tol.eig_sep * _spectral_scale(eigs)
+        return all(
+            abs(eigs[i] - eigs[j]) > gap
+            for i in range(eigs.size) for j in range(i + 1, eigs.size)
+        )
+
+    def no_disruptive_loop(eigs, h, b):
+        return not any(
+            abs(lam ** (h * b) - 1.0) <= tol.root_of_unity
+            and abs(lam**h - 1.0) > tol.root_of_unity
+            for lam in eigs
+        )
+
+    rng = np.random.default_rng(21)
+    roots = np.exp(2j * np.pi * np.arange(1, 7) / 6)
+    for _ in range(200):
+        eigs = rng.choice(np.concatenate([roots, [0.5, -0.5, 2.0, 1.0, -1.0]]), size=5)
+        if rng.random() < 0.5:
+            eigs = eigs + 1e-3 * rng.standard_normal(5)
+        for h in (1, 2, 3):
+            assert _pairwise_distinct(eigs**h, tol) == distinct_loop(eigs**h)
+            for b in (1, 2, 3, 6):
+                assert _no_disruptive_roots(eigs, h, b, tol) == no_disruptive_loop(eigs, h, b)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cbcontrol import (
-    BlockInput,
     ChargeBalanceError,
     DimensionError,
     PreconditionError,
@@ -153,7 +152,8 @@ def test_dimension_errors():
 
 def test_block_input_round_trip():
     scheme = build_scheme(3, 1)
-    block = BlockInput.from_latent([1.0, -0.5], scheme)
-    assert np.allclose(block.U, unpack(block.w, scheme))
-    again = BlockInput.from_stacked(block.U, scheme)
-    assert np.abs(again.w - block.w).max() <= 1e-12
+    w = np.array([1.0, -0.5])
+    U = unpack(w, scheme)
+    assert np.allclose(U, scheme.Q @ w)
+    again = pack(U, scheme)
+    assert np.abs(again - w).max() <= 1e-12

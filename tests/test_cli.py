@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from cbcontrol import bundled_problem, list_bundled, load_problem, parse_problem
+from cbcontrol import (
+    bundled_problem,
+    check_nonrepetitive_sufficient,
+    list_bundled,
+    load_problem,
+    parse_problem,
+)
 from cbcontrol.cli import cmd_analyze, cmd_design, cmd_simulate, cmd_sweep_h, main
 from cbcontrol.errors import ProblemFormatError
 from cbcontrol.problem_io import read_csv, read_inputs_csv
@@ -47,10 +53,11 @@ def test_parse_rejects_bad_shapes_and_values():
     with pytest.raises(ProblemFormatError, match="square"):
         parse_problem(json.dumps(bad_square))
 
-    bad_h = json.loads(json.dumps(base))
-    bad_h["task"]["h"] = 1
-    with pytest.raises(ProblemFormatError, match="task.h"):
-        parse_problem(json.dumps(bad_h))
+    for field, value in (("h", 1), ("h", True), ("b", True), ("b", 0)):
+        bad_task = json.loads(json.dumps(base))
+        bad_task["task"][field] = value
+        with pytest.raises(ProblemFormatError, match=f"task.{field}"):
+            parse_problem(json.dumps(bad_task))
 
     bad_regime = json.loads(json.dumps(base))
     bad_regime["task"]["regime"] = "mixed"
@@ -61,6 +68,14 @@ def test_parse_rejects_bad_shapes_and_values():
     bad_tol["tolerances"] = {"windup": 3}
     with pytest.raises(ProblemFormatError, match="windup"):
         parse_problem(json.dumps(bad_tol))
+
+    for field, value in (
+        ("rank_slack", -1.0), ("terminal", "tiny"), ("reach", None),
+        ("max_order", 2.5), ("max_order", True), ("eig_sep", 0.0),
+    ):
+        bad_tol["tolerances"] = {field: value}
+        with pytest.raises(ProblemFormatError, match=field):
+            parse_problem(json.dumps(bad_tol))
 
 
 def test_parse_tolerance_overrides():
@@ -79,6 +94,21 @@ def test_main_exit_code_parse_error(tmp_path, capsys):
     bad.write_text("{ not json")
     assert main(["analyze", "--problem", str(bad)]) == 2
     assert "parse error" in capsys.readouterr().err
+
+    # a negative rank slack would let PBH pass this uncontrollable pair
+    slack = tmp_path / "slack.json"
+    slack.write_text(json.dumps({
+        "system": {"A": [[0.5, 0.0], [0.0, 0.3]], "B": [[1.0], [0.0]]},
+        "task": {"x0": [0.0, 0.0], "xf": [1.0, 1.0], "b": 2, "h": 2,
+                 "regime": "non-repetitive"},
+        "tolerances": {"rank_slack": -1.0},
+    }))
+    assert main(["analyze", "--problem", str(slack)]) == 2
+    assert "rank_slack" in capsys.readouterr().err
+
+    fixture = str(bundled_problem("rotation_2d"))
+    for flags in (["--max-order", "0"], ["--tol-term", "-1"], ["--tol-cb", "nan"]):
+        assert main(["analyze", "--problem", fixture, *flags]) == 2
 
 
 def test_analyze_rotation_auto_selects_four(capsys):
@@ -211,6 +241,9 @@ def test_sweep_rotation_reports_h3_fallback(tmp_path):
     assert by_h[3]["controllable"] == "yes"
     assert by_h[2]["numeric_rank"] == 2
     assert by_h[2]["conditions"] == "yes"
+    for row in report.rows:
+        verdict = check_nonrepetitive_sufficient(problem.system, row["h"], problem.tolerances)
+        assert row["conditions"] == verdict.conditions
 
     header, rows = read_csv(tmp_path / "sweep.csv")
     assert header == ["h", "conditions", "numeric_rank", "controllable", "energy"]
@@ -280,9 +313,10 @@ def test_tolerance_flags_flow_through(tmp_path):
             "--out", str(tmp_path / "run"),
         ]
     )
-    assert code == 0
+    assert code == 5
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert report["design"]["passed"] is False
+    assert (tmp_path / "run" / "inputs.csv").exists()
 
     # a bounded ratio-order search skips the order-3 pair and settles on h = 2
     import dataclasses
