@@ -11,14 +11,12 @@ from .analysis import (
     ControllabilityVerdict,
     PbhResult,
     RatioOrder,
-    SpectralReport,
     check_nonrepetitive_sufficient,
     check_real_spectrum_shortcut,
     check_repetitive_sufficient,
     hb_invertible,
     pbh_controllable,
     select_h,
-    spectral_report,
     unit_ratio_orders,
 )
 from .bundled import bundled_problem, list_bundled
@@ -48,7 +46,7 @@ from .errors import (
     ProblemFormatError,
     ReachabilityError,
 )
-from .lifting import GramianBundle, LiftedSystem, h_sum, lift, reachability_matrix
+from .lifting import LiftedSystem, h_sum, lift, reachability_matrix
 from .problem_io import Problem, load_problem, parse_problem
 from .system import LtiSystem, Trajectory, simulate
 from .tolerances import DEFAULT, Tolerances
@@ -64,7 +62,6 @@ __all__ = [
     "ControllabilityVerdict",
     "DEFAULT",
     "DimensionError",
-    "GramianBundle",
     "InfeasibleTaskError",
     "LiftedSystem",
     "LtiSystem",
@@ -75,7 +72,6 @@ __all__ = [
     "ProblemFormatError",
     "RatioOrder",
     "ReachabilityError",
-    "SpectralReport",
     "SteeringTask",
     "Tolerances",
     "Trajectory",
@@ -99,7 +95,6 @@ __all__ = [
     "rollout",
     "select_h",
     "simulate",
-    "spectral_report",
     "unit_ratio_orders",
     "unpack",
     "verify_plan",

@@ -37,17 +37,7 @@ from .errors import PreconditionError
 from .lifting import h_sum, lift, reachability_matrix
 from .numeric import numeric_rank
 from .system import LtiSystem
-from .tolerances import DEFAULT, Tolerances
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralReport:
-    """Eigenvalue facts that drive the controllability conditions."""
-
-    eigenvalues: np.ndarray
-    has_unit_eigenvalue: bool
-    simple_spectrum_of_power: bool
-    all_real: bool
+from .tolerances import DEFAULT, Tolerances, require_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,27 +111,8 @@ def _all_real(eigs: np.ndarray, tol: Tolerances) -> bool:
 
 
 def _require_blocks(h, b=1) -> tuple[int, int]:
-    """(h, b) as ints, after checking h >= 2 and b >= 1."""
-    h, b = int(h), int(b)
-    if h < 2:
-        raise PreconditionError(f"block length must be at least 2, got {h}")
-    if b < 1:
-        raise PreconditionError(f"block horizon must be at least 1, got {b}")
-    return h, b
-
-
-def spectral_report(system: LtiSystem, h: int, tol: Tolerances = DEFAULT) -> SpectralReport:
-    """Eigenvalues of A plus the flags used by the sufficient conditions.
-
-    The spectrum of A^h is taken as lambda^h over the spectrum of A.
-    """
-    eigs = system.eigenvalues
-    return SpectralReport(
-        eigenvalues=eigs,
-        has_unit_eigenvalue=_has_unit_eigenvalue(eigs, tol),
-        simple_spectrum_of_power=_pairwise_distinct(eigs ** int(h), tol),
-        all_real=_all_real(eigs, tol),
-    )
+    """(h, b) as ints, after checking both are integers with h >= 2 and b >= 1."""
+    return require_integer("block length", h, 2), require_integer("block horizon", b, 1)
 
 
 def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
@@ -240,12 +211,13 @@ def check_nonrepetitive_sufficient(
     """
     h, _ = _require_blocks(h)
     reasons, necessary = _necessary_conditions(system, tol)
-    simple = spectral_report(system, h, tol).simple_spectrum_of_power
+    # the spectrum of A^h is lambda^h over the spectrum of A
+    simple = _pairwise_distinct(system.eigenvalues**h, tol)
 
     lifted = lift(system, build_scheme(h, system.m))
-    bundle = reachability_matrix(lifted, system.n)
+    Rb = reachability_matrix(lifted, system.n)
     s_norm = float(np.linalg.norm(lifted.S, 2))
-    rank, svals = numeric_rank(bundle.G, tol, floor=s_norm**2)
+    rank, svals = numeric_rank(Rb @ Rb.T, tol, floor=s_norm**2)
 
     reasons.append(ConditionCheck(f"A^{h} has a simple spectrum", simple))
     return _verdict(

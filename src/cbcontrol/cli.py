@@ -31,7 +31,6 @@ from .design import (
     SteeringTask,
     design_nonrepetitive,
     design_repetitive,
-    rollout,
     verify_plan,
 )
 from .errors import (
@@ -191,7 +190,6 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
     design = design_repetitive if problem.regime == REPETITIVE else design_nonrepetitive
     plan = design(lifted, task, tol)
     check = verify_plan(system, scheme, task, plan, tol)
-    traj = rollout(system, task, plan)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -201,14 +199,12 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
     report_path = out_dir / "report.json"
 
     _write_series(inputs_path, "u", plan.flat_inputs)
-    _write_series(states_path, "x", traj.states)
+    _write_series(states_path, "x", check.trajectory.states)
+    block_energies = [float(U @ U) for U in plan.blocks]
     write_csv(
         blocks_path,
         ["p", "energy", "imbalance"],
-        (
-            [float(p), float(U @ U), float(np.abs(scheme.R @ U).max())]
-            for p, U in enumerate(plan.blocks)
-        ),
+        ([float(p), e, imb] for p, (e, imb) in enumerate(zip(block_energies, check.imbalances))),
     )
     manifest = [str(inputs_path), str(states_path), str(blocks_path)]
     if plot:
@@ -222,7 +218,7 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
         "regime": problem.regime,
         "energy": plan.energy,
         "terminal_error": check.terminal_error,
-        "per_block_energies": [float(U @ U) for U in plan.blocks],
+        "per_block_energies": block_energies,
         "max_imbalance": float(check.imbalances.max()),
         "passed": check.passed,
     }

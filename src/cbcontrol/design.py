@@ -2,9 +2,9 @@
 
 The closed-form laws act on the lifted block dynamics. With distinct
 blocks, the displacement d = x_f - Abar^b x_0 is pulled back through the
-pseudoinverse of the b-block Gramian:
+pseudoinverse of the b-block Gramian G = Rb Rb^T:
 
-    w[p] = Bbar^T (Abar^T)^(b-1-p) G^+ d
+    [w[0]; ...; w[b-1]] = Rb^T G^+ d,  i.e.  w[p] = Bbar^T (Abar^T)^(b-1-p) G^+ d
 
 With identical blocks a single latent vector solves the geometric-sum
 equation H_b Bbar w = d in the minimum-norm sense. The pseudoinverses
@@ -27,7 +27,7 @@ from .errors import DimensionError, InfeasibleTaskError, PreconditionError, Reac
 from .lifting import LiftedSystem, h_sum, reachability_matrix
 from .numeric import min_norm_solve
 from .system import LtiSystem, Trajectory, simulate
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT, Tolerances, require_integer
 
 NON_REPETITIVE = "non-repetitive"
 REPETITIVE = "repetitive"
@@ -50,8 +50,7 @@ class SteeringTask:
             raise DimensionError(
                 f"x0 has length {x0.size} but xf has length {xf.size}"
             )
-        if int(self.b) < 1:
-            raise PreconditionError(f"block horizon must be at least 1, got {self.b}")
+        b = require_integer("block horizon", self.b, 1)
         if self.regime not in REGIMES:
             raise PreconditionError(
                 f"regime must be one of {REGIMES}, got {self.regime!r}"
@@ -60,32 +59,39 @@ class SteeringTask:
         xf.setflags(write=False)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "xf", xf)
-        object.__setattr__(self, "b", int(self.b))
+        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True, eq=False)
 class ControlPlan:
-    """A designed input sequence, in block, latent, and per-step form.
+    """A designed input sequence: latent coordinates and the applied inputs.
 
-    energy is the total squared norm over all blocks; residual is the
-    terminal-state error of the simulated rollout.
+    flat_inputs is the (b*h, m) per-step sequence that is applied, stored
+    read-only; energy is its total squared norm.
     """
 
-    blocks: tuple
     latent: tuple
     flat_inputs: np.ndarray
     energy: float
-    residual: float
+
+    def __post_init__(self):
+        flat = np.array(self.flat_inputs, dtype=float)
+        flat.setflags(write=False)
+        object.__setattr__(self, "flat_inputs", flat)
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """Read-only view of flat_inputs with one stacked block U per row."""
+        return self.flat_inputs.reshape(len(self.latent), -1)
 
 
 @dataclass(frozen=True, eq=False)
 class PlanVerification:
     """Simulation-based report on a plan; see verify_plan."""
 
-    terminal_state: np.ndarray
+    trajectory: Trajectory
     terminal_error: float
     imbalances: np.ndarray
-    step_energies: np.ndarray
     passed: bool
 
 
@@ -105,18 +111,12 @@ def _displacement(lifted: LiftedSystem, task: SteeringTask) -> np.ndarray:
     return task.xf - reach_b @ task.x0
 
 
-def _build_plan(system: LtiSystem, scheme: BlockScheme, task: SteeringTask, latents) -> ControlPlan:
-    blocks = tuple(unpack(w, scheme) for w in latents)
-    flat = np.vstack([U.reshape(scheme.h, scheme.m) for U in blocks])
-    traj = simulate(system, task.x0, flat)
-    energy = float(sum(U @ U for U in blocks))
-    residual = float(np.linalg.norm(traj.terminal - task.xf))
+def _build_plan(scheme: BlockScheme, latents) -> ControlPlan:
+    blocks = [unpack(w, scheme) for w in latents]
     return ControlPlan(
-        blocks=blocks,
         latent=tuple(np.asarray(w, dtype=float) for w in latents),
-        flat_inputs=flat,
-        energy=energy,
-        residual=residual,
+        flat_inputs=np.concatenate(blocks).reshape(-1, scheme.m),
+        energy=float(sum(U @ U for U in blocks)),
     )
 
 
@@ -147,14 +147,9 @@ def design_nonrepetitive(
     """
     _require_regime(task, NON_REPETITIVE)
     d = _displacement(lifted, task)
-    bundle = reachability_matrix(lifted, task.b)
-    core = _solve_reachable(bundle.G, d, tol, f"in {task.b} blocks", "Gramian rank", lifted.n)
-    # back-propagated adjoint states (Abar^T)^q core for q = 0 .. b-1
-    adjoint = [core]
-    for _ in range(task.b - 1):
-        adjoint.append(lifted.Abar.T @ adjoint[-1])
-    latents = [lifted.Bbar.T @ adjoint[task.b - 1 - p] for p in range(task.b)]
-    return _build_plan(lifted.system, lifted.scheme, task, latents)
+    Rb = reachability_matrix(lifted, task.b)
+    core = _solve_reachable(Rb @ Rb.T, d, tol, f"in {task.b} blocks", "Gramian rank", lifted.n)
+    return _build_plan(lifted.scheme, (Rb.T @ core).reshape(task.b, -1))
 
 
 def design_repetitive(
@@ -169,7 +164,7 @@ def design_repetitive(
     d = _displacement(lifted, task)
     gain = h_sum(lifted, task.b) @ lifted.Bbar
     w = _solve_reachable(gain, d, tol, "with identical blocks", "rank", lifted.n)
-    return _build_plan(lifted.system, lifted.scheme, task, [w] * task.b)
+    return _build_plan(lifted.scheme, [w] * task.b)
 
 
 def oracle_stacked_ls(
@@ -229,17 +224,8 @@ def oracle_stacked_ls(
             residual=residual,
         )
 
-    flat = u.reshape(steps, m)
-    blocks = tuple(u[p * block_dim : (p + 1) * block_dim] for p in range(b))
-    latent = tuple(pack(U, scheme, tol) for U in blocks)
-    traj = simulate(system, task.x0, flat)
-    return ControlPlan(
-        blocks=blocks,
-        latent=latent,
-        flat_inputs=flat,
-        energy=float(u @ u),
-        residual=float(np.linalg.norm(traj.terminal - task.xf)),
-    )
+    latent = tuple(pack(U, scheme, tol) for U in u.reshape(b, block_dim))
+    return ControlPlan(latent=latent, flat_inputs=u.reshape(steps, m), energy=float(u @ u))
 
 
 def verify_plan(
@@ -249,27 +235,29 @@ def verify_plan(
     plan: ControlPlan,
     tol: Tolerances = DEFAULT,
 ) -> PlanVerification:
-    """Simulate a plan and report terminal error, imbalance, and energy.
+    """Simulate a plan's applied inputs; report terminal error and imbalance.
 
+    Both checks read the simulated inputs, one block of h steps at a time.
     The report passes iff the terminal error is within the terminal
     tolerance and every per-block imbalance is within the charge-balance
-    tolerance. Never raises; this is a report, not a gate.
+    tolerance; a failed check is reported, not raised. Raises
+    DimensionError when the inputs are not b blocks of h steps of m
+    channels.
     """
     traj = simulate(system, task.x0, plan.flat_inputs)
+    if traj.horizon != task.b * scheme.h:
+        raise DimensionError(
+            f"plan has {traj.horizon} steps, task needs {task.b} blocks of {scheme.h}"
+        )
     terminal_error = float(np.linalg.norm(traj.terminal - task.xf))
     imbalances = np.array(
-        [float(np.abs(scheme.R @ U).max()) for U in plan.blocks]
+        [float(np.abs(scheme.R @ U).max()) for U in traj.inputs.reshape(task.b, -1)]
     )
-    step_energies = np.sum(np.asarray(plan.flat_inputs) ** 2, axis=1)
     passed = terminal_error <= tol.terminal and bool(
         np.all(imbalances <= tol.charge_balance)
     )
     return PlanVerification(
-        terminal_state=traj.terminal,
-        terminal_error=terminal_error,
-        imbalances=imbalances,
-        step_energies=step_energies,
-        passed=passed,
+        trajectory=traj, terminal_error=terminal_error, imbalances=imbalances, passed=passed
     )
 
 

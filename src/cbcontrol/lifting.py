@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charge_balance import BlockScheme
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError
 from .system import LtiSystem
+from .tolerances import require_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,15 +48,6 @@ class LiftedSystem:
         return self.scheme.latent_dim
 
 
-@dataclass(frozen=True, eq=False)
-class GramianBundle:
-    """Reachability matrix over b blocks and the Gramian G = Rb @ Rb.T."""
-
-    Rb: np.ndarray
-    G: np.ndarray
-    b: int
-
-
 def lift(system: LtiSystem, scheme: BlockScheme) -> LiftedSystem:
     """Assemble S, Abar = A^h, and Bbar = S @ Q for the given scheme."""
     if scheme.m != system.m:
@@ -70,18 +62,16 @@ def lift(system: LtiSystem, scheme: BlockScheme) -> LiftedSystem:
     return LiftedSystem(system=system, scheme=scheme, S=S, Abar=Abar, Bbar=S @ scheme.Q)
 
 
-def reachability_matrix(lifted: LiftedSystem, b: int) -> GramianBundle:
-    """Reachability matrix [Abar^(b-1) Bbar, ..., Bbar] and its Gramian."""
-    b = int(b)
-    if b < 1:
-        raise PreconditionError(f"block horizon must be at least 1, got {b}")
+def reachability_matrix(lifted: LiftedSystem, b: int) -> np.ndarray:
+    """Reachability matrix Rb = [Abar^(b-1) Bbar, ..., Abar Bbar, Bbar].
+
+    Its Gramian is Rb @ Rb.T; the distinct-block law is w = Rb.T G^+ d.
+    """
+    b = require_integer("block horizon", b, 1)
     blocks = [lifted.Bbar]
     for _ in range(b - 1):
         blocks.append(lifted.Abar @ blocks[-1])
-    Rb = np.hstack(blocks[::-1])
-    G = Rb @ Rb.T
-    G = 0.5 * (G + G.T)
-    return GramianBundle(Rb=Rb, G=G, b=b)
+    return np.hstack(blocks[::-1])
 
 
 def h_sum(lifted: LiftedSystem, b: int) -> np.ndarray:
@@ -90,9 +80,7 @@ def h_sum(lifted: LiftedSystem, b: int) -> np.ndarray:
     Accumulated Horner style (H <- H @ Abar + I), which stays in real
     arithmetic regardless of the spectrum.
     """
-    b = int(b)
-    if b < 1:
-        raise PreconditionError(f"block horizon must be at least 1, got {b}")
+    b = require_integer("block horizon", b, 1)
     eye = np.eye(lifted.n)
     total = np.eye(lifted.n)
     for _ in range(b - 1):

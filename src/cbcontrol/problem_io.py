@@ -33,7 +33,7 @@ import numpy as np
 from .design import REGIMES
 from .errors import DimensionError, ProblemFormatError
 from .system import LtiSystem
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT, Tolerances, is_integer
 
 FLOAT_FMT = "{:.17g}"
 
@@ -78,11 +78,6 @@ def _as_array(value, where, ndim: int) -> np.ndarray:
     return arr
 
 
-def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, which is an int subclass
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_problem(text: str, source: str = "problem") -> Problem:
     """Parse problem-file text; raises ProblemFormatError with diagnostics."""
     try:
@@ -111,12 +106,12 @@ def parse_problem(text: str, source: str = "problem") -> Problem:
             f"got x0 of {x0.size} and xf of {xf.size}"
         )
     b = _require(task_doc, "b", "task")
-    if not _is_int(b) or b < 1:
+    if not is_integer(b) or b < 1:
         raise ProblemFormatError(f"{source}: field 'task.b' must be a positive integer")
     h_raw = task_doc.get("h", "auto")
     if h_raw == "auto" or h_raw is None:
         h = None
-    elif _is_int(h_raw) and h_raw >= 2:
+    elif is_integer(h_raw) and h_raw >= 2:
         h = h_raw
     else:
         raise ProblemFormatError(

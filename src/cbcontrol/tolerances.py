@@ -1,4 +1,5 @@
-"""Numerical tolerances used by analysis and design, with desk-scale defaults."""
+"""Numerical tolerances used by analysis and design, with desk-scale defaults,
+and the integer checks shared by their argument validation."""
 
 from __future__ import annotations
 
@@ -8,7 +9,21 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .errors import PreconditionError
+
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bool, an int subclass."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_integer(name: str, value, low: int) -> int:
+    """value as an int; PreconditionError unless it is an integer >= low."""
+    if not is_integer(value) or value < low:
+        raise PreconditionError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -29,7 +44,7 @@ class Tolerances:
     max_order: largest ratio order searched when selecting a block length.
 
     Every float field must be finite and positive, and max_order a positive
-    int; anything else raises ValueError.
+    integer; anything else raises ValueError.
     """
 
     charge_balance: float = 1e-9
@@ -46,7 +61,7 @@ class Tolerances:
         for field in fields(self):
             value = getattr(self, field.name)
             if field.name == "max_order":
-                kind, ok = "a positive int", isinstance(value, int) and value >= 1
+                kind, ok = "a positive int", is_integer(value) and value >= 1
             else:
                 kind = "finite and positive"
                 ok = isinstance(value, numbers.Real) and math.isfinite(value) and value > 0

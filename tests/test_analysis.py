@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cbcontrol import (
+    DEFAULT,
     LtiSystem,
     PreconditionError,
     build_scheme,
@@ -18,9 +19,9 @@ from cbcontrol import (
     pbh_controllable,
     reachability_matrix,
     select_h,
-    spectral_report,
     unit_ratio_orders,
 )
+from cbcontrol.analysis import _has_unit_eigenvalue
 
 from helpers import (
     expander_system,
@@ -80,16 +81,19 @@ def test_pbh_agrees_with_kalman_rank_oracle():
 
 
 def test_spectral_report_flags():
-    report = spectral_report(rotation_system(), 3)
-    assert report.eigenvalues.shape == (2,)
+    system = rotation_system()
+    eigs = system.eigenvalues
+    assert eigs.shape == (2,)
     # conjugate closure of the spectrum of a real matrix
-    assert np.abs(np.sort(report.eigenvalues) - np.sort(report.eigenvalues.conj())).max() <= 1e-9
-    assert not report.all_real
-    assert not report.has_unit_eigenvalue
-    assert not report.simple_spectrum_of_power  # cube of the spectrum is {1, 1}
+    assert np.abs(np.sort(eigs) - np.sort(eigs.conj())).max() <= 1e-9
+    assert not check_real_spectrum_shortcut(system)  # the spectrum is not real
+    assert not _has_unit_eigenvalue(eigs, DEFAULT)  # a rotation has no eigenvalue at 1
+    reasons = {r.name: r.holds for r in check_nonrepetitive_sufficient(system, 3).reasons}
+    assert reasons["no eigenvalue of A at 1"]
+    assert not reasons["A^3 has a simple spectrum"]  # cube of the spectrum is {1, 1}
 
-    report4 = spectral_report(rotation_system(), 4)
-    assert report4.simple_spectrum_of_power
+    reasons4 = {r.name: r.holds for r in check_nonrepetitive_sufficient(system, 4).reasons}
+    assert reasons4["A^4 has a simple spectrum"]
 
 
 def test_nonrepetitive_rotation_h4_yes_by_conditions():
@@ -148,6 +152,20 @@ def test_select_h_preconditions():
     with pytest.raises(PreconditionError, match="eigenvalue at 1"):
         select_h(unit)
 
+    # block lengths and counts must be integers, never truncated
+    system = rotation_system()
+    for bad_h in (2.9, 4.0, True, "4"):
+        with pytest.raises(PreconditionError, match="block length must be an integer"):
+            check_nonrepetitive_sufficient(system, bad_h)
+    for bad_b in (2.7, True, 0):
+        with pytest.raises(PreconditionError, match="block horizon must be an integer"):
+            check_repetitive_sufficient(system, bad_b)
+        with pytest.raises(PreconditionError, match="block horizon must be an integer"):
+            hb_invertible(system, 2, bad_b)
+    # numpy integers are integers
+    assert check_nonrepetitive_sufficient(system, np.int64(4)).controllable == "yes"
+    assert hb_invertible(system, np.int32(2), np.int64(5)) == hb_invertible(system, 2, 5)
+
 
 def test_select_h_skips_high_order_ratio_with_warning():
     theta = 2.0 * np.pi * np.sqrt(2.0) / 17.0  # irrational angle
@@ -178,7 +196,8 @@ def test_real_spectrum_shortcut():
     system = LtiSystem(A=np.diag([3.0, -3.0]), B=[[1.0], [1.0]])
     assert check_real_spectrum_shortcut(system)
     lifted = lift(system, build_scheme(3, 1))
-    assert np.linalg.matrix_rank(reachability_matrix(lifted, 2).G) == 2
+    Rb = reachability_matrix(lifted, 2)
+    assert np.linalg.matrix_rank(Rb @ Rb.T) == 2
 
 
 def test_hb_invertible_expander():

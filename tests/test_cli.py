@@ -87,6 +87,8 @@ def test_parse_tolerance_overrides():
     tweaked = parse_problem(json.dumps(doc))
     assert tweaked.tolerances.terminal == 1e-9
     assert tweaked.tolerances.max_order == 16
+    # numpy integers count as integers; the stored value is unchanged
+    assert tweaked.tolerances.with_overrides(max_order=np.int64(8)).max_order == 8
 
 
 def test_main_exit_code_parse_error(tmp_path, capsys):
@@ -345,3 +347,41 @@ def test_regime_flag_aliases(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert report["design"]["regime"] == "non-repetitive"
+
+
+def test_one_rollout_per_design(tmp_path, monkeypatch):
+    # a design simulates its plan once, in verify_plan; states.csv reuses
+    # that trajectory and the designers never simulate
+    import cbcontrol.cli as cli
+    import cbcontrol.design as design
+    from cbcontrol import SteeringTask, build_scheme, lift
+
+    calls = []
+    original = design.simulate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(design, "simulate", counting)
+    monkeypatch.setattr(cli, "simulate", counting)
+    problem = load_problem(bundled_problem("rotation_2d"))
+    report = cmd_design(problem, tmp_path / "run", plot=False)
+    assert report.design["passed"]
+    assert len(calls) == 1
+    _, states = read_csv(tmp_path / "run" / "states.csv")
+    assert len(states) == problem.b * report.design["h"] + 1
+
+    del calls[:]
+    problem = load_problem(bundled_problem("expander_2d"))  # B = I reaches every target
+    system = problem.system
+    scheme = build_scheme(2, system.m)
+    lifted = lift(system, scheme)
+    for regime, designer in (
+        ("non-repetitive", design.design_nonrepetitive),
+        ("repetitive", design.design_repetitive),
+    ):
+        task = SteeringTask(x0=problem.x0, xf=problem.xf, b=problem.b, regime=regime)
+        designer(lifted, task)
+        design.oracle_stacked_ls(system, scheme, task)
+    assert calls == []

@@ -1,11 +1,15 @@
 """Minimum-energy plans, the stacked-least-squares oracle, and verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cbcontrol import (
     ControlPlan,
     BlockScheme,
+    DimensionError,
+    LtiSystem,
     PreconditionError,
     ReachabilityError,
     SteeringTask,
@@ -109,7 +113,7 @@ def test_repetitive_four_state_steering():
     assert check.passed
     # the independent stacked solver confirms the derived fixture target
     oracle = oracle_stacked_ls(system, scheme, task)
-    assert oracle.residual <= 1e-6
+    assert verify_plan(system, scheme, task, oracle).terminal_error <= 1e-6
     assert np.abs(oracle.flat_inputs - plan.flat_inputs).max() <= 1e-7
     assert abs(oracle.energy - plan.energy) <= 1e-6 * max(1.0, plan.energy)
 
@@ -184,8 +188,8 @@ def test_min_norm_among_feasible_alternatives():
     scheme = build_scheme(3, 1)
     lifted = lift(system, scheme)
     b = 2
-    bundle = reachability_matrix(lifted, b)
-    assert np.linalg.matrix_rank(bundle.G) < 3
+    Rb = reachability_matrix(lifted, b)
+    assert np.linalg.matrix_rank(Rb @ Rb.T) < 3
 
     latents = [np.array([0.4, -0.7]), np.array([0.2, 0.9])]
     x0 = np.array([0.3, -0.1, 0.5])
@@ -194,7 +198,7 @@ def test_min_norm_among_feasible_alternatives():
         x = lifted.Abar @ x + lifted.Bbar @ w
     task = SteeringTask(x0=x0, xf=x, b=b, regime="non-repetitive")
     plan = design_nonrepetitive(lifted, task)
-    assert plan.residual <= 1e-10
+    assert verify_plan(system, scheme, task, plan).terminal_error <= 1e-10
 
     # stacked equality system for the same task
     steps = b * scheme.h
@@ -226,7 +230,8 @@ def test_unreachable_target_raises_with_consistent_residual():
     assert err.rank == 1
     from cbcontrol import reachability_matrix
 
-    G = reachability_matrix(lifted, 1).G
+    Rb = reachability_matrix(lifted, 1)
+    G = Rb @ Rb.T
     d = task.xf - lifted.Abar @ np.asarray(task.x0)
     z, *_ = np.linalg.lstsq(G, d, rcond=None)
     distance = np.linalg.norm(G @ z - d)
@@ -305,11 +310,9 @@ def test_verify_zero_plan_on_drifting_target():
     xf = np.linalg.matrix_power(system.A, 4) @ x0
     task = SteeringTask(x0=x0, xf=xf, b=2, regime="non-repetitive")
     zero = ControlPlan(
-        blocks=tuple(np.zeros(2) for _ in range(2)),
         latent=tuple(np.zeros(1) for _ in range(2)),
         flat_inputs=np.zeros((4, 1)),
         energy=0.0,
-        residual=0.0,
     )
     check = verify_plan(system, scheme, task, zero)
     assert check.passed
@@ -323,20 +326,35 @@ def test_verify_flags_perturbed_block():
     task = _rotation_task(10)
     plan = design_nonrepetitive(lifted, task)
 
-    tampered_blocks = [U.copy() for U in plan.blocks]
+    tampered_blocks = plan.blocks.copy()
     tampered_blocks[4][0] += 0.1
     flat = np.vstack([U.reshape(2, 1) for U in tampered_blocks])
-    tampered = ControlPlan(
-        blocks=tuple(tampered_blocks),
-        latent=plan.latent,
-        flat_inputs=flat,
-        energy=plan.energy,
-        residual=plan.residual,
-    )
+    tampered = ControlPlan(latent=plan.latent, flat_inputs=flat, energy=plan.energy)
     check = verify_plan(system, scheme, task, tampered)
     assert not check.passed
     flagged = np.nonzero(check.imbalances > 1e-9)[0]
     assert list(flagged) == [4]
+
+
+def test_verify_reads_the_applied_inputs():
+    # imbalance is taken from the inputs that are simulated: a first block
+    # with net charge 5 fails even though the plan's latents are balanced
+    system = LtiSystem(A=[[0.0]], B=[[1.0]])
+    scheme = build_scheme(2, 1)
+    task = SteeringTask(x0=[0.0], xf=[0.0], b=2, regime="non-repetitive")
+    plan = design_nonrepetitive(lift(system, scheme), task)
+    assert verify_plan(system, scheme, task, plan).passed
+    charged = dataclasses.replace(plan, flat_inputs=[[5.0], [0.0], [0.0], [0.0]])
+    check = verify_plan(system, scheme, task, charged)
+    assert not check.passed
+    assert check.terminal_error == 0.0  # A = 0 forgets the charge by the end
+    assert list(check.imbalances) == [5.0, 0.0]
+    assert np.array_equal(charged.blocks, [[5.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(check.trajectory.inputs, charged.flat_inputs)
+    with pytest.raises(ValueError):
+        charged.blocks[0, 0] = 0.0  # blocks is a read-only view of the applied inputs
+    with pytest.raises(DimensionError):
+        verify_plan(system, scheme, task, dataclasses.replace(plan, flat_inputs=[[0.0]] * 3))
 
 
 def test_regime_mismatch_rejected():
@@ -353,6 +371,11 @@ def test_regime_mismatch_rejected():
 def test_task_validation():
     with pytest.raises(PreconditionError):
         SteeringTask(x0=[0.0], xf=[0.0], b=0, regime="repetitive")
+    for bad in (2.7, 2.0, True, "2", None):
+        with pytest.raises(PreconditionError):
+            SteeringTask(x0=[0.0], xf=[0.0], b=bad, regime="repetitive")
+    task = SteeringTask(x0=[0.0], xf=[0.0], b=np.int64(3), regime="repetitive")
+    assert task.b == 3 and type(task.b) is int
     with pytest.raises(PreconditionError):
         SteeringTask(x0=[0.0], xf=[0.0], b=1, regime="sometimes")
 

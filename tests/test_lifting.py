@@ -64,15 +64,15 @@ def test_lift_dimension_mismatch():
 
 def test_reachability_single_block():
     lifted = lift(expander_system(), build_scheme(2, 2))
-    bundle = reachability_matrix(lifted, 1)
-    assert np.array_equal(bundle.Rb, lifted.Bbar)
-    assert np.allclose(bundle.G, lifted.Bbar @ lifted.Bbar.T, atol=1e-14)
+    Rb = reachability_matrix(lifted, 1)
+    assert np.array_equal(Rb, lifted.Bbar)
+    assert np.allclose(Rb @ Rb.T, lifted.Bbar @ lifted.Bbar.T, atol=1e-14)
 
 
 def test_reachability_rotation_two_blocks_rank():
     lifted = lift(rotation_system(), build_scheme(2, 1))
-    bundle = reachability_matrix(lifted, 2)
-    assert np.linalg.matrix_rank(bundle.Rb) == 2
+    Rb = reachability_matrix(lifted, 2)
+    assert np.linalg.matrix_rank(Rb) == 2
 
 
 def test_gramian_term_sum_oracle():
@@ -80,13 +80,13 @@ def test_gramian_term_sum_oracle():
     for _ in range(25):
         system = random_system(rng, 3, 2)
         lifted = lift(system, build_scheme(2, 2))
-        bundle = reachability_matrix(lifted, 4)
+        Rb = reachability_matrix(lifted, 4)
         total = np.zeros((3, 3))
         for p in range(4):
             Ap = np.linalg.matrix_power(lifted.Abar, p)
             total += Ap @ lifted.Bbar @ lifted.Bbar.T @ Ap.T
         scale = max(1.0, np.abs(total).max())
-        assert np.abs(bundle.G - total).max() <= 1e-11 * scale
+        assert np.abs(Rb @ Rb.T - total).max() <= 1e-11 * scale
 
 
 def test_gramian_symmetric_and_psd():
@@ -97,7 +97,8 @@ def test_gramian_symmetric_and_psd():
         h = int(rng.integers(2, 5))
         b = int(rng.integers(1, 5))
         lifted = lift(random_system(rng, n, m), build_scheme(h, m))
-        G = reachability_matrix(lifted, b).G
+        Rb = reachability_matrix(lifted, b)
+        G = Rb @ Rb.T
         assert np.abs(G - G.T).max() <= 1e-12 * max(1.0, np.abs(G).max())
         eigs = np.linalg.eigvalsh(G)
         assert eigs.min() >= -1e-10 * max(1.0, np.linalg.norm(G, 2))
@@ -177,7 +178,8 @@ def test_repetitive_closed_form():
 
 def test_horizon_validation():
     lifted = lift(expander_system(), build_scheme(2, 2))
-    with pytest.raises(PreconditionError):
-        reachability_matrix(lifted, 0)
-    with pytest.raises(PreconditionError):
-        h_sum(lifted, 0)
+    for bad_b in (0, 2.7, True):
+        with pytest.raises(PreconditionError):
+            reachability_matrix(lifted, bad_b)
+        with pytest.raises(PreconditionError):
+            h_sum(lifted, bad_b)
