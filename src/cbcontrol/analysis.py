@@ -35,7 +35,7 @@ from .charge_balance import build_scheme
 from .design import NON_REPETITIVE, REPETITIVE
 from .errors import PreconditionError
 from .lifting import h_sum, lift, reachability_matrix
-from .numeric import numeric_rank
+from .numeric import _rank, numeric_rank
 from .system import LtiSystem
 from .tolerances import DEFAULT, Tolerances, require_integer
 
@@ -118,21 +118,23 @@ def _require_blocks(h, b=1) -> tuple[int, int]:
 def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
     """PBH test: rank [lambda I - A, B] = n for every eigenvalue lambda.
 
-    On failure, returns the offending eigenvalue and a unit left
-    eigenvector phi whose product phi^T B is numerically zero.
+    Reads the pencil singular values cached on the system, so every PBH
+    test of one system shares one pencil sweep. On failure, returns the
+    first offending eigenvalue and a unit left eigenvector phi whose
+    product phi^T B is numerically zero.
     """
     n = system.n
-    eye = np.eye(n)
-    for lam in system.eigenvalues:
-        pencil = np.hstack([lam * eye - system.A.astype(complex), system.B])
-        rank, _ = numeric_rank(pencil, tol)
-        if rank < n:
-            # witness from the left null space of the pencil, so it pairs
-            # the eigen relation with a vanishing phi^T B
-            u, _, _ = np.linalg.svd(pencil)
-            phi = np.conj(u[:, -1])
-            return PbhResult(False, complex(lam), phi / np.linalg.norm(phi))
-    return PbhResult(True)
+    ranks = _rank(system.pencil_singular_values, (n, n + system.m), tol)
+    failing = np.flatnonzero(ranks < n)
+    if not failing.size:
+        return PbhResult(True)
+    # witness from the left null space of the pencil, so it pairs the
+    # eigen relation with a vanishing phi^T B
+    lam = system.eigenvalues[failing[0]]
+    pencil = np.hstack([lam * np.eye(n) - system.A.astype(complex), system.B])
+    u, _, _ = np.linalg.svd(pencil)
+    phi = np.conj(u[:, -1])
+    return PbhResult(False, complex(lam), phi / np.linalg.norm(phi))
 
 
 def _necessary_conditions(system: LtiSystem, tol: Tolerances) -> tuple[list, bool]:
@@ -239,38 +241,47 @@ def unit_ratio_orders(
     """
     limit = tol.max_order if max_order is None else int(max_order)
     eigs = system.eigenvalues
-    scale = _spectral_scale(eigs)
+    i, j = np.triu_indices(eigs.size, 1)
+    # screen every pair at once: both moduli clear of zero, ratio on the unit circle
+    moduli = np.abs(eigs)
+    nonzero = np.minimum(moduli[i], moduli[j]) > tol.eig_sep * _spectral_scale(eigs)
+    i, j = i[nonzero], j[nonzero]
+    ratio = eigs[i] / eigs[j]
+    on_circle = np.abs(np.abs(ratio) - 1.0) <= tol.unit_modulus
+    i, j, ratio = i[on_circle], j[on_circle], ratio[on_circle]
     found: list[RatioOrder] = []
-    for i in range(eigs.size):
-        for j in range(i + 1, eigs.size):
-            if min(abs(eigs[i]), abs(eigs[j])) <= tol.eig_sep * scale:
-                continue
-            ratio = eigs[i] / eigs[j]
-            if abs(abs(ratio) - 1.0) > tol.unit_modulus:
-                continue
-            rk = ratio
-            for k in range(1, limit + 1):
-                if abs(rk - 1.0) <= tol.root_of_unity:
-                    found.append(RatioOrder(i=i, j=j, order=k))
-                    break
-                rk *= ratio
-            else:
-                warnings.warn(
-                    f"eigenvalue ratio for pair ({i}, {j}) stays on the unit "
-                    f"circle but has no order <= {limit}; pair skipped",
-                    RuntimeWarning,
-                )
+    # the power search runs on Python complex scalars: the candidates are
+    # few (about one per conjugate pair), and per-call numpy overhead on
+    # such short arrays costs more than the scalar loop
+    for p, q, r in zip(i.tolist(), j.tolist(), ratio.tolist()):
+        rk = r
+        for k in range(1, limit + 1):
+            if abs(rk - 1.0) <= tol.root_of_unity:
+                found.append(RatioOrder(i=p, j=q, order=k))
+                break
+            rk *= r
+        else:
+            warnings.warn(
+                f"eigenvalue ratio for pair ({p}, {q}) stays on the unit "
+                f"circle but has no order <= {limit}; pair skipped",
+                RuntimeWarning,
+            )
     return found
 
 
 def select_h(
-    system: LtiSystem, max_order: int | None = None, tol: Tolerances = DEFAULT
+    system: LtiSystem,
+    max_order: int | None = None,
+    tol: Tolerances = DEFAULT,
+    orders: list[RatioOrder] | None = None,
 ) -> int:
     """Block length certified to keep the eigenvalues of A^h distinct.
 
     Requires numerically distinct eigenvalues and no eigenvalue at 1.
     Returns lcm(orders) + 1 over all root-of-unity ratio orders, or 2
-    when no ratio is a root of unity.
+    when no ratio is a root of unity. ``orders`` takes the result of
+    ``unit_ratio_orders(system, max_order, tol)`` when the caller already
+    has it, so the pair search runs once.
     """
     eigs = system.eigenvalues
     if not _pairwise_distinct(eigs, tol):
@@ -282,7 +293,8 @@ def select_h(
         raise PreconditionError(
             "A has an eigenvalue at 1; no block length restores controllability"
         )
-    orders = unit_ratio_orders(system, max_order, tol)
+    if orders is None:
+        orders = unit_ratio_orders(system, max_order, tol)
     if not orders:
         return 2
     return math.lcm(*(entry.order for entry in orders)) + 1

@@ -83,7 +83,7 @@ def _resolve_h(problem: Problem):
         return problem.h, None
     if problem.regime == NON_REPETITIVE:
         orders = unit_ratio_orders(problem.system, tol=problem.tolerances)
-        h = select_h(problem.system, tol=problem.tolerances)
+        h = select_h(problem.system, tol=problem.tolerances, orders=orders)
         return h, {"selected_h": h, "ratio_orders": [dataclasses.asdict(o) for o in orders]}
     # identical blocks: the h = 2 conditions are the ones with coverage
     return 2, {"selected_h": 2, "ratio_orders": []}

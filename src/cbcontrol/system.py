@@ -22,8 +22,10 @@ class LtiSystem:
 
     A is n x n and B is n x m with m >= 1; all entries must be finite.
     Instances are immutable (the arrays are locked) and safe to share
-    between concurrent analyses; the spectrum of A is solved on first use
-    and cached, so every analysis of one system shares one eigen-solve.
+    between concurrent analyses. Two derived arrays are computed on first
+    use, cached and locked, so every analysis of one system shares them:
+    the spectrum of A (one eigen-solve) and the singular values of the PBH
+    pencil [lambda I - A, B] at each eigenvalue (one pencil sweep).
     """
 
     A: np.ndarray
@@ -71,6 +73,36 @@ class LtiSystem:
             ) from exc
         eigs.setflags(write=False)
         return eigs
+
+    @cached_property
+    def pencil_singular_values(self) -> np.ndarray:
+        """Singular values of [lambda I - A, B], one row per eigenvalue, locked.
+
+        Row k holds the n singular values, in descending order, of the PBH
+        pencil at ``eigenvalues[k]``. A real eigenvalue gets a real pencil.
+        A complex one gets one complex SVD, and its exact conjugate, which
+        LAPACK returns right after it, reuses that row: conjugate pencils
+        have equal singular values. One pencil buffer per dtype is reused,
+        with only its diagonal rewritten per eigenvalue.
+        """
+        eigs = self.eigenvalues
+        diag = np.diag(self.A)
+        pencil = np.hstack([-self.A, self.B])
+        complex_pencil = None
+        rows = np.empty((eigs.size, self.n))
+        for k, lam in enumerate(eigs):
+            if lam.imag == 0:
+                np.fill_diagonal(pencil, lam.real - diag)
+                rows[k] = np.linalg.svd(pencil, compute_uv=False)
+            elif lam.imag < 0 and k and eigs[k - 1] == np.conj(lam):
+                rows[k] = rows[k - 1]
+            else:
+                if complex_pencil is None:
+                    complex_pencil = pencil.astype(complex)
+                np.fill_diagonal(complex_pencil, lam - diag)
+                rows[k] = np.linalg.svd(complex_pencil, compute_uv=False)
+        rows.setflags(write=False)
+        return rows
 
 
 @dataclass(frozen=True, eq=False)

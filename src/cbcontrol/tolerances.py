@@ -34,7 +34,9 @@ class Tolerances:
     terminal: absolute bound on the terminal-state error of a designed plan.
     reach: relative bound on the residual of the target displacement after
         projection onto the reachable column space.
-    rank_slack: headroom factor in the SVD numeric-rank rule (see rank_cutoff).
+    rank_slack: headroom factor in the SVD numeric-rank rule (see rank_cutoff);
+        at least 1, since below that the cutoff falls under the SVD's own
+        backward error and rank decisions become rounding noise.
     eig_sep: relative eigenvalue separation below which a spectrum is not
         considered simple.
     unit_modulus: tolerance on abs(r) - 1 when screening eigenvalue ratios.
@@ -43,8 +45,8 @@ class Tolerances:
     unit_eigenvalue: tolerance on abs(lambda - 1) for the eigenvalue-at-one test.
     max_order: largest ratio order searched when selecting a block length.
 
-    Every float field must be finite and positive, and max_order a positive
-    integer; anything else raises ValueError.
+    Every float field must be finite and positive, rank_slack at least 1,
+    and max_order a positive integer; anything else raises ValueError.
     """
 
     charge_balance: float = 1e-9
@@ -67,6 +69,8 @@ class Tolerances:
                 ok = isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
             if isinstance(value, bool) or not ok:
                 raise ValueError(f"tolerance '{field.name}' must be {kind}, got {value!r}")
+        if self.rank_slack < 1:
+            raise ValueError(f"tolerance 'rank_slack' must be at least 1, got {self.rank_slack!r}")
 
     def rank_cutoff(self, shape) -> float:
         """Relative singular-value cutoff: max(rows, cols) * eps * rank_slack."""

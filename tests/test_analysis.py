@@ -22,10 +22,12 @@ from cbcontrol import (
     unit_ratio_orders,
 )
 from cbcontrol.analysis import _has_unit_eigenvalue
+from cbcontrol.numeric import numeric_rank
 
 from helpers import (
     expander_system,
     four_state_system,
+    random_orthogonal,
     random_real_simple_system,
     random_system,
     rotation_system,
@@ -332,3 +334,154 @@ def test_vectorised_spectral_tests_match_pair_loops():
             assert _pairwise_distinct(eigs**h, tol) == distinct_loop(eigs**h)
             for b in (1, 2, 3, 6):
                 assert _no_disruptive_roots(eigs, h, b, tol) == no_disruptive_loop(eigs, h, b)
+
+    def ratio_orders_loop(system, limit):
+        eigs = system.eigenvalues
+        scale = _spectral_scale(eigs)
+        found = []
+        for i in range(eigs.size):
+            for j in range(i + 1, eigs.size):
+                if min(abs(eigs[i]), abs(eigs[j])) <= tol.eig_sep * scale:
+                    continue
+                ratio = eigs[i] / eigs[j]
+                if abs(abs(ratio) - 1.0) > tol.unit_modulus:
+                    continue
+                rk = ratio
+                for k in range(1, limit + 1):
+                    if abs(rk - 1.0) <= tol.root_of_unity:
+                        found.append((i, j, k))
+                        break
+                    rk *= ratio
+                else:
+                    warnings.warn(
+                        f"eigenvalue ratio for pair ({i}, {j}) stays on the unit "
+                        f"circle but has no order <= {limit}; pair skipped",
+                        RuntimeWarning,
+                    )
+        return found
+
+    def recorded(fn, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fn(*args)
+        return result, [str(w.message) for w in caught]
+
+    hits = skips = 0
+    for trial in range(150):
+        system = _rotation_mix(rng, irrational=trial % 3 == 0)
+        limit = (64, 8)[trial % 2]
+        got, got_warnings = recorded(unit_ratio_orders, system, limit)
+        want, want_warnings = recorded(ratio_orders_loop, system, limit)
+        assert [(o.i, o.j, o.order) for o in got] == want
+        assert got_warnings == want_warnings
+        hits += bool(want)
+        skips += bool(want_warnings)
+    assert hits and skips
+
+
+def _rotation_mix(rng, irrational=False):
+    """Rotations on or near the unit circle mixed with real eigenvalues.
+
+    Rotation angles are 2 pi p / q for small q, or arbitrary when
+    ``irrational``; an orthogonal similarity hides the block structure
+    half of the time.
+    """
+    size = int(rng.integers(1, 9))
+    blocks = []
+    while sum(block.shape[0] for block in blocks) < size:
+        if rng.random() < 0.6:
+            q = int(rng.integers(1, 9))
+            angle = 2.0 * np.pi * int(rng.integers(1, 2 * q)) / q
+            if irrational and rng.random() < 0.5:
+                angle = rng.uniform(0.0, 2.0 * np.pi)
+            c, s = np.cos(angle), np.sin(angle)
+            blocks.append(rng.choice([1.0, 0.5, 1.0 + 1e-12]) * np.array([[c, -s], [s, c]]))
+        else:
+            blocks.append(np.array([[rng.choice([0.5, -0.5, -1.0, 0.0, 2.0])]]))
+    n = sum(block.shape[0] for block in blocks)
+    A = np.zeros((n, n))
+    at = 0
+    for block in blocks:
+        k = block.shape[0]
+        A[at:at + k, at:at + k] = block
+        at += k
+    if rng.random() < 0.5:
+        basis = random_orthogonal(rng, n)
+        A = basis @ A @ basis.T
+    return LtiSystem(A=A, B=rng.standard_normal((n, int(rng.integers(1, 3)))))
+
+
+def _pbh_pencil_loop(system, tol):
+    """PBH by one complex SVD of [lambda I - A, B] per eigenvalue (the reference)."""
+    n = system.n
+    eye = np.eye(n)
+    for lam in system.eigenvalues:
+        pencil = np.hstack([lam * eye - system.A.astype(complex), system.B])
+        rank, _ = numeric_rank(pencil, tol)
+        if rank < n:
+            u, _, _ = np.linalg.svd(pencil)
+            phi = np.conj(u[:, -1])
+            return False, complex(lam), phi / np.linalg.norm(phi)
+    return True, None, None
+
+
+def test_pbh_matches_per_eigenvalue_pencil_loop():
+    rng = np.random.default_rng(44)
+    slacks = [DEFAULT.rank_slack, 1.0, 1e8, *(10.0 ** rng.uniform(0.0, 8.0, size=3))]
+    failures = 0
+    for trial in range(160):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        kind = trial % 4
+        if kind == 3:
+            system = _rotation_mix(rng)
+        else:
+            A = rng.standard_normal((n, n))
+            B = rng.standard_normal((n, m))
+            if kind == 1:
+                # integer entries repeat eigenvalues often
+                A, B = np.round(1.5 * A), np.round(B)
+            elif kind == 2 and n > 1:
+                # planted uncontrollable: B misses an invariant block of A
+                k = int(rng.integers(1, n))
+                A[k:, :k] = 0.0
+                B[k:] = 0.0
+            system = LtiSystem(A=A, B=B)
+        for slack in slacks:
+            tol = DEFAULT.with_overrides(rank_slack=float(slack))
+            got = pbh_controllable(system, tol)
+            controllable, eigenvalue, phi = _pbh_pencil_loop(system, tol)
+            assert got.controllable == controllable
+            assert got.eigenvalue == eigenvalue
+            if phi is None:
+                assert got.left_eigenvector is None
+            else:
+                assert np.array_equal(got.left_eigenvector, phi)
+            failures += not controllable
+    assert failures
+
+
+@pytest.mark.filterwarnings("ignore:eigenvalue ratio")
+def test_one_pbh_sweep_per_system(monkeypatch):
+    calls = []
+    original = np.linalg.svd
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = np.random.default_rng(45)
+    mixed = random_system(rng, 7, 2)
+    assert np.any(mixed.eigenvalues.imag > 0)  # a conjugate pair shares one SVD
+    # n + m is odd, so no lifted or reachability object shares the pencil shape
+    for system in (mixed, random_real_simple_system(rng, 5, 2)):
+        calls.clear()
+        h = select_h(system)
+        check_nonrepetitive_sufficient(system, h)
+        check_repetitive_sufficient(system, 4)
+        check_real_spectrum_shortcut(system)
+        check_nonrepetitive_sufficient(system, h + 1)
+        eigs = system.eigenvalues
+        sweeps = np.count_nonzero(eigs.imag == 0) + np.count_nonzero(eigs.imag > 0)
+        assert calls.count((system.n, system.n + system.m)) == sweeps
+        assert not system.pencil_singular_values.flags.writeable

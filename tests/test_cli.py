@@ -70,7 +70,8 @@ def test_parse_rejects_bad_shapes_and_values():
         parse_problem(json.dumps(bad_tol))
 
     for field, value in (
-        ("rank_slack", -1.0), ("terminal", "tiny"), ("reach", None),
+        ("rank_slack", -1.0), ("rank_slack", 0.5), ("rank_slack", 0.999),
+        ("terminal", "tiny"), ("reach", None),
         ("max_order", 2.5), ("max_order", True), ("eig_sep", 0.0),
     ):
         bad_tol["tolerances"] = {field: value}
@@ -89,6 +90,8 @@ def test_parse_tolerance_overrides():
     assert tweaked.tolerances.max_order == 16
     # numpy integers count as integers; the stored value is unchanged
     assert tweaked.tolerances.with_overrides(max_order=np.int64(8)).max_order == 8
+    # rank_slack may sit exactly at its lower bound of 1
+    assert tweaked.tolerances.with_overrides(rank_slack=1.0).rank_slack == 1.0
 
 
 def test_main_exit_code_parse_error(tmp_path, capsys):
@@ -107,6 +110,12 @@ def test_main_exit_code_parse_error(tmp_path, capsys):
     }))
     assert main(["analyze", "--problem", str(slack)]) == 2
     assert "rank_slack" in capsys.readouterr().err
+    # below 1 the rank cutoff drops under the SVD's own rounding error
+    doc = json.loads(slack.read_text())
+    doc["tolerances"] = {"rank_slack": 0.5}
+    slack.write_text(json.dumps(doc))
+    assert main(["analyze", "--problem", str(slack)]) == 2
+    assert "at least 1" in capsys.readouterr().err
 
     fixture = str(bundled_problem("rotation_2d"))
     for flags in (["--max-order", "0"], ["--tol-term", "-1"], ["--tol-cb", "nan"]):
