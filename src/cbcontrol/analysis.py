@@ -237,7 +237,7 @@ def unit_ratio_orders(
     unit-modulus tolerance of 1 and some k <= max_order brings r^k within
     the root-of-unity tolerance of 1; the smallest such k is the order.
     Unit-modulus ratios that reach no order within the search bound are
-    skipped with a warning.
+    skipped; one warning per call names every skipped pair, in order.
     """
     limit = tol.max_order if max_order is None else int(max_order)
     eigs = system.eigenvalues
@@ -250,6 +250,7 @@ def unit_ratio_orders(
     on_circle = np.abs(np.abs(ratio) - 1.0) <= tol.unit_modulus
     i, j, ratio = i[on_circle], j[on_circle], ratio[on_circle]
     found: list[RatioOrder] = []
+    skipped = []
     # the power search runs on Python complex scalars: the candidates are
     # few (about one per conjugate pair), and per-call numpy overhead on
     # such short arrays costs more than the scalar loop
@@ -261,11 +262,13 @@ def unit_ratio_orders(
                 break
             rk *= r
         else:
-            warnings.warn(
-                f"eigenvalue ratio for pair ({p}, {q}) stays on the unit "
-                f"circle but has no order <= {limit}; pair skipped",
-                RuntimeWarning,
-            )
+            skipped.append(f"({p}, {q})")
+    if skipped:
+        warnings.warn(
+            f"eigenvalue ratios for pairs {', '.join(skipped)} stay on the unit "
+            f"circle but have no order <= {limit}; pairs skipped",
+            RuntimeWarning,
+        )
     return found
 
 

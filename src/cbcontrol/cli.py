@@ -159,12 +159,17 @@ def _plot_script(n: int, m: int, xf) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _indexed(*columns) -> np.ndarray:
+    """A table whose first column counts the rows 0, 1, ... as floats."""
+    return np.column_stack([np.arange(len(columns[0]), dtype=float), *columns])
+
+
 def _write_series(path, prefix: str, series):
     """Rows k, prefix_1 .. prefix_d: the layout of inputs.csv and states.csv."""
     write_csv(
         path,
         ["k"] + [f"{prefix}_{i + 1}" for i in range(series.shape[1])],
-        ([float(k)] + list(row) for k, row in enumerate(series)),
+        _indexed(series),
     )
 
 
@@ -201,11 +206,7 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
     _write_series(inputs_path, "u", plan.flat_inputs)
     _write_series(states_path, "x", check.trajectory.states)
     block_energies = [float(U @ U) for U in plan.blocks]
-    write_csv(
-        blocks_path,
-        ["p", "energy", "imbalance"],
-        ([float(p), e, imb] for p, (e, imb) in enumerate(zip(block_energies, check.imbalances))),
-    )
+    write_csv(blocks_path, ["p", "energy", "imbalance"], _indexed(block_energies, check.imbalances))
     manifest = [str(inputs_path), str(states_path), str(blocks_path)]
     if plot:
         plot_path = out_dir / "plot.gp"

@@ -111,12 +111,12 @@ def _displacement(lifted: LiftedSystem, task: SteeringTask) -> np.ndarray:
     return task.xf - reach_b @ task.x0
 
 
-def _build_plan(scheme: BlockScheme, latents) -> ControlPlan:
-    blocks = [unpack(w, scheme) for w in latents]
+def _build_plan(scheme: BlockScheme, latents, blocks, energies) -> ControlPlan:
+    """A plan from per-block latents, unpacked blocks and block energies, in order."""
     return ControlPlan(
         latent=tuple(np.asarray(w, dtype=float) for w in latents),
         flat_inputs=np.concatenate(blocks).reshape(-1, scheme.m),
-        energy=float(sum(U @ U for U in blocks)),
+        energy=float(sum(energies)),
     )
 
 
@@ -149,7 +149,9 @@ def design_nonrepetitive(
     d = _displacement(lifted, task)
     Rb = reachability_matrix(lifted, task.b)
     core = _solve_reachable(Rb @ Rb.T, d, tol, f"in {task.b} blocks", "Gramian rank", lifted.n)
-    return _build_plan(lifted.scheme, (Rb.T @ core).reshape(task.b, -1))
+    latents = (Rb.T @ core).reshape(task.b, -1)
+    blocks = [unpack(w, lifted.scheme) for w in latents]
+    return _build_plan(lifted.scheme, latents, blocks, [U @ U for U in blocks])
 
 
 def design_repetitive(
@@ -164,7 +166,9 @@ def design_repetitive(
     d = _displacement(lifted, task)
     gain = h_sum(lifted, task.b) @ lifted.Bbar
     w = _solve_reachable(gain, d, tol, "with identical blocks", "rank", lifted.n)
-    return _build_plan(lifted.scheme, [w] * task.b)
+    # one block, unpacked once; the energy still sums its b copies in order
+    U = unpack(w, lifted.scheme)
+    return _build_plan(lifted.scheme, [w] * task.b, [U] * task.b, [U @ U] * task.b)
 
 
 def oracle_stacked_ls(

@@ -17,14 +17,18 @@ Problem files are JSON with explicit field names:
     }
 
 Numbers are decimal doubles and matrices are lists of rows. CSV output
-uses a comma delimiter, a header row, '.' as the decimal separator, and
-17 significant digits so every double round-trips exactly.
+uses a comma delimiter, a header row, '.' as the decimal separator,
+"\r\n" line ends, no quoting, and 17 significant digits so every double
+round-trips exactly. Numeric tables are formatted a chunk of rows at a
+time, so writing costs one string-format call per chunk, not per cell.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -35,7 +39,11 @@ from .errors import DimensionError, ProblemFormatError
 from .system import LtiSystem
 from .tolerances import DEFAULT, Tolerances, is_integer
 
-FLOAT_FMT = "{:.17g}"
+FLOAT_FMT = "%.17g"
+# rows formatted per string-format call; bounds the memory of one write
+_CHUNK_ROWS = 1024
+# characters that csv quoting would wrap; write_csv never quotes
+_QUOTED = (",", '"', "\r", "\n")
 
 _TOLERANCE_KEYS = {field.name for field in fields(Tolerances)}
 
@@ -151,52 +159,92 @@ def load_problem(path) -> Problem:
     return parse_problem(text, source=str(path))
 
 
+def _row_format(cells) -> str:
+    """The line format of one row of strings and numbers."""
+    formats = []
+    for cell in cells:
+        if isinstance(cell, str):
+            if any(char in cell for char in _QUOTED) or (cell == "" and len(cells) == 1):
+                raise ValueError(f"CSV cell {cell!r} would need quoting")
+            formats.append("%s")
+        else:
+            formats.append(FLOAT_FMT)
+    return ",".join(formats) + "\r\n"
+
+
 def write_csv(path, header, rows):
-    """Write a CSV with the shared float format (17 significant digits)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [cell if isinstance(cell, str) else FLOAT_FMT.format(cell) for cell in row]
-            )
+    """Write a header row and data rows as CSV, numbers to 17 significant digits.
 
-
-def read_csv(path):
-    """Read a CSV written by write_csv: (header, rows) with float cells.
-
-    Non-numeric cells are returned as strings, so status columns survive.
+    ``rows`` is a 2-D numeric array, written a chunk of rows per format
+    call, or an iterable of rows that mix strings and numbers. A string
+    cell that CSV would have to quote raises ValueError.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ProblemFormatError(f"{path}: empty CSV") from None
-        rows = []
-        for raw in reader:
-            row = []
-            for cell in raw:
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    row.append(cell)
-            rows.append(row)
-    return header, rows
+    with Path(path).open("w", newline="") as fh:
+        fh.write(_row_format(header) % tuple(header))
+        if isinstance(rows, np.ndarray):
+            line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\r\n"
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                chunk = rows[start:start + _CHUNK_ROWS]
+                fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+        else:
+            for row in rows:
+                fh.write(_row_format(row) % tuple(row))
 
 
 def read_inputs_csv(path, m: int) -> np.ndarray:
-    """Parse an inputs.csv (columns k, u_1 .. u_m) into an (N, m) array."""
-    header, rows = read_csv(path)
-    if len(header) != m + 1:
-        raise ProblemFormatError(
-            f"{path}: expected {m + 1} columns (k, u_1..u_{m}), got {len(header)}"
-        )
-    inputs = np.zeros((len(rows), m))
-    for idx, row in enumerate(rows):
-        if len(row) != m + 1 or any(isinstance(cell, str) for cell in row):
-            raise ProblemFormatError(f"{path}: malformed row {idx + 1}")
-        inputs[idx] = row[1:]
-    return inputs
+    """Parse an inputs.csv (columns k, u_1 .. u_m) into an (N, m) array.
+
+    The rows are parsed in one streaming pass. Raises ProblemFormatError
+    when the file cannot be read, is empty, has a header that is not
+    m + 1 columns wide, or has a malformed row (a blank line, a row of the
+    wrong width, or a cell that is not a number).
+    """
+    path = Path(path)
+    try:
+        # undecodable bytes become U+FFFD and so fail as non-numeric cells
+        with path.open(errors="replace") as fh:
+            first = fh.readline()
+            if not first:
+                raise ProblemFormatError(f"{path}: empty CSV")
+            header = next(csv.reader([first]), [])
+            if len(header) != m + 1:
+                raise ProblemFormatError(
+                    f"{path}: expected {m + 1} columns (k, u_1..u_{m}), got {len(header)}"
+                )
+            # loadtxt skips blank lines, which are malformed rows here, so
+            # count the lines it reads and compare with the rows it returns
+            lines = itertools.count()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # a file with no rows
+                    table = np.loadtxt(
+                        (line for line, _ in zip(fh, lines)),
+                        delimiter=",", comments=None, ndmin=2,
+                    )
+            except ValueError:
+                table = None
+            count = next(lines)
+    except OSError as exc:
+        raise ProblemFormatError(f"cannot read inputs file {path}: {exc}") from exc
+    if count == 0:
+        return np.zeros((0, m))
+    if table is None or table.shape != (count, m + 1):
+        raise ProblemFormatError(f"{path}: malformed row {_first_malformed_row(path, m)}")
+    return np.ascontiguousarray(table[:, 1:])
+
+
+def _first_malformed_row(path: Path, m: int) -> int:
+    """1-based index of the first data row that is not m + 1 numbers."""
+    rows = path.read_text(errors="replace").split("\n")[1:]
+    if rows and not rows[-1]:
+        rows.pop()  # the piece after the final line end
+    for index, line in enumerate(rows, 1):
+        if not line:
+            return index
+        try:
+            width = np.loadtxt([line], delimiter=",", comments=None, ndmin=2).shape[1]
+        except ValueError:
+            return index
+        if width != m + 1:
+            return index
+    raise AssertionError(f"{path}: no malformed row")

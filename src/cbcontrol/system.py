@@ -132,17 +132,43 @@ class Trajectory:
         return self.states[-1]
 
 
+def _input_rows(inputs, m: int) -> np.ndarray:
+    """The inputs as an (N, m) float array, checked once.
+
+    Ragged rows and iterators are checked row by row, so the error names
+    the offending input index.
+    """
+    try:
+        rows = np.asarray(inputs, dtype=float)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is None or rows.ndim == 0:
+        checked = []
+        for k, u in enumerate(inputs):
+            u = np.asarray(u, dtype=float).reshape(-1)
+            if u.size != m:
+                raise DimensionError(f"input {k} has length {u.size}, expected {m}")
+            checked.append(u)
+        return np.array(checked).reshape(len(checked), m)
+    if len(rows) == 0:
+        return np.zeros((0, m))
+    if rows[0].size != m:  # every row has the size of the first
+        raise DimensionError(f"input 0 has length {rows[0].size}, expected {m}")
+    return rows.reshape(len(rows), m)
+
+
 def simulate(system: LtiSystem, x0, inputs) -> Trajectory:
     """Roll the recursion forward and return every intermediate state.
 
     Args:
         system: the plant.
         x0: initial state, length n.
-        inputs: sequence of input vectors, each of length m (an (N, m)
-            array also works).
+        inputs: an (N, m) array, or a sequence or iterator of N input
+            vectors of length m each (for m = 1, N scalars also work).
 
     Returns:
-        Trajectory with states[k+1] = A @ states[k] + B @ inputs[k].
+        Trajectory with states[k+1] = A @ states[k] + B @ inputs[k],
+        evaluated as exactly that expression at every step.
 
     Raises:
         DimensionError: naming the offending input index on a length
@@ -151,17 +177,13 @@ def simulate(system: LtiSystem, x0, inputs) -> Trajectory:
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != system.n:
         raise DimensionError(f"x0 has length {x0.size}, expected {system.n}")
-    rows = []
-    for k, u in enumerate(inputs):
-        u = np.asarray(u, dtype=float).reshape(-1)
-        if u.size != system.m:
-            raise DimensionError(f"input {k} has length {u.size}, expected {system.m}")
-        rows.append(u)
-    steps = len(rows)
-    states = np.empty((steps + 1, system.n))
+    rows = _input_rows(inputs, system.m)
+    A, B, dot = system.A, system.B, np.dot
+    states = np.empty((len(rows) + 1, system.n))
     states[0] = x0
-    for k in range(steps):
-        states[k + 1] = system.A @ states[k] + system.B @ rows[k]
-    stacked = np.array(rows).reshape(steps, system.m)
-    return Trajectory(states=states, inputs=stacked)
-
+    # A @ x lands in the next row, then B @ u is added: the same two
+    # products and one sum as A @ x + B @ u, without the temporaries
+    for x, nxt, u in zip(states, states[1:], rows):
+        dot(A, x, out=nxt)
+        nxt += dot(B, u)
+    return Trajectory(states=states, inputs=rows)

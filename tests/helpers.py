@@ -1,5 +1,7 @@
 """Shared system generators and reference values for the test suite."""
 
+import csv
+
 import numpy as np
 
 from cbcontrol import LtiSystem, SteeringTask, build_scheme, simulate, unpack
@@ -89,3 +91,22 @@ def feasible_task(rng, system: LtiSystem, scheme, b: int, regime: str, scale: fl
     flat = np.vstack([unpack(w, scheme).reshape(scheme.h, scheme.m) for w in latents])
     traj = simulate(system, x0, flat)
     return SteeringTask(x0=x0, xf=traj.terminal, b=b, regime=regime)
+
+
+def read_csv(path):
+    """Read a CSV the package wrote: (header, rows), numeric cells as floats.
+
+    Non-numeric cells are returned as strings, so status columns survive.
+    """
+    with open(path, newline="") as fh:
+        header, *raw = csv.reader(fh)
+    rows = []
+    for cells in raw:
+        row = []
+        for cell in cells:
+            try:
+                row.append(float(cell))
+            except ValueError:
+                row.append(cell)
+        rows.append(row)
+    return header, rows

@@ -1,5 +1,6 @@
 """Command-line front end: parsing, commands, file formats, exit codes."""
 
+import csv
 import json
 
 import numpy as np
@@ -11,10 +12,13 @@ from cbcontrol import (
     list_bundled,
     load_problem,
     parse_problem,
+    problem_io,
 )
 from cbcontrol.cli import cmd_analyze, cmd_design, cmd_simulate, cmd_sweep_h, main
 from cbcontrol.errors import ProblemFormatError
-from cbcontrol.problem_io import read_csv, read_inputs_csv
+from cbcontrol.problem_io import read_inputs_csv, write_csv
+
+from helpers import read_csv
 
 
 def test_bundled_problems_present():
@@ -291,6 +295,100 @@ def test_emitted_csvs_roundtrip_through_reader(tmp_path):
     _, state_rows = read_csv(tmp_path / "run" / "states.csv")
     parsed = np.array([row[1:] for row in state_rows])
     assert np.array_equal(parsed, traj.states)  # exact via 17 digits
+
+
+def _write_csv_reference(path, header, rows):
+    """The csv.writer serializer that write_csv replaced (the byte reference)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [cell if isinstance(cell, str) else "{:.17g}".format(cell) for cell in row]
+            )
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(51)
+    specials = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308, 0.1]
+    chunk = problem_io._CHUNK_ROWS
+    table = rng.standard_normal((3 * chunk + 1, 4)) * 10.0 ** rng.integers(-300, 300, (3 * chunk + 1, 4))
+    table[: len(specials), 0] = specials
+    table[-1, :] = specials[-4:]
+    table[chunk - 1 : chunk + 1, 1] = specials[:2]  # across a chunk boundary
+    header = ["k", "x_1", "x_2", "x_3"]
+    cases = {
+        "series": (header, table),
+        "one row": (header, table[:1]),
+        "no rows": (header, table[:0]),
+        "one column": (["k"], table[:, :1]),
+        # the sweep-h table: strings, "" cells and floats per row
+        "sweep": (
+            ["h", "conditions", "numeric_rank", "controllable", "energy"],
+            [[2.0, "yes", 2.0, "yes", 0.1], [3.0, "undetermined", 1.0, "no", ""],
+             [4.0, "no", 0.0, "no", ""], [5.0, "yes", 2.0, "yes", 5e-324],
+             [6.0, "undetermined", 2.0, "yes", -0.0]],
+        ),
+    }
+    for name, (head, rows) in cases.items():
+        write_csv(tmp_path / "got.csv", head, rows)
+        _write_csv_reference(tmp_path / "want.csv", head, rows)
+        got, want = (tmp_path / "got.csv").read_bytes(), (tmp_path / "want.csv").read_bytes()
+        assert got == want, name
+    assert b"\r\n" in got and b'"' not in got
+
+    # write_csv never quotes: a cell that csv would quote is refused
+    for bad in ("a,b", 'say "hi"', "two\nlines", "cr\r"):
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(tmp_path / "bad.csv", ["k", "note"], [[1.0, bad]])
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(tmp_path / "bad.csv", ["k", bad], table[:1, :2])
+    with pytest.raises(ValueError, match="quoting"):
+        write_csv(tmp_path / "bad.csv", ["k"], [[""]])
+
+
+def test_read_inputs_csv_rejects_malformed(tmp_path, capsys):
+    problem = str(bundled_problem("expander_2d"))  # m = 2, so k, u_1, u_2
+    good = "k,u_1,u_2\r\n0,1,-1\r\n1,-1,1\r\n"
+    cases = {
+        "empty": ("", "empty CSV"),
+        "header width": ("k,u_1\r\n0,1\r\n", "expected 3 columns"),
+        "short row": (good + "2,1\r\n", "malformed row 3"),
+        "long row": ("k,u_1,u_2\r\n0,1,-1,0\r\n", "malformed row 1"),
+        "non-numeric cell": (good.replace("1,-1,1", "1,-1,one"), "malformed row 2"),
+        "empty cell": (good.replace("0,1,-1", "0,,-1"), "malformed row 1"),
+        "blank line": (good.replace("\r\n1,", "\r\n\r\n1,"), "malformed row 2"),
+        "blank first line": (good.replace("u_2\r\n", "u_2\r\n\r\n"), "malformed row 1"),
+        "blank last line": (good + "\r\n", "malformed row 3"),
+        "whitespace line": (good + "   \r\n", "malformed row 3"),
+    }
+    for name, (text, message) in cases.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ProblemFormatError, match=message):
+            read_inputs_csv(path, 2)
+        code = main(["simulate", "--problem", problem, "--inputs", str(path),
+                     "--out", str(tmp_path / "replay")])
+        assert code == 2, name
+        assert message in capsys.readouterr().err, name
+    missing = tmp_path / "missing.csv"
+    code = main(["simulate", "--problem", problem, "--inputs", str(missing),
+                 "--out", str(tmp_path / "replay")])
+    assert code == 2
+    assert "cannot read inputs file" in capsys.readouterr().err
+    # bytes that are not text fail as a non-numeric cell
+    undecodable = tmp_path / "undecodable.csv"
+    undecodable.write_bytes(good.encode() + b"2,\xff,1\r\n")
+    with pytest.raises(ProblemFormatError, match="malformed row 3"):
+        read_inputs_csv(undecodable, 2)
+
+    # the accepted forms: "\r\n" or "\n" line ends, no final line end, no rows
+    path = tmp_path / "ok.csv"
+    for text in (good, good.replace("\r\n", "\n"), good.rstrip("\r\n")):
+        path.write_bytes(text.encode())
+        assert np.array_equal(read_inputs_csv(path, 2), [[1.0, -1.0], [-1.0, 1.0]])
+    path.write_bytes(b"k,u_1,u_2\r\n")
+    assert read_inputs_csv(path, 2).shape == (0, 2)
 
 
 def test_plot_script_mentions_files_and_targets(tmp_path):

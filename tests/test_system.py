@@ -70,6 +70,35 @@ def test_simulate_step_identity():
         assert np.abs(gap).max() <= 2e-15 * scale
 
 
+def test_simulate_matches_step_loop():
+    # every step is exactly A @ x + B @ u, whatever container holds the inputs
+    rng = np.random.default_rng(14)
+    for n, m, steps in ((1, 1, 5), (2, 1, 40), (3, 2, 17), (5, 3, 64), (8, 8, 300), (7, 4, 1)):
+        system = LtiSystem(A=rng.standard_normal((n, n)) * 0.6, B=rng.standard_normal((n, m)))
+        x0 = rng.standard_normal(n)
+        inputs = rng.standard_normal((steps, m))
+        want = [x0]
+        for u in inputs:
+            want.append(system.A @ want[-1] + system.B @ u)
+        forms = {
+            "array": inputs,
+            "list": [list(u) for u in inputs],
+            "list of arrays": [u.copy() for u in inputs],
+            "generator": (u for u in inputs),
+            "column vectors": inputs[:, :, None],
+            "fortran order": np.asfortranarray(inputs),
+        }
+        if m == 1:
+            forms["1-d"] = inputs[:, 0]
+            forms["floats"] = [float(u) for u in inputs[:, 0]]
+        for name, form in forms.items():
+            traj = simulate(system, x0, form)
+            assert np.array_equal(traj.states, np.array(want)), name
+            assert np.array_equal(traj.inputs, inputs), name
+    empty = simulate(system, x0, [])
+    assert empty.states.shape == (1, 7) and empty.inputs.shape == (0, 4)
+
+
 def test_simulate_dimension_errors():
     system = rotation_system()
     with pytest.raises(DimensionError, match="x0"):
@@ -77,6 +106,10 @@ def test_simulate_dimension_errors():
     bad = [np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(2)]
     with pytest.raises(DimensionError, match="input 3"):
         simulate(system, [0.0, 0.0], bad)
+    with pytest.raises(DimensionError, match="input 3"):
+        simulate(system, [0.0, 0.0], iter(bad))
+    with pytest.raises(DimensionError, match="input 0 has length 2"):
+        simulate(system, [0.0, 0.0], np.zeros((4, 2)))
 
 
 def test_trajectory_length_invariant():
