@@ -36,8 +36,10 @@ print("selected block length:", select_h(ROT), "(smallest length no order divide
 for h in (2, 3, 4):
     print(f"  conditions at h = {h}:")
     show(check_nonrepetitive_sufficient(ROT, h))
-print("note: h = 3 fails the simple-spectrum condition (A^3 = I) yet the")
-print("numeric Gramian rank still certifies controllability; the sufficient")
+print("note: at h = 2 and 4 the conditions decide and the rank shown is the")
+print("PBH pencil's. h = 3 fails the simple-spectrum condition (A^3 = I), the")
+print("one case the conditions leave open; the numeric Gramian rank then")
+print("decides and still certifies controllability, since the sufficient")
 print("conditions are one-sided.")
 
 print("\n== real distinct spectrum ==")

@@ -12,15 +12,15 @@ The decidable conditions implemented here:
 * All-real shortcut: a distinct real spectrum keeps cubes distinct, so
   h = 3 is certified.
 * Invertibility of the geometric sum H_b through the spectrum of A.
-* Repetitive regime at h = 2, sufficient: no disruptive root of unity in
-  the spectrum, no eigenvalue at 1, and rank(B) = n.
+* Repetitive regime, exact at every h: no disruptive root of unity in
+  the spectrum (H_b invertible) and rank(Bbar) = n; at h = 2 the latter
+  reads rank(B) = n with no eigenvalue at 1.
 
-All sufficient conditions are one-sided. When they do not decide, the
-check functions fall back to the numeric rank of the relevant
-reachability object and label the fallback as such in the verdict
-reasons; a condition-based verdict always takes precedence in the
-reporting when both agree, and a disagreement is surfaced rather than
-silently resolved.
+The conditions decide every verdict but one: when the necessary
+conditions hold and A^h has a repeated eigenvalue, the non-repetitive
+check falls back to the numeric rank of the n-block Gramian and labels
+the fallback as such in the verdict reasons. No matrix assembled from
+powers of A is rank-tested against a condition that already decided.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .charge_balance import build_scheme
 from .design import NON_REPETITIVE, REPETITIVE
 from .errors import PreconditionError
-from .lifting import h_sum, lift, reachability_matrix
+from .lifting import lift, reachability_matrix
 from .numeric import _rank, numeric_rank
 from .system import LtiSystem
 from .tolerances import DEFAULT, Tolerances, require_integer
@@ -65,13 +65,17 @@ class ConditionCheck:
 class ControllabilityVerdict:
     """Aggregate verdict for one regime at one configuration.
 
-    ``controllable`` is "yes", "no", or "undetermined". ``conditions`` is
-    what the conditions alone decide, before the numeric rank fallback:
-    "no" when a necessary condition fails, "yes" when the sufficient
-    conditions hold, "undetermined" otherwise. ``reasons`` lists every
+    ``controllable`` is "yes" or "no". ``conditions`` is what the
+    conditions alone decide: "no" when a necessary condition fails, "yes"
+    when the sufficient conditions hold, "undetermined" when only the
+    non-repetitive Gramian fallback can decide. In the repetitive regime
+    every condition is necessary and together they suffice, so
+    ``conditions`` equals ``controllable``. ``reasons`` lists every
     condition that was evaluated with its truth value.
-    ``numeric_rank`` and ``singular_values`` describe the n-block Gramian
-    (non-repetitive) or the geometric-sum map H_b Bbar (repetitive).
+    ``numeric_rank`` and ``singular_values`` describe the rank test that
+    decided: the PBH pencil with the smallest last singular value when
+    the non-repetitive conditions decide, the n-block Gramian when its
+    fallback does, and B (h = 2) or Bbar (h > 2) in the repetitive regime.
     """
 
     mode: str
@@ -152,52 +156,6 @@ _NECESSARY_FAILED = ConditionCheck(
     "necessary conditions hold", False,
     "an uncontrollable pair or an eigenvalue at 1 rules out every block length",
 )
-# once the necessary conditions hold: (sufficient, full rank) -> verdict,
-# closing reason, and the key of its detail in the regime's wording
-_LADDER = {
-    (True, True): ("yes", "sufficient conditions hold", "sufficient"),
-    (False, True): ("yes", "numeric rank fallback", "fallback_yes"),
-    (True, False): ("undetermined", "analysis disagreement", "disagreement"),
-    (False, False): ("no", "numeric rank fallback", "fallback_no"),
-}
-
-
-def _verdict(
-    mode: str, reasons: list, necessary: bool, sufficient: bool,
-    rank: int, svals: np.ndarray, n: int, wording: dict,
-) -> ControllabilityVerdict:
-    """The shared verdict ladder: conditions first, numeric rank as fallback.
-
-    ``wording`` maps each ladder key to the regime's detail template, and
-    "warning" to its disagreement warning; templates take ``rank`` and ``n``.
-    """
-    if not necessary:
-        conditions = verdict = "no"
-        last = _NECESSARY_FAILED
-    else:
-        conditions = "yes" if sufficient else "undetermined"
-        verdict, name, key = _LADDER[sufficient, rank == n]
-        last = ConditionCheck(name, verdict == "yes", wording[key].format(rank=rank, n=n))
-        if verdict == "undetermined":
-            warnings.warn(wording["warning"], RuntimeWarning)
-    return ControllabilityVerdict(
-        mode=mode,
-        controllable=verdict,
-        conditions=conditions,
-        reasons=tuple(reasons) + (last,),
-        numeric_rank=rank,
-        singular_values=svals,
-    )
-
-
-_NONREPETITIVE_WORDING = {
-    "sufficient": "Gramian rank {rank} of {n}",
-    "fallback_yes": "rank(G) = {rank} = n over {n} blocks; sufficient conditions did not decide",
-    "disagreement": "conditions certify controllability but rank(G) = {rank} < {n}",
-    "fallback_no": "rank(G) = {rank} < {n} at the n-block horizon",
-    "warning": "sufficient conditions and numeric Gramian rank disagree; "
-    "verdict left undetermined",
-}
 
 
 def check_nonrepetitive_sufficient(
@@ -206,25 +164,39 @@ def check_nonrepetitive_sufficient(
     """Verdict for distinct per-block inputs at block length h.
 
     Evaluates (i) PBH controllability of (A, B), (ii) no eigenvalue of A
-    at 1, (iii) simple spectrum of A^h. Failure of (i) or (ii) is
-    decisive ("no"). When only (iii) fails, the verdict falls back to the
-    numeric rank of the n-block Gramian at this h, which can still
-    certify controllability.
+    at 1, (iii) simple spectrum of A^h. Failure of (i) or (ii) decides
+    "no"; (i) to (iii) together decide "yes", with no lift. Only when
+    (iii) alone fails does the numeric rank of the n-block Gramian
+    decide, and it can still certify controllability.
     """
     h, _ = _require_blocks(h)
+    n = system.n
     reasons, necessary = _necessary_conditions(system, tol)
     # the spectrum of A^h is lambda^h over the spectrum of A
     simple = _pairwise_distinct(system.eigenvalues**h, tol)
-
-    lifted = lift(system, build_scheme(h, system.m))
-    Rb = reachability_matrix(lifted, system.n)
-    s_norm = float(np.linalg.norm(lifted.S, 2))
-    rank, svals = numeric_rank(Rb @ Rb.T, tol, floor=s_norm**2)
-
     reasons.append(ConditionCheck(f"A^{h} has a simple spectrum", simple))
-    return _verdict(
-        NON_REPETITIVE, reasons, necessary, necessary and simple,
-        rank, svals, system.n, _NONREPETITIVE_WORDING,
+
+    if necessary and not simple:
+        conditions = "undetermined"
+        lifted = lift(system, build_scheme(h, system.m))
+        Rb = reachability_matrix(lifted, n)
+        s_norm = float(np.linalg.norm(lifted.S, 2))
+        rank, svals = numeric_rank(Rb @ Rb.T, tol, floor=s_norm**2)
+        verdict = "yes" if rank == n else "no"
+        last = ConditionCheck(
+            "numeric rank fallback", rank == n, f"rank(G) = {rank} of {n} over {n} blocks"
+        )
+    else:
+        conditions = verdict = "yes" if necessary else "no"
+        # the PBH pencil closest to rank loss, from the cached sweep
+        pencils = system.pencil_singular_values
+        svals = pencils[np.argmin(pencils[:, -1])]
+        rank = _rank(svals, (n, n + system.m), tol)
+        last = _NECESSARY_FAILED if not necessary else ConditionCheck(
+            "sufficient conditions hold", True, f"smallest PBH pencil rank {rank} of {n}"
+        )
+    return ControllabilityVerdict(
+        NON_REPETITIVE, verdict, conditions, tuple(reasons) + (last,), rank, svals
     )
 
 
@@ -332,70 +304,45 @@ def hb_invertible(system: LtiSystem, h: int, b: int, tol: Tolerances = DEFAULT) 
 
     H_b is singular exactly when some eigenvalue lambda of A has
     lambda^(hb) = 1 while lambda^h != 1, i.e. A^h carries a nontrivial
-    b-th root of unity. The spectral verdict is cross-checked against the
-    singular values of the assembled H_b; a disagreement raises a warning
-    and the spectral verdict is returned.
+    b-th root of unity.
     """
     h, b = _require_blocks(h, b)
-    invertible = _no_disruptive_roots(system.eigenvalues, h, b, tol)
-
-    total = h_sum(lift(system, build_scheme(h, system.m)), b)
-    # absolute floor of 1: the sum starts at the identity, so a uniformly
-    # tiny H_b means exact cancellation, not a well-scaled invertible matrix
-    rank, svals = numeric_rank(total, tol, floor=1.0)
-    if (rank == system.n) != invertible:
-        warnings.warn(
-            f"spectral and numeric invertibility of the geometric sum disagree "
-            f"(spectral {invertible}, smallest singular value {svals[-1]:.3e})",
-            RuntimeWarning,
-        )
-    return invertible
+    return _no_disruptive_roots(system.eigenvalues, h, b, tol)
 
 
 def check_repetitive_sufficient(
     system: LtiSystem, b: int, h: int = 2, tol: Tolerances = DEFAULT
 ) -> ControllabilityVerdict:
-    """Verdict for identical blocks over b repetitions.
+    """Verdict for identical blocks over b repetitions, exact at every h.
 
-    At h = 2 the sufficient conditions are: (i) no eigenvalue lambda with
-    lambda^(2b) = 1 and lambda^2 != 1, (ii) no eigenvalue at 1, and
-    (iii) rank(B) = n. For other block lengths, or when the conditions do
-    not decide, the verdict falls back to the numeric rank of H_b Bbar at
-    the given (h, b).
+    The state after b blocks is Abar^b x0 + H_b Bbar w with H_b square,
+    so rank(H_b Bbar) = n exactly when (i) no eigenvalue lambda has
+    lambda^(hb) = 1 and lambda^h != 1 (H_b invertible) and (ii)
+    rank(Bbar) = n. At h = 2, Bbar = (A - I) B / sqrt(2), and (ii) is
+    rank(B) = n given no eigenvalue at 1. The necessary conditions are
+    reported too; the verdict is "yes" exactly when every condition holds.
     """
     h, b = _require_blocks(h, b)
+    n = system.n
     reasons, necessary = _necessary_conditions(system, tol)
-
-    lifted = lift(system, build_scheme(h, system.m))
-    s_norm = float(np.linalg.norm(lifted.S, 2))
-    rank, svals = numeric_rank(h_sum(lifted, b) @ lifted.Bbar, tol, floor=s_norm)
-
-    sufficient = False
+    invertible = hb_invertible(system, h, b, tol)
     if h == 2:
-        clean_roots = _no_disruptive_roots(system.eigenvalues, 2, b, tol)
-        rank_b, _ = numeric_rank(system.B, tol)
-        full_b = rank_b == system.n
-        reasons.append(
-            ConditionCheck(
-                f"no eigenvalue with lambda^{2 * b} = 1 and lambda^2 != 1", clean_roots
-            )
-        )
-        reasons.append(ConditionCheck("rank(B) = n", full_b, f"rank {rank_b} of {system.n}"))
-        sufficient = necessary and clean_roots and full_b
+        name, (rank, svals) = "rank(B) = n", numeric_rank(system.B, tol)
     else:
-        reasons.append(
-            ConditionCheck(
-                "identical-block sufficient conditions apply only at h = 2",
-                False,
-                f"h = {h}; falling back to the numeric rank at this configuration",
-            )
-        )
-    at = f" at h = {h}, b = {b}"
-    wording = {
-        "sufficient": "rank {rank} of {n}",
-        "fallback_yes": "rank(H_b Bbar) = {rank} = n" + at,
-        "disagreement": "conditions certify controllability but rank(H_b Bbar) = {rank} < {n}",
-        "fallback_no": "rank(H_b Bbar) = {rank} < {n}" + at,
-        "warning": "sufficient conditions and numeric rank disagree; verdict left undetermined",
-    }
-    return _verdict(REPETITIVE, reasons, necessary, sufficient, rank, svals, system.n, wording)
+        lifted = lift(system, build_scheme(h, system.m))
+        s_norm = float(np.linalg.norm(lifted.S, 2))
+        name, (rank, svals) = "rank(Bbar) = n", numeric_rank(lifted.Bbar, tol, floor=s_norm)
+    reasons.append(ConditionCheck(
+        f"no eigenvalue with lambda^{h * b} = 1 and lambda^{h} != 1", invertible
+    ))
+    reasons.append(ConditionCheck(name, rank == n, f"rank {rank} of {n}"))
+
+    verdict = "yes" if necessary and invertible and rank == n else "no"
+    last = _NECESSARY_FAILED if not necessary else ConditionCheck(
+        "sufficient conditions hold", verdict == "yes",
+        f"H_b is square, so rank(H_b Bbar) = n at h = {h}, b = {b} "
+        "exactly when the two conditions above hold",
+    )
+    return ControllabilityVerdict(
+        REPETITIVE, verdict, verdict, tuple(reasons) + (last,), rank, svals
+    )

@@ -154,7 +154,7 @@ def load_problem(path) -> Problem:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(f"cannot read problem file {path}: {exc}") from exc
     return parse_problem(text, source=str(path))
 

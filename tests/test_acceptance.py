@@ -29,6 +29,7 @@ from cbcontrol import (
     verify_plan,
 )
 from cbcontrol.cli import cmd_sweep_h
+from cbcontrol.numeric import numeric_rank
 
 from helpers import (
     expander_system,
@@ -226,9 +227,10 @@ def test_criterion_7_condition_soundness_sweeps():
         Rb = reachability_matrix(lifted, n)
         G = Rb @ Rb.T
         verdict = check_nonrepetitive_sufficient(system, h)
-        if verdict.numeric_rank != n:
+        rank, _ = numeric_rank(G, floor=np.linalg.norm(lifted.S, 2) ** 2)
+        if verdict.controllable != "yes" or rank != n:
             sufficient_ok = False
-            print(f"counterexample: n={n} m={m} h={h} rank={verdict.numeric_rank}")
+            print(f"counterexample: n={n} m={m} h={h} rank={rank} verdict={verdict.controllable}")
             print("A =", repr(system.A))
             print("B =", repr(system.B))
             print("gramian singular values:", np.linalg.svd(G, compute_uv=False))

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from cbcontrol import (
     LtiSystem,
     PreconditionError,
     build_scheme,
+    bundled_problem,
     check_nonrepetitive_sufficient,
     check_real_spectrum_shortcut,
     check_repetitive_sufficient,
     hb_invertible,
     h_sum,
     lift,
+    load_problem,
     pbh_controllable,
     reachability_matrix,
     select_h,
@@ -222,12 +225,12 @@ def test_hb_invertible_stable_systems_and_polynomial_oracle():
         system = random_system(rng, 3, 1, radius=0.8)
         h = int(rng.integers(2, 5))
         b = int(rng.integers(1, 7))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # spectral and numeric must agree
-            assert hb_invertible(system, h, b)
+        assert hb_invertible(system, h, b)
         lifted = lift(system, build_scheme(h, 1))
         explicit = sum(np.linalg.matrix_power(lifted.Abar, i) for i in range(b))
         assert np.abs(h_sum(lifted, b) - explicit).max() <= 1e-10
+        # the assembled sum agrees with the spectral verdict on stable plants
+        assert numeric_rank(explicit, floor=1.0)[0] == 3
 
 
 def test_repetitive_expander_yes_by_conditions():
@@ -239,14 +242,15 @@ def test_repetitive_expander_yes_by_conditions():
     assert names["no eigenvalue with lambda^20 = 1 and lambda^2 != 1"] is True
 
 
-def test_repetitive_four_state_fallback_yes():
+def test_repetitive_four_state_yes_by_bbar_rank():
     system = four_state_system()
     assert np.linalg.matrix_rank(system.B) == 2  # rules the h = 2 conditions out
     verdict = check_repetitive_sufficient(system, 5, h=3)
-    assert verdict.controllable == "yes"
-    assert verdict.numeric_rank == 4
+    assert verdict.controllable == verdict.conditions == "yes"
+    assert verdict.numeric_rank == 4  # rank(Bbar), Bbar is 4 x 4 at h = 3
     names = {r.name: r.holds for r in verdict.reasons}
-    assert names["numeric rank fallback"] is True
+    assert names["rank(Bbar) = n"] is True
+    assert names["no eigenvalue with lambda^15 = 1 and lambda^3 != 1"] is True
 
 
 def test_repetitive_unit_eigenvalue_no():
@@ -273,8 +277,8 @@ def test_unit_eigenvalue_annihilates_lifted_input_map():
             assert np.abs(phi @ lifted.Bbar).max() <= bound
 
 
-def test_repetitive_rank_deficient_b_at_h2_undecided_then_numeric():
-    # single input, two states: rank(B) < n, yet the numeric fallback decides
+def test_repetitive_rank_deficient_b_no_at_h2_yes_at_h3():
+    # single input, two states: rank(B) < n decides "no" at h = 2
     system = LtiSystem(A=np.diag([2.0, 0.5]), B=[[1.0], [1.0]])
     verdict = check_repetitive_sufficient(system, 3, h=2)
     names = {r.name: r.holds for r in verdict.reasons}
@@ -283,10 +287,124 @@ def test_repetitive_rank_deficient_b_at_h2_undecided_then_numeric():
     assert verdict.controllable == "no"
     assert verdict.numeric_rank == 1
 
-    # widening the block restores full rank through the fallback
+    # widening the block gives Bbar two columns and full rank
     verdict3 = check_repetitive_sufficient(system, 3, h=3)
     assert verdict3.controllable == "yes"
     assert verdict3.numeric_rank == 2
+    assert {r.name: r.holds for r in verdict3.reasons}["rank(Bbar) = n"] is True
+
+
+def _exact(matrix):
+    return [[Fraction(x) for x in row] for row in np.asarray(matrix).tolist()]
+
+
+def _mul(X, Y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+def _exact_rank(X):
+    """Rank over the rationals, by Gaussian elimination."""
+    rows, rank = [list(row) for row in X], 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            ratio = rows[i][col] / rows[rank][col]
+            rows[i] = [a - ratio * p for a, p in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _exact_repetitive_rank(A, B, h, b):
+    """rank(H_b S D) in rational arithmetic, for A and B given as Fractions.
+
+    D holds the per-channel differences e_j - e_(j+1) of one block: a
+    rational basis of the zero-sum blocks, the span of Q, so the rank
+    equals rank(H_b Bbar).
+    """
+    n, m = len(A), len(B[0])
+    blocks = [B]
+    for _ in range(h - 1):
+        blocks.insert(0, _mul(A, blocks[0]))
+    S = [sum((block[i] for block in blocks), []) for i in range(n)]
+    diff = np.eye(h, h - 1, dtype=int) - np.eye(h, h - 1, -1, dtype=int)
+    D = _exact(np.kron(diff, np.eye(m, dtype=int)))
+    Ah = power = total = _exact(np.eye(n, dtype=int))
+    for _ in range(h):
+        Ah = _mul(Ah, A)
+    for _ in range(b - 1):
+        power = _mul(power, Ah)
+        total = [[x + y for x, y in zip(r, q)] for r, q in zip(total, power)]
+    return _exact_rank(_mul(total, _mul(S, D)))
+
+
+# integer blocks with distinct eigenvalues: roots of unity of order 2, 3
+# and 4, an eigenvalue at 1, and real eigenvalues off the unit circle
+_INTEGER_BLOCKS = (
+    [[-1]], [[0, -1], [1, -1]], [[0, -1], [1, 0]], [[1]], [[2]], [[-2]], [[3]], [[0]],
+)
+
+
+def _integer_plant(rng):
+    """Integer blocks conjugated by a unimodular integer T, integer B."""
+    picks = rng.permutation(len(_INTEGER_BLOCKS))[: int(rng.integers(1, 4))]
+    blocks = [np.array(_INTEGER_BLOCKS[k]) for k in picks]
+    n = sum(block.shape[0] for block in blocks)
+    D, at = np.zeros((n, n), dtype=int), 0
+    for block in blocks:
+        D[at:at + len(block), at:at + len(block)] = block
+        at += len(block)
+    lower = np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n, dtype=int)
+    T = lower @ lower.T  # det 1, so T^-1 is an integer matrix too
+    A = T @ D @ np.round(np.linalg.inv(T)).astype(int)
+    B = rng.integers(-2, 3, (n, int(rng.integers(1, 4))))
+    return A, B
+
+
+def test_repetitive_verdict_matches_exact_rank():
+    rng = np.random.default_rng(46)
+    seen = set()
+    for _ in range(24):
+        A, B = _integer_plant(rng)
+        system = LtiSystem(A=A, B=B)
+        for h in (2, 3, 4):
+            for b in rng.choice(np.arange(1, 13), size=4, replace=False).tolist():
+                exact = _exact_repetitive_rank(_exact(A), _exact(B), h, b)
+                verdict = check_repetitive_sufficient(system, b, h=h)
+                assert verdict.controllable == ("yes" if exact == system.n else "no"), (A, B, h, b)
+                seen.add((verdict.controllable, hb_invertible(system, h, b)))
+    assert seen == {("yes", True), ("no", True), ("no", False)}
+
+    system = four_state_system()
+    for b in (5, 20):
+        assert _exact_repetitive_rank(_exact(system.A), _exact(system.B), 3, b) == 4
+        assert check_repetitive_sufficient(system, b, h=3).controllable == "yes"
+
+    # an order-6 rotation conjugated by a rational similarity: H_3 at h = 4
+    # is exactly singular, I + A^4 + A^8 = 0, though A itself is rounded
+    rng = np.random.default_rng(14)
+    V, B = rng.integers(-50, 51, (2, 2)), rng.integers(-3, 4, (2, 1))
+    det = int(round(np.linalg.det(V)))
+    adjugate = np.array([[V[1, 1], -V[0, 1]], [-V[1, 0], V[0, 0]]])
+    A = [[Fraction(int(x), det) for x in row] for row in V @ [[0, -1], [1, 1]] @ adjugate]
+    assert _exact_repetitive_rank(A, _exact(B), 4, 3) == 0
+    verdict = check_repetitive_sufficient(LtiSystem(A=np.array(A, dtype=float), B=B), 3, h=4)
+    assert verdict.controllable == "no"
+
+
+def test_bundled_verdicts_decide_without_warnings():
+    expander = load_problem(bundled_problem("expander_2d")).system
+    four_state = load_problem(bundled_problem("four_state")).system
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts = [
+            check_repetitive_sufficient(expander, 30, h=2),
+            check_nonrepetitive_sufficient(four_state, 4),
+        ]
+    assert [v.controllable for v in verdicts] == ["yes", "yes"]
+    assert [v.conditions for v in verdicts] == ["yes", "yes"]
 
 
 def test_one_eigen_solve_per_system(monkeypatch):

@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 
 from cbcontrol import (
+    build_scheme,
     bundled_problem,
     check_nonrepetitive_sufficient,
+    lift,
     list_bundled,
     load_problem,
     parse_problem,
     problem_io,
+    reachability_matrix,
 )
 from cbcontrol.cli import cmd_analyze, cmd_design, cmd_simulate, cmd_sweep_h, main
 from cbcontrol.errors import ProblemFormatError
+from cbcontrol.numeric import numeric_rank
 from cbcontrol.problem_io import read_inputs_csv, write_csv
 
 from helpers import read_csv
@@ -126,6 +130,13 @@ def test_main_exit_code_parse_error(tmp_path, capsys):
         assert main(["analyze", "--problem", fixture, *flags]) == 2
 
 
+def test_main_exit_code_problem_file_not_text(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{\x00\x80")
+    assert main(["analyze", "--problem", str(binary)]) == 2
+    assert "cannot read problem file" in capsys.readouterr().err
+
+
 def test_analyze_rotation_auto_selects_four(capsys):
     report = cmd_analyze(load_problem(bundled_problem("rotation_2d")))
     assert report.verdict["h"] == 4
@@ -143,12 +154,15 @@ def test_analyze_identity_no_with_unit_eigenvalue_reason():
     assert "no eigenvalue of A at 1" in failing
 
 
-def test_analyze_four_state_numeric_fallback():
+def test_analyze_four_state_yes_by_exact_conditions():
+    # identical blocks at h = 3: the conditions decide, numeric_rank is rank(Bbar)
     report = cmd_analyze(load_problem(bundled_problem("four_state")))
     assert report.verdict["controllable"] == "yes"
+    assert report.verdict["conditions"] == "yes"
     assert report.verdict["numeric_rank"] == 4
     names = {r["name"]: r["holds"] for r in report.verdict["reasons"]}
-    assert names["numeric rank fallback"] is True
+    assert names["rank(Bbar) = n"] is True
+    assert names["no eigenvalue with lambda^15 = 1 and lambda^3 != 1"] is True
 
 
 def test_design_rotation_writes_expected_files(tmp_path):
@@ -269,9 +283,17 @@ def test_sweep_rotation_reports_h3_fallback(tmp_path):
 
 def test_sweep_identity_all_rank_zero(tmp_path):
     problem = load_problem(bundled_problem("identity_2d"))
+    system = problem.system
     report = cmd_sweep_h(problem, 2, 4, tmp_path)
-    assert all(row["numeric_rank"] == 0 for row in report.rows)
+    # the eigenvalue at 1 decides, so the reported rank is the PBH pencil's at 1
+    assert all(row["numeric_rank"] == 1 for row in report.rows)
     assert all(row["controllable"] == "no" for row in report.rows)
+    # S Q = 0 exactly for A = I, so the n-block Gramian has rank 0 at every h
+    for row in report.rows:
+        lifted = lift(system, build_scheme(row["h"], system.m))
+        Rb = reachability_matrix(lifted, system.n)
+        floor = np.linalg.norm(lifted.S, 2) ** 2
+        assert numeric_rank(Rb @ Rb.T, floor=floor)[0] == 0
 
 
 def test_sweep_rejects_repetitive(tmp_path):
