@@ -34,7 +34,8 @@ for h, b in ((4, 5), (2, 10)):
     print(f"== h = {h}, b = {b} (N = {h * b} steps) ==")
     print(f"energy {plan.energy:.6f}, terminal error {check.terminal_error:.2e}, "
           f"worst block imbalance {check.imbalances.max():.2e}")
-    print("per-block energies:", [round(float(U @ U), 5) for U in plan.blocks])
+    blocks = plan.flat_inputs.reshape(b, -1)  # one stacked block U per row
+    print("per-block energies:", [round(float(U @ U), 5) for U in blocks])
 
     traj = rollout(system, task, plan)
     print("state every h steps (block boundaries):")

@@ -1,9 +1,10 @@
 """Minimum-energy steering when every block repeats the same input.
 
 Two plants: a fully actuated two-state expander where the h = 2
-sufficient conditions certify controllability directly, and a
-four-state plant with rank-deficient B where those conditions fail but
-the numeric rank of the geometric-sum map still certifies the design.
+conditions certify controllability directly, and a four-state plant with
+rank-deficient B where those conditions fail at h = 2 but hold at h = 3,
+where rank(Bbar) = n. A plan is its applied inputs; the repeated block
+is their first h steps.
 """
 
 import numpy as np
@@ -34,7 +35,8 @@ def steer(system, h, b, x0, xf, label):
     gain = h_sum(lifted, b) @ lifted.Bbar
     print(f"rank of the geometric-sum map: {np.linalg.matrix_rank(gain)} "
           f"of {system.n}")
-    print(f"single repeated block: {np.round(plan.blocks[0], 6).tolist()}")
+    block = plan.flat_inputs[:h]  # the first h steps; every block repeats them
+    print(f"single repeated block: {np.round(block.ravel(), 6).tolist()}")
     print(f"energy {plan.energy:.6f} (= b * ||w||^2), "
           f"terminal error {check.terminal_error:.2e}")
     print()

@@ -26,7 +26,6 @@ powers of A is rank-tested against a condition that already decided.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,18 +199,17 @@ def check_nonrepetitive_sufficient(
     )
 
 
-def unit_ratio_orders(
-    system: LtiSystem, max_order: int | None = None, tol: Tolerances = DEFAULT
-) -> list[RatioOrder]:
+def unit_ratio_orders(system: LtiSystem, tol: Tolerances = DEFAULT) -> list[RatioOrder]:
     """Orders of eigenvalue ratios that are roots of unity.
 
     A ratio r = lambda_i / lambda_j counts when |r| is within the
-    unit-modulus tolerance of 1 and some k <= max_order brings r^k within
-    the root-of-unity tolerance of 1; the smallest such k is the order.
-    Unit-modulus ratios that reach no order within the search bound are
-    skipped; one warning per call names every skipped pair, in order.
+    unit-modulus tolerance of 1 and some k <= tol.max_order brings r^k
+    within the root-of-unity tolerance of 1; the smallest such k is the
+    order. Unit-modulus ratios that reach no order within the search bound
+    are skipped silently: every conjugate pair has a unit-modulus ratio,
+    and the chosen block length is checked again by the gap test on the
+    spectrum of A^h.
     """
-    limit = tol.max_order if max_order is None else int(max_order)
     eigs = system.eigenvalues
     i, j = np.triu_indices(eigs.size, 1)
     # screen every pair at once: both moduli clear of zero, ratio on the unit circle
@@ -222,41 +220,29 @@ def unit_ratio_orders(
     on_circle = np.abs(np.abs(ratio) - 1.0) <= tol.unit_modulus
     i, j, ratio = i[on_circle], j[on_circle], ratio[on_circle]
     found: list[RatioOrder] = []
-    skipped = []
     # the power search runs on Python complex scalars: the candidates are
     # few (about one per conjugate pair), and per-call numpy overhead on
     # such short arrays costs more than the scalar loop
     for p, q, r in zip(i.tolist(), j.tolist(), ratio.tolist()):
         rk = r
-        for k in range(1, limit + 1):
+        for k in range(1, tol.max_order + 1):
             if abs(rk - 1.0) <= tol.root_of_unity:
                 found.append(RatioOrder(i=p, j=q, order=k))
                 break
             rk *= r
-        else:
-            skipped.append(f"({p}, {q})")
-    if skipped:
-        warnings.warn(
-            f"eigenvalue ratios for pairs {', '.join(skipped)} stay on the unit "
-            f"circle but have no order <= {limit}; pairs skipped",
-            RuntimeWarning,
-        )
     return found
 
 
 def select_h(
-    system: LtiSystem,
-    max_order: int | None = None,
-    tol: Tolerances = DEFAULT,
-    orders: list[RatioOrder] | None = None,
+    system: LtiSystem, tol: Tolerances = DEFAULT, orders: list[RatioOrder] | None = None
 ) -> int:
     """Block length certified to keep the eigenvalues of A^h distinct.
 
     Requires numerically distinct eigenvalues and no eigenvalue at 1.
     Returns lcm(orders) + 1 over all root-of-unity ratio orders, or 2
     when no ratio is a root of unity. ``orders`` takes the result of
-    ``unit_ratio_orders(system, max_order, tol)`` when the caller already
-    has it, so the pair search runs once.
+    ``unit_ratio_orders(system, tol)`` when the caller already has it, so
+    the pair search runs once.
     """
     eigs = system.eigenvalues
     if not _pairwise_distinct(eigs, tol):
@@ -269,7 +255,7 @@ def select_h(
             "A has an eigenvalue at 1; no block length restores controllability"
         )
     if orders is None:
-        orders = unit_ratio_orders(system, max_order, tol)
+        orders = unit_ratio_orders(system, tol)
     if not orders:
         return 2
     return math.lcm(*(entry.order for entry in orders)) + 1

@@ -1,8 +1,9 @@
 """Command-line front end: analyze, design, sweep-h, and simulate (replay).
 
 Exit codes: 0 success, 2 problem-file parse error, 3 unreachable target,
-4 analysis precondition failure, 5 design wrote a plan that failed its own
-verification (every output file is still written).
+4 analysis precondition failure or float64 overflow, 5 design wrote a plan
+that failed its own verification (every output file is still written).
+report.json is strict JSON: a non-finite number is written as null.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,6 +79,21 @@ def _verdict_dict(verdict: ControllabilityVerdict, h: int, extra: dict | None = 
     }
 
 
+def _strict(value):
+    """value with every non-finite float replaced by None, for strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict(item) for item in value]
+    return value
+
+
+def _write_report(path: Path, report: dict):
+    path.write_text(json.dumps(_strict(report), indent=2, allow_nan=False) + "\n")
+
+
 def _resolve_h(problem: Problem):
     """The block length to use, plus the selection certificate when automatic."""
     if problem.h is not None:
@@ -125,7 +142,7 @@ def cmd_analyze(problem: Problem, out_dir=None) -> RunReport:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "report.json"
-        report_path.write_text(json.dumps({"verdict": doc}, indent=2) + "\n")
+        _write_report(report_path, {"verdict": doc})
         manifest.append(str(report_path))
     return RunReport(verdict=doc, manifest=tuple(manifest))
 
@@ -205,7 +222,7 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
 
     _write_series(inputs_path, "u", plan.flat_inputs)
     _write_series(states_path, "x", check.trajectory.states)
-    block_energies = [float(U @ U) for U in plan.blocks]
+    block_energies = np.square(plan.flat_inputs).reshape(problem.b, -1).sum(axis=1)
     write_csv(blocks_path, ["p", "energy", "imbalance"], _indexed(block_energies, check.imbalances))
     manifest = [str(inputs_path), str(states_path), str(blocks_path)]
     if plot:
@@ -219,12 +236,11 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
         "regime": problem.regime,
         "energy": plan.energy,
         "terminal_error": check.terminal_error,
-        "per_block_energies": block_energies,
         "max_imbalance": float(check.imbalances.max()),
         "passed": check.passed,
     }
     report = {"verdict": verdict_doc, "design": design_doc, "manifest": manifest}
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
+    _write_report(report_path, report)
     manifest.append(str(report_path))
 
     print(

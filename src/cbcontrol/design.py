@@ -6,10 +6,10 @@ pseudoinverse of the b-block Gramian G = Rb Rb^T:
 
     [w[0]; ...; w[b-1]] = Rb^T G^+ d,  i.e.  w[p] = Bbar^T (Abar^T)^(b-1-p) G^+ d
 
-With identical blocks a single latent vector solves the geometric-sum
-equation H_b Bbar w = d in the minimum-norm sense. The pseudoinverses
-are SVD truncations with the shared rank rule, so both laws return the
-minimum-norm minimizer when the reachable space is rank deficient.
+With identical blocks one latent vector solves H_b Bbar w = d in the
+minimum-norm sense. Pseudoinverses are SVD truncations with the shared
+rank rule, so both laws return the minimum-norm minimizer when the
+reachable space is rank deficient. A plan is its inputs U = Q w alone.
 
 A stacked least-squares solver over the raw per-step inputs
 (oracle_stacked_ls) provides an independent optimality cross-check; it
@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charge_balance import BlockScheme, pack, unpack
-from .errors import DimensionError, InfeasibleTaskError, PreconditionError, ReachabilityError
+from .charge_balance import BlockScheme, unpack
+from .errors import (
+    ChargeBalanceError, DimensionError, InfeasibleTaskError, PreconditionError, ReachabilityError,
+)
 from .lifting import LiftedSystem, h_sum, reachability_matrix
 from .numeric import min_norm_solve
 from .system import LtiSystem, Trajectory, simulate
@@ -55,6 +57,8 @@ class SteeringTask:
             raise PreconditionError(
                 f"regime must be one of {REGIMES}, got {self.regime!r}"
             )
+        if not (np.isfinite(x0).all() and np.isfinite(xf).all()):
+            raise ValueError("task states must have finite entries")
         x0.setflags(write=False)
         xf.setflags(write=False)
         object.__setattr__(self, "x0", x0)
@@ -64,13 +68,12 @@ class SteeringTask:
 
 @dataclass(frozen=True, eq=False)
 class ControlPlan:
-    """A designed input sequence: latent coordinates and the applied inputs.
+    """A designed input sequence: the applied inputs and their energy.
 
     flat_inputs is the (b*h, m) per-step sequence that is applied, stored
     read-only; energy is its total squared norm.
     """
 
-    latent: tuple
     flat_inputs: np.ndarray
     energy: float
 
@@ -78,11 +81,6 @@ class ControlPlan:
         flat = np.array(self.flat_inputs, dtype=float)
         flat.setflags(write=False)
         object.__setattr__(self, "flat_inputs", flat)
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """Read-only view of flat_inputs with one stacked block U per row."""
-        return self.flat_inputs.reshape(len(self.latent), -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,13 +109,14 @@ def _displacement(lifted: LiftedSystem, task: SteeringTask) -> np.ndarray:
     return task.xf - reach_b @ task.x0
 
 
-def _build_plan(scheme: BlockScheme, latents, blocks, energies) -> ControlPlan:
-    """A plan from per-block latents, unpacked blocks and block energies, in order."""
-    return ControlPlan(
-        latent=tuple(np.asarray(w, dtype=float) for w in latents),
-        flat_inputs=np.concatenate(blocks).reshape(-1, scheme.m),
-        energy=float(sum(energies)),
-    )
+def _plan(flat_inputs: np.ndarray) -> ControlPlan:
+    """The plan applying flat_inputs; its energy is their squared norm."""
+    return ControlPlan(flat_inputs=flat_inputs, energy=float(np.vdot(flat_inputs, flat_inputs)))
+
+
+def _block_imbalances(flat_inputs: np.ndarray, h: int) -> np.ndarray:
+    """Largest per-channel net charge of each block of h steps."""
+    return np.abs(flat_inputs.reshape(-1, h, flat_inputs.shape[1]).sum(axis=1)).max(axis=1)
 
 
 def _solve_reachable(matrix, d, tol: Tolerances, where: str, rank_name: str, n: int):
@@ -150,8 +149,7 @@ def design_nonrepetitive(
     Rb = reachability_matrix(lifted, task.b)
     core = _solve_reachable(Rb @ Rb.T, d, tol, f"in {task.b} blocks", "Gramian rank", lifted.n)
     latents = (Rb.T @ core).reshape(task.b, -1)
-    blocks = [unpack(w, lifted.scheme) for w in latents]
-    return _build_plan(lifted.scheme, latents, blocks, [U @ U for U in blocks])
+    return _plan((latents @ lifted.scheme.Q.T).reshape(-1, lifted.scheme.m))
 
 
 def design_repetitive(
@@ -166,9 +164,7 @@ def design_repetitive(
     d = _displacement(lifted, task)
     gain = h_sum(lifted, task.b) @ lifted.Bbar
     w = _solve_reachable(gain, d, tol, "with identical blocks", "rank", lifted.n)
-    # one block, unpacked once; the energy still sums its b copies in order
-    U = unpack(w, lifted.scheme)
-    return _build_plan(lifted.scheme, [w] * task.b, [U] * task.b, [U @ U] * task.b)
+    return _plan(np.tile(unpack(w, lifted.scheme), task.b).reshape(-1, lifted.scheme.m))
 
 
 def oracle_stacked_ls(
@@ -181,7 +177,8 @@ def oracle_stacked_ls(
     in the repetitive regime, equality of every block with the first.
     Solved as one minimum-norm least-squares system after row
     equilibration (which leaves the solution set of a consistent system
-    unchanged). Shares no code path with the closed-form laws.
+    unchanged). Shares no code path with the closed-form laws. Raises
+    ChargeBalanceError when a block of the solution carries net charge.
     """
     if scheme.m != system.m:
         raise DimensionError(
@@ -228,8 +225,15 @@ def oracle_stacked_ls(
             residual=residual,
         )
 
-    latent = tuple(pack(U, scheme, tol) for U in u.reshape(b, block_dim))
-    return ControlPlan(latent=latent, flat_inputs=u.reshape(steps, m), energy=float(u @ u))
+    flat = u.reshape(steps, m)
+    imbalances = _block_imbalances(flat, h)
+    if imbalances.max() > tol.charge_balance:
+        raise ChargeBalanceError(
+            f"stacked solution is not charge balanced: block imbalance "
+            f"{imbalances.max():.3e} exceeds {tol.charge_balance:g}",
+            imbalance=imbalances,
+        )
+    return _plan(flat)
 
 
 def verify_plan(
@@ -241,12 +245,12 @@ def verify_plan(
 ) -> PlanVerification:
     """Simulate a plan's applied inputs; report terminal error and imbalance.
 
-    Both checks read the simulated inputs, one block of h steps at a time.
-    The report passes iff the terminal error is within the terminal
-    tolerance and every per-block imbalance is within the charge-balance
-    tolerance; a failed check is reported, not raised. Raises
-    DimensionError when the inputs are not b blocks of h steps of m
-    channels.
+    Both checks read the simulated inputs; the imbalance of a block is the
+    largest per-channel net charge of its h steps. The report passes iff
+    the terminal error is within the terminal tolerance and every
+    per-block imbalance is within the charge-balance tolerance; a failed
+    check is reported, not raised. Raises DimensionError when the inputs
+    are not b blocks of h steps of m channels.
     """
     traj = simulate(system, task.x0, plan.flat_inputs)
     if traj.horizon != task.b * scheme.h:
@@ -254,9 +258,7 @@ def verify_plan(
             f"plan has {traj.horizon} steps, task needs {task.b} blocks of {scheme.h}"
         )
     terminal_error = float(np.linalg.norm(traj.terminal - task.xf))
-    imbalances = np.array(
-        [float(np.abs(scheme.R @ U).max()) for U in traj.inputs.reshape(task.b, -1)]
-    )
+    imbalances = _block_imbalances(traj.inputs, scheme.h)
     passed = terminal_error <= tol.terminal and bool(
         np.all(imbalances <= tol.charge_balance)
     )

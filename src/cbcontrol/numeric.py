@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import AnalysisError
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -42,9 +43,16 @@ def min_norm_solve(matrix, rhs, tol: Tolerances = DEFAULT):
     Uses a truncated SVD with the shared rank cutoff. Returns
     (x, rank, singular_values, residual); ``residual`` is the Euclidean
     distance from ``rhs`` to the numerical column space of ``matrix``.
+    Raises AnalysisError when either has a non-finite entry, which is how
+    float64 overflow of powers of A over a long horizon shows.
     """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
+    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
+        raise AnalysisError(
+            "float64 overflow: the matrix or right-hand side of the solve has "
+            "non-finite entries (the horizon is too long for this plant)"
+        )
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     rank = _rank(s, matrix.shape, tol)
     coeffs = u[:, :rank].T @ rhs

@@ -83,6 +83,9 @@ def _as_array(value, where, ndim: int) -> np.ndarray:
         raise ProblemFormatError(f"problem file: field '{where}' is not a numeric {kind}") from exc
     if arr.ndim != ndim:
         raise ProblemFormatError(f"problem file: field '{where}' must be {shape}")
+    if not np.isfinite(arr).all():
+        # json reads NaN and Infinity, which are not numbers a plant can have
+        raise ProblemFormatError(f"problem file: field '{where}' has a non-finite entry")
     return arr
 
 
@@ -197,7 +200,7 @@ def read_inputs_csv(path, m: int) -> np.ndarray:
     The rows are parsed in one streaming pass. Raises ProblemFormatError
     when the file cannot be read, is empty, has a header that is not
     m + 1 columns wide, or has a malformed row (a blank line, a row of the
-    wrong width, or a cell that is not a number).
+    wrong width, or a cell that is not a finite number).
     """
     path = Path(path)
     try:
@@ -228,13 +231,13 @@ def read_inputs_csv(path, m: int) -> np.ndarray:
         raise ProblemFormatError(f"cannot read inputs file {path}: {exc}") from exc
     if count == 0:
         return np.zeros((0, m))
-    if table is None or table.shape != (count, m + 1):
+    if table is None or table.shape != (count, m + 1) or not np.isfinite(table).all():
         raise ProblemFormatError(f"{path}: malformed row {_first_malformed_row(path, m)}")
     return np.ascontiguousarray(table[:, 1:])
 
 
 def _first_malformed_row(path: Path, m: int) -> int:
-    """1-based index of the first data row that is not m + 1 numbers."""
+    """1-based index of the first data row that is not m + 1 finite numbers."""
     rows = path.read_text(errors="replace").split("\n")[1:]
     if rows and not rows[-1]:
         rows.pop()  # the piece after the final line end
@@ -242,9 +245,9 @@ def _first_malformed_row(path: Path, m: int) -> int:
         if not line:
             return index
         try:
-            width = np.loadtxt([line], delimiter=",", comments=None, ndmin=2).shape[1]
+            row = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)
         except ValueError:
             return index
-        if width != m + 1:
+        if row.shape[1] != m + 1 or not np.isfinite(row).all():
             return index
     raise AssertionError(f"{path}: no malformed row")

@@ -1,6 +1,5 @@
 """Controllability conditions, block-length selection, and spectral tests."""
 
-import re
 import warnings
 from fractions import Fraction
 
@@ -11,6 +10,7 @@ from cbcontrol import (
     DEFAULT,
     LtiSystem,
     PreconditionError,
+    Tolerances,
     build_scheme,
     bundled_problem,
     check_nonrepetitive_sufficient,
@@ -173,13 +173,16 @@ def test_select_h_preconditions():
     assert hb_invertible(system, np.int32(2), np.int64(5)) == hb_invertible(system, 2, 5)
 
 
-def test_select_h_skips_high_order_ratio_with_warning():
-    theta = 2.0 * np.pi * np.sqrt(2.0) / 17.0  # irrational angle
+def test_select_h_skips_high_order_ratio_without_warning():
+    # a conjugate pair at an irrational angle has a unit-modulus ratio of
+    # no finite order: the pair is skipped silently and h = 2 is chosen
+    theta = 2.0 * np.pi * np.sqrt(2.0) / 17.0
     A = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     system = LtiSystem(A=A, B=[[1.0], [0.0]])
-    with pytest.warns(RuntimeWarning, match="no order"):
-        h = select_h(system, max_order=32)
-    assert h == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert unit_ratio_orders(system, Tolerances(max_order=32)) == []
+        assert select_h(system, Tolerances(max_order=32)) == 2
 
 
 def test_select_h_certificate_keeps_power_spectrum_simple():
@@ -457,7 +460,7 @@ def test_vectorised_spectral_tests_match_pair_loops():
     def ratio_orders_loop(system, limit):
         eigs = system.eigenvalues
         scale = _spectral_scale(eigs)
-        found = []
+        found, skipped = [], 0
         for i in range(eigs.size):
             for j in range(i + 1, eigs.size):
                 if min(abs(eigs[i]), abs(eigs[j])) <= tol.eig_sep * scale:
@@ -472,37 +475,18 @@ def test_vectorised_spectral_tests_match_pair_loops():
                         break
                     rk *= ratio
                 else:
-                    warnings.warn(
-                        f"eigenvalue ratio for pair ({i}, {j}) stays on the unit "
-                        f"circle but has no order <= {limit}; pair skipped",
-                        RuntimeWarning,
-                    )
-        return found
+                    skipped += 1
+        return found, skipped
 
-    def recorded(fn, *args):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = fn(*args)
-        return result, [str(w.message) for w in caught]
-
-    pair = re.compile(r"\((\d+), (\d+)\)")
     hits = skips = 0
     for trial in range(150):
         system = _rotation_mix(rng, irrational=trial % 3 == 0)
         limit = (64, 8)[trial % 2]
-        got, got_warnings = recorded(unit_ratio_orders, system, limit)
-        want, want_warnings = recorded(ratio_orders_loop, system, limit)
+        got = unit_ratio_orders(system, tol.with_overrides(max_order=limit))
+        want, skipped = ratio_orders_loop(system, limit)
         assert [(o.i, o.j, o.order) for o in got] == want
-        # one warning per call names, in order, the pairs the loop warns about one by one
-        want_pairs = [pair.search(text).groups() for text in want_warnings]
-        if want_pairs:
-            assert len(got_warnings) == 1
-            assert pair.findall(got_warnings[0]) == want_pairs
-            assert f"no order <= {limit}" in got_warnings[0]
-        else:
-            assert got_warnings == []
         hits += bool(want)
-        skips += len(want_pairs) > 1
+        skips += skipped > 1
     assert hits and skips
 
 
@@ -587,7 +571,6 @@ def test_pbh_matches_per_eigenvalue_pencil_loop():
     assert failures
 
 
-@pytest.mark.filterwarnings("ignore:eigenvalue ratio")
 def test_one_pbh_sweep_per_system(monkeypatch):
     calls = []
     original = np.linalg.svd

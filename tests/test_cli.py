@@ -137,6 +137,57 @@ def test_main_exit_code_problem_file_not_text(tmp_path, capsys):
     assert "cannot read problem file" in capsys.readouterr().err
 
 
+def test_main_exit_code_problem_file_not_finite(tmp_path, capsys):
+    # json reads NaN and Infinity; a problem file may not carry them
+    doc = json.loads(bundled_problem("expander_2d").read_text())
+    for section, field, value in (
+        ("task", "x0", [float("nan"), 0.3]),
+        ("task", "xf", [float("inf"), -0.6]),
+        ("system", "A", [[2.0, float("-inf")], [0.0, 0.5]]),
+    ):
+        bad = json.loads(json.dumps(doc))
+        bad[section][field] = value
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps(bad))
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        with pytest.raises(ProblemFormatError, match=f"{section}.{field}' has a non-finite"):
+            load_problem(path)
+        out = tmp_path / f"run_{field}"
+        assert main(["design", "--problem", str(path), "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _no_bare_constants(name):
+    raise AssertionError(f"report.json holds the non-JSON constant {name}")
+
+
+def test_design_float64_overflow(tmp_path, capsys):
+    problem = str(bundled_problem("expander_2d"))  # eigenvalue 2, so A^(2b) overflows near b = 512
+    # b = 510: the solve is finite but the rollout overflows; the plan fails
+    # its verification and report.json stays strict JSON
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["design", "--problem", problem, "--b", "510", "--out", str(tmp_path / "rep")])
+    assert code == 5
+    text = (tmp_path / "rep" / "report.json").read_text()
+    report = json.loads(text, parse_constant=_no_bare_constants)
+    assert report["design"]["terminal_error"] is None
+    assert report["design"]["passed"] is False
+    capsys.readouterr()
+    # past that, the solve's own matrix or right-hand side overflows: exit 4
+    runs = (
+        ("design", "510", "nonrep"), ("design", "600", "rep"), ("design", "600", "nonrep"),
+        ("sweep-h", "600", "nonrep"),
+    )
+    for command, b, regime in runs:
+        out = tmp_path / f"{command}_{b}_{regime}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([command, "--problem", problem, "--b", b, "--regime", regime,
+                         "--out", str(out)])
+        assert code == 4, (command, b, regime)
+        assert "float64 overflow" in capsys.readouterr().err
+
+
 def test_analyze_rotation_auto_selects_four(capsys):
     report = cmd_analyze(load_problem(bundled_problem("rotation_2d")))
     assert report.verdict["h"] == 4
@@ -202,6 +253,32 @@ def test_design_rotation_h2_b10_flag_override(tmp_path):
     _, block_rows = read_csv(tmp_path / "run" / "blocks.csv")
     assert len(block_rows) == 10
     assert max(row[2] for row in block_rows) <= 1e-10
+
+
+def test_design_blocks_csv_matches_per_block_loops(tmp_path):
+    # blocks.csv energies and imbalances against per-block U @ U and R @ U
+    # over the written inputs; report.json keeps only the totals
+    cases = (("rotation_2d", []), ("rotation_2d", ["--h", "2", "--b", "10"]),
+             ("expander_2d", []), ("expander_2d", ["--regime", "nonrep"]),
+             ("four_state", []), ("drift_only", []))
+    for index, (name, flags) in enumerate(cases):
+        out = tmp_path / f"run{index}"
+        code = main(["design", "--problem", str(bundled_problem(name)), *flags, "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert code == (0 if report["design"]["passed"] else 5)
+        h, b = report["design"]["h"], report["design"]["b"]
+        scheme = build_scheme(h, load_problem(bundled_problem(name)).system.m)
+        inputs = read_inputs_csv(out / "inputs.csv", scheme.m)
+        blocks = inputs.reshape(b, -1)
+        _, rows = read_csv(out / "blocks.csv")
+        table = np.array(rows)
+        assert np.array_equal(table[:, 0], np.arange(b))
+        energies = np.array([U @ U for U in blocks])
+        assert np.abs(table[:, 1] - energies).max() <= 1e-13 * energies.max(initial=0.0)
+        imbalances = np.array([np.abs(scheme.R @ U).max() for U in blocks])
+        assert np.abs(table[:, 2] - imbalances).max() <= 1e-15 * np.abs(inputs).max()
+        assert "per_block_energies" not in report["design"]
+        assert report["design"]["max_imbalance"] == table[:, 2].max()
 
 
 def test_design_expander_blocks_identical(tmp_path):
@@ -383,6 +460,10 @@ def test_read_inputs_csv_rejects_malformed(tmp_path, capsys):
         "blank first line": (good.replace("u_2\r\n", "u_2\r\n\r\n"), "malformed row 1"),
         "blank last line": (good + "\r\n", "malformed row 3"),
         "whitespace line": (good + "   \r\n", "malformed row 3"),
+        "nan cell": (good.replace("1,-1,1", "1,nan,1"), "malformed row 2"),
+        "inf cell": (good.replace("0,1,-1", "0,1,-inf"), "malformed row 1"),
+        "Infinity cell": (good + "2,Infinity,1\r\n", "malformed row 3"),
+        "nan step index": (good.replace("\r\n1,", "\r\nNaN,"), "malformed row 2"),
     }
     for name, (text, message) in cases.items():
         path = tmp_path / f"{name}.csv"
@@ -449,7 +530,8 @@ def test_tolerance_flags_flow_through(tmp_path):
     assert report["design"]["passed"] is False
     assert (tmp_path / "run" / "inputs.csv").exists()
 
-    # a bounded ratio-order search skips the order-3 pair and settles on h = 2
+    # a bounded ratio-order search skips the order-3 pair, silently, and
+    # settles on h = 2
     import dataclasses
     import warnings
 
@@ -458,7 +540,7 @@ def test_tolerance_flags_flow_through(tmp_path):
         problem, tolerances=problem.tolerances.with_overrides(max_order=2)
     )
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         report2 = cmd_analyze(capped)
     assert report2.verdict["h"] == 2
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cbcontrol import (
+    ChargeBalanceError,
     ControlPlan,
     BlockScheme,
     DimensionError,
@@ -16,11 +17,15 @@ from cbcontrol import (
     build_scheme,
     design_nonrepetitive,
     design_repetitive,
+    h_sum,
     lift,
     oracle_stacked_ls,
+    reachability_matrix,
     simulate,
+    unpack,
     verify_plan,
 )
+from cbcontrol.numeric import min_norm_solve
 
 from helpers import (
     expander_system,
@@ -94,9 +99,10 @@ def test_repetitive_expander_steering():
     plan = design_repetitive(lifted, task)
     check = verify_plan(system, scheme, task, plan)
     assert check.terminal_error <= 1e-8
-    assert all(np.array_equal(plan.blocks[0], U) for U in plan.blocks)
+    blocks = plan.flat_inputs.reshape(10, -1)
+    assert all(np.array_equal(blocks[0], U) for U in blocks)
     # total energy is b times the single-block energy
-    single = float(plan.blocks[0] @ plan.blocks[0])
+    single = float(blocks[0] @ blocks[0])
     assert abs(plan.energy - 10 * single) <= 1e-12 * max(1.0, plan.energy)
 
 
@@ -264,8 +270,7 @@ def test_q_invariance_of_designed_blocks():
         task = feasible_task(rng, system, scheme, b, "non-repetitive")
         plan_a = design_nonrepetitive(lift(system, scheme), task)
         plan_b = design_nonrepetitive(lift(system, recombined), task)
-        for U_a, U_b in zip(plan_a.blocks, plan_b.blocks):
-            assert np.abs(U_a - U_b).max() <= 1e-9
+        assert np.abs(plan_a.flat_inputs - plan_b.flat_inputs).max() <= 1e-9
 
 
 def test_plan_energy_equals_latent_energy():
@@ -279,7 +284,8 @@ def test_plan_energy_equals_latent_energy():
         scheme = build_scheme(h, m)
         task = feasible_task(rng, system, scheme, b, "non-repetitive")
         plan = design_nonrepetitive(lift(system, scheme), task)
-        latent_energy = float(sum(w @ w for w in plan.latent))
+        latents = plan.flat_inputs.reshape(b, -1) @ scheme.Q  # w = Q^T U per block
+        latent_energy = float(sum(w @ w for w in latents))
         assert abs(plan.energy - latent_energy) <= 1e-10 * max(1.0, plan.energy)
 
 
@@ -302,6 +308,73 @@ def test_designed_plans_pass_verification():
             assert verify_plan(system, scheme, task, plan).passed
 
 
+def _per_block_reference(lifted, task):
+    """Blocks and energy as the per-block loops build them: one unpack per latent."""
+    scheme, b = lifted.scheme, task.b
+    d = task.xf - np.linalg.matrix_power(lifted.Abar, b) @ task.x0
+    if task.regime == "repetitive":
+        w, *_ = min_norm_solve(h_sum(lifted, b) @ lifted.Bbar, d)
+        latents = [w] * b
+    else:
+        Rb = reachability_matrix(lifted, b)
+        core, *_ = min_norm_solve(Rb @ Rb.T, d)
+        latents = (Rb.T @ core).reshape(b, -1)
+    blocks = [unpack(w, scheme) for w in latents]
+    return blocks, float(sum(U @ U for U in blocks))
+
+
+def test_plan_arrays_match_per_block_loops():
+    # one product with Q (distinct blocks) or one tiled block (identical
+    # blocks), the energy as one squared norm and the imbalances from the
+    # (b, h, m) view agree with the per-block unpack, U @ U and R @ U loops
+    assert [f.name for f in dataclasses.fields(ControlPlan)] == ["flat_inputs", "energy"]
+    rng = np.random.default_rng(58)
+    designers = {"non-repetitive": design_nonrepetitive, "repetitive": design_repetitive}
+    for _ in range(30):
+        n, m, h = int(rng.integers(2, 7)), int(rng.integers(1, 9)), int(rng.integers(2, 7))
+        b = int(rng.integers(1, 301))
+        system = random_system(rng, n, m)
+        scheme = build_scheme(h, m)
+        lifted = lift(system, scheme)
+        for regime, designer in designers.items():
+            task = feasible_task(rng, system, scheme, b, regime)
+            plan = designer(lifted, task)
+            blocks, energy = _per_block_reference(lifted, task)
+            reference = np.concatenate(blocks).reshape(-1, m)
+            scale = np.abs(reference).max()
+            assert plan.flat_inputs.shape == (b * h, m)
+            assert np.abs(plan.flat_inputs - reference).max() <= 1e-15 * scale
+            assert abs(plan.energy - energy) <= 1e-13 * energy
+            if regime == "repetitive":
+                assert all(np.array_equal(U, blocks[0]) for U in plan.flat_inputs.reshape(b, -1))
+
+            check = verify_plan(system, scheme, task, plan)
+            applied = check.trajectory.inputs.reshape(b, -1)
+            imbalances = [np.abs(scheme.R @ U).max() for U in applied]
+            assert check.imbalances.shape == (b,)
+            assert np.abs(check.imbalances - imbalances).max() <= 1e-15 * scale
+
+
+def test_oracle_rejects_charged_solution(monkeypatch):
+    # the oracle checks the charge balance of what its solve returns
+    import cbcontrol.design as design
+
+    system = rotation_system()
+    scheme = build_scheme(2, 1)
+    task = _rotation_task(3)
+    plan = oracle_stacked_ls(system, scheme, task)
+    charged = plan.flat_inputs.ravel().copy()
+    charged[2] += 1e-3  # block 1 now carries net charge
+
+    def charged_solve(matrix, rhs, tol):
+        return charged, 0, np.ones(1), 0.0
+
+    monkeypatch.setattr(design, "min_norm_solve", charged_solve)
+    with pytest.raises(ChargeBalanceError, match="not charge balanced") as info:
+        oracle_stacked_ls(system, scheme, task)
+    assert np.array_equal(info.value.imbalance > 1e-9, [False, True, False])
+
+
 def test_verify_zero_plan_on_drifting_target():
     rng = np.random.default_rng(57)
     system = random_system(rng, 2, 1)
@@ -309,11 +382,7 @@ def test_verify_zero_plan_on_drifting_target():
     x0 = rng.standard_normal(2)
     xf = np.linalg.matrix_power(system.A, 4) @ x0
     task = SteeringTask(x0=x0, xf=xf, b=2, regime="non-repetitive")
-    zero = ControlPlan(
-        latent=tuple(np.zeros(1) for _ in range(2)),
-        flat_inputs=np.zeros((4, 1)),
-        energy=0.0,
-    )
+    zero = ControlPlan(flat_inputs=np.zeros((4, 1)), energy=0.0)
     check = verify_plan(system, scheme, task, zero)
     assert check.passed
     assert check.terminal_error == 0.0
@@ -326,10 +395,9 @@ def test_verify_flags_perturbed_block():
     task = _rotation_task(10)
     plan = design_nonrepetitive(lifted, task)
 
-    tampered_blocks = plan.blocks.copy()
-    tampered_blocks[4][0] += 0.1
-    flat = np.vstack([U.reshape(2, 1) for U in tampered_blocks])
-    tampered = ControlPlan(latent=plan.latent, flat_inputs=flat, energy=plan.energy)
+    flat = plan.flat_inputs.copy()
+    flat[8, 0] += 0.1  # first step of block 4
+    tampered = ControlPlan(flat_inputs=flat, energy=plan.energy)
     check = verify_plan(system, scheme, task, tampered)
     assert not check.passed
     flagged = np.nonzero(check.imbalances > 1e-9)[0]
@@ -338,7 +406,7 @@ def test_verify_flags_perturbed_block():
 
 def test_verify_reads_the_applied_inputs():
     # imbalance is taken from the inputs that are simulated: a first block
-    # with net charge 5 fails even though the plan's latents are balanced
+    # with net charge 5 fails whatever energy the plan records
     system = LtiSystem(A=[[0.0]], B=[[1.0]])
     scheme = build_scheme(2, 1)
     task = SteeringTask(x0=[0.0], xf=[0.0], b=2, regime="non-repetitive")
@@ -349,10 +417,9 @@ def test_verify_reads_the_applied_inputs():
     assert not check.passed
     assert check.terminal_error == 0.0  # A = 0 forgets the charge by the end
     assert list(check.imbalances) == [5.0, 0.0]
-    assert np.array_equal(charged.blocks, [[5.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(check.trajectory.inputs, charged.flat_inputs)
     with pytest.raises(ValueError):
-        charged.blocks[0, 0] = 0.0  # blocks is a read-only view of the applied inputs
+        charged.flat_inputs[0, 0] = 0.0  # the applied inputs are read-only
     with pytest.raises(DimensionError):
         verify_plan(system, scheme, task, dataclasses.replace(plan, flat_inputs=[[0.0]] * 3))
 
@@ -378,6 +445,11 @@ def test_task_validation():
     assert task.b == 3 and type(task.b) is int
     with pytest.raises(PreconditionError):
         SteeringTask(x0=[0.0], xf=[0.0], b=1, regime="sometimes")
+    for bad in ([np.nan, 0.3], [np.inf, 0.3], [0.2, -np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            SteeringTask(x0=bad, xf=[1.0, -0.6], b=2, regime="repetitive")
+        with pytest.raises(ValueError, match="finite"):
+            SteeringTask(x0=[1.0, -0.6], xf=bad, b=2, regime="repetitive")
 
 
 def test_simulate_designed_plan_reaches_printed_target():
