@@ -418,19 +418,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        problem = _apply_overrides(load_problem(args.problem), args)
-        if args.command == "analyze":
-            cmd_analyze(problem, args.out)
-        elif args.command == "design":
-            report = cmd_design(problem, args.out, plot=args.plot)
-            if not report.design["passed"]:
-                print("error: the designed plan failed verification; see report.json",
-                      file=sys.stderr)
-                return EXIT_UNVERIFIED
-        elif args.command == "sweep-h":
-            cmd_sweep_h(problem, args.h_min, args.h_max, args.out)
-        elif args.command == "simulate":
-            cmd_simulate(problem, args.inputs, args.out)
+        # float64 overflow is reported once, as exit 4, exit 5 or a null in
+        # report.json, so numpy's own overflow warnings are not printed
+        with np.errstate(over="ignore", invalid="ignore"):
+            problem = _apply_overrides(load_problem(args.problem), args)
+            if args.command == "analyze":
+                cmd_analyze(problem, args.out)
+            elif args.command == "design":
+                report = cmd_design(problem, args.out, plot=args.plot)
+                if not report.design["passed"]:
+                    print("error: the designed plan failed verification; see report.json",
+                          file=sys.stderr)
+                    return EXIT_UNVERIFIED
+            elif args.command == "sweep-h":
+                cmd_sweep_h(problem, args.h_min, args.h_max, args.out)
+            elif args.command == "simulate":
+                cmd_simulate(problem, args.inputs, args.out)
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -5,6 +5,11 @@ constrained per-step problem into an unconstrained one in the latent
 coordinates: x[(p+1)h] = Abar @ x[ph] + Bbar @ w[p], where Abar = A^h
 and Bbar = S @ Q collects the effect of one stacked block through
 S = [A^(h-1) B, ..., A B, B].
+
+The identical-block design needs the geometric sum
+H_b = I + Abar + ... + Abar^(b-1). `h_sum` forms it by binary doubling,
+S_2k = S_k + Abar^k S_k and S_(2k+1) = I + Abar S_2k, in O(log b)
+dense products instead of b - 1.
 """
 
 from __future__ import annotations
@@ -75,14 +80,27 @@ def reachability_matrix(lifted: LiftedSystem, b: int) -> np.ndarray:
 
 
 def h_sum(lifted: LiftedSystem, b: int) -> np.ndarray:
-    """Geometric matrix sum I + Abar + ... + Abar^(b-1).
+    """Geometric matrix sum H_b = I + Abar + ... + Abar^(b-1).
 
-    Accumulated Horner style (H <- H @ Abar + I), which stays in real
-    arithmetic regardless of the spectrum.
+    Binary doubling over the bits of b, most significant first: from
+    S_k and Abar^k, S_2k = S_k + Abar^k S_k, and on a 1 bit
+    S_(2k+1) = I + Abar S_2k, with the power carried alongside. That is
+    O(log b) dense products instead of b - 1, in real arithmetic
+    whatever the spectrum. Rounding is that of binary powering: within
+    about 1e-13 relative of the b - 1 step Horner sum for normal Abar,
+    and growing with the condition number of Abar's eigenvectors.
     """
     b = require_integer("block horizon", b, 1)
+    Abar = lifted.Abar
     eye = np.eye(lifted.n)
-    total = np.eye(lifted.n)
-    for _ in range(b - 1):
-        total = total @ lifted.Abar + eye
+    total, power = eye, Abar
+    bits = bin(b)[3:]
+    for i, bit in enumerate(bits):
+        total = total + power @ total
+        if bit == "1":
+            total = eye + Abar @ total
+        if i + 1 < len(bits):  # the last power is never read
+            power = power @ power
+            if bit == "1":
+                power = power @ Abar
     return total

@@ -4,7 +4,7 @@ import csv
 
 import numpy as np
 
-from cbcontrol import LtiSystem, SteeringTask, build_scheme, simulate, unpack
+from cbcontrol import LtiSystem, SteeringTask, simulate, unpack
 
 ROOT3 = np.sqrt(3.0)
 

@@ -10,7 +10,6 @@ import numpy as np
 
 from cbcontrol import (
     BlockScheme,
-    LtiSystem,
     SteeringTask,
     build_scheme,
     check_nonrepetitive_sufficient,
@@ -34,7 +33,6 @@ from cbcontrol.numeric import numeric_rank
 from helpers import (
     expander_system,
     feasible_task,
-    four_state_system,
     random_orthogonal,
     random_real_simple_system,
     random_system,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from cbcontrol import (
     problem_io,
     reachability_matrix,
 )
-from cbcontrol.cli import cmd_analyze, cmd_design, cmd_simulate, cmd_sweep_h, main
+from cbcontrol.cli import cmd_analyze, cmd_design, cmd_sweep_h, main
 from cbcontrol.errors import ProblemFormatError
 from cbcontrol.numeric import numeric_rank
 from cbcontrol.problem_io import read_inputs_csv, write_csv
@@ -164,28 +165,38 @@ def _no_bare_constants(name):
 
 def test_design_float64_overflow(tmp_path, capsys):
     problem = str(bundled_problem("expander_2d"))  # eigenvalue 2, so A^(2b) overflows near b = 512
+    numpy_default = np.geterr()
+
+    def run(command, b, regime=None):
+        out = tmp_path / f"{command}_{b}_{regime}"
+        regime_args = [] if regime is None else ["--regime", regime]
+        # the CLI reports overflow once, as a typed error: a numpy warning
+        # would raise here instead of reaching stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--problem", problem, "--b", b, *regime_args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), (command, b, regime, err)
+        assert np.geterr() == numpy_default  # library calls keep numpy's default
+        return code, out, err
+
     # b = 510: the solve is finite but the rollout overflows; the plan fails
     # its verification and report.json stays strict JSON
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["design", "--problem", problem, "--b", "510", "--out", str(tmp_path / "rep")])
+    code, out, _ = run("design", "510")
     assert code == 5
-    text = (tmp_path / "rep" / "report.json").read_text()
+    text = (out / "report.json").read_text()
     report = json.loads(text, parse_constant=_no_bare_constants)
     assert report["design"]["terminal_error"] is None
     assert report["design"]["passed"] is False
-    capsys.readouterr()
     # past that, the solve's own matrix or right-hand side overflows: exit 4
     runs = (
         ("design", "510", "nonrep"), ("design", "600", "rep"), ("design", "600", "nonrep"),
         ("sweep-h", "600", "nonrep"),
     )
     for command, b, regime in runs:
-        out = tmp_path / f"{command}_{b}_{regime}"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main([command, "--problem", problem, "--b", b, "--regime", regime,
-                         "--out", str(out)])
+        code, _, err = run(command, b, regime)
         assert code == 4, (command, b, regime)
-        assert "float64 overflow" in capsys.readouterr().err
+        assert err.startswith("error: float64 overflow"), (command, b, regime, err)
 
 
 def test_analyze_rotation_auto_selects_four(capsys):

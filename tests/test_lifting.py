@@ -5,6 +5,7 @@ import pytest
 
 from cbcontrol import (
     DimensionError,
+    LiftedSystem,
     LtiSystem,
     PreconditionError,
     build_scheme,
@@ -15,7 +16,7 @@ from cbcontrol import (
     unpack,
 )
 
-from helpers import expander_system, random_system, rotation_system
+from helpers import expander_system, random_orthogonal, random_system, rotation_system
 
 
 def test_lift_rotation_h2_closed_form():
@@ -104,11 +105,50 @@ def test_gramian_symmetric_and_psd():
         assert eigs.min() >= -1e-10 * max(1.0, np.linalg.norm(G, 2))
 
 
+def _horner_h_sum(Abar, b):
+    """The former O(b) build of H_b, kept as the reference: H <- H @ Abar + I."""
+    eye = np.eye(len(Abar))
+    total = np.eye(len(Abar))
+    for _ in range(b - 1):
+        total = total @ Abar + eye
+    return total
+
+
+def _lifted_with(Abar):
+    """A lifted system with the given Abar; only Abar and n matter to h_sum."""
+    n = len(Abar)
+    return LiftedSystem(system=LtiSystem(A=Abar, B=np.zeros((n, 1))), scheme=build_scheme(2, 1),
+                        S=np.zeros((n, 2)), Abar=Abar, Bbar=np.zeros((n, 1)))
+
+
+HORIZONS = (1, 2, 3, 7, 8, 9, 63, 64, 65, 200, 257)
+
+
+def _real_spectrum(rng, n, rho):
+    """n real eigenvalues of either sign with spectral radius rho."""
+    eigs = rng.uniform(-rho, rho, size=n)
+    eigs[0] = rng.choice([-rho, rho])
+    return np.diag(eigs)
+
+
 def test_h_sum_trivial_cases():
     lifted = lift(expander_system(), build_scheme(2, 2))
     assert np.array_equal(h_sum(lifted, 1), np.eye(2))
     identity = lift(LtiSystem(A=np.eye(3), B=np.ones((3, 1))), build_scheme(2, 1))
-    assert np.allclose(h_sum(identity, 5), 5.0 * np.eye(3), atol=1e-13)
+    zero = _lifted_with(np.zeros((3, 3)))
+    for b in HORIZONS + (2**20,):  # exact in float64
+        assert np.array_equal(h_sum(identity, b), b * np.eye(3))
+        assert np.array_equal(h_sum(zero, b), np.eye(3))
+    # integer nilpotent Abar: H_b = I + N + ... + N^(min(b, 4) - 1), exactly
+    N = np.array([[0, 2, -1, 3], [0, 0, 4, -2], [0, 0, 0, 5], [0, 0, 0, 0]])
+    nilpotent = _lifted_with(N.astype(float))
+    for b in HORIZONS:
+        exact = np.eye(4, dtype=np.int64)
+        power = np.eye(4, dtype=np.int64)
+        for _ in range(min(b, 4) - 1):
+            power = power @ N
+            exact = exact + power
+        assert np.array_equal(h_sum(nilpotent, b), exact)
 
 
 def test_h_sum_expander_full_rank_map():
@@ -126,6 +166,52 @@ def test_h_sum_matches_power_series():
         explicit = sum(np.linalg.matrix_power(lifted.Abar, i) for i in range(b))
         got = h_sum(lifted, b)
         assert np.abs(got - explicit).max() <= 1e-10 * max(1.0, np.abs(explicit).max())
+
+
+def test_h_sum_doubling_matches_horner():
+    rng = np.random.default_rng(37)
+    worst = 0.0
+    for rho in (0.9, 1.1, 1.5):
+        for n in (1, 2, 5, 17, 50):
+            basis = random_orthogonal(rng, n)
+            dense = rng.standard_normal((n, n))  # mostly complex pairs
+            dense *= rho / max(np.abs(np.linalg.eigvals(dense)))
+            for Abar in (basis @ _real_spectrum(rng, n, rho) @ basis.T, dense):
+                lifted = _lifted_with(Abar)
+                for b in HORIZONS:
+                    ref = _horner_h_sum(lifted.Abar, b)
+                    err = np.linalg.norm(h_sum(lifted, b) - ref) / np.linalg.norm(ref)
+                    worst = max(worst, err)
+    assert worst <= 1e-12
+
+
+def test_h_sum_non_normal_as_accurate_as_squaring():
+    # with ill-conditioned eigenvectors every squaring loses accuracy, so
+    # the doubling sum drifts from the Horner sum about as far as
+    # matrix_power(Abar, b), which the design already uses, drifts from
+    # b - 1 successive products (up to 1e-7 relative at cond(V) = 5e3)
+    rng = np.random.default_rng(38)
+    for rho in (0.9, 1.1, 1.5):
+        for n in (5, 17, 30):
+            basis = rng.standard_normal((n, n))
+            lifted = _lifted_with(basis @ _real_spectrum(rng, n, rho) @ np.linalg.inv(basis))
+            for b in HORIZONS:
+                ref = _horner_h_sum(lifted.Abar, b)
+                err = np.linalg.norm(h_sum(lifted, b) - ref) / np.linalg.norm(ref)
+                power = np.eye(n)
+                for _ in range(b):
+                    power = power @ lifted.Abar
+                squaring = np.linalg.matrix_power(lifted.Abar, b)
+                power_err = np.linalg.norm(squaring - power) / np.linalg.norm(power)
+                assert err <= 1e-12 + 100.0 * power_err, (rho, n, b, err, power_err)
+
+
+def test_h_sum_long_horizon_closed_form():
+    lam = np.array([0.5, -0.25])
+    b = 2**20
+    got = h_sum(_lifted_with(np.diag(lam)), b)
+    assert np.abs(np.diag(got) - (1.0 - lam**b) / (1.0 - lam)).max() <= 1e-15
+    assert not got[0, 1] and not got[1, 0]
 
 
 def test_block_boundary_equivalence():
