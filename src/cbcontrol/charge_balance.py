@@ -41,14 +41,20 @@ def zero_sum_basis(h: int) -> np.ndarray:
     return basis
 
 
+def _block_sum(h: int, m: int) -> np.ndarray:
+    """R = [I_m  I_m ... I_m], h copies: the per-channel sum of one block."""
+    return np.tile(np.eye(m), (1, h))
+
+
 @dataclass(frozen=True, eq=False)
 class BlockScheme:
     """Charge-balance data for blocks of h steps on m input channels.
 
-    R is the m x (m*h) per-channel block-sum matrix and Q is an
-    (m*h) x (m*(h-1)) orthonormal basis of Ker(R). Any Q satisfying the
-    invariants is accepted, so recombined bases Q @ Theta (Theta
-    orthogonal) can be used interchangeably with the canonical one.
+    R is the m x (m*h) per-channel block-sum matrix [I_m ... I_m], exactly
+    (any other R raises ValueError), and Q is an (m*h) x (m*(h-1))
+    orthonormal basis of Ker(R). Any Q satisfying the invariants is
+    accepted, so recombined bases Q @ Theta (Theta orthogonal) can be used
+    interchangeably with the canonical one.
     """
 
     h: int
@@ -69,10 +75,13 @@ class BlockScheme:
             raise DimensionError(
                 f"Q must be {self.m * self.h} x {self.m * (self.h - 1)}, got {Q.shape}"
             )
+        if not np.array_equal(R, _block_sum(self.h, self.m)):
+            raise ValueError("R must be the per-channel block-sum matrix [I_m ... I_m]")
         gram = Q.T @ Q
         if np.abs(gram - np.eye(Q.shape[1])).max() > _BASIS_ATOL:
             raise ValueError("Q columns are not orthonormal")
-        if np.abs(R @ Q).max() > _BASIS_ATOL:
+        # R @ Q without the product: per channel, Q's rows summed over the h steps
+        if np.abs(Q.reshape(self.h, self.m, -1).sum(axis=0)).max() > _BASIS_ATOL:
             raise ValueError("Q columns do not lie in the null space of R")
         R.setflags(write=False)
         Q.setflags(write=False)
@@ -97,9 +106,8 @@ def build_scheme(h: int, m: int) -> BlockScheme:
     larger h it is V kron I_m with V = zero_sum_basis(h), which keeps the
     channels decoupled inside the basis.
     """
-    R = np.kron(np.ones((1, h)), np.eye(m))
     Q = np.kron(zero_sum_basis(h), np.eye(m))
-    return BlockScheme(h=h, m=m, R=R, Q=Q)
+    return BlockScheme(h=h, m=m, R=_block_sum(h, m), Q=Q)
 
 
 def pack(U, scheme: BlockScheme, tol: Tolerances = DEFAULT) -> np.ndarray:

@@ -1,15 +1,20 @@
 """Command-line front end: analyze, design, sweep-h, and simulate (replay).
 
-Exit codes: 0 success, 2 problem-file parse error, 3 unreachable target,
-4 analysis precondition failure or float64 overflow, 5 design wrote a plan
-that failed its own verification (every output file is still written).
+Exit codes: 0 success, 2 problem-file parse error or bad flag value,
+3 unreachable target, 4 analysis precondition failure or float64 overflow,
+5 design wrote a plan that failed its own verification (every output file
+is still written).
 report.json is strict JSON: a non-finite number is written as null.
+
+main() builds its argument parser once per process, on the first call, and
+reuses it for every later call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -254,12 +259,10 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
 
 def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> RunReport:
     """Tabulate verdict, rank, and achievable energy across block lengths."""
+    if h_min < 2 or h_max < h_min:
+        raise ProblemFormatError(f"need 2 <= h_min <= h_max, got [{h_min}, {h_max}]")
     if problem.regime != NON_REPETITIVE:
         raise PreconditionError("sweep-h applies to the non-repetitive regime only")
-    if h_min < 2 or h_max < h_min:
-        raise PreconditionError(
-            f"need 2 <= h_min <= h_max, got [{h_min}, {h_max}]"
-        )
     system, tol = problem.system, problem.tolerances
     rows = []
     for h in range(h_min, h_max + 1):
@@ -386,7 +389,13 @@ def _apply_overrides(problem: Problem, args) -> Problem:
     return dataclasses.replace(problem, **updates) if updates else problem
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused for the process.
+
+    parse_args returns a fresh Namespace on every call, so nothing
+    carries over from one main() call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="cbcontrol",
         description="Charge-balanced control: analyze, design, sweep-h, simulate.",
@@ -415,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # float64 overflow is reported once, as exit 4, exit 5 or a null in
         # report.json, so numpy's own overflow warnings are not printed

@@ -133,7 +133,7 @@ class Trajectory:
 
 
 def _input_rows(inputs, m: int) -> np.ndarray:
-    """The inputs as an (N, m) float array, checked once.
+    """The inputs as a C-ordered (N, m) float array, checked once.
 
     Ragged rows and iterators are checked row by row, so the error names
     the offending input index.
@@ -154,7 +154,8 @@ def _input_rows(inputs, m: int) -> np.ndarray:
         return np.zeros((0, m))
     if rows[0].size != m:  # every row has the size of the first
         raise DimensionError(f"input 0 has length {rows[0].size}, expected {m}")
-    return rows.reshape(len(rows), m)
+    # C order, so B @ u does not round by the memory layout of the inputs
+    return np.ascontiguousarray(rows.reshape(len(rows), m))
 
 
 def simulate(system: LtiSystem, x0, inputs) -> Trajectory:
@@ -168,7 +169,12 @@ def simulate(system: LtiSystem, x0, inputs) -> Trajectory:
 
     Returns:
         Trajectory with states[k+1] = A @ states[k] + B @ inputs[k],
-        evaluated as exactly that expression at every step.
+        bit for bit that expression at every step. The input products
+        B @ u are formed for all steps at once, straight into the state
+        rows, since none depends on a state; each step then adds A @ x.
+        The batched product runs the same per-row BLAS product as
+        B @ u on C-ordered inputs, and the two-term sum commutes exactly,
+        so no state differs from the step-by-step expression.
 
     Raises:
         DimensionError: naming the offending input index on a length
@@ -178,12 +184,12 @@ def simulate(system: LtiSystem, x0, inputs) -> Trajectory:
     if x0.size != system.n:
         raise DimensionError(f"x0 has length {x0.size}, expected {system.n}")
     rows = _input_rows(inputs, system.m)
-    A, B, dot = system.A, system.B, np.dot
+    A, dot = system.A, np.dot
     states = np.empty((len(rows) + 1, system.n))
     states[0] = x0
-    # A @ x lands in the next row, then B @ u is added: the same two
-    # products and one sum as A @ x + B @ u, without the temporaries
-    for x, nxt, u in zip(states, states[1:], rows):
-        dot(A, x, out=nxt)
-        nxt += dot(B, u)
+    # B @ u goes straight into the state rows: no N x n temporary
+    np.matmul(system.B, rows[:, :, None], out=states[1:, :, None])
+    ax = np.empty(system.n)
+    for x, nxt in zip(states, states[1:]):
+        nxt += dot(A, x, out=ax)
     return Trajectory(states=states, inputs=rows)

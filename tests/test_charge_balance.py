@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cbcontrol import (
+    BlockScheme,
     ChargeBalanceError,
     DimensionError,
     PreconditionError,
@@ -59,6 +60,30 @@ def test_scheme_rejects_short_blocks():
         build_scheme(1, 2)
     with pytest.raises(PreconditionError):
         build_scheme(3, 0)
+
+
+def test_scheme_rejects_other_constraint_matrices():
+    # pack reads R, verify_plan reads block sums: only [I_m ... I_m] keeps
+    # them in agreement, so every other m x mh matrix is refused
+    scheme = build_scheme(3, 2)
+    for R in (np.zeros((2, 6)), 2 * scheme.R, scheme.R[::-1]):
+        with pytest.raises(ValueError, match="block-sum matrix"):
+            BlockScheme(h=3, m=2, R=R, Q=scheme.Q)
+    assert np.array_equal(BlockScheme(h=3, m=2, R=scheme.R.tolist(), Q=scheme.Q).R, scheme.R)
+
+
+def test_scheme_rejects_bases_outside_the_kernel():
+    # the kernel test reads block sums: turning one column slightly towards
+    # a constant-charge block keeps Q orthonormal but puts net charge on
+    # channel 1; a non-orthonormal Q is refused too
+    scheme = build_scheme(3, 2)
+    charged = np.tile([0.0, 1.0], 3) / np.sqrt(3.0)  # orthogonal to Ker(R)
+    tilted = scheme.Q.copy()
+    tilted[:, 0] = np.cos(1e-6) * tilted[:, 0] + np.sin(1e-6) * charged
+    with pytest.raises(ValueError, match="null space"):
+        BlockScheme(h=3, m=2, R=scheme.R, Q=tilted)
+    with pytest.raises(ValueError, match="orthonormal"):
+        BlockScheme(h=3, m=2, R=scheme.R, Q=2 * scheme.Q)
 
 
 def test_pack_zero_block():

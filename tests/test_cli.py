@@ -1,5 +1,6 @@
 """Command-line front end: parsing, commands, file formats, exit codes."""
 
+import argparse
 import csv
 import json
 import warnings
@@ -129,6 +130,48 @@ def test_main_exit_code_parse_error(tmp_path, capsys):
     fixture = str(bundled_problem("rotation_2d"))
     for flags in (["--max-order", "0"], ["--tol-term", "-1"], ["--tol-cb", "nan"]):
         assert main(["analyze", "--problem", fixture, *flags]) == 2
+    capsys.readouterr()
+
+    # a sweep range that cannot be swept is a bad flag value, like --b 0
+    for flags in (["--h-min", "1"], ["--h-min", "5", "--h-max", "3"]):
+        out = tmp_path / "sweep"
+        assert main(["sweep-h", "--problem", fixture, "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: need 2 <= h_min <= h_max")
+        assert not out.exists()
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
+    import cbcontrol.cli as cli
+
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    fixture = str(bundled_problem("rotation_2d"))
+    for _ in range(3):
+        assert main(["analyze", "--problem", fixture]) == 0
+        assert len(built) == 5  # the top parser and its four subcommands
+
+    # a fresh Namespace per call: flags of one call never reach the next
+    expander = str(bundled_problem("expander_2d"))
+    overridden, plain = tmp_path / "overridden", tmp_path / "plain"
+    assert main(["design", "--problem", expander, "--h", "3", "--b", "7", "--no-plot",
+                 "--out", str(overridden)]) == 0
+    with pytest.raises(SystemExit) as rejected:
+        main(["design", "--problem", expander, "--h", "1", "--out", str(plain)])
+    assert rejected.value.code == 2
+    assert main(["design", "--problem", expander, "--out", str(plain)]) == 0
+    problem = load_problem(expander)
+    design = json.loads((plain / "report.json").read_text())["design"]
+    assert (design["h"], design["b"]) == (problem.h, problem.b) == (2, 10)
+    assert json.loads((overridden / "report.json").read_text())["design"]["b"] == 7
+    assert (plain / "plot.gp").exists() and not (overridden / "plot.gp").exists()
+    assert len(built) == 5
 
 
 def test_main_exit_code_problem_file_not_text(tmp_path, capsys):

@@ -73,8 +73,16 @@ def test_simulate_step_identity():
 def test_simulate_matches_step_loop():
     # every step is exactly A @ x + B @ u, whatever container holds the inputs
     rng = np.random.default_rng(14)
-    for n, m, steps in ((1, 1, 5), (2, 1, 40), (3, 2, 17), (5, 3, 64), (8, 8, 300), (7, 4, 1)):
-        system = LtiSystem(A=rng.standard_normal((n, n)) * 0.6, B=rng.standard_normal((n, m)))
+    # the larger shapes block the BLAS products differently from n <= 8;
+    # n = 1 with m > 1 is a dot product, whose rounding follows the stride
+    shapes = (
+        (1, 1, 5), (2, 1, 40), (3, 2, 17), (5, 3, 64), (8, 8, 300), (1, 7, 33),
+        (20, 20, 200), (50, 5, 400), (200, 5, 100), (200, 200, 40), (7, 4, 1),
+    )
+    for n, m, steps in shapes:
+        # spectral radius about 0.6, so both products count in every state
+        A = rng.standard_normal((n, n)) * 0.6 / np.sqrt(n)
+        system = LtiSystem(A=A, B=rng.standard_normal((n, m)))
         x0 = rng.standard_normal(n)
         inputs = rng.standard_normal((steps, m))
         want = [x0]
@@ -87,6 +95,7 @@ def test_simulate_matches_step_loop():
             "generator": (u for u in inputs),
             "column vectors": inputs[:, :, None],
             "fortran order": np.asfortranarray(inputs),
+            "strided": np.repeat(inputs, 2, axis=0)[::2],
         }
         if m == 1:
             forms["1-d"] = inputs[:, 0]
