@@ -10,7 +10,7 @@ and the orthonormality makes the map an isometry: ||U|| = ||w||.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,48 +41,39 @@ def zero_sum_basis(h: int) -> np.ndarray:
     return basis
 
 
-def _block_sum(h: int, m: int) -> np.ndarray:
-    """R = [I_m  I_m ... I_m], h copies: the per-channel sum of one block."""
-    return np.tile(np.eye(m), (1, h))
-
-
 @dataclass(frozen=True, eq=False)
 class BlockScheme:
     """Charge-balance data for blocks of h steps on m input channels.
 
-    R is the m x (m*h) per-channel block-sum matrix [I_m ... I_m], exactly
-    (any other R raises ValueError), and Q is an (m*h) x (m*(h-1))
-    orthonormal basis of Ker(R). Any Q satisfying the invariants is
-    accepted, so recombined bases Q @ Theta (Theta orthogonal) can be used
-    interchangeably with the canonical one.
+    R is the m x (m*h) per-channel block-sum matrix [I_m ... I_m], derived
+    from h and m, and Q is an (m*h) x (m*(h-1)) orthonormal basis of
+    Ker(R). Any Q satisfying the invariants is accepted, so recombined
+    bases Q @ Theta (Theta orthogonal) can be used interchangeably with
+    the canonical one.
     """
 
     h: int
     m: int
-    R: np.ndarray
     Q: np.ndarray
+    R: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.h < 2:
             raise PreconditionError("charge balance needs at least two steps per block")
         if self.m < 1:
             raise PreconditionError(f"input dimension must be positive, got {self.m}")
-        R = np.array(self.R, dtype=float)
         Q = np.array(self.Q, dtype=float)
-        if R.shape != (self.m, self.m * self.h):
-            raise DimensionError(f"R must be {self.m} x {self.m * self.h}, got {R.shape}")
         if Q.shape != (self.m * self.h, self.m * (self.h - 1)):
             raise DimensionError(
                 f"Q must be {self.m * self.h} x {self.m * (self.h - 1)}, got {Q.shape}"
             )
-        if not np.array_equal(R, _block_sum(self.h, self.m)):
-            raise ValueError("R must be the per-channel block-sum matrix [I_m ... I_m]")
         gram = Q.T @ Q
         if np.abs(gram - np.eye(Q.shape[1])).max() > _BASIS_ATOL:
             raise ValueError("Q columns are not orthonormal")
         # R @ Q without the product: per channel, Q's rows summed over the h steps
         if np.abs(Q.reshape(self.h, self.m, -1).sum(axis=0)).max() > _BASIS_ATOL:
             raise ValueError("Q columns do not lie in the null space of R")
+        R = np.tile(np.eye(self.m), (1, self.h))
         R.setflags(write=False)
         Q.setflags(write=False)
         object.__setattr__(self, "R", R)
@@ -107,7 +98,7 @@ def build_scheme(h: int, m: int) -> BlockScheme:
     channels decoupled inside the basis.
     """
     Q = np.kron(zero_sum_basis(h), np.eye(m))
-    return BlockScheme(h=h, m=m, R=_block_sum(h, m), Q=Q)
+    return BlockScheme(h=h, m=m, Q=Q)
 
 
 def pack(U, scheme: BlockScheme, tol: Tolerances = DEFAULT) -> np.ndarray:

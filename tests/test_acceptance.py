@@ -292,7 +292,7 @@ def test_criterion_9_property_suite():
         system = random_system(rng, n, m)
         scheme = build_scheme(h, m)
         theta = random_orthogonal(rng, scheme.latent_dim)
-        recombined = BlockScheme(h=h, m=m, R=scheme.R, Q=scheme.Q @ theta)
+        recombined = BlockScheme(h=h, m=m, Q=scheme.Q @ theta)
         task = feasible_task(rng, system, scheme, b, "non-repetitive")
         plan_a = design_nonrepetitive(lift(system, scheme), task)
         plan_b = design_nonrepetitive(lift(system, recombined), task)

@@ -50,6 +50,9 @@ def test_scheme_h3_two_channels_matches_fixed_basis():
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_scheme_invariants(h, m):
     scheme = build_scheme(h, m)
+    # R is derived from h and m alone: [I_m ... I_m], read-only
+    assert np.array_equal(scheme.R, np.kron(np.ones((1, h)), np.eye(m)))
+    assert not scheme.R.flags.writeable
     assert np.abs(scheme.Q.T @ scheme.Q - np.eye(m * (h - 1))).max() <= 1e-12
     assert np.abs(scheme.R @ scheme.Q).max() <= 1e-12
     assert np.linalg.matrix_rank(scheme.Q) == m * (h - 1)
@@ -62,16 +65,6 @@ def test_scheme_rejects_short_blocks():
         build_scheme(3, 0)
 
 
-def test_scheme_rejects_other_constraint_matrices():
-    # pack reads R, verify_plan reads block sums: only [I_m ... I_m] keeps
-    # them in agreement, so every other m x mh matrix is refused
-    scheme = build_scheme(3, 2)
-    for R in (np.zeros((2, 6)), 2 * scheme.R, scheme.R[::-1]):
-        with pytest.raises(ValueError, match="block-sum matrix"):
-            BlockScheme(h=3, m=2, R=R, Q=scheme.Q)
-    assert np.array_equal(BlockScheme(h=3, m=2, R=scheme.R.tolist(), Q=scheme.Q).R, scheme.R)
-
-
 def test_scheme_rejects_bases_outside_the_kernel():
     # the kernel test reads block sums: turning one column slightly towards
     # a constant-charge block keeps Q orthonormal but puts net charge on
@@ -81,9 +74,9 @@ def test_scheme_rejects_bases_outside_the_kernel():
     tilted = scheme.Q.copy()
     tilted[:, 0] = np.cos(1e-6) * tilted[:, 0] + np.sin(1e-6) * charged
     with pytest.raises(ValueError, match="null space"):
-        BlockScheme(h=3, m=2, R=scheme.R, Q=tilted)
+        BlockScheme(h=3, m=2, Q=tilted)
     with pytest.raises(ValueError, match="orthonormal"):
-        BlockScheme(h=3, m=2, R=scheme.R, Q=2 * scheme.Q)
+        BlockScheme(h=3, m=2, Q=2 * scheme.Q)
 
 
 def test_pack_zero_block():
