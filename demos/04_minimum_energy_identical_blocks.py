@@ -17,6 +17,7 @@ from cbcontrol import (
     design_repetitive,
     h_sum,
     lift,
+    pack,
     verify_plan,
 )
 
@@ -32,11 +33,16 @@ def steer(system, h, b, x0, xf, label):
     print(f"== {label} (h = {h}, b = {b}) ==")
     for reason in verdict.reasons:
         print(f"    [{'x' if reason.holds else ' '}] {reason.name}")
-    gain = h_sum(lifted, b) @ lifted.Bbar
+    # one doubling gives the geometric sum H_b and the power Abar^b
+    total, power = h_sum(lifted, b)
+    gain = total @ lifted.Bbar
     print(f"rank of the geometric-sum map: {np.linalg.matrix_rank(gain)} "
           f"of {system.n}")
     block = plan.flat_inputs[:h]  # the first h steps; every block repeats them
     print(f"single repeated block: {np.round(block.ravel(), 6).tolist()}")
+    closed = power @ task.x0 + gain @ pack(block, scheme)
+    print(f"closed form Abar^b x0 + H_b Bbar w misses the target by "
+          f"{np.linalg.norm(closed - task.xf):.2e}")
     print(f"energy {plan.energy:.6f} (= b * ||w||^2), "
           f"terminal error {check.terminal_error:.2e}")
     print()

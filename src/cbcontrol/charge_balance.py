@@ -10,12 +10,13 @@ and the orthonormality makes the map an isometry: ||U|| = ||w||.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ChargeBalanceError, DimensionError, PreconditionError
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT, Tolerances, is_integer
 
 _BASIS_ATOL = 1e-12
 
@@ -41,6 +42,25 @@ def zero_sum_basis(h: int) -> np.ndarray:
     return basis
 
 
+def _locked(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of arr whose write flag cannot be set back.
+
+    numpy lets an array that owns its data be made writeable again, but
+    not a view of a read-only base; schemes are shared, so Q and R are
+    views.
+    """
+    base = np.array(arr, dtype=float)
+    base.setflags(write=False)
+    return base.view()
+
+
+def _require_block_shape(h, m):
+    if h < 2:
+        raise PreconditionError("charge balance needs at least two steps per block")
+    if m < 1:
+        raise PreconditionError(f"input dimension must be positive, got {m}")
+
+
 @dataclass(frozen=True, eq=False)
 class BlockScheme:
     """Charge-balance data for blocks of h steps on m input channels.
@@ -58,11 +78,8 @@ class BlockScheme:
     R: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.h < 2:
-            raise PreconditionError("charge balance needs at least two steps per block")
-        if self.m < 1:
-            raise PreconditionError(f"input dimension must be positive, got {self.m}")
-        Q = np.array(self.Q, dtype=float)
+        _require_block_shape(self.h, self.m)
+        Q = _locked(self.Q)
         if Q.shape != (self.m * self.h, self.m * (self.h - 1)):
             raise DimensionError(
                 f"Q must be {self.m * self.h} x {self.m * (self.h - 1)}, got {Q.shape}"
@@ -73,10 +90,7 @@ class BlockScheme:
         # R @ Q without the product: per channel, Q's rows summed over the h steps
         if np.abs(Q.reshape(self.h, self.m, -1).sum(axis=0)).max() > _BASIS_ATOL:
             raise ValueError("Q columns do not lie in the null space of R")
-        R = np.tile(np.eye(self.m), (1, self.h))
-        R.setflags(write=False)
-        Q.setflags(write=False)
-        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "R", _locked(np.tile(np.eye(self.m), (1, self.h))))
         object.__setattr__(self, "Q", Q)
 
     @property
@@ -96,9 +110,24 @@ def build_scheme(h: int, m: int) -> BlockScheme:
     For h = 2 the kernel basis is exactly [I_m; -I_m] / sqrt(2). For
     larger h it is V kron I_m with V = zero_sum_basis(h), which keeps the
     channels decoupled inside the basis.
+
+    Raises PreconditionError unless h >= 2 and m >= 1 are integers (numpy
+    integers count; bool and float do not). A scheme is immutable, with Q
+    and R locked read-only, so one object per (h, m) is built and checked
+    once and then shared by every caller in the process; the 128 most
+    recently used shapes are held.
     """
-    Q = np.kron(zero_sum_basis(h), np.eye(m))
-    return BlockScheme(h=h, m=m, Q=Q)
+    if not is_integer(h):
+        raise PreconditionError(f"block length must be an integer, got {h!r}")
+    if not is_integer(m):
+        raise PreconditionError(f"input dimension must be an integer, got {m!r}")
+    _require_block_shape(h, m)
+    return _shared_scheme(int(h), int(m))
+
+
+@functools.lru_cache
+def _shared_scheme(h: int, m: int) -> BlockScheme:
+    return BlockScheme(h=h, m=m, Q=np.kron(zero_sum_basis(h), np.eye(m)))
 
 
 def pack(U, scheme: BlockScheme, tol: Tolerances = DEFAULT) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line front end: analyze, design, sweep-h, and simulate (replay).
 
-Exit codes: 0 success, 2 problem-file parse error or bad flag value,
+Exit codes: 0 success, 2 problem-file parse error or bad flag value
+(including an --out path that cannot be created as a directory),
 3 unreachable target, 4 analysis precondition failure or float64 overflow,
 5 design wrote a plan that failed its own verification (every output file
 is still written).
@@ -95,6 +96,22 @@ def _strict(value):
     return value
 
 
+def _output_dir(out_dir) -> Path:
+    """The --out directory, created if missing.
+
+    A path that cannot be a directory (an existing file, say) is a bad
+    flag value: ProblemFormatError naming the path.
+    """
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ProblemFormatError(
+            f"cannot use --out {out_dir}: {exc.strerror or exc}"
+        ) from exc
+    return out_dir
+
+
 def _write_report(path: Path, report: dict):
     path.write_text(json.dumps(_strict(report), indent=2, allow_nan=False) + "\n")
 
@@ -144,9 +161,7 @@ def cmd_analyze(problem: Problem, out_dir=None) -> RunReport:
     _print_verdict(doc)
     manifest = []
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report_path = out_dir / "report.json"
+        report_path = _output_dir(out_dir) / "report.json"
         _write_report(report_path, {"verdict": doc})
         manifest.append(str(report_path))
     return RunReport(verdict=doc, manifest=tuple(manifest))
@@ -218,8 +233,7 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
     plan = design(lifted, task, tol)
     check = verify_plan(system, scheme, task, plan, tol)
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(out_dir)
     inputs_path = out_dir / "inputs.csv"
     states_path = out_dir / "states.csv"
     blocks_path = out_dir / "blocks.csv"
@@ -287,8 +301,7 @@ def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> RunReport:
             }
         )
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(out_dir)
     sweep_path = out_dir / "sweep.csv"
     write_csv(
         sweep_path,
@@ -315,8 +328,7 @@ def cmd_simulate(problem: Problem, inputs_path, out_dir) -> RunReport:
     system = problem.system
     inputs = read_inputs_csv(inputs_path, system.m)
     traj = simulate(system, problem.x0, inputs)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(out_dir)
     states_path = out_dir / "states.csv"
     _write_series(states_path, "x", traj.states)
     terminal_error = float(np.linalg.norm(traj.terminal - problem.xf))

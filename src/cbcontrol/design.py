@@ -100,12 +100,11 @@ def _require_regime(task: SteeringTask, expected: str):
         )
 
 
-def _displacement(lifted: LiftedSystem, task: SteeringTask) -> np.ndarray:
-    if task.x0.size != lifted.n:
-        raise DimensionError(
-            f"task states have length {task.x0.size}, system has {lifted.n}"
-        )
-    reach_b = np.linalg.matrix_power(lifted.Abar, task.b)
+def _displacement(task: SteeringTask, reach_b: np.ndarray) -> np.ndarray:
+    """d = x_f - Abar^b x_0, given reach_b = Abar^b."""
+    n = len(reach_b)
+    if task.x0.size != n:
+        raise DimensionError(f"task states have length {task.x0.size}, system has {n}")
     return task.xf - reach_b @ task.x0
 
 
@@ -145,7 +144,7 @@ def design_nonrepetitive(
     the Gramian rank.
     """
     _require_regime(task, NON_REPETITIVE)
-    d = _displacement(lifted, task)
+    d = _displacement(task, np.linalg.matrix_power(lifted.Abar, task.b))
     Rb = reachability_matrix(lifted, task.b)
     core = _solve_reachable(Rb @ Rb.T, d, tol, f"in {task.b} blocks", "Gramian rank", lifted.n)
     latents = (Rb.T @ core).reshape(task.b, -1)
@@ -157,12 +156,15 @@ def design_repetitive(
 ) -> ControlPlan:
     """Minimum-energy plan applying one identical block b times.
 
-    Solves H_b Bbar w = d in the minimum-norm sense; by the isometry of
-    the kernel basis the total energy is b * ||w||^2.
+    Solves H_b Bbar w = d in the minimum-norm sense, with
+    d = x_f - Abar^b x_0; one binary doubling (h_sum) gives both H_b and
+    Abar^b. By the isometry of the kernel basis the total energy is
+    b * ||w||^2.
     """
     _require_regime(task, REPETITIVE)
-    d = _displacement(lifted, task)
-    gain = h_sum(lifted, task.b) @ lifted.Bbar
+    total, reach_b = h_sum(lifted, task.b)
+    d = _displacement(task, reach_b)
+    gain = total @ lifted.Bbar
     w = _solve_reachable(gain, d, tol, "with identical blocks", "rank", lifted.n)
     return _plan(np.tile(unpack(w, lifted.scheme), task.b).reshape(-1, lifted.scheme.m))
 

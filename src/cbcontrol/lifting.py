@@ -7,9 +7,10 @@ and Bbar = S @ Q collects the effect of one stacked block through
 S = [A^(h-1) B, ..., A B, B].
 
 The identical-block design needs the geometric sum
-H_b = I + Abar + ... + Abar^(b-1). `h_sum` forms it by binary doubling,
-S_2k = S_k + Abar^k S_k and S_(2k+1) = I + Abar S_2k, in O(log b)
-dense products instead of b - 1.
+H_b = I + Abar + ... + Abar^(b-1) and the power Abar^b, since
+x[bh] = Abar^b x[0] + H_b Bbar w. `h_sum` forms both in one binary
+doubling, S_2k = S_k + Abar^k S_k and S_(2k+1) = I + Abar S_2k with the
+power carried alongside, in O(log b) dense products instead of b - 1.
 """
 
 from __future__ import annotations
@@ -79,28 +80,31 @@ def reachability_matrix(lifted: LiftedSystem, b: int) -> np.ndarray:
     return np.hstack(blocks[::-1])
 
 
-def h_sum(lifted: LiftedSystem, b: int) -> np.ndarray:
-    """Geometric matrix sum H_b = I + Abar + ... + Abar^(b-1).
+def h_sum(lifted: LiftedSystem, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric matrix sum H_b = I + Abar + ... + Abar^(b-1), and Abar^b.
 
-    Binary doubling over the bits of b, most significant first: from
-    S_k and Abar^k, S_2k = S_k + Abar^k S_k, and on a 1 bit
+    Returns the pair (H_b, Abar^b), so the identical-block state
+    x_b = Abar^b x_0 + H_b Bbar w needs no second powering. Binary
+    doubling over the bits of b, most significant first: from S_k and
+    Abar^k, S_2k = S_k + Abar^k S_k, and on a 1 bit
     S_(2k+1) = I + Abar S_2k, with the power carried alongside. That is
     O(log b) dense products instead of b - 1, in real arithmetic
     whatever the spectrum. Rounding is that of binary powering: within
     about 1e-13 relative of the b - 1 step Horner sum for normal Abar,
-    and growing with the condition number of Abar's eigenvectors.
+    and growing with the condition number of Abar's eigenvectors. The
+    power is formed most significant bit first, so its last digits can
+    differ from those of np.linalg.matrix_power, which multiplies its
+    squares least significant bit first.
     """
     b = require_integer("block horizon", b, 1)
     Abar = lifted.Abar
     eye = np.eye(lifted.n)
     total, power = eye, Abar
-    bits = bin(b)[3:]
-    for i, bit in enumerate(bits):
-        total = total + power @ total
+    for i, bit in enumerate(bin(b)[3:]):
+        # S_1 = I, so S_2 = I + Abar needs no product
+        total = total + (power if i == 0 else power @ total)
+        power = power @ power
         if bit == "1":
             total = eye + Abar @ total
-        if i + 1 < len(bits):  # the last power is never read
-            power = power @ power
-            if bit == "1":
-                power = power @ Abar
-    return total
+            power = power @ Abar
+    return total, power

@@ -65,6 +65,25 @@ def test_scheme_rejects_short_blocks():
         build_scheme(3, 0)
 
 
+def test_build_scheme_shares_one_locked_scheme_per_shape():
+    scheme = build_scheme(3, 2)
+    assert scheme is build_scheme(np.int64(3), np.int64(2))
+    assert build_scheme(2, 1) is build_scheme(2, 1)
+    assert build_scheme(2, 1) is not build_scheme(2, 2)
+    # the shared arrays cannot be made writeable again
+    for arr in (scheme.Q, scheme.R):
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+    # 3.0 == 3 and True == 1 hash alike, so a cache keyed on the raw
+    # arguments would answer them; they are refused on every call instead
+    build_scheme(2, 1)
+    for h, m in ((3.0, 2), (True, 2), (3, 2.0), (2, True), (np.float64(2), 1),
+                 (1, 2), (0, 1), (-2, 1), (3, 0), (2, -1)):
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                build_scheme(h, m)
+
+
 def test_scheme_rejects_bases_outside_the_kernel():
     # the kernel test reads block sums: turning one column slightly towards
     # a constant-charge block keeps Q orthonormal but puts net charge on

@@ -139,6 +139,22 @@ def test_main_exit_code_parse_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: need 2 <= h_min <= h_max")
         assert not out.exists()
 
+    # an --out that cannot be a directory is a bad flag value on every
+    # command: one stderr line naming the path, and the file is untouched
+    run = tmp_path / "run"
+    assert main(["design", "--problem", fixture, "--out", str(run)]) == 0
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    capsys.readouterr()
+    for command in (["analyze"], ["design"], ["sweep-h"],
+                    ["simulate", "--inputs", str(run / "inputs.csv")]):
+        for out in (taken, taken / "sub"):
+            assert main([*command, "--problem", fixture, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: cannot use --out")
+            assert str(out) in err
+    assert taken.read_text() == "kept\n"
+
 
 def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
     import cbcontrol.cli as cli

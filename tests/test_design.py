@@ -313,7 +313,7 @@ def _per_block_reference(lifted, task):
     scheme, b = lifted.scheme, task.b
     d = task.xf - np.linalg.matrix_power(lifted.Abar, b) @ task.x0
     if task.regime == "repetitive":
-        w, *_ = min_norm_solve(h_sum(lifted, b) @ lifted.Bbar, d)
+        w, *_ = min_norm_solve(h_sum(lifted, b)[0] @ lifted.Bbar, d)
         latents = [w] * b
     else:
         Rb = reachability_matrix(lifted, b)

@@ -8,15 +8,20 @@ from cbcontrol import (
     LiftedSystem,
     LtiSystem,
     PreconditionError,
+    SteeringTask,
     build_scheme,
+    design_repetitive,
     h_sum,
     lift,
     reachability_matrix,
     simulate,
     unpack,
+    verify_plan,
 )
 
-from helpers import expander_system, random_orthogonal, random_system, rotation_system
+from helpers import (
+    expander_system, feasible_task, random_orthogonal, random_system, rotation_system,
+)
 
 
 def test_lift_rotation_h2_closed_form():
@@ -133,13 +138,18 @@ def _real_spectrum(rng, n, rho):
 
 def test_h_sum_trivial_cases():
     lifted = lift(expander_system(), build_scheme(2, 2))
-    assert np.array_equal(h_sum(lifted, 1), np.eye(2))
+    total, power = h_sum(lifted, 1)
+    assert np.array_equal(total, np.eye(2))
+    assert np.array_equal(power, lifted.Abar)
     identity = lift(LtiSystem(A=np.eye(3), B=np.ones((3, 1))), build_scheme(2, 1))
     zero = _lifted_with(np.zeros((3, 3)))
     for b in HORIZONS + (2**20,):  # exact in float64
-        assert np.array_equal(h_sum(identity, b), b * np.eye(3))
-        assert np.array_equal(h_sum(zero, b), np.eye(3))
-    # integer nilpotent Abar: H_b = I + N + ... + N^(min(b, 4) - 1), exactly
+        assert np.array_equal(h_sum(identity, b)[0], b * np.eye(3))
+        assert np.array_equal(h_sum(identity, b)[1], np.eye(3))
+        assert np.array_equal(h_sum(zero, b)[0], np.eye(3))
+        assert np.array_equal(h_sum(zero, b)[1], np.zeros((3, 3)))
+    # integer nilpotent Abar: H_b = I + N + ... + N^(min(b, 4) - 1) and
+    # N^b, exactly
     N = np.array([[0, 2, -1, 3], [0, 0, 4, -2], [0, 0, 0, 5], [0, 0, 0, 0]])
     nilpotent = _lifted_with(N.astype(float))
     for b in HORIZONS:
@@ -148,12 +158,20 @@ def test_h_sum_trivial_cases():
         for _ in range(min(b, 4) - 1):
             power = power @ N
             exact = exact + power
-        assert np.array_equal(h_sum(nilpotent, b), exact)
+        total, got_power = h_sum(nilpotent, b)
+        assert np.array_equal(total, exact)
+        assert np.array_equal(got_power, np.linalg.matrix_power(N, min(b, 4)))
+    # dyadic diagonal Abar: every power is a signed power of two, exactly
+    exponents, signs = np.array([1, -1, -2, 0]), np.array([1.0, -1.0, 1.0, -1.0])
+    dyadic = _lifted_with(np.diag(signs * np.ldexp(1.0, exponents)))
+    for b in HORIZONS:
+        exact = np.diag(signs**b * np.ldexp(1.0, exponents * b))
+        assert np.array_equal(h_sum(dyadic, b)[1], exact)
 
 
 def test_h_sum_expander_full_rank_map():
     lifted = lift(expander_system(), build_scheme(2, 2))
-    gain = h_sum(lifted, 10) @ lifted.Bbar
+    gain = h_sum(lifted, 10)[0] @ lifted.Bbar
     assert np.linalg.matrix_rank(gain) == 2
 
 
@@ -164,25 +182,33 @@ def test_h_sum_matches_power_series():
         lifted = lift(system, build_scheme(3, 1))
         b = int(rng.integers(1, 7))
         explicit = sum(np.linalg.matrix_power(lifted.Abar, i) for i in range(b))
-        got = h_sum(lifted, b)
+        got, _ = h_sum(lifted, b)
         assert np.abs(got - explicit).max() <= 1e-10 * max(1.0, np.abs(explicit).max())
 
 
 def test_h_sum_doubling_matches_horner():
     rng = np.random.default_rng(37)
-    worst = 0.0
+    worst = worst_power = 0.0
     for rho in (0.9, 1.1, 1.5):
         for n in (1, 2, 5, 17, 50):
             basis = random_orthogonal(rng, n)
             dense = rng.standard_normal((n, n))  # mostly complex pairs
             dense *= rho / max(np.abs(np.linalg.eigvals(dense)))
-            for Abar in (basis @ _real_spectrum(rng, n, rho) @ basis.T, dense):
+            symmetric = basis @ _real_spectrum(rng, n, rho) @ basis.T
+            for Abar in (symmetric, dense):
                 lifted = _lifted_with(Abar)
                 for b in HORIZONS:
                     ref = _horner_h_sum(lifted.Abar, b)
-                    err = np.linalg.norm(h_sum(lifted, b) - ref) / np.linalg.norm(ref)
+                    err = np.linalg.norm(h_sum(lifted, b)[0] - ref) / np.linalg.norm(ref)
                     worst = max(worst, err)
+            # the power from the doubling, against numpy's binary powering
+            lifted = _lifted_with(symmetric)
+            for b in range(1, 301):
+                ref = np.linalg.matrix_power(symmetric, b)
+                err = np.linalg.norm(h_sum(lifted, b)[1] - ref) / np.linalg.norm(ref)
+                worst_power = max(worst_power, err)
     assert worst <= 1e-12
+    assert worst_power <= 1e-12
 
 
 def test_h_sum_non_normal_as_accurate_as_squaring():
@@ -197,19 +223,23 @@ def test_h_sum_non_normal_as_accurate_as_squaring():
             lifted = _lifted_with(basis @ _real_spectrum(rng, n, rho) @ np.linalg.inv(basis))
             for b in HORIZONS:
                 ref = _horner_h_sum(lifted.Abar, b)
-                err = np.linalg.norm(h_sum(lifted, b) - ref) / np.linalg.norm(ref)
+                total, doubled = h_sum(lifted, b)
+                err = np.linalg.norm(total - ref) / np.linalg.norm(ref)
                 power = np.eye(n)
                 for _ in range(b):
                     power = power @ lifted.Abar
                 squaring = np.linalg.matrix_power(lifted.Abar, b)
                 power_err = np.linalg.norm(squaring - power) / np.linalg.norm(power)
                 assert err <= 1e-12 + 100.0 * power_err, (rho, n, b, err, power_err)
+                # the doubling's own Abar^b drifts no further
+                doubled_err = np.linalg.norm(doubled - power) / np.linalg.norm(power)
+                assert doubled_err <= 1e-12 + 100.0 * power_err, (rho, n, b, doubled_err)
 
 
 def test_h_sum_long_horizon_closed_form():
     lam = np.array([0.5, -0.25])
     b = 2**20
-    got = h_sum(_lifted_with(np.diag(lam)), b)
+    got, _ = h_sum(_lifted_with(np.diag(lam)), b)
     assert np.abs(np.diag(got) - (1.0 - lam**b) / (1.0 - lam)).max() <= 1e-15
     assert not got[0, 1] and not got[1, 0]
 
@@ -257,9 +287,35 @@ def test_repetitive_closed_form():
         x = x0.copy()
         for _ in range(b):
             x = lifted.Abar @ x + lifted.Bbar @ w
-        closed = np.linalg.matrix_power(lifted.Abar, b) @ x0 + h_sum(lifted, b) @ lifted.Bbar @ w
+        total, power = h_sum(lifted, b)
+        closed = power @ x0 + total @ lifted.Bbar @ w
         scale = max(1.0, np.abs(closed).max())
         assert np.abs(x - closed).max() <= 1e-11 * scale
+
+
+def test_design_repetitive_takes_the_power_from_h_sum(monkeypatch):
+    # d = xf - Abar^b x0 reads the power the doubling carries; numpy's
+    # binary powering is not called a second time
+    rng = np.random.default_rng(39)
+    system = random_system(rng, 4, 2, radius=1.1)
+    scheme = build_scheme(3, 2)
+    lifted = lift(system, scheme)
+    task = feasible_task(rng, system, scheme, 9, "repetitive")
+    calls = []
+    original = np.linalg.matrix_power
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counting)
+    plan = design_repetitive(lifted, task)
+    assert calls == []
+    monkeypatch.undo()
+    assert verify_plan(system, scheme, task, plan).passed
+    with pytest.raises(DimensionError):
+        design_repetitive(lifted, SteeringTask(x0=np.zeros(3), xf=np.zeros(3), b=9,
+                                               regime="repetitive"))
 
 
 def test_horizon_validation():
