@@ -72,9 +72,10 @@ class ControllabilityVerdict:
     ``conditions`` equals ``controllable``. ``reasons`` lists every
     condition that was evaluated with its truth value.
     ``numeric_rank`` and ``singular_values`` describe the rank test that
-    decided: the PBH pencil with the smallest last singular value when
-    the non-repetitive conditions decide, the n-block Gramian when its
-    fallback does, and B (h = 2) or Bbar (h > 2) in the repetitive regime.
+    decided: the PBH pencil at the eigenvalue with the smallest modal
+    value (one SVD, cached on the system) when the non-repetitive
+    conditions decide, the n-block Gramian when its fallback does, and
+    B (h = 2) or Bbar (h > 2) in the repetitive regime.
     """
 
     mode: str
@@ -100,9 +101,9 @@ def _spectral_scale(eigs: np.ndarray) -> float:
 
 
 def _pairwise_distinct(eigs: np.ndarray, tol: Tolerances) -> bool:
-    gap = tol.eig_sep * _spectral_scale(eigs)
-    upper = np.triu_indices(eigs.size, 1)
-    return not np.any(np.abs(eigs[:, None] - eigs[None, :])[upper] <= gap)
+    gaps = np.abs(np.subtract.outer(eigs, eigs))
+    gaps.reshape(-1)[:: eigs.size + 1] = np.inf
+    return not (gaps <= tol.eig_sep * _spectral_scale(eigs)).any()
 
 
 def _has_unit_eigenvalue(eigs: np.ndarray, tol: Tolerances) -> bool:
@@ -121,14 +122,23 @@ def _require_blocks(h, b=1) -> tuple[int, int]:
 def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
     """PBH test: rank [lambda I - A, B] = n for every eigenvalue lambda.
 
-    Reads the pencil singular values cached on the system, so every PBH
-    test of one system shares one pencil sweep. On failure, returns the
-    first offending eigenvalue and a unit left eigenvector phi whose
-    product phi^T B is numerically zero.
+    The modal screen cached on the system decides each eigenvalue whose
+    left eigenvector phi puts ||phi^T B|| clearly on one side of the
+    pencil's rank cutoff; only the rest (clusters, ill-conditioned
+    eigenvectors, values near the cutoff) take their own pencil SVD,
+    also cached. On failure, returns the first offending eigenvalue and
+    a unit left eigenvector phi whose product phi^T B is numerically zero.
     """
     n = system.n
-    ranks = _rank(system.pencil_singular_values, (n, n + system.m), tol)
-    failing = np.flatnonzero(ranks < n)
+    shape = (n, n + system.m)
+    cutoff = tol.rank_cutoff(shape)
+    _, holds_below, fails_from = system.modal_screen
+    if cutoff < holds_below.min(initial=np.inf):  # the common case: every eigenvalue passes
+        return PbhResult(True)
+    fails = cutoff >= fails_from
+    for k in np.flatnonzero(~(fails | (cutoff < holds_below))).tolist():
+        fails[k] = _rank(system.pencil_svals(k), shape, tol) < n
+    failing = np.flatnonzero(fails)
     if not failing.size:
         return PbhResult(True)
     # witness from the left null space of the pencil, so it pairs the
@@ -187,9 +197,8 @@ def check_nonrepetitive_sufficient(
         )
     else:
         conditions = verdict = "yes" if necessary else "no"
-        # the PBH pencil closest to rank loss, from the cached sweep
-        pencils = system.pencil_singular_values
-        svals = pencils[np.argmin(pencils[:, -1])]
+        # the PBH pencil at the smallest modal value, cached on the system
+        svals = system.pencil_svals(int(np.argmin(system.modal_screen[0])))
         rank = _rank(svals, (n, n + system.m), tol)
         last = _NECESSARY_FAILED if not necessary else ConditionCheck(
             "sufficient conditions hold", True, f"smallest PBH pencil rank {rank} of {n}"
@@ -211,14 +220,14 @@ def unit_ratio_orders(system: LtiSystem, tol: Tolerances = DEFAULT) -> list[Rati
     spectrum of A^h.
     """
     eigs = system.eigenvalues
-    i, j = np.triu_indices(eigs.size, 1)
-    # screen every pair at once: both moduli clear of zero, ratio on the unit circle
-    moduli = np.abs(eigs)
-    nonzero = np.minimum(moduli[i], moduli[j]) > tol.eig_sep * _spectral_scale(eigs)
-    i, j = i[nonzero], j[nonzero]
-    ratio = eigs[i] / eigs[j]
-    on_circle = np.abs(np.abs(ratio) - 1.0) <= tol.unit_modulus
-    i, j, ratio = i[on_circle], j[on_circle], ratio[on_circle]
+    # screen every pair i < j at once: both moduli clear of zero, ratio on the unit circle
+    nonzero = np.abs(eigs) > tol.eig_sep * _spectral_scale(eigs)
+    with np.errstate(all="ignore"):
+        ratios = np.divide.outer(eigs, eigs)
+    on_circle = np.abs(np.abs(ratios) - 1.0) <= tol.unit_modulus
+    i, j = np.nonzero(np.logical_and.outer(nonzero, nonzero) & on_circle)
+    i, j = i[i < j], j[i < j]
+    ratio = ratios[i, j]
     found: list[RatioOrder] = []
     # the power search runs on Python complex scalars: the candidates are
     # few (about one per conjugate pair), and per-call numpy overhead on

@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 problem-file parse error or bad flag value
 (including an --out path that cannot be created as a directory),
 3 unreachable target, 4 analysis precondition failure or float64 overflow,
 5 design wrote a plan that failed its own verification (every output file
-is still written).
+is still written). design and sweep-h create --out before they analyze,
+so an unusable --out exits 2 without designing, and a design that exits
+3 or 4 writes nothing into it (a new directory stays empty).
 report.json is strict JSON: a non-finite number is written as null.
 
 main() builds its argument parser once per process, on the first call, and
@@ -215,8 +217,10 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
 
     Refuses to design when the analysis verdict is "no". Writes
     inputs.csv, states.csv, blocks.csv, report.json, and (optionally)
-    plot.gp into the output directory.
+    plot.gp into the output directory, which is created before any
+    analysis, so an unusable --out fails first.
     """
+    out_dir = _output_dir(out_dir)
     h, verdict, verdict_doc = _analyze(problem)
     if verdict.controllable == "no":
         failing = "; ".join(r.name for r in verdict.reasons if not r.holds)
@@ -233,7 +237,6 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
     plan = design(lifted, task, tol)
     check = verify_plan(system, scheme, task, plan, tol)
 
-    out_dir = _output_dir(out_dir)
     inputs_path = out_dir / "inputs.csv"
     states_path = out_dir / "states.csv"
     blocks_path = out_dir / "blocks.csv"
@@ -277,6 +280,7 @@ def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> RunReport:
         raise ProblemFormatError(f"need 2 <= h_min <= h_max, got [{h_min}, {h_max}]")
     if problem.regime != NON_REPETITIVE:
         raise PreconditionError("sweep-h applies to the non-repetitive regime only")
+    out_dir = _output_dir(out_dir)
     system, tol = problem.system, problem.tolerances
     rows = []
     for h in range(h_min, h_max + 1):
@@ -301,7 +305,6 @@ def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> RunReport:
             }
         )
 
-    out_dir = _output_dir(out_dir)
     sweep_path = out_dir / "sweep.csv"
     write_csv(
         sweep_path,

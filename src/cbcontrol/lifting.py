@@ -42,16 +42,8 @@ class LiftedSystem:
             object.__setattr__(self, name, arr)
 
     @property
-    def h(self) -> int:
-        return self.scheme.h
-
-    @property
     def n(self) -> int:
         return self.system.n
-
-    @property
-    def latent_dim(self) -> int:
-        return self.scheme.latent_dim
 
 
 def lift(system: LtiSystem, scheme: BlockScheme) -> LiftedSystem:

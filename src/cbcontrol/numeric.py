@@ -8,16 +8,10 @@ from .errors import AnalysisError
 from .tolerances import DEFAULT, Tolerances
 
 
-def _rank(svals: np.ndarray, shape, tol: Tolerances, floor: float = 0.0):
-    """Count of descending singular values above the cutoff.
-
-    ``svals`` is one row (an int is returned) or a stack of rows from
-    matrices of one ``shape`` (an array with one rank per row).
-    """
-    top = svals[..., :1] if svals.shape[-1] else 0.0
-    above = svals > tol.rank_cutoff(shape) * np.maximum(top, floor)
-    # count_nonzero without an axis is the fast path for the common single row
-    return int(np.count_nonzero(above)) if svals.ndim == 1 else np.count_nonzero(above, axis=-1)
+def _rank(svals: np.ndarray, shape, tol: Tolerances, floor: float = 0.0) -> int:
+    """Count of descending singular values above the cutoff."""
+    top = svals[0] if svals.size else 0.0
+    return int(np.count_nonzero(svals > tol.rank_cutoff(shape) * max(top, floor)))
 
 
 def numeric_rank(matrix, tol: Tolerances = DEFAULT, floor: float = 0.0):

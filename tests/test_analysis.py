@@ -412,13 +412,13 @@ def test_bundled_verdicts_decide_without_warnings():
 
 def test_one_eigen_solve_per_system(monkeypatch):
     calls = []
-    original = np.linalg.eigvals
+    original = np.linalg.eig
 
     def counting(matrix):
         calls.append(matrix.shape)
         return original(matrix)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    monkeypatch.setattr(np.linalg, "eig", counting)
     system = expander_system()
     h = select_h(system)
     check_nonrepetitive_sufficient(system, h)
@@ -571,7 +571,7 @@ def test_pbh_matches_per_eigenvalue_pencil_loop():
     assert failures
 
 
-def test_one_pbh_sweep_per_system(monkeypatch):
+def test_one_pencil_svd_per_well_conditioned_system(monkeypatch):
     calls = []
     original = np.linalg.svd
 
@@ -582,7 +582,7 @@ def test_one_pbh_sweep_per_system(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     rng = np.random.default_rng(45)
     mixed = random_system(rng, 7, 2)
-    assert np.any(mixed.eigenvalues.imag > 0)  # a conjugate pair shares one SVD
+    assert np.any(mixed.eigenvalues.imag > 0)
     # n + m is odd, so no lifted or reachability object shares the pencil shape
     for system in (mixed, random_real_simple_system(rng, 5, 2)):
         calls.clear()
@@ -591,7 +591,108 @@ def test_one_pbh_sweep_per_system(monkeypatch):
         check_repetitive_sufficient(system, 4)
         check_real_spectrum_shortcut(system)
         check_nonrepetitive_sufficient(system, h + 1)
-        eigs = system.eigenvalues
-        sweeps = np.count_nonzero(eigs.imag == 0) + np.count_nonzero(eigs.imag > 0)
-        assert calls.count((system.n, system.n + system.m)) == sweeps
-        assert not system.pencil_singular_values.flags.writeable
+        # the modal screen decides every eigenvalue; the one pencil SVD is
+        # the verdict's reported singular values, cached for the second call
+        assert calls.count((system.n, system.n + system.m)) == 1
+        assert not system.modal_screen[0].flags.writeable
+
+
+def _parity_slacks():
+    """The rank slacks of test_pbh_matches_per_eigenvalue_pencil_loop."""
+    rng = np.random.default_rng(44)
+    return [DEFAULT.rank_slack, 1.0, 1e8, *(10.0 ** rng.uniform(0.0, 8.0, size=3))]
+
+
+def _non_normal_plant(rng):
+    """Gaussian eigenvectors with condition number up to 1e4, real spectrum."""
+    n = int(rng.integers(2, 7))
+    u, _, vt = np.linalg.svd(rng.standard_normal((n, n)))
+    V = u @ np.diag(np.logspace(0.0, -rng.uniform(0.0, 4.0), n)) @ vt
+    A = V @ np.diag(rng.uniform(-2.0, 2.0, n)) @ np.linalg.inv(V)
+    return LtiSystem(A=A, B=rng.standard_normal((n, int(rng.integers(1, 3)))))
+
+
+def _near_repeated_plant(rng):
+    """Eigenvalues within 1e-14 to 1e-6 of each other, orthogonal eigenvectors."""
+    n = int(rng.integers(2, 6))
+    spread = 10.0 ** rng.uniform(-14.0, -6.0)
+    eigs = rng.uniform(-1.5, 1.5) + spread * rng.standard_normal(n)
+    basis = random_orthogonal(rng, n)
+    B = rng.standard_normal((n, int(rng.integers(1, 3))))
+    return LtiSystem(A=basis @ np.diag(eigs) @ basis.T, B=B)
+
+
+def _jordan_plant(rng):
+    """One Jordan block: a defective A, reached through its last state or a random B."""
+    n = int(rng.integers(2, 5))
+    A = rng.uniform(-1.5, 1.5) * np.eye(n) + np.eye(n, k=1)
+    B = rng.standard_normal((n, 1))
+    if rng.random() < 0.5:
+        B = np.eye(n)[:, -1:]
+    return LtiSystem(A=A, B=B)
+
+
+def test_modal_screen_brackets_each_pencil_ratio():
+    # the screen's thresholds bound the computed sigma_n / sigma_1 of every
+    # pencil, so a cutoff on either side of them decides like the SVD does
+    rng = np.random.default_rng(47)
+    makers = (_non_normal_plant, _near_repeated_plant, _jordan_plant, _rotation_mix)
+    for trial in range(400):
+        system = makers[trial % 4](rng)
+        if trial % 8 == 7:
+            system = LtiSystem(A=system.A * 10.0 ** rng.uniform(-6, 6), B=system.B)
+        _, holds_below, fails_from = system.modal_screen
+        for k in range(system.n):
+            svals = system.pencil_svals(k)
+            ratio = svals[-1] / svals[0]
+            assert not holds_below[k] >= ratio, (trial, k)
+            assert not fails_from[k] < ratio, (trial, k)
+
+
+def test_pbh_fallback_matches_pencil_loop_on_hard_families(monkeypatch):
+    fallback = []
+    original = np.linalg.svd
+
+    def counting(matrix, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:
+            fallback.append(np.shape(matrix))
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = np.random.default_rng(48)
+    identity = load_problem(bundled_problem("identity_2d")).system
+    families = {
+        "non-normal": [_non_normal_plant(rng) for _ in range(30)],
+        "near-repeated": [_near_repeated_plant(rng) for _ in range(30)],
+        "jordan": [_jordan_plant(rng) for _ in range(30)],
+        "identity_2d": [identity],
+    }
+    for name, systems in families.items():
+        ran = 0
+        for system in systems:
+            for slack in _parity_slacks():
+                tol = DEFAULT.with_overrides(rank_slack=float(slack))
+                before = len(fallback)
+                got = pbh_controllable(system, tol)
+                ran += len(fallback) - before
+                controllable, eigenvalue, phi = _pbh_pencil_loop(system, tol)
+                assert got.controllable == controllable, name
+                assert got.eigenvalue == eigenvalue, name
+                if phi is not None:
+                    assert np.array_equal(got.left_eigenvector, phi), name
+        assert ran, name  # some eigenvalue of the family took its pencil SVD
+
+
+def test_repeated_eigenvalue_verdicts_decide_without_warnings():
+    systems = [
+        load_problem(bundled_problem("identity_2d")).system,
+        LtiSystem(A=np.diag([2.0, 2.0]), B=[[1.0], [0.0]]),
+        LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]]),
+        LtiSystem(A=np.zeros((3, 3)), B=np.zeros((3, 1))),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for system in systems:
+            check_nonrepetitive_sufficient(system, 2)
+            check_repetitive_sufficient(system, 3)
+            pbh_controllable(system)

@@ -156,6 +156,42 @@ def test_main_exit_code_parse_error(tmp_path, capsys):
     assert taken.read_text() == "kept\n"
 
 
+def test_unusable_out_fails_before_any_design(tmp_path, monkeypatch, capsys):
+    import cbcontrol.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("designed despite an unusable --out")
+
+    monkeypatch.setattr(cli, "design_nonrepetitive", refuse)
+    monkeypatch.setattr(cli, "design_repetitive", refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    fixture = str(bundled_problem("rotation_2d"))
+    for command in (["design"], ["sweep-h"]):
+        assert main([*command, "--problem", fixture, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: cannot use --out")
+    assert taken.read_text() == "kept\n"
+
+    # the directory comes first, so a design refused by its verdict leaves it empty
+    run = tmp_path / "run"
+    identity = str(bundled_problem("identity_2d"))
+    assert main(["design", "--problem", identity, "--out", str(run)]) == 4
+    assert run.is_dir() and not any(run.iterdir())
+
+
+def test_eigensolver_failure_exits_4(monkeypatch, capsys):
+    def diverge(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", diverge)
+    assert main(["analyze", "--problem", str(bundled_problem("rotation_2d"))]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: eigensolver failed to converge (condition estimate")
+    assert captured.out == ""
+
+
 def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
     import cbcontrol.cli as cli
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cbcontrol import DimensionError, LtiSystem, Trajectory, build_scheme, lift, simulate
+from cbcontrol import (
+    AnalysisError, DimensionError, LtiSystem, Trajectory, build_scheme, lift, simulate,
+)
 
 from helpers import rotation_system
 
@@ -133,6 +135,16 @@ def test_system_validation():
         LtiSystem(A=np.eye(2), B=np.zeros((3, 1)))
     with pytest.raises(ValueError):
         LtiSystem(A=[[np.nan, 0.0], [0.0, 1.0]], B=[[1.0], [0.0]])
+
+
+def test_eigensolver_failure_raises_analysis_error(monkeypatch):
+    def diverge(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", diverge)
+    system = LtiSystem(A=[[2.0, 1.0], [0.0, 0.5]], B=np.eye(2))
+    with pytest.raises(AnalysisError, match=r"failed to converge \(condition estimate \d"):
+        system.eigenvalues
 
 
 def lifted_power(system, h):
