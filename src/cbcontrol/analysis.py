@@ -35,7 +35,7 @@ from .design import NON_REPETITIVE, REPETITIVE
 from .errors import PreconditionError
 from .lifting import lift, reachability_matrix
 from .numeric import _rank, numeric_rank
-from .system import LtiSystem
+from .system import LtiSystem, _frozen_array
 from .tolerances import DEFAULT, Tolerances, require_integer
 
 
@@ -72,9 +72,10 @@ class ControllabilityVerdict:
     ``conditions`` equals ``controllable``. ``reasons`` lists every
     condition that was evaluated with its truth value.
     ``numeric_rank`` and ``singular_values`` describe the rank test that
-    decided: the PBH pencil at the eigenvalue with the smallest modal
-    value (one SVD, cached on the system) when the non-repetitive
-    conditions decide, the n-block Gramian when its fallback does, and
+    decided. When the non-repetitive conditions decide, they are n and the
+    modal values ||w B|| / ||w||, descending, if the modal screen alone
+    passed PBH, else the PBH pencil at the smallest modal value (one SVD,
+    cached on the system); the n-block Gramian when its fallback decides;
     B (h = 2) or Bbar (h > 2) in the repetitive regime.
     """
 
@@ -96,8 +97,7 @@ class RatioOrder:
 
 
 def _spectral_scale(eigs: np.ndarray) -> float:
-    radius = float(np.abs(eigs).max()) if eigs.size else 0.0
-    return max(radius, 1.0)
+    return float(np.maximum.reduce(np.abs(eigs), initial=1.0))  # the spectral radius, at least 1
 
 
 def _pairwise_distinct(eigs: np.ndarray, tol: Tolerances) -> bool:
@@ -119,22 +119,36 @@ def _require_blocks(h, b=1) -> tuple[int, int]:
     return require_integer("block length", h, 2), require_integer("block horizon", b, 1)
 
 
+def _screen_clears(system: LtiSystem, tol: Tolerances) -> bool:
+    """True when the modal screen alone passes every eigenvalue, with no pencil SVD."""
+    cutoff = tol.rank_cutoff((system.n, system.n + system.m))
+    return bool(cutoff < system.modal_screen[1].min(initial=np.inf))
+
+
 def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
     """PBH test: rank [lambda I - A, B] = n for every eigenvalue lambda.
 
-    The modal screen cached on the system decides each eigenvalue whose
-    left eigenvector phi puts ||phi^T B|| clearly on one side of the
-    pencil's rank cutoff; only the rest (clusters, ill-conditioned
-    eigenvectors, values near the cutoff) take their own pencil SVD,
-    also cached. On failure, returns the first offending eigenvalue and
-    a unit left eigenvector phi whose product phi^T B is numerically zero.
+    Decided once per system and Tolerances, and cached on the system. The
+    modal screen decides each eigenvalue whose left eigenvector phi puts
+    ||phi^T B|| clearly on one side of the pencil's rank cutoff; only the
+    rest (clusters, ill-conditioned eigenvectors, values near the cutoff)
+    take their own pencil SVD, also cached. On failure, returns the first
+    offending eigenvalue and a locked unit left eigenvector phi whose
+    product phi^T B is numerically zero.
     """
+    result = system._pbh.get(tol)
+    if result is None:
+        result = system._pbh[tol] = _decide_pbh(system, tol)
+    return result
+
+
+def _decide_pbh(system: LtiSystem, tol: Tolerances) -> PbhResult:
+    if _screen_clears(system, tol):  # the common case: every eigenvalue passes
+        return PbhResult(True)
     n = system.n
     shape = (n, n + system.m)
     cutoff = tol.rank_cutoff(shape)
     _, holds_below, fails_from = system.modal_screen
-    if cutoff < holds_below.min(initial=np.inf):  # the common case: every eigenvalue passes
-        return PbhResult(True)
     fails = cutoff >= fails_from
     for k in np.flatnonzero(~(fails | (cutoff < holds_below))).tolist():
         fails[k] = _rank(system.pencil_svals(k), shape, tol) < n
@@ -147,7 +161,7 @@ def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
     pencil = np.hstack([lam * np.eye(n) - system.A.astype(complex), system.B])
     u, _, _ = np.linalg.svd(pencil)
     phi = np.conj(u[:, -1])
-    return PbhResult(False, complex(lam), phi / np.linalg.norm(phi))
+    return PbhResult(False, complex(lam), _frozen_array(phi / np.linalg.norm(phi), complex))
 
 
 def _necessary_conditions(system: LtiSystem, tol: Tolerances) -> tuple[list, bool]:
@@ -197,9 +211,11 @@ def check_nonrepetitive_sufficient(
         )
     else:
         conditions = verdict = "yes" if necessary else "no"
-        # the PBH pencil at the smallest modal value, cached on the system
-        svals = system.pencil_svals(int(np.argmin(system.modal_screen[0])))
-        rank = _rank(svals, (n, n + system.m), tol)
+        if _screen_clears(system, tol):  # every pencil has full rank: report the modal values
+            rank, svals = n, np.sort(system.modal_screen[0])[::-1]
+        else:  # the PBH pencil at the smallest modal value, cached on the system
+            svals = system.pencil_svals(int(np.argmin(system.modal_screen[0])))
+            rank = _rank(svals, (n, n + system.m), tol)
         last = _NECESSARY_FAILED if not necessary else ConditionCheck(
             "sufficient conditions hold", True, f"smallest PBH pencil rank {rank} of {n}"
         )
@@ -220,26 +236,19 @@ def unit_ratio_orders(system: LtiSystem, tol: Tolerances = DEFAULT) -> list[Rati
     spectrum of A^h.
     """
     eigs = system.eigenvalues
-    # screen every pair i < j at once: both moduli clear of zero, ratio on the unit circle
-    nonzero = np.abs(eigs) > tol.eig_sep * _spectral_scale(eigs)
-    with np.errstate(all="ignore"):
-        ratios = np.divide.outer(eigs, eigs)
-    on_circle = np.abs(np.abs(ratios) - 1.0) <= tol.unit_modulus
-    i, j = np.nonzero(np.logical_and.outer(nonzero, nonzero) & on_circle)
+    # pairs i < j of moduli clear of zero (no ratio overflows), ratio on the unit circle
+    keep = (np.abs(eigs) > tol.eig_sep * _spectral_scale(eigs)).nonzero()[0]
+    ratios = np.divide.outer(eigs[keep], eigs[keep])
+    i, j = np.nonzero(np.abs(np.abs(ratios) - 1.0) <= tol.unit_modulus)
     i, j = i[i < j], j[i < j]
-    ratio = ratios[i, j]
-    found: list[RatioOrder] = []
-    # the power search runs on Python complex scalars: the candidates are
-    # few (about one per conjugate pair), and per-call numpy overhead on
-    # such short arrays costs more than the scalar loop
-    for p, q, r in zip(i.tolist(), j.tolist(), ratio.tolist()):
-        rk = r
-        for k in range(1, tol.max_order + 1):
-            if abs(rk - 1.0) <= tol.root_of_unity:
-                found.append(RatioOrder(i=p, j=q, order=k))
-                break
-            rk *= r
-    return found
+    if not i.size:
+        return []
+    # r^k, k = 1..max_order, down each column by a scalar loop's products r^(k-1) * r
+    powers = np.multiply.accumulate(np.full((tol.max_order, i.size), ratios[i, j]))
+    hits = abs(powers - 1.0) <= tol.root_of_unity
+    first = hits.argmax(axis=0).tolist()  # 0 for order 1 and for no order alike
+    return [RatioOrder(i=p, j=q, order=k + 1) for p, q, k, one in zip(
+        keep[i].tolist(), keep[j].tolist(), first, hits[0].tolist()) if k or one]
 
 
 def select_h(

@@ -75,10 +75,10 @@ class LtiSystem:
 
     A is n x n and B is n x m with m >= 1; all entries must be finite.
     Instances are immutable (the arrays are locked) and safe to share
-    between concurrent analyses. Derived arrays are computed on first
-    use, cached and locked, so every analysis of one system shares them:
-    the spectrum of A (one eig), the modal PBH screen built from its
-    eigenvectors, and the PBH pencil singular values that are asked for.
+    between concurrent analyses. Derived data are computed on first use,
+    cached and locked, and shared by every analysis of the system: the
+    spectrum of A (one eig), the modal PBH screen from its eigenvectors,
+    the PBH pencil singular values asked for, the PBH result per Tolerances.
     """
 
     A: np.ndarray
@@ -103,6 +103,7 @@ class LtiSystem:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "_pencils", {})  # eigenvalue index -> pencil_svals
+        object.__setattr__(self, "_pbh", {})  # Tolerances -> analysis.pbh_controllable
 
     @property
     def n(self) -> int:

@@ -478,9 +478,23 @@ def test_vectorised_spectral_tests_match_pair_loops():
                     skipped += 1
         return found, skipped
 
+    def rational_rotations(n):
+        """n / 2 rotations by 2 pi p / q on two circles: many ratios of low order."""
+        A = np.zeros((n, n))
+        for at in range(0, n, 2):
+            angle = 2.0 * np.pi * int(rng.integers(1, 7)) / int(rng.integers(1, 7))
+            c, s = np.cos(angle), np.sin(angle)
+            A[at:at + 2, at:at + 2] = rng.choice([0.5, 1.0]) * np.array([[c, -s], [s, c]])
+        basis = random_orthogonal(rng, n)
+        return LtiSystem(A=basis @ A @ basis.T, B=np.ones((n, 1)))
+
+    systems = [_rotation_mix(rng, irrational=trial % 3 == 0) for trial in range(150)]
+    # n = 50 complex spectra, and spectra with no unit-modulus ratio at all
+    systems += [random_system(rng, 50, 2) for _ in range(4)] + [rational_rotations(50)]
+    systems += [LtiSystem(A=np.diag([0.5, -2.0, 3.0, 0.0]), B=np.ones((4, 1))),
+                LtiSystem(A=np.zeros((3, 3)), B=np.ones((3, 1)))]
     hits = skips = 0
-    for trial in range(150):
-        system = _rotation_mix(rng, irrational=trial % 3 == 0)
+    for trial, system in enumerate(systems):
         limit = (64, 8)[trial % 2]
         got = unit_ratio_orders(system, tol.with_overrides(max_order=limit))
         want, skipped = ratio_orders_loop(system, limit)
@@ -488,6 +502,8 @@ def test_vectorised_spectral_tests_match_pair_loops():
         hits += bool(want)
         skips += skipped > 1
     assert hits and skips
+    assert not unit_ratio_orders(systems[-2]) and not unit_ratio_orders(systems[-1])
+    assert len(unit_ratio_orders(systems[-3])) > 50
 
 
 def _rotation_mix(rng, irrational=False):
@@ -571,15 +587,21 @@ def test_pbh_matches_per_eigenvalue_pencil_loop():
     assert failures
 
 
-def test_one_pencil_svd_per_well_conditioned_system(monkeypatch):
+def _counting_svd(monkeypatch):
+    """Patch np.linalg.svd to record (shape, complex, with U) of every call."""
     calls = []
     original = np.linalg.svd
 
     def counting(matrix, *args, **kwargs):
-        calls.append(np.shape(matrix))
+        calls.append((np.shape(matrix), np.iscomplexobj(matrix), kwargs.get("compute_uv", True)))
         return original(matrix, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_screen_cleared_verdicts_take_no_pencil_svd(monkeypatch):
+    calls = _counting_svd(monkeypatch)
     rng = np.random.default_rng(45)
     mixed = random_system(rng, 7, 2)
     assert np.any(mixed.eigenvalues.imag > 0)
@@ -587,14 +609,50 @@ def test_one_pencil_svd_per_well_conditioned_system(monkeypatch):
     for system in (mixed, random_real_simple_system(rng, 5, 2)):
         calls.clear()
         h = select_h(system)
-        check_nonrepetitive_sufficient(system, h)
+        verdicts = [check_nonrepetitive_sufficient(system, h)]
         check_repetitive_sufficient(system, 4)
         check_real_spectrum_shortcut(system)
-        check_nonrepetitive_sufficient(system, h + 1)
-        # the modal screen decides every eigenvalue; the one pencil SVD is
-        # the verdict's reported singular values, cached for the second call
-        assert calls.count((system.n, system.n + system.m)) == 1
-        assert not system.modal_screen[0].flags.writeable
+        verdicts.append(check_nonrepetitive_sufficient(system, h + 1))
+        # the modal screen decides every eigenvalue, and the verdict reports
+        # its modal values: no pencil SVD at all
+        assert [shape for shape, _, _ in calls].count((system.n, system.n + system.m)) == 0
+        values = system.modal_screen[0]
+        assert not values.flags.writeable
+        for verdict in verdicts:
+            assert verdict.conditions == "yes"
+            assert verdict.numeric_rank == system.n
+            assert np.array_equal(verdict.singular_values, np.sort(values)[::-1])
+
+    # eigenvalues 1e-15 apart: the screen cannot clear them, PBH fails, and
+    # the verdict reports the pencil SVD at the smallest modal value, cached
+    basis = random_orthogonal(rng, 3)
+    near = LtiSystem(A=basis @ np.diag([0.7, 0.7 + 1e-15, -0.3]) @ basis.T, B=[[1.0], [0.5], [0.2]])
+    verdict = check_nonrepetitive_sufficient(near, 2)
+    assert verdict.controllable == "no" and not pbh_controllable(near).controllable
+    taken = len(calls)
+    assert verdict.singular_values is near.pencil_svals(int(np.argmin(near.modal_screen[0])))
+    assert check_nonrepetitive_sufficient(near, 2).singular_values is verdict.singular_values
+    assert len(calls) == taken
+
+
+def test_pbh_witness_decided_once_per_system(monkeypatch):
+    calls = _counting_svd(monkeypatch)
+    # distinct real eigenvalues, and B misses the invariant direction of 2.0
+    system = LtiSystem(A=np.diag([0.5, -0.3, 2.0]), B=[[1.0], [1.0], [0.0]])
+    assert select_h(system) == 2
+    assert check_nonrepetitive_sufficient(system, 2).controllable == "no"
+    assert check_repetitive_sufficient(system, 3).controllable == "no"
+    assert not check_real_spectrum_shortcut(system)
+    # one complex SVD with U: the witness, shared by both verdicts and the shortcut
+    assert calls.count(((3, 4), True, True)) == 1
+    taken = len(calls)
+    result = pbh_controllable(system)
+    assert result is pbh_controllable(system)
+    assert len(calls) == taken
+    assert result.eigenvalue == 2.0
+    assert not result.left_eigenvector.flags.writeable
+    with pytest.raises(ValueError):
+        result.left_eigenvector[0] = 0.0
 
 
 def _parity_slacks():
