@@ -38,9 +38,10 @@ for h in (2, 3, 4):
     show(check_nonrepetitive_sufficient(ROT, h))
 print("note: at h = 2 and 4 the conditions decide and the rank shown is the")
 print("PBH pencil's. h = 3 fails the simple-spectrum condition (A^3 = I), the")
-print("one case the conditions leave open; the numeric Gramian rank then")
-print("decides and still certifies controllability, since the sufficient")
-print("conditions are one-sided.")
+print("one case the conditions leave open; PBH on the lifted pair then")
+print("decides, with one pencil [mu I - A^3, c K] at the repeated eigenvalue")
+print("mu = 1 of A^3, and still certifies controllability, since the")
+print("sufficient conditions are one-sided.")
 
 print("\n== real distinct spectrum ==")
 diag = LtiSystem(A=np.diag([2.0, 0.5]), B=np.eye(2))

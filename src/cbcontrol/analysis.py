@@ -13,14 +13,13 @@ The decidable conditions implemented here:
   h = 3 is certified.
 * Invertibility of the geometric sum H_b through the spectrum of A.
 * Repetitive regime, exact at every h: no disruptive root of unity in
-  the spectrum (H_b invertible) and rank(Bbar) = n; at h = 2 the latter
-  reads rank(B) = n with no eigenvalue at 1.
+  the spectrum (H_b invertible) and rank(Bbar) = n, read as rank(K) = n.
 
 The conditions decide every verdict but one: when the necessary
-conditions hold and A^h has a repeated eigenvalue, the non-repetitive
-check falls back to the numeric rank of the n-block Gramian and labels
-the fallback as such in the verdict reasons. No matrix assembled from
-powers of A is rank-tested against a condition that already decided.
+conditions hold and A^h has a repeated eigenvalue, PBH on the lifted
+pair decides (Bittanti & Colaneri 2009), one pencil per cluster of equal
+lambda^h, labeled as such in the verdict reasons. No matrix assembled
+from powers of A is rank-tested against a condition that already decided.
 """
 
 from __future__ import annotations
@@ -30,10 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charge_balance import build_scheme
 from .design import NON_REPETITIVE, REPETITIVE
 from .errors import PreconditionError
-from .lifting import lift, reachability_matrix
 from .numeric import _rank, numeric_rank
 from .system import LtiSystem, _frozen_array
 from .tolerances import DEFAULT, Tolerances, require_integer
@@ -67,16 +64,16 @@ class ControllabilityVerdict:
     ``controllable`` is "yes" or "no". ``conditions`` is what the
     conditions alone decide: "no" when a necessary condition fails, "yes"
     when the sufficient conditions hold, "undetermined" when only the
-    non-repetitive Gramian fallback can decide. In the repetitive regime
+    non-repetitive lifted PBH test can decide. In the repetitive regime
     every condition is necessary and together they suffice, so
     ``conditions`` equals ``controllable``. ``reasons`` lists every
     condition that was evaluated with its truth value.
     ``numeric_rank`` and ``singular_values`` describe the rank test that
     decided. When the non-repetitive conditions decide, they are n and the
     modal values ||w B|| / ||w||, descending, if the modal screen alone
-    passed PBH, else the PBH pencil at the smallest modal value (one SVD,
-    cached on the system); the n-block Gramian when its fallback decides;
-    B (h = 2) or Bbar (h > 2) in the repetitive regime.
+    passed PBH, else the cached PBH pencil where PBH failed, or at the
+    smallest modal value; the least-rank lifted pencil when that decides;
+    K = [A^(h-2) B, ..., A B, B] in the repetitive regime.
     """
 
     mode: str
@@ -106,6 +103,14 @@ def _pairwise_distinct(eigs: np.ndarray, tol: Tolerances) -> bool:
     return not (gaps <= tol.eig_sep * _spectral_scale(eigs)).any()
 
 
+def _krylov(system: LtiSystem, h: int) -> np.ndarray:
+    """K = [A^(h-2) B, ..., A B, B]."""
+    blocks = [system.B]
+    for _ in range(h - 2):
+        blocks.append(system.A @ blocks[-1])
+    return np.hstack(blocks[::-1])
+
+
 def _has_unit_eigenvalue(eigs: np.ndarray, tol: Tolerances) -> bool:
     return bool(np.any(np.abs(eigs - 1.0) <= tol.unit_eigenvalue))
 
@@ -117,12 +122,6 @@ def _all_real(eigs: np.ndarray, tol: Tolerances) -> bool:
 def _require_blocks(h, b=1) -> tuple[int, int]:
     """(h, b) as ints, after checking both are integers with h >= 2 and b >= 1."""
     return require_integer("block length", h, 2), require_integer("block horizon", b, 1)
-
-
-def _screen_clears(system: LtiSystem, tol: Tolerances) -> bool:
-    """True when the modal screen alone passes every eigenvalue, with no pencil SVD."""
-    cutoff = tol.rank_cutoff((system.n, system.n + system.m))
-    return bool(cutoff < system.modal_screen[1].min(initial=np.inf))
 
 
 def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
@@ -143,8 +142,6 @@ def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
 
 
 def _decide_pbh(system: LtiSystem, tol: Tolerances) -> PbhResult:
-    if _screen_clears(system, tol):  # the common case: every eigenvalue passes
-        return PbhResult(True)
     n = system.n
     shape = (n, n + system.m)
     cutoff = tol.rank_cutoff(shape)
@@ -164,15 +161,13 @@ def _decide_pbh(system: LtiSystem, tol: Tolerances) -> PbhResult:
     return PbhResult(False, complex(lam), _frozen_array(phi / np.linalg.norm(phi), complex))
 
 
-def _necessary_conditions(system: LtiSystem, tol: Tolerances) -> tuple[list, bool]:
-    """Reasons for the two necessary conditions, and whether both hold."""
-    pbh = pbh_controllable(system, tol).controllable
+def _necessary_conditions(system: LtiSystem, tol: Tolerances) -> tuple[list, bool, PbhResult]:
+    """Reasons for the two necessary conditions, whether both hold, and the PBH result."""
+    pbh = pbh_controllable(system, tol)
     unit = _has_unit_eigenvalue(system.eigenvalues, tol)
-    reasons = [
-        ConditionCheck("pair (A, B) controllable (PBH)", pbh),
-        ConditionCheck("no eigenvalue of A at 1", not unit),
-    ]
-    return reasons, pbh and not unit
+    reasons = [ConditionCheck("pair (A, B) controllable (PBH)", pbh.controllable),
+               ConditionCheck("no eigenvalue of A at 1", not unit)]
+    return reasons, pbh.controllable and not unit, pbh
 
 
 _NECESSARY_FAILED = ConditionCheck(
@@ -188,33 +183,41 @@ def check_nonrepetitive_sufficient(
 
     Evaluates (i) PBH controllability of (A, B), (ii) no eigenvalue of A
     at 1, (iii) simple spectrum of A^h. Failure of (i) or (ii) decides
-    "no"; (i) to (iii) together decide "yes", with no lift. Only when
-    (iii) alone fails does the numeric rank of the n-block Gramian
-    decide, and it can still certify controllability.
+    "no"; (i) to (iii) together decide "yes", with no lift. When (iii)
+    alone fails, PBH on the lifted pair decides: Bbar = S Q spans (A - I) K,
+    so by (ii) it is PBH on (A^h, K), which a simple lambda^h passes by (i),
+    leaving [mu I - A^h, c K], c = max(||A^h||_F / ||K||_F, 1), per cluster.
     """
     h, _ = _require_blocks(h)
     n = system.n
-    reasons, necessary = _necessary_conditions(system, tol)
+    reasons, necessary, pbh = _necessary_conditions(system, tol)
     # the spectrum of A^h is lambda^h over the spectrum of A
-    simple = _pairwise_distinct(system.eigenvalues**h, tol)
+    powers = system.eigenvalues**h
+    simple = _pairwise_distinct(powers, tol)
     reasons.append(ConditionCheck(f"A^{h} has a simple spectrum", simple))
 
     if necessary and not simple:
         conditions = "undetermined"
-        lifted = lift(system, build_scheme(h, system.m))
-        Rb = reachability_matrix(lifted, n)
-        s_norm = float(np.linalg.norm(lifted.S, 2))
-        rank, svals = numeric_rank(Rb @ Rb.T, tol, floor=s_norm**2)
+        Ah, K = np.linalg.matrix_power(system.A, h), _krylov(system, h)
+        # an overflowed A^h or norm leaves inf or NaN in the pencil: numeric_rank raises
+        c = max(float(np.linalg.norm(Ah)) / float(np.linalg.norm(K)), 1.0)
+        # clusters: chains of the gaps _pairwise_distinct rejects, NaN (overflow) included
+        near = ~(np.abs(np.subtract.outer(powers, powers)) > tol.eig_sep * _spectral_scale(powers))
+        reach = np.linalg.matrix_power(near, n)
+        clusters = reach[reach.argmax(axis=1) == np.arange(n)]  # one row each, at its first index
+        rank, svals = min((numeric_rank(np.hstack((powers[k].mean() * np.eye(n) - Ah, c * K)), tol)
+                           for k in clusters if k.sum() > 1), key=lambda pencil: pencil[0])
         verdict = "yes" if rank == n else "no"
-        last = ConditionCheck(
-            "numeric rank fallback", rank == n, f"rank(G) = {rank} of {n} over {n} blocks"
-        )
+        last = ConditionCheck(f"lifted PBH at each repeated eigenvalue of A^{h}", rank == n,
+                              f"least rank of [mu I - A^{h}, c K] {rank} of {n}")
     else:
         conditions = verdict = "yes" if necessary else "no"
-        if _screen_clears(system, tol):  # every pencil has full rank: report the modal values
-            rank, svals = n, np.sort(system.modal_screen[0])[::-1]
-        else:  # the PBH pencil at the smallest modal value, cached on the system
-            svals = system.pencil_svals(int(np.argmin(system.modal_screen[0])))
+        values, holds_below, _ = system.modal_screen
+        if tol.rank_cutoff((n, n + system.m)) < holds_below.min(initial=np.inf):  # all pencils pass
+            rank, svals = n, np.sort(values)[::-1]
+        else:  # the cached pencil PBH failed at, else the one at the smallest modal value
+            k = np.argmin(values if pbh else system.eigenvalues != pbh.eigenvalue)
+            svals = system.pencil_svals(int(k))
             rank = _rank(svals, (n, n + system.m), tol)
         last = _NECESSARY_FAILED if not necessary else ConditionCheck(
             "sufficient conditions hold", True, f"smallest PBH pencil rank {rank} of {n}"
@@ -322,24 +325,20 @@ def check_repetitive_sufficient(
     The state after b blocks is Abar^b x0 + H_b Bbar w with H_b square,
     so rank(H_b Bbar) = n exactly when (i) no eigenvalue lambda has
     lambda^(hb) = 1 and lambda^h != 1 (H_b invertible) and (ii)
-    rank(Bbar) = n. At h = 2, Bbar = (A - I) B / sqrt(2), and (ii) is
-    rank(B) = n given no eigenvalue at 1. The necessary conditions are
-    reported too; the verdict is "yes" exactly when every condition holds.
+    rank(Bbar) = n, which with no eigenvalue at 1 is rank(K) = n (K = B at
+    h = 2). The necessary conditions are reported too; the verdict is
+    "yes" exactly when every condition holds.
     """
     h, b = _require_blocks(h, b)
     n = system.n
-    reasons, necessary = _necessary_conditions(system, tol)
+    reasons, necessary, _ = _necessary_conditions(system, tol)
     invertible = hb_invertible(system, h, b, tol)
-    if h == 2:
-        name, (rank, svals) = "rank(B) = n", numeric_rank(system.B, tol)
-    else:
-        lifted = lift(system, build_scheme(h, system.m))
-        s_norm = float(np.linalg.norm(lifted.S, 2))
-        name, (rank, svals) = "rank(Bbar) = n", numeric_rank(lifted.Bbar, tol, floor=s_norm)
-    reasons.append(ConditionCheck(
-        f"no eigenvalue with lambda^{h * b} = 1 and lambda^{h} != 1", invertible
-    ))
-    reasons.append(ConditionCheck(name, rank == n, f"rank {rank} of {n}"))
+    rank, svals = numeric_rank(_krylov(system, h), tol)
+    reasons += [
+        ConditionCheck(f"no eigenvalue with lambda^{h * b} = 1 and lambda^{h} != 1", invertible),
+        ConditionCheck("rank(B) = n" if h == 2 else "rank([A^(h-2) B, ..., A B, B]) = n",
+                       rank == n, f"rank {rank} of {n}"),
+    ]
 
     verdict = "yes" if necessary and invertible and rank == n else "no"
     last = _NECESSARY_FAILED if not necessary else ConditionCheck(

@@ -8,27 +8,33 @@ from .errors import AnalysisError
 from .tolerances import DEFAULT, Tolerances
 
 
-def _rank(svals: np.ndarray, shape, tol: Tolerances, floor: float = 0.0) -> int:
+def _require_finite(matrix: np.ndarray, what: str) -> np.ndarray:
+    """matrix, unless an inf or NaN shows float64 overflow of powers of A: AnalysisError."""
+    if not np.isfinite(matrix).all():
+        raise AnalysisError(f"float64 overflow: {what} has non-finite entries "
+                            "(the horizon or block length is too long for this plant)")
+    return matrix
+
+
+def _rank(svals: np.ndarray, shape, tol: Tolerances) -> int:
     """Count of descending singular values above the cutoff."""
     top = svals[0] if svals.size else 0.0
-    return int(np.count_nonzero(svals > tol.rank_cutoff(shape) * max(top, floor)))
+    return int(np.count_nonzero(svals > tol.rank_cutoff(shape) * top))
 
 
-def numeric_rank(matrix, tol: Tolerances = DEFAULT, floor: float = 0.0):
+def numeric_rank(matrix, tol: Tolerances = DEFAULT):
     """Numeric rank: number of singular values above the cutoff.
 
-    The cutoff is ``tol.rank_cutoff(shape) * max(sigma_max, floor)``. The
-    absolute ``floor`` serves objects assembled from larger factors: they
-    carry rounding noise at the scale of those factors, so singular values
-    below cutoff * floor are indistinguishable from assembly noise even
-    when they dominate sigma_max (e.g. Bbar = 0 in exact arithmetic).
+    The cutoff is ``tol.rank_cutoff(shape) * sigma_max``: relative to the
+    matrix alone, with no absolute floor, so scaling keeps the rank.
 
     Accepts real or complex matrices. Returns (rank, singular_values)
-    with the values in descending order.
+    with the values in descending order. Raises AnalysisError when the
+    matrix has a non-finite entry.
     """
-    matrix = np.atleast_2d(np.asarray(matrix))
+    matrix = _require_finite(np.atleast_2d(np.asarray(matrix)), "the matrix to rank-test")
     svals = np.linalg.svd(matrix, compute_uv=False)
-    return _rank(svals, matrix.shape, tol, floor), svals
+    return _rank(svals, matrix.shape, tol), svals
 
 
 def min_norm_solve(matrix, rhs, tol: Tolerances = DEFAULT):
@@ -37,16 +43,10 @@ def min_norm_solve(matrix, rhs, tol: Tolerances = DEFAULT):
     Uses a truncated SVD with the shared rank cutoff. Returns
     (x, rank, singular_values, residual); ``residual`` is the Euclidean
     distance from ``rhs`` to the numerical column space of ``matrix``.
-    Raises AnalysisError when either has a non-finite entry, which is how
-    float64 overflow of powers of A over a long horizon shows.
+    Raises AnalysisError when either has a non-finite entry.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
-        raise AnalysisError(
-            "float64 overflow: the matrix or right-hand side of the solve has "
-            "non-finite entries (the horizon is too long for this plant)"
-        )
+    matrix = _require_finite(np.asarray(matrix, dtype=float), "the matrix of the solve")
+    rhs = _require_finite(np.asarray(rhs, dtype=float), "the right-hand side of the solve")
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     rank = _rank(s, matrix.shape, tol)
     coeffs = u[:, :rank].T @ rhs

@@ -4,7 +4,7 @@ import csv
 
 import numpy as np
 
-from cbcontrol import LtiSystem, SteeringTask, simulate, unpack
+from cbcontrol import DEFAULT, LtiSystem, SteeringTask, simulate, unpack
 
 ROOT3 = np.sqrt(3.0)
 
@@ -110,3 +110,14 @@ def read_csv(path):
                 row.append(cell)
         rows.append(row)
     return header, rows
+
+
+def floored_rank(matrix, floor: float) -> int:
+    """Numeric rank with the cutoff at DEFAULT.rank_cutoff(shape) * max(sigma_max, floor).
+
+    The absolute floor suits a matrix assembled from factors of norm up to
+    sqrt(floor) (a Gramian) or floor (a product): its rounding noise sits at
+    the factors' scale even where the product itself is small.
+    """
+    svals = np.linalg.svd(np.atleast_2d(matrix), compute_uv=False)
+    return int(np.count_nonzero(svals > DEFAULT.rank_cutoff(np.shape(matrix)) * max(svals[0], floor)))

@@ -28,11 +28,11 @@ from cbcontrol import (
     verify_plan,
 )
 from cbcontrol.cli import cmd_sweep_h
-from cbcontrol.numeric import numeric_rank
 
 from helpers import (
     expander_system,
     feasible_task,
+    floored_rank,
     random_orthogonal,
     random_real_simple_system,
     random_system,
@@ -226,7 +226,7 @@ def test_criterion_7_condition_soundness_sweeps():
         Rb = reachability_matrix(lifted, n)
         G = Rb @ Rb.T
         verdict = check_nonrepetitive_sufficient(system, h)
-        rank, _ = numeric_rank(G, floor=np.linalg.norm(lifted.S, 2) ** 2)
+        rank = floored_rank(G, np.linalg.norm(lifted.S, 2) ** 2)
         if verdict.controllable != "yes" or rank != n:
             sufficient_ok = False
             print(f"counterexample: n={n} m={m} h={h} rank={rank} verdict={verdict.controllable}")

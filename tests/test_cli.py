@@ -21,10 +21,9 @@ from cbcontrol import (
 )
 from cbcontrol.cli import cmd_analyze, cmd_design, cmd_sweep_h, main
 from cbcontrol.errors import ProblemFormatError
-from cbcontrol.numeric import numeric_rank
 from cbcontrol.problem_io import read_inputs_csv, write_csv
 
-from helpers import read_csv
+from helpers import floored_rank, read_csv
 
 
 def test_bundled_problems_present():
@@ -294,6 +293,27 @@ def test_design_float64_overflow(tmp_path, capsys):
         assert err.startswith("error: float64 overflow"), (command, b, regime, err)
 
 
+def test_analyze_block_length_overflow_exits_4(tmp_path, capsys):
+    # A = diag(2, -2) has lambda^h twice at even h, so the lifted PBH test
+    # runs: at h = 600 the norm of A^h overflows, at h = 1100 A^h itself,
+    # and the identical-block rank reads A^1098 B; each is one typed error
+    doc = {
+        "system": {"A": [[2.0, 0.0], [0.0, -2.0]], "B": [[1.0], [1.0]]},
+        "task": {"x0": [0.0, 0.0], "xf": [1.0, 1.0], "b": 2, "h": 2,
+                 "regime": "non-repetitive"},
+    }
+    path = tmp_path / "doubling.json"
+    path.write_text(json.dumps(doc))
+    for h, regime in (("600", "nonrep"), ("1100", "nonrep"), ("1100", "rep")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--problem", str(path), "--h", h, "--regime", regime])
+        captured = capsys.readouterr()
+        assert code == 4, (h, regime)
+        assert len(captured.err.splitlines()) == 1, (h, regime, captured.err)
+        assert captured.err.startswith("error: float64 overflow"), (h, regime)
+
+
 def test_analyze_rotation_auto_selects_four(capsys):
     report = cmd_analyze(load_problem(bundled_problem("rotation_2d")))
     assert report.verdict["h"] == 4
@@ -312,13 +332,13 @@ def test_analyze_identity_no_with_unit_eigenvalue_reason():
 
 
 def test_analyze_four_state_yes_by_exact_conditions():
-    # identical blocks at h = 3: the conditions decide, numeric_rank is rank(Bbar)
+    # identical blocks at h = 3: the conditions decide, numeric_rank is rank(K), K = [A B, B]
     report = cmd_analyze(load_problem(bundled_problem("four_state")))
     assert report.verdict["controllable"] == "yes"
     assert report.verdict["conditions"] == "yes"
     assert report.verdict["numeric_rank"] == 4
     names = {r["name"]: r["holds"] for r in report.verdict["reasons"]}
-    assert names["rank(Bbar) = n"] is True
+    assert names["rank([A^(h-2) B, ..., A B, B]) = n"] is True
     assert names["no eigenvalue with lambda^15 = 1 and lambda^3 != 1"] is True
 
 
@@ -475,8 +495,7 @@ def test_sweep_identity_all_rank_zero(tmp_path):
     for row in report.rows:
         lifted = lift(system, build_scheme(row["h"], system.m))
         Rb = reachability_matrix(lifted, system.n)
-        floor = np.linalg.norm(lifted.S, 2) ** 2
-        assert numeric_rank(Rb @ Rb.T, floor=floor)[0] == 0
+        assert floored_rank(Rb @ Rb.T, np.linalg.norm(lifted.S, 2) ** 2) == 0
 
 
 def test_sweep_rejects_repetitive(tmp_path):
