@@ -32,7 +32,7 @@ import numpy as np
 from .design import NON_REPETITIVE, REPETITIVE
 from .errors import PreconditionError
 from .numeric import _rank, numeric_rank
-from .system import LtiSystem, _frozen_array
+from .system import LtiSystem, _locked
 from .tolerances import DEFAULT, Tolerances, require_integer
 
 
@@ -158,7 +158,7 @@ def _decide_pbh(system: LtiSystem, tol: Tolerances) -> PbhResult:
     pencil = np.hstack([lam * np.eye(n) - system.A.astype(complex), system.B])
     u, _, _ = np.linalg.svd(pencil)
     phi = np.conj(u[:, -1])
-    return PbhResult(False, complex(lam), _frozen_array(phi / np.linalg.norm(phi), complex))
+    return PbhResult(False, complex(lam), _locked(phi / np.linalg.norm(phi)))
 
 
 def _necessary_conditions(system: LtiSystem, tol: Tolerances) -> tuple[list, bool, PbhResult]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChargeBalanceError, DimensionError, PreconditionError
+from .system import _locked
 from .tolerances import DEFAULT, Tolerances, is_integer
 
 _BASIS_ATOL = 1e-12
@@ -40,18 +41,6 @@ def zero_sum_basis(h: int) -> np.ndarray:
             v -= (basis[:, j] @ v) * basis[:, j]
         basis[:, i] = v / np.linalg.norm(v)
     return basis
-
-
-def _locked(arr: np.ndarray) -> np.ndarray:
-    """A read-only view of arr whose write flag cannot be set back.
-
-    numpy lets an array that owns its data be made writeable again, but
-    not a view of a read-only base; schemes are shared, so Q and R are
-    views.
-    """
-    base = np.array(arr, dtype=float)
-    base.setflags(write=False)
-    return base.view()
 
 
 def _require_block_shape(h, m):
@@ -79,7 +68,7 @@ class BlockScheme:
 
     def __post_init__(self):
         _require_block_shape(self.h, self.m)
-        Q = _locked(self.Q)
+        Q = _locked(np.array(self.Q, dtype=float))
         if Q.shape != (self.m * self.h, self.m * (self.h - 1)):
             raise DimensionError(
                 f"Q must be {self.m * self.h} x {self.m * (self.h - 1)}, got {Q.shape}"

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .lifting import LiftedSystem, h_sum, reachability_matrix
 from .numeric import min_norm_solve
-from .system import LtiSystem, Trajectory, simulate
+from .system import LtiSystem, Trajectory, _locked, simulate
 from .tolerances import DEFAULT, Tolerances, require_integer
 
 NON_REPETITIVE = "non-repetitive"
@@ -46,8 +46,8 @@ class SteeringTask:
     regime: str
 
     def __post_init__(self):
-        x0 = np.array(self.x0, dtype=float).reshape(-1)
-        xf = np.array(self.xf, dtype=float).reshape(-1)
+        x0 = _locked(np.asarray(self.x0, dtype=float).reshape(-1))
+        xf = _locked(np.asarray(self.xf, dtype=float).reshape(-1))
         if x0.size != xf.size:
             raise DimensionError(
                 f"x0 has length {x0.size} but xf has length {xf.size}"
@@ -59,8 +59,6 @@ class SteeringTask:
             )
         if not (np.isfinite(x0).all() and np.isfinite(xf).all()):
             raise ValueError("task states must have finite entries")
-        x0.setflags(write=False)
-        xf.setflags(write=False)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "xf", xf)
         object.__setattr__(self, "b", b)
@@ -71,16 +69,18 @@ class ControlPlan:
     """A designed input sequence: the applied inputs and their energy.
 
     flat_inputs is the (b*h, m) per-step sequence that is applied, stored
-    read-only; energy is its total squared norm.
+    locked (it cannot be made writeable again); energy is its total
+    squared norm. A plan keeps its last rollout: verify_plan and rollout
+    on the same system object from the same x0 share one simulation.
     """
 
     flat_inputs: np.ndarray
     energy: float
 
     def __post_init__(self):
-        flat = np.array(self.flat_inputs, dtype=float)
-        flat.setflags(write=False)
-        object.__setattr__(self, "flat_inputs", flat)
+        flat = np.array(self.flat_inputs, dtype=float, ndmin=1)  # a scalar is one step
+        object.__setattr__(self, "flat_inputs", _locked(flat))
+        object.__setattr__(self, "_rollout", {})  # (system, x0 bytes) -> Trajectory, one entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +111,22 @@ def _displacement(task: SteeringTask, reach_b: np.ndarray) -> np.ndarray:
 def _plan(flat_inputs: np.ndarray) -> ControlPlan:
     """The plan applying flat_inputs; its energy is their squared norm."""
     return ControlPlan(flat_inputs=flat_inputs, energy=float(np.vdot(flat_inputs, flat_inputs)))
+
+
+def _trajectory(system: LtiSystem, task: SteeringTask, plan: ControlPlan) -> Trajectory:
+    """The plan's rollout from task.x0, simulated once and kept on the plan.
+
+    Every array the rollout depends on is locked, so the system object and
+    the bytes of x0 identify it; a new key replaces the one kept.
+    """
+    key = (system, task.x0.tobytes())
+    memo = plan._rollout
+    traj = memo.get(key)
+    if traj is None:
+        traj = simulate(system, task.x0, plan.flat_inputs)
+        memo.clear()
+        memo[key] = traj
+    return traj
 
 
 def _block_imbalances(flat_inputs: np.ndarray, h: int) -> np.ndarray:
@@ -252,13 +268,16 @@ def verify_plan(
     the terminal error is within the terminal tolerance and every
     per-block imbalance is within the charge-balance tolerance; a failed
     check is reported, not raised. Raises DimensionError when the inputs
-    are not b blocks of h steps of m channels.
+    are not b blocks of h steps (checked before simulating) of m channels.
+    The trajectory is kept on the plan: rollout with the same system
+    object and x0 returns it without a second simulation.
     """
-    traj = simulate(system, task.x0, plan.flat_inputs)
-    if traj.horizon != task.b * scheme.h:
+    steps = plan.flat_inputs.shape[0]
+    if steps != task.b * scheme.h:
         raise DimensionError(
-            f"plan has {traj.horizon} steps, task needs {task.b} blocks of {scheme.h}"
+            f"plan has {steps} steps, task needs {task.b} blocks of {scheme.h}"
         )
+    traj = _trajectory(system, task, plan)
     terminal_error = float(np.linalg.norm(traj.terminal - task.xf))
     imbalances = _block_imbalances(traj.inputs, scheme.h)
     passed = terminal_error <= tol.terminal and bool(
@@ -270,5 +289,9 @@ def verify_plan(
 
 
 def rollout(system: LtiSystem, task: SteeringTask, plan: ControlPlan) -> Trajectory:
-    """Full per-step trajectory of a plan from the task's initial state."""
-    return simulate(system, task.x0, plan.flat_inputs)
+    """Full per-step trajectory of a plan from the task's initial state.
+
+    Simulated once per plan, system object and x0: after verify_plan it is
+    report.trajectory itself, and verify_plan after rollout reuses it.
+    """
+    return _trajectory(system, task, plan)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .charge_balance import BlockScheme
 from .errors import DimensionError
-from .system import LtiSystem
+from .system import LtiSystem, _locked
 from .tolerances import require_integer
 
 
@@ -37,9 +37,7 @@ class LiftedSystem:
 
     def __post_init__(self):
         for name in ("S", "Abar", "Bbar"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _locked(np.array(getattr(self, name), dtype=float)))
 
     @property
     def n(self) -> int:

@@ -13,10 +13,19 @@ from .errors import AnalysisError, DimensionError
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _locked(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of arr whose write flag cannot be set back.
+
+    numpy lets an array that owns its data be made writeable again, but
+    not a view of a read-only base. An array that owns its data is locked
+    in place, with no copy, so pass a freshly built one (copy what a
+    caller may still hold); a view is copied first, since its base could
+    be made writeable.
+    """
+    if arr.base is not None:
+        arr = arr.copy()
     arr.setflags(write=False)
-    return arr
+    return arr.view()
 
 
 def _modal_screen(A: np.ndarray, B: np.ndarray, eigs: np.ndarray, V: np.ndarray):
@@ -64,9 +73,7 @@ def _modal_screen(A: np.ndarray, B: np.ndarray, eigs: np.ndarray, V: np.ndarray)
         scale = (1.0 / low if low > 0 else math.inf) if math.isfinite(norm_w) else math.nan
         fails_from = ((a + r) / w + (2 * slop + noise)) * scale
         values = np.fmin(a / w, np.inf)  # NaN reads as inf
-    for arr in (values, holds_below, fails_from):
-        arr.setflags(write=False)
-    return values, holds_below, fails_from
+    return _locked(values), _locked(holds_below), _locked(fails_from)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +92,7 @@ class LtiSystem:
     B: np.ndarray
 
     def __post_init__(self):
-        A = _frozen_array(self.A)
+        A = np.array(self.A, dtype=float)
         B = np.array(self.B, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionError(f"A must be square, got shape {A.shape}")
@@ -99,9 +106,8 @@ class LtiSystem:
             raise DimensionError("B must have at least one column")
         if not (np.isfinite(A).all() and np.isfinite(B).all()):
             raise ValueError("system matrices must have finite entries")
-        B.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "A", _locked(A))
+        object.__setattr__(self, "B", _locked(B))
         object.__setattr__(self, "_pencils", {})  # eigenvalue index -> pencil_svals
         object.__setattr__(self, "_pbh", {})  # Tolerances -> analysis.pbh_controllable
 
@@ -122,8 +128,7 @@ class LtiSystem:
             raise AnalysisError(
                 f"eigensolver failed to converge (condition estimate {cond:.3e})"
             ) from exc
-        eigs.setflags(write=False)
-        return eigs, vectors
+        return _locked(eigs), vectors
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -148,21 +153,20 @@ class LtiSystem:
             lam = lam if lam.imag else lam.real  # a real pencil for a real eigenvalue
             pencil = np.concatenate((-self.A, self.B), axis=1).astype(type(lam), copy=False)
             pencil.reshape(-1)[:: self.n + self.m + 1] = lam - self.A.diagonal()
-            self._pencils[k] = svals = np.linalg.svd(pencil, compute_uv=False)
-            svals.setflags(write=False)
+            self._pencils[k] = _locked(np.linalg.svd(pencil, compute_uv=False))
         return self._pencils[k]
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A rollout: states x[0..N] (rows) and the inputs u[0..N-1] that produced it."""
+    """A rollout: states x[0..N] (rows) and the inputs u[0..N-1] that produced it, locked."""
 
     states: np.ndarray
     inputs: np.ndarray
 
     def __post_init__(self):
-        states = _frozen_array(self.states)
-        inputs = _frozen_array(self.inputs)
+        states = _locked(np.array(self.states, dtype=float))
+        inputs = _locked(np.array(self.inputs, dtype=float))
         if states.shape[0] != inputs.shape[0] + 1:
             raise DimensionError(
                 f"need exactly one more state than inputs, got {states.shape[0]} "

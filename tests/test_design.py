@@ -21,6 +21,7 @@ from cbcontrol import (
     lift,
     oracle_stacked_ls,
     reachability_matrix,
+    rollout,
     simulate,
     unpack,
     verify_plan,
@@ -420,8 +421,63 @@ def test_verify_reads_the_applied_inputs():
     assert np.array_equal(check.trajectory.inputs, charged.flat_inputs)
     with pytest.raises(ValueError):
         charged.flat_inputs[0, 0] = 0.0  # the applied inputs are read-only
+    for arr in (charged.flat_inputs, task.x0, task.xf):  # and cannot be unlocked
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
     with pytest.raises(DimensionError):
         verify_plan(system, scheme, task, dataclasses.replace(plan, flat_inputs=[[0.0]] * 3))
+
+
+def _counting_simulate(monkeypatch) -> list:
+    import cbcontrol.design as design
+
+    calls = []
+    original = design.simulate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(design, "simulate", counting)
+    return calls
+
+
+def test_verify_and_rollout_share_one_simulation(monkeypatch):
+    calls = _counting_simulate(monkeypatch)
+    system = rotation_system()
+    scheme = build_scheme(2, 1)
+    task = _rotation_task(10)
+    plan = design_nonrepetitive(lift(system, scheme), task)
+    report = verify_plan(system, scheme, task, plan)
+    assert rollout(system, task, plan) is report.trajectory
+    assert len(calls) == 1
+    # the reverse order, and a new task with the same x0, share it too
+    other = dataclasses.replace(plan)
+    traj = rollout(system, task, other)
+    assert verify_plan(system, scheme, _rotation_task(10), other).trajectory is traj
+    assert len(calls) == 2
+    # another x0, or another system object with equal arrays, simulates again
+    moved = SteeringTask(x0=[0.3, -0.1], xf=task.xf, b=10, regime=task.regime)
+    twin = LtiSystem(A=system.A, B=system.B)
+    for sys_, task_ in ((system, moved), (twin, task), (system, task)):
+        traj = rollout(sys_, task_, plan)
+        fresh = simulate(sys_, task_.x0, plan.flat_inputs)
+        assert traj.states.tobytes() == fresh.states.tobytes()
+    # one entry is kept: returning to the first key simulated once more
+    assert len(calls) == 5
+
+
+def test_verify_checks_the_step_count_before_simulating(monkeypatch):
+    calls = _counting_simulate(monkeypatch)
+    system = LtiSystem(A=[[0.0]], B=[[1.0]])
+    scheme = build_scheme(2, 1)
+    task = SteeringTask(x0=[0.0], xf=[0.0], b=2, regime="non-repetitive")
+    short = ControlPlan(flat_inputs=[[0.0]] * 3, energy=0.0)
+    with pytest.raises(DimensionError, match="plan has 3 steps, task needs 2 blocks of 2"):
+        verify_plan(system, scheme, task, short)
+    with pytest.raises(DimensionError, match="plan has 1 steps"):  # a scalar is one step
+        verify_plan(system, scheme, task, ControlPlan(flat_inputs=0.0, energy=0.0))
+    assert calls == []
 
 
 def test_regime_mismatch_rejected():

@@ -128,6 +128,25 @@ def test_trajectory_length_invariant():
         Trajectory(states=np.zeros((3, 2)), inputs=np.zeros((3, 1)))
 
 
+def test_locked_arrays_cannot_be_made_writeable():
+    # numpy lets an owning array be made writeable again; every array these
+    # classes hold is a view of a read-only base, so the cached spectrum and
+    # a shared trajectory cannot go stale
+    A = np.array([[0.5, 1.0], [0.0, -0.3]])
+    system = LtiSystem(A=A, B=[1.0, 1.0])
+    A[1, 1] = 0.1  # the caller's array is copied
+    assert system.A[1, 1] == -0.3
+    traj = simulate(system, [1.0, 0.0], np.zeros((3, 1)))
+    lifted = lift(system, build_scheme(3, 1))
+    arrays = [system.A, system.B, system.eigenvalues, *system.modal_screen,
+              system.pencil_svals(0), traj.states, traj.inputs,
+              lifted.S, lifted.Abar, lifted.Bbar]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+    assert sorted(system.eigenvalues) == [-0.3, 0.5]
+
+
 def test_system_validation():
     with pytest.raises(DimensionError):
         LtiSystem(A=np.zeros((2, 3)), B=np.zeros((2, 1)))
