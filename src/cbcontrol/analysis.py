@@ -31,6 +31,7 @@ import numpy as np
 
 from .design import NON_REPETITIVE, REPETITIVE
 from .errors import PreconditionError
+from .lifting import krylov
 from .numeric import _rank, numeric_rank
 from .system import LtiSystem, _locked
 from .tolerances import DEFAULT, Tolerances, require_integer
@@ -101,14 +102,6 @@ def _pairwise_distinct(eigs: np.ndarray, tol: Tolerances) -> bool:
     gaps = np.abs(np.subtract.outer(eigs, eigs))
     gaps.reshape(-1)[:: eigs.size + 1] = np.inf
     return not (gaps <= tol.eig_sep * _spectral_scale(eigs)).any()
-
-
-def _krylov(system: LtiSystem, h: int) -> np.ndarray:
-    """K = [A^(h-2) B, ..., A B, B]."""
-    blocks = [system.B]
-    for _ in range(h - 2):
-        blocks.append(system.A @ blocks[-1])
-    return np.hstack(blocks[::-1])
 
 
 def _has_unit_eigenvalue(eigs: np.ndarray, tol: Tolerances) -> bool:
@@ -198,7 +191,7 @@ def check_nonrepetitive_sufficient(
 
     if necessary and not simple:
         conditions = "undetermined"
-        Ah, K = np.linalg.matrix_power(system.A, h), _krylov(system, h)
+        Ah, K = np.linalg.matrix_power(system.A, h), krylov(system.A, system.B, h - 1)
         # an overflowed A^h or norm leaves inf or NaN in the pencil: numeric_rank raises
         c = max(float(np.linalg.norm(Ah)) / float(np.linalg.norm(K)), 1.0)
         # clusters: chains of the gaps _pairwise_distinct rejects, NaN (overflow) included
@@ -333,7 +326,7 @@ def check_repetitive_sufficient(
     n = system.n
     reasons, necessary, _ = _necessary_conditions(system, tol)
     invertible = hb_invertible(system, h, b, tol)
-    rank, svals = numeric_rank(_krylov(system, h), tol)
+    rank, svals = numeric_rank(krylov(system.A, system.B, h - 1), tol)
     reasons += [
         ConditionCheck(f"no eigenvalue with lambda^{h * b} = 1 and lambda^{h} != 1", invertible),
         ConditionCheck("rank(B) = n" if h == 2 else "rank([A^(h-2) B, ..., A B, B]) = n",

@@ -1,12 +1,13 @@
 """Command-line front end: analyze, design, sweep-h, and simulate (replay).
 
 Exit codes: 0 success, 2 problem-file parse error or bad flag value
-(including an --out path that cannot be created as a directory),
-3 unreachable target, 4 analysis precondition failure or float64 overflow,
-5 design wrote a plan that failed its own verification (every output file
-is still written). design and sweep-h create --out before they analyze,
-so an unusable --out exits 2 without designing, and a design that exits
-3 or 4 writes nothing into it (a new directory stays empty).
+(including an --out path that cannot be created as a directory, and an
+output file that cannot be written), 3 unreachable target, 4 analysis
+precondition failure or float64 overflow, 5 design wrote a plan that
+failed its own verification (every output file is still written).
+Every command creates --out before it analyzes, designs or replays, so
+an unusable --out exits 2 before any of that work, and a design that
+exits 3 or 4 writes nothing into it (a new directory stays empty).
 report.json is strict JSON: a non-finite number is written as null.
 
 main() builds its argument parser once per process, on the first call, and
@@ -51,7 +52,7 @@ from .errors import (
     ReachabilityError,
 )
 from .lifting import lift
-from .problem_io import Problem, load_problem, read_inputs_csv, write_csv
+from .problem_io import Problem, load_problem, read_inputs_csv, write_csv, write_text
 from .system import simulate
 
 EXIT_OK = 0
@@ -115,7 +116,7 @@ def _output_dir(out_dir) -> Path:
 
 
 def _write_report(path: Path, report: dict):
-    path.write_text(json.dumps(_strict(report), indent=2, allow_nan=False) + "\n")
+    write_text(path, json.dumps(_strict(report), indent=2, allow_nan=False) + "\n")
 
 
 def _resolve_h(problem: Problem):
@@ -159,11 +160,11 @@ def _print_verdict(doc: dict):
 
 def cmd_analyze(problem: Problem, out_dir=None) -> RunReport:
     """Condition-by-condition controllability verdict for the problem."""
+    report_path = None if out_dir is None else _output_dir(out_dir) / "report.json"
     _, _, doc = _analyze(problem)
     _print_verdict(doc)
     manifest = []
-    if out_dir is not None:
-        report_path = _output_dir(out_dir) / "report.json"
+    if report_path is not None:
         _write_report(report_path, {"verdict": doc})
         manifest.append(str(report_path))
     return RunReport(verdict=doc, manifest=tuple(manifest))
@@ -249,7 +250,7 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
     manifest = [str(inputs_path), str(states_path), str(blocks_path)]
     if plot:
         plot_path = out_dir / "plot.gp"
-        plot_path.write_text(_plot_script(system.n, system.m, problem.xf))
+        write_text(plot_path, _plot_script(system.n, system.m, problem.xf))
         manifest.append(str(plot_path))
 
     design_doc = {
@@ -328,11 +329,10 @@ def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> RunReport:
 
 def cmd_simulate(problem: Problem, inputs_path, out_dir) -> RunReport:
     """Replay a serialized input sequence and write the resulting states."""
+    states_path = _output_dir(out_dir) / "states.csv"
     system = problem.system
     inputs = read_inputs_csv(inputs_path, system.m)
     traj = simulate(system, problem.x0, inputs)
-    out_dir = _output_dir(out_dir)
-    states_path = out_dir / "states.csv"
     _write_series(states_path, "x", traj.states)
     terminal_error = float(np.linalg.norm(traj.terminal - problem.xf))
     print(
@@ -345,21 +345,14 @@ def cmd_simulate(problem: Problem, inputs_path, out_dir) -> RunReport:
     )
 
 
-def _parse_h_flag(value: str):
-    if value == "auto":
-        return None
-    try:
-        h = int(value)
-    except ValueError:
-        h = None
-    if h is None or h < 2:
-        raise argparse.ArgumentTypeError("--h must be an integer >= 2 or 'auto'")
-    return h
-
-
 _REGIME_ALIASES = {"rep": REPETITIVE, "nonrep": NON_REPETITIVE, **{r: r for r in REGIMES}}
 
-_UNSET = object()
+
+def _int_or_auto(value: str):
+    try:
+        return value if value == "auto" else int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer or 'auto', got {value!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser, needs_out: bool):
@@ -367,41 +360,20 @@ def _add_common(parser: argparse.ArgumentParser, needs_out: bool):
     parser.add_argument(
         "--out", required=needs_out, default=None, help="output directory"
     )
-    parser.add_argument(
-        "--h", type=_parse_h_flag, default=_UNSET,
-        help="override block length (integer >= 2 or 'auto')",
-    )
-    parser.add_argument("--b", type=int, default=None, help="override block horizon")
-    parser.add_argument(
-        "--regime", choices=sorted(_REGIME_ALIASES), default=None,
-        help="override regime (rep / nonrep)",
-    )
-    parser.add_argument("--tol-term", type=float, default=None,
-                        help="terminal-state tolerance override")
-    parser.add_argument("--tol-cb", type=float, default=None,
-                        help="charge-balance tolerance override")
-    parser.add_argument("--max-order", type=int, default=None,
-                        help="largest ratio order searched in block-length selection")
-
-
-def _apply_overrides(problem: Problem, args) -> Problem:
-    updates = {}
-    if args.h is not _UNSET:
-        updates["h"] = args.h
-    if args.b is not None:
-        if args.b < 1:
-            raise ProblemFormatError("--b must be a positive integer")
-        updates["b"] = args.b
-    if args.regime is not None:
-        updates["regime"] = _REGIME_ALIASES[args.regime]
-    flags = {"terminal": args.tol_term, "charge_balance": args.tol_cb, "max_order": args.max_order}
-    tol_updates = {name: value for name, value in flags.items() if value is not None}
-    if tol_updates:
-        try:
-            updates["tolerances"] = problem.tolerances.with_overrides(**tol_updates)
-        except ValueError as exc:
-            raise ProblemFormatError(str(exc)) from exc
-    return dataclasses.replace(problem, **updates) if updates else problem
+    # an override's dest is the problem-file field it replaces: argparse
+    # converts the text, and parse_problem checks the value
+    parser.add_argument("--h", dest="task.h", metavar="H", type=_int_or_auto,
+                        help="override block length (integer >= 2 or 'auto')")
+    parser.add_argument("--b", dest="task.b", metavar="B", type=int, help="override block horizon")
+    parser.add_argument("--regime", dest="task.regime", choices=sorted(_REGIME_ALIASES),
+                        type=lambda value: _REGIME_ALIASES.get(value, value),
+                        help="override regime (rep / nonrep)")
+    parser.add_argument("--tol-term", dest="tolerances.terminal", metavar="TOL_TERM",
+                        type=float, help="terminal-state tolerance override")
+    parser.add_argument("--tol-cb", dest="tolerances.charge_balance", metavar="TOL_CB",
+                        type=float, help="charge-balance tolerance override")
+    parser.add_argument("--max-order", dest="tolerances.max_order", metavar="MAX_ORDER",
+                        type=int, help="largest ratio order searched in block-length selection")
 
 
 @functools.cache
@@ -444,7 +416,9 @@ def main(argv=None) -> int:
         # float64 overflow is reported once, as exit 4, exit 5 or a null in
         # report.json, so numpy's own overflow warnings are not printed
         with np.errstate(over="ignore", invalid="ignore"):
-            problem = _apply_overrides(load_problem(args.problem), args)
+            overrides = {name: value for name, value in vars(args).items()
+                         if "." in name and value is not None}
+            problem = load_problem(args.problem, overrides)
             if args.command == "analyze":
                 cmd_analyze(problem, args.out)
             elif args.command == "design":

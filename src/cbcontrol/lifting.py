@@ -44,30 +44,34 @@ class LiftedSystem:
         return self.system.n
 
 
+def krylov(M: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
+    """Block-Krylov matrix [M^(k-1) X, ..., M X, X], k >= 1, by k - 1 products from X.
+
+    lift's S, reachability_matrix's Rb and analysis' K are all built here.
+    """
+    blocks = [X]
+    for _ in range(k - 1):
+        blocks.append(M @ blocks[-1])
+    return np.hstack(blocks[::-1])
+
+
 def lift(system: LtiSystem, scheme: BlockScheme) -> LiftedSystem:
-    """Assemble S, Abar = A^h, and Bbar = S @ Q for the given scheme."""
+    """Assemble S = krylov(A, B, h), Abar = A^h, and Bbar = S @ Q for the scheme."""
     if scheme.m != system.m:
         raise DimensionError(
             f"scheme is for {scheme.m} input channels, system has {system.m}"
         )
-    blocks = [system.B]
-    for _ in range(scheme.h - 1):
-        blocks.append(system.A @ blocks[-1])
-    S = np.hstack(blocks[::-1])
+    S = krylov(system.A, system.B, scheme.h)
     Abar = np.linalg.matrix_power(system.A, scheme.h)
     return LiftedSystem(system=system, scheme=scheme, S=S, Abar=Abar, Bbar=S @ scheme.Q)
 
 
 def reachability_matrix(lifted: LiftedSystem, b: int) -> np.ndarray:
-    """Reachability matrix Rb = [Abar^(b-1) Bbar, ..., Abar Bbar, Bbar].
+    """Reachability matrix Rb = krylov(Abar, Bbar, b) = [Abar^(b-1) Bbar, ..., Bbar].
 
     Its Gramian is Rb @ Rb.T; the distinct-block law is w = Rb.T G^+ d.
     """
-    b = require_integer("block horizon", b, 1)
-    blocks = [lifted.Bbar]
-    for _ in range(b - 1):
-        blocks.append(lifted.Abar @ blocks[-1])
-    return np.hstack(blocks[::-1])
+    return krylov(lifted.Abar, lifted.Bbar, require_integer("block horizon", b, 1))
 
 
 def h_sum(lifted: LiftedSystem, b: int) -> tuple[np.ndarray, np.ndarray]:

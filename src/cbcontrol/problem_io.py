@@ -25,11 +25,12 @@ time, so writing costs one string-format call per chunk, not per cell.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +90,12 @@ def _as_array(value, where, ndim: int) -> np.ndarray:
     return arr
 
 
-def parse_problem(text: str, source: str = "problem") -> Problem:
-    """Parse problem-file text; raises ProblemFormatError with diagnostics."""
+def parse_problem(text: str, source: str = "problem", overrides=None) -> Problem:
+    """Parse problem-file text; raises ProblemFormatError with diagnostics.
+
+    ``overrides`` maps dotted field names ("task.b", "tolerances.terminal")
+    to values that replace the text's before any check, as if written there.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -99,6 +104,10 @@ def parse_problem(text: str, source: str = "problem") -> Problem:
         ) from exc
     if not isinstance(doc, dict):
         raise ProblemFormatError(f"{source}: top level must be an object")
+    for name, value in (overrides or {}).items():
+        section, key = name.split(".")
+        if isinstance(doc.setdefault(section, {}), dict):
+            doc[section][key] = value
 
     system_doc = _require(doc, "system", "")
     A = _as_array(_require(system_doc, "A", "system"), "system.A", 2)
@@ -134,16 +143,16 @@ def parse_problem(text: str, source: str = "problem") -> Problem:
             f"{source}: field 'task.regime' must be one of {REGIMES}, got {regime!r}"
         )
 
-    overrides = doc.get("tolerances", {})
-    if not isinstance(overrides, dict):
+    tol_doc = doc.get("tolerances", {})
+    if not isinstance(tol_doc, dict):
         raise ProblemFormatError(f"{source}: field 'tolerances' must be an object")
-    unknown = set(overrides) - _TOLERANCE_KEYS
+    unknown = set(tol_doc) - _TOLERANCE_KEYS
     if unknown:
         raise ProblemFormatError(
             f"{source}: unknown tolerance fields {sorted(unknown)}"
         )
     try:
-        tolerances = DEFAULT.with_overrides(**overrides) if overrides else DEFAULT
+        tolerances = replace(DEFAULT, **tol_doc) if tol_doc else DEFAULT
     except ValueError as exc:
         raise ProblemFormatError(f"{source}: {exc}") from exc
 
@@ -152,14 +161,30 @@ def parse_problem(text: str, source: str = "problem") -> Problem:
     )
 
 
-def load_problem(path) -> Problem:
-    """Read and parse a problem file from disk."""
+def load_problem(path, overrides=None) -> Problem:
+    """Read and parse a problem file from disk, with parse_problem's ``overrides``."""
     path = Path(path)
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(f"cannot read problem file {path}: {exc}") from exc
-    return parse_problem(text, source=str(path))
+    return parse_problem(text, source=str(path), overrides=overrides)
+
+
+@contextlib.contextmanager
+def _writing(path, newline=None):
+    """path opened for writing; an OSError becomes a ProblemFormatError naming it."""
+    try:
+        with Path(path).open("w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise ProblemFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def write_text(path, text: str):
+    """Write text to path; ProblemFormatError when it cannot be written."""
+    with _writing(path) as fh:
+        fh.write(text)
 
 
 def _row_format(cells) -> str:
@@ -180,9 +205,10 @@ def write_csv(path, header, rows):
 
     ``rows`` is a 2-D numeric array, written a chunk of rows per format
     call, or an iterable of rows that mix strings and numbers. A string
-    cell that CSV would have to quote raises ValueError.
+    cell that CSV would have to quote raises ValueError; a path that
+    cannot be written raises ProblemFormatError.
     """
-    with Path(path).open("w", newline="") as fh:
+    with _writing(path, newline="") as fh:
         fh.write(_row_format(header) % tuple(header))
         if isinstance(rows, np.ndarray):
             line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\r\n"

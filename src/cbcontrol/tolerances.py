@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,17 +68,13 @@ class Tolerances:
                 kind = "finite and positive"
                 ok = isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
             if isinstance(value, bool) or not ok:
-                raise ValueError(f"tolerance '{field.name}' must be {kind}, got {value!r}")
+                raise ValueError(f"tolerances.{field.name} must be {kind}, got {value!r}")
         if self.rank_slack < 1:
-            raise ValueError(f"tolerance 'rank_slack' must be at least 1, got {self.rank_slack!r}")
+            raise ValueError(f"tolerances.rank_slack must be at least 1, got {self.rank_slack!r}")
 
     def rank_cutoff(self, shape) -> float:
         """Relative singular-value cutoff: max(rows, cols) * eps * rank_slack."""
         return max(shape) * _EPS * self.rank_slack
-
-    def with_overrides(self, **kwargs) -> "Tolerances":
-        """Copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 DEFAULT = Tolerances()

@@ -1,5 +1,6 @@
 """Controllability conditions, block-length selection, and spectral tests."""
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -528,7 +529,7 @@ def test_vectorised_spectral_tests_match_pair_loops():
     hits = skips = 0
     for trial, system in enumerate(systems):
         limit = (64, 8)[trial % 2]
-        got = unit_ratio_orders(system, tol.with_overrides(max_order=limit))
+        got = unit_ratio_orders(system, dataclasses.replace(tol, max_order=limit))
         want, skipped = ratio_orders_loop(system, limit)
         assert [(o.i, o.j, o.order) for o in got] == want
         hits += bool(want)
@@ -606,7 +607,7 @@ def test_pbh_matches_per_eigenvalue_pencil_loop():
                 B[k:] = 0.0
             system = LtiSystem(A=A, B=B)
         for slack in slacks:
-            tol = DEFAULT.with_overrides(rank_slack=float(slack))
+            tol = dataclasses.replace(DEFAULT, rank_slack=float(slack))
             got = pbh_controllable(system, tol)
             controllable, eigenvalue, phi = _pbh_pencil_loop(system, tol)
             assert got.controllable == controllable
@@ -764,7 +765,7 @@ def test_pbh_fallback_matches_pencil_loop_on_hard_families(monkeypatch):
         ran = 0
         for system in systems:
             for slack in _parity_slacks():
-                tol = DEFAULT.with_overrides(rank_slack=float(slack))
+                tol = dataclasses.replace(DEFAULT, rank_slack=float(slack))
                 before = len(fallback)
                 got = pbh_controllable(system, tol)
                 ran += len(fallback) - before

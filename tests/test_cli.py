@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import warnings
 
@@ -98,9 +99,9 @@ def test_parse_tolerance_overrides():
     assert tweaked.tolerances.terminal == 1e-9
     assert tweaked.tolerances.max_order == 16
     # numpy integers count as integers; the stored value is unchanged
-    assert tweaked.tolerances.with_overrides(max_order=np.int64(8)).max_order == 8
+    assert dataclasses.replace(tweaked.tolerances, max_order=np.int64(8)).max_order == 8
     # rank_slack may sit exactly at its lower bound of 1
-    assert tweaked.tolerances.with_overrides(rank_slack=1.0).rank_slack == 1.0
+    assert dataclasses.replace(tweaked.tolerances, rank_slack=1.0).rank_slack == 1.0
 
 
 def test_main_exit_code_parse_error(tmp_path, capsys):
@@ -126,10 +127,28 @@ def test_main_exit_code_parse_error(tmp_path, capsys):
     assert main(["analyze", "--problem", str(slack)]) == 2
     assert "at least 1" in capsys.readouterr().err
 
+    # a bad override flag fails as the same value written into the file:
+    # one stderr line, the same words, naming the field
+    path = tmp_path / "problem.json"
+    for flags, section, key, value in (
+        (["--b", "0"], "task", "b", 0),
+        (["--h", "1"], "task", "h", 1),
+        (["--tol-term", "-1"], "tolerances", "terminal", -1.0),
+        (["--tol-cb", "nan"], "tolerances", "charge_balance", float("nan")),
+        (["--max-order", "0"], "tolerances", "max_order", 0),
+    ):
+        doc = json.loads(bundled_problem("rotation_2d").read_text())
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--problem", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and f"{section}.{key}" in captured.err
+        assert captured.out == ""
+        doc.setdefault(section, {})[key] = value
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--problem", str(path)]) == 2
+        assert capsys.readouterr().err == captured.err, flags
+
     fixture = str(bundled_problem("rotation_2d"))
-    for flags in (["--max-order", "0"], ["--tol-term", "-1"], ["--tol-cb", "nan"]):
-        assert main(["analyze", "--problem", fixture, *flags]) == 2
-    capsys.readouterr()
 
     # a sweep range that cannot be swept is a bad flag value, like --b 0
     for flags in (["--h-min", "1"], ["--h-min", "5", "--h-max", "3"]):
@@ -153,6 +172,80 @@ def test_main_exit_code_parse_error(tmp_path, capsys):
             assert err.count("\n") == 1 and err.startswith("error: cannot use --out")
             assert str(out) in err
     assert taken.read_text() == "kept\n"
+
+
+# flag, its text, the problem-file field it sets, and that value as JSON
+_OVERRIDE_FLAGS = (
+    ("--h", "3", "task", "h", 3),
+    ("--h", "auto", "task", "h", "auto"),
+    ("--b", "7", "task", "b", 7),
+    ("--regime", "rep", "task", "regime", "repetitive"),
+    ("--regime", "nonrep", "task", "regime", "non-repetitive"),
+    ("--tol-term", "1e-9", "tolerances", "terminal", 1e-9),
+    ("--tol-cb", "1e-7", "tolerances", "charge_balance", 1e-7),
+    ("--max-order", "8", "tolerances", "max_order", 8),
+)
+
+
+def _problem_parts(problem):
+    """Every Problem field as comparable data, value and type alike."""
+    return [(name, type(value), value.tobytes() if isinstance(value, np.ndarray) else value)
+            for name, value in vars(problem).items() if name != "system"] + [
+        ("A", problem.system.A.tobytes()), ("B", problem.system.B.tobytes())]
+
+
+def test_override_flags_equal_the_same_value_in_the_file(tmp_path, monkeypatch):
+    import cbcontrol.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda problem, out_dir: seen.append(problem))
+    fixture = bundled_problem("rotation_2d")
+    for flag, text, section, key, value in _OVERRIDE_FLAGS:
+        assert main(["analyze", "--problem", str(fixture), flag, text]) == 0
+        doc = json.loads(fixture.read_text())
+        doc.setdefault(section, {})[key] = value
+        path = tmp_path / "written.json"
+        path.write_text(json.dumps(doc))
+        assert _problem_parts(seen.pop()) == _problem_parts(load_problem(path)), flag
+
+
+def test_unusable_out_fails_before_any_analysis_or_replay(tmp_path, monkeypatch, capsys):
+    import cbcontrol.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("worked despite an unusable --out")
+
+    for name in ("_analyze", "read_inputs_csv", "simulate"):
+        monkeypatch.setattr(cli, name, refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    fixture = str(bundled_problem("rotation_2d"))
+    for command in (["analyze"], ["simulate", "--inputs", str(tmp_path / "inputs.csv")]):
+        assert main([*command, "--problem", fixture, "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: cannot use --out")
+        assert captured.out == ""
+    assert taken.read_text() == "kept\n"
+
+
+def test_unwritable_output_file_exits_2(tmp_path, capsys):
+    # a directory where an output file goes: one typed stderr line naming
+    # the file, for every file every command writes
+    fixture = str(bundled_problem("rotation_2d"))
+    assert main(["design", "--problem", fixture, "--out", str(tmp_path / "run")]) == 0
+    inputs = str(tmp_path / "run" / "inputs.csv")
+    capsys.readouterr()
+    runs = [(["design"], name) for name in
+            ("inputs.csv", "states.csv", "blocks.csv", "plot.gp", "report.json")]
+    runs += [(["sweep-h"], "sweep.csv"), (["simulate", "--inputs", inputs], "states.csv"),
+             (["analyze"], "report.json")]
+    for command, name in runs:
+        out = tmp_path / f"{command[0]}-{name}"
+        (out / name).mkdir(parents=True)
+        assert main([*command, "--problem", fixture, "--out", str(out)]) == 2, (command, name)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, (command, name, err)
+        assert err.startswith(f"error: cannot write {out / name}: "), (command, name, err)
 
 
 def test_unusable_out_fails_before_any_design(tmp_path, monkeypatch, capsys):
@@ -213,9 +306,8 @@ def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
     overridden, plain = tmp_path / "overridden", tmp_path / "plain"
     assert main(["design", "--problem", expander, "--h", "3", "--b", "7", "--no-plot",
                  "--out", str(overridden)]) == 0
-    with pytest.raises(SystemExit) as rejected:
-        main(["design", "--problem", expander, "--h", "1", "--out", str(plain)])
-    assert rejected.value.code == 2
+    assert main(["design", "--problem", expander, "--h", "1", "--out", str(plain)]) == 2
+    assert "'task.h'" in capsys.readouterr().err
     assert main(["design", "--problem", expander, "--out", str(plain)]) == 0
     problem = load_problem(expander)
     design = json.loads((plain / "report.json").read_text())["design"]
@@ -657,12 +749,9 @@ def test_tolerance_flags_flow_through(tmp_path):
 
     # a bounded ratio-order search skips the order-3 pair, silently, and
     # settles on h = 2
-    import dataclasses
-    import warnings
-
     problem = load_problem(bundled_problem("rotation_2d"))
     capped = dataclasses.replace(
-        problem, tolerances=problem.tolerances.with_overrides(max_order=2)
+        problem, tolerances=dataclasses.replace(problem.tolerances, max_order=2)
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")

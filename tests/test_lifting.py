@@ -10,6 +10,7 @@ from cbcontrol import (
     PreconditionError,
     SteeringTask,
     build_scheme,
+    check_repetitive_sufficient,
     design_repetitive,
     h_sum,
     lift,
@@ -18,6 +19,8 @@ from cbcontrol import (
     unpack,
     verify_plan,
 )
+from cbcontrol.lifting import krylov
+from cbcontrol.numeric import numeric_rank
 
 from helpers import (
     expander_system, feasible_task, random_orthogonal, random_system, rotation_system,
@@ -38,6 +41,62 @@ def test_lift_column_order_of_s():
     expected = np.hstack([A @ (A @ B), A @ B, B])
     assert np.array_equal(lifted.S, expected)
     assert np.array_equal(lifted.Bbar, lifted.S @ lifted.scheme.Q)
+
+
+# the three loops krylov replaced, copied as they were: lift's S over h
+# blocks, reachability_matrix's Rb over b blocks, analysis' K over h - 1
+def _loop_S(A, B, h):
+    blocks = [B]
+    for _ in range(h - 1):
+        blocks.append(A @ blocks[-1])
+    return np.hstack(blocks[::-1])
+
+
+def _loop_Rb(Abar, Bbar, b):
+    blocks = [Bbar]
+    for _ in range(b - 1):
+        blocks.append(Abar @ blocks[-1])
+    return np.hstack(blocks[::-1])
+
+
+def _loop_K(A, B, h):
+    blocks = [B]
+    for _ in range(h - 2):
+        blocks.append(A @ blocks[-1])
+    return np.hstack(blocks[::-1])
+
+
+def test_krylov_is_bit_identical_to_the_loops_it_replaced():
+    rng = np.random.default_rng(34)
+    for k in (1, 2, 3, 7, 64, 300):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        M = rng.standard_normal((n, n)) / np.sqrt(n)
+        X = rng.standard_normal((n, m))
+        got = krylov(M, X, k)
+        assert got.shape == (n, k * m) and np.isfinite(got).all()
+        for want in (_loop_S(M, X, k), _loop_Rb(M, X, k), _loop_K(M, X, k + 1)):
+            assert got.tobytes() == want.tobytes(), k
+    X = rng.standard_normal((3, 2))
+    K = krylov(rng.standard_normal((3, 3)), X, 1)  # h = 2: K = B, as a new array
+    assert np.array_equal(K, X) and not np.shares_memory(K, X)
+
+
+def test_lift_reachability_and_analysis_build_the_parent_arrays():
+    rng = np.random.default_rng(35)
+    for h in (2, 3, 7, 64, 300):
+        m = int(rng.integers(1, 3))
+        system = random_system(rng, int(rng.integers(2, 6)), m)
+        lifted = lift(system, build_scheme(h, m))
+        S = _loop_S(system.A, system.B, h)
+        assert lifted.S.tobytes() == S.tobytes(), h
+        assert lifted.Bbar.tobytes() == (S @ lifted.scheme.Q).tobytes(), h
+        for b in (1, 2, 7):
+            Rb = reachability_matrix(lifted, b)
+            assert Rb.tobytes() == _loop_Rb(lifted.Abar, lifted.Bbar, b).tobytes(), (h, b)
+        if h <= 7:
+            verdict = check_repetitive_sufficient(system, 2, h=h)
+            _, svals = numeric_rank(_loop_K(system.A, system.B, h))
+            assert verdict.singular_values.tobytes() == svals.tobytes(), h
 
 
 def test_lift_identity_a_gives_zero_bbar():
