@@ -17,7 +17,6 @@ from cbcontrol import (
     design_repetitive,
     h_sum,
     lift,
-    pack,
     verify_plan,
 )
 
@@ -40,7 +39,8 @@ def steer(system, h, b, x0, xf, label):
           f"of {system.n}")
     block = plan.flat_inputs[:h]  # the first h steps; every block repeats them
     print(f"single repeated block: {np.round(block.ravel(), 6).tolist()}")
-    closed = power @ task.x0 + gain @ pack(block, scheme)
+    w = scheme.Q.T @ block.ravel()  # the block's latent coordinates
+    closed = power @ task.x0 + gain @ w
     print(f"closed form Abar^b x0 + H_b Bbar w misses the target by "
           f"{np.linalg.norm(closed - task.xf):.2e}")
     print(f"energy {plan.energy:.6f} (= b * ||w||^2), "

@@ -23,9 +23,7 @@ from .bundled import bundled_problem, list_bundled
 from .charge_balance import (
     BlockScheme,
     build_scheme,
-    pack,
     unpack,
-    zero_sum_basis,
 )
 from .design import (
     ControlPlan,
@@ -88,7 +86,6 @@ __all__ = [
     "list_bundled",
     "load_problem",
     "oracle_stacked_ls",
-    "pack",
     "parse_problem",
     "pbh_controllable",
     "reachability_matrix",
@@ -98,5 +95,4 @@ __all__ = [
     "unit_ratio_orders",
     "unpack",
     "verify_plan",
-    "zero_sum_basis",
 ]

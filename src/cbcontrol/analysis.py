@@ -125,8 +125,8 @@ def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
     ||phi^T B|| clearly on one side of the pencil's rank cutoff; only the
     rest (clusters, ill-conditioned eigenvectors, values near the cutoff)
     take their own pencil SVD, also cached. On failure, returns the first
-    offending eigenvalue and a locked unit left eigenvector phi whose
-    product phi^T B is numerically zero.
+    offending eigenvalue and a locked unit left eigenvector phi (real for
+    a real eigenvalue) whose product phi^T B is numerically zero.
     """
     result = system._pbh.get(tol)
     if result is None:
@@ -146,12 +146,13 @@ def _decide_pbh(system: LtiSystem, tol: Tolerances) -> PbhResult:
     if not failing.size:
         return PbhResult(True)
     # witness from the left null space of the pencil, so it pairs the
-    # eigen relation with a vanishing phi^T B
-    lam = system.eigenvalues[failing[0]]
-    pencil = np.hstack([lam * np.eye(n) - system.A.astype(complex), system.B])
-    u, _, _ = np.linalg.svd(pencil)
+    # eigen relation with a vanishing phi^T B; its singular values serve
+    # the verdict's report of the failing pencil
+    k = int(failing[0])
+    u, svals, _ = np.linalg.svd(system._pencil(k))
+    system._pencils.setdefault(k, _locked(svals))
     phi = np.conj(u[:, -1])
-    return PbhResult(False, complex(lam), _locked(phi / np.linalg.norm(phi)))
+    return PbhResult(False, complex(system.eigenvalues[k]), _locked(phi / np.linalg.norm(phi)))
 
 
 def _necessary_conditions(system: LtiSystem, tol: Tolerances) -> tuple[list, bool, PbhResult]:

@@ -15,23 +15,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChargeBalanceError, DimensionError, PreconditionError
+from .errors import DimensionError, PreconditionError
 from .system import _locked
-from .tolerances import DEFAULT, Tolerances, is_integer
+from .tolerances import is_integer
 
 _BASIS_ATOL = 1e-12
 
 
-def zero_sum_basis(h: int) -> np.ndarray:
-    """Orthonormal h x (h-1) basis of the zero-column-sum subspace of R^h.
+def _zero_sum_basis(h: int) -> np.ndarray:
+    """Orthonormal h x (h-1) basis of the zero-column-sum subspace of R^h, h >= 2.
 
     Columns are the modified Gram-Schmidt orthonormalization, processed
     left to right, of the difference vectors e1 - e2, e2 - e3, ...,
     e(h-1) - eh. The construction is deterministic, so schemes are
     reproducible across runs and platforms.
     """
-    if h < 2:
-        raise PreconditionError("charge balance needs at least two steps per block")
     basis = np.zeros((h, h - 1))
     for i in range(h - 1):
         v = np.zeros(h)
@@ -97,7 +95,7 @@ def build_scheme(h: int, m: int) -> BlockScheme:
     """Canonical scheme for block length h and m input channels.
 
     For h = 2 the kernel basis is exactly [I_m; -I_m] / sqrt(2). For
-    larger h it is V kron I_m with V = zero_sum_basis(h), which keeps the
+    larger h it is V kron I_m with V = _zero_sum_basis(h), which keeps the
     channels decoupled inside the basis.
 
     Raises PreconditionError unless h >= 2 and m >= 1 are integers (numpy
@@ -116,31 +114,11 @@ def build_scheme(h: int, m: int) -> BlockScheme:
 
 @functools.lru_cache
 def _shared_scheme(h: int, m: int) -> BlockScheme:
-    return BlockScheme(h=h, m=m, Q=np.kron(zero_sum_basis(h), np.eye(m)))
-
-
-def pack(U, scheme: BlockScheme, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Latent coordinates w = Q^T @ U of a charge-balanced block.
-
-    Raises ChargeBalanceError, reporting the per-channel imbalance, when
-    R @ U exceeds the charge-balance tolerance on any channel.
-    """
-    U = np.asarray(U, dtype=float).reshape(-1)
-    if U.size != scheme.block_dim:
-        raise DimensionError(f"U has length {U.size}, expected {scheme.block_dim}")
-    imbalance = scheme.R @ U
-    worst = float(np.abs(imbalance).max())
-    if worst > tol.charge_balance:
-        raise ChargeBalanceError(
-            "block is not charge balanced: per-channel imbalance "
-            f"{imbalance.tolist()} exceeds {tol.charge_balance:g}",
-            imbalance=imbalance,
-        )
-    return scheme.Q.T @ U
+    return BlockScheme(h=h, m=m, Q=np.kron(_zero_sum_basis(h), np.eye(m)))
 
 
 def unpack(w, scheme: BlockScheme) -> np.ndarray:
-    """Stacked block U = Q @ w; satisfies R @ U = 0 and ||U|| = ||w||."""
+    """Stacked block U = Q @ w; satisfies R @ U = 0 and ||U|| = ||w||, and Q.T @ U = w."""
     w = np.asarray(w, dtype=float).reshape(-1)
     if w.size != scheme.latent_dim:
         raise DimensionError(f"w has length {w.size}, expected {scheme.latent_dim}")

@@ -283,19 +283,17 @@ def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> RunReport:
         raise PreconditionError("sweep-h applies to the non-repetitive regime only")
     out_dir = _output_dir(out_dir)
     system, tol = problem.system, problem.tolerances
+    task = SteeringTask(x0=problem.x0, xf=problem.xf, b=problem.b, regime=NON_REPETITIVE)
     rows = []
     for h in range(h_min, h_max + 1):
         verdict = check_nonrepetitive_sufficient(system, h, tol)
         energy = ""
         if verdict.controllable != "no":
             lifted = lift(system, build_scheme(h, system.m))
-            task = SteeringTask(
-                x0=problem.x0, xf=problem.xf, b=problem.b, regime=NON_REPETITIVE
-            )
             try:
                 energy = design_nonrepetitive(lifted, task, tol).energy
             except ReachabilityError:
-                energy = ""
+                pass
         rows.append(
             {
                 "h": h,
@@ -307,15 +305,8 @@ def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> RunReport:
         )
 
     sweep_path = out_dir / "sweep.csv"
-    write_csv(
-        sweep_path,
-        ["h", "conditions", "numeric_rank", "controllable", "energy"],
-        (
-            [float(r["h"]), r["conditions"], float(r["numeric_rank"]),
-             r["controllable"], r["energy"] if r["energy"] == "" else float(r["energy"])]
-            for r in rows
-        ),
-    )
+    columns = ["h", "conditions", "numeric_rank", "controllable", "energy"]
+    write_csv(sweep_path, columns, ([r[c] for c in columns] for r in rows))
     print(f"{'h':>3}  {'conditions':>12}  {'rank':>4}  {'controllable':>12}  energy")
     for r in rows:
         energy = f"{r['energy']:.6g}" if r["energy"] != "" else "-"

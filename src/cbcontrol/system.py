@@ -146,14 +146,22 @@ class LtiSystem:
         """
         return _modal_screen(self.A, self.B, *self._eig)
 
+    def _pencil(self, k: int) -> np.ndarray:
+        """The PBH pencil [lambda_k I - A, B], freshly built; real for a real eigenvalue."""
+        lam = self.eigenvalues[k]
+        lam = lam if lam.imag else lam.real
+        pencil = np.concatenate((-self.A, self.B), axis=1).astype(type(lam), copy=False)
+        pencil.reshape(-1)[:: self.n + self.m + 1] = lam - self.A.diagonal()
+        return pencil
+
     def pencil_svals(self, k: int) -> np.ndarray:
-        """Singular values of [lambda_k I - A, B], descending, computed once per k, locked."""
+        """Singular values of [lambda_k I - A, B], descending, computed once per k, locked.
+
+        The PBH witness SVD of a failing pencil fills the entry it finds
+        empty, so a reported failure takes no second SVD.
+        """
         if k not in self._pencils:
-            lam = self.eigenvalues[k]
-            lam = lam if lam.imag else lam.real  # a real pencil for a real eigenvalue
-            pencil = np.concatenate((-self.A, self.B), axis=1).astype(type(lam), copy=False)
-            pencil.reshape(-1)[:: self.n + self.m + 1] = lam - self.A.diagonal()
-            self._pencils[k] = _locked(np.linalg.svd(pencil, compute_uv=False))
+            self._pencils[k] = _locked(np.linalg.svd(self._pencil(k), compute_uv=False))
         return self._pencils[k]
 
 

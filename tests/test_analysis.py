@@ -572,11 +572,16 @@ def _rotation_mix(rng, irrational=False):
 
 
 def _pbh_pencil_loop(system, tol):
-    """PBH by one complex SVD of [lambda I - A, B] per eigenvalue (the reference)."""
+    """PBH by one SVD of [lambda I - A, B] per eigenvalue (the reference).
+
+    The pencil is real for a real eigenvalue and complex otherwise, as
+    LtiSystem builds it, so the witness can be compared bit for bit.
+    """
     n = system.n
-    eye = np.eye(n)
     for lam in system.eigenvalues:
-        pencil = np.hstack([lam * eye - system.A.astype(complex), system.B])
+        lam = lam if lam.imag else lam.real
+        pencil = np.hstack([-system.A, system.B]).astype(type(lam))
+        np.fill_diagonal(pencil, lam - system.A.diagonal())
         rank, _ = numeric_rank(pencil, tol)
         if rank < n:
             u, _, _ = np.linalg.svd(pencil)
@@ -679,16 +684,32 @@ def test_pbh_witness_decided_once_per_system(monkeypatch):
     assert check_nonrepetitive_sufficient(system, 2).controllable == "no"
     assert check_repetitive_sufficient(system, 3).controllable == "no"
     assert not check_real_spectrum_shortcut(system)
-    # one complex SVD with U: the witness, shared by both verdicts and the shortcut
-    assert calls.count(((3, 4), True, True)) == 1
+    # one real SVD with U: the witness, shared by both verdicts and the shortcut
+    assert calls.count(((3, 4), False, True)) == 1
     taken = len(calls)
     result = pbh_controllable(system)
     assert result is pbh_controllable(system)
     assert len(calls) == taken
     assert result.eigenvalue == 2.0
+    assert result.left_eigenvector.dtype == np.float64
     assert not result.left_eigenvector.flags.writeable
     with pytest.raises(ValueError):
         result.left_eigenvector[0] = 0.0
+
+
+def test_modal_pbh_failure_takes_one_pencil_svd(monkeypatch):
+    # the modal screen decides that PBH fails at 2.0, and the witness SVD's
+    # singular values are the ones the non-repetitive verdict reports
+    system = LtiSystem(A=np.diag([0.5, -0.3, 2.0]), B=[[1.0], [1.0], [0.0]])
+    expected = np.linalg.svd(np.hstack([2.0 * np.eye(3) - system.A, system.B]), compute_uv=False)
+    calls = _counting_svd(monkeypatch)
+    verdict = check_nonrepetitive_sufficient(system, 2)
+    assert check_repetitive_sufficient(system, 3).controllable == "no"
+    # the witness SVD with U, then the repetitive verdict's rank(B)
+    assert calls == [((3, 4), False, True), ((3, 1), False, False)]
+    assert verdict.controllable == "no" and verdict.numeric_rank == 2
+    assert verdict.singular_values is system.pencil_svals(2)
+    assert np.allclose(verdict.singular_values, expected, rtol=1e-14, atol=1e-15)
 
 
 def _parity_slacks():

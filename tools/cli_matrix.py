@@ -1,0 +1,85 @@
+"""Run the bundled CLI matrix and print one fingerprint line per run.
+
+The matrix is every bundled problem x {plain, --regime rep, --regime
+nonrep, --b 20, --b 30} x {analyze, design, sweep-h}: 75 runs of the
+`cbcontrol` command, each in its own process. For each run it prints the
+exit code, the sha256 of stdout and of stderr, and the sha256 of every
+file written under --out (each cut to its first 16 hex digits), then
+one full sha256 over all the lines.
+
+Every run works in one fresh temporary directory, with the problem file
+copied in and a relative --out, so no path of the checkout or of the
+temporary directory reaches the output. Two checkouts with the same
+behaviour print the same lines, so compare them with diff:
+
+    python3 tools/cli_matrix.py > after.txt
+    python3 /path/to/other/checkout/tools/cli_matrix.py > before.txt
+    diff before.txt after.txt
+
+--src runs the package sources of another checkout instead of the ones
+next to this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PROBLEMS = ("rotation_2d", "expander_2d", "four_state", "identity_2d", "drift_only")
+VARIANTS = {
+    "plain": [],
+    "rep": ["--regime", "rep"],
+    "nonrep": ["--regime", "nonrep"],
+    "b20": ["--b", "20"],
+    "b30": ["--b", "30"],
+}
+COMMANDS = ("analyze", "design", "sweep-h")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_matrix(src: Path, work: Path):
+    """Yield one line per run: label, exit code, stdout, stderr and file hashes."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for problem in PROBLEMS:
+        shutil.copy(src / "cbcontrol" / "fixtures" / f"{problem}.json", work)
+        for variant, flags in VARIANTS.items():
+            for command in COMMANDS:
+                label = f"{problem}/{variant}/{command}"
+                out = Path("out", problem, variant, command)
+                argv = [sys.executable, "-m", "cbcontrol.cli", command,
+                        "--problem", f"{problem}.json", *flags]
+                if command != "analyze":
+                    argv += ["--out", str(out)]
+                done = subprocess.run(argv, cwd=work, env=env, capture_output=True)
+                files = sorted(path for path in (work / out).rglob("*") if path.is_file())
+                hashes = " ".join(f"{path.name}={_digest(path.read_bytes())[:16]}"
+                                  for path in files)
+                yield (f"{label} exit={done.returncode} stdout={_digest(done.stdout)[:16]} "
+                       f"stderr={_digest(done.stderr)[:16]} {hashes}").rstrip()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                        help="directory holding the cbcontrol package (default: this checkout's src)")
+    args = parser.parse_args(argv)
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as work:
+        for line in run_matrix(args.src.resolve(), Path(work)):
+            print(line, flush=True)
+            total.update(line.encode() + b"\n")
+    print(f"matrix sha256={total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
