@@ -24,6 +24,7 @@ from powers of A is rank-tested against a condition that already decided.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ from .errors import PreconditionError
 from .lifting import krylov
 from .numeric import _rank, numeric_rank
 from .system import LtiSystem, _locked
-from .tolerances import DEFAULT, Tolerances, require_integer
+from .tolerances import _EPS, DEFAULT, Tolerances, require_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +73,7 @@ class ControllabilityVerdict:
     ``numeric_rank`` and ``singular_values`` describe the rank test that
     decided. When the non-repetitive conditions decide, they are n and the
     modal values ||w B|| / ||w||, descending, if the modal screen alone
-    passed PBH, else the cached PBH pencil where PBH failed, or at the
+    passed PBH, else the PBH pencil where PBH failed, or the one at the
     smallest modal value; the least-rank lifted pencil when that decides;
     K = [A^(h-2) B, ..., A B, B] in the repetitive regime.
     """
@@ -99,6 +100,7 @@ def _spectral_scale(eigs: np.ndarray) -> float:
 
 
 def _pairwise_distinct(eigs: np.ndarray, tol: Tolerances) -> bool:
+    # never simple when overflowed: an inf makes the scale inf, so every gap reads as a repeat
     gaps = np.abs(np.subtract.outer(eigs, eigs))
     gaps.reshape(-1)[:: eigs.size + 1] = np.inf
     return not (gaps <= tol.eig_sep * _spectral_scale(eigs)).any()
@@ -106,10 +108,6 @@ def _pairwise_distinct(eigs: np.ndarray, tol: Tolerances) -> bool:
 
 def _has_unit_eigenvalue(eigs: np.ndarray, tol: Tolerances) -> bool:
     return bool(np.any(np.abs(eigs - 1.0) <= tol.unit_eigenvalue))
-
-
-def _all_real(eigs: np.ndarray, tol: Tolerances) -> bool:
-    return bool(np.all(np.abs(eigs.imag) <= tol.eig_sep * _spectral_scale(eigs)))
 
 
 def _require_blocks(h, b=1) -> tuple[int, int]:
@@ -121,47 +119,119 @@ def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
     """PBH test: rank [lambda I - A, B] = n for every eigenvalue lambda.
 
     Decided once per system and Tolerances, and cached on the system. The
-    modal screen decides each eigenvalue whose left eigenvector phi puts
-    ||phi^T B|| clearly on one side of the pencil's rank cutoff; only the
-    rest (clusters, ill-conditioned eigenvectors, values near the cutoff)
-    take their own pencil SVD, also cached. On failure, returns the first
-    offending eigenvalue and a locked unit left eigenvector phi (real for
-    a real eigenvalue) whose product phi^T B is numerically zero.
+    modal screen decides each eigenvalue whose row w of the system's cached
+    W = V^-1 puts ||w B|| / ||w|| clearly on one side of the pencil's rank
+    cutoff; only the rest (clusters, ill-conditioned eigenvectors, values
+    near the cutoff) take their own pencil SVD. On failure, returns the
+    first offending eigenvalue and a locked unit left eigenvector phi (real
+    for a real eigenvalue) whose product phi^T B is numerically zero.
     """
-    result = system._pbh.get(tol)
-    if result is None:
-        result = system._pbh[tol] = _decide_pbh(system, tol)
-    return result
+    return _pbh(system, tol)[0]
 
 
-def _decide_pbh(system: LtiSystem, tol: Tolerances) -> PbhResult:
-    n = system.n
+def _modal_screen(system: LtiSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, holds_below, fails_from) of the modal PBH screen, one per eigenvalue, locked.
+
+    values[k] = ||w_k B|| / ||w_k||, w_k the k-th row of the system's cached
+    W = V^-1. The SVD of P_k = [lambda_k I - A, B] has sigma_n > c sigma_1
+    at every cutoff c below holds_below[k] and at none from fails_from[k]
+    on; a cutoff in between, or a NaN threshold, needs that SVD. With W as
+    computed, N = W A - diag(lambda) W and F = W V - I,
+    ||W^-1|| <= v = sqrt(n) / (1 - ||F||_F), and W P_k diag(W^-1, I) =
+    [lambda_k I - diag(lambda) - N W^-1, W B]. With a_k = ||w_k B||,
+    g = ||W B||_F and delta_k the gap from lambda_k to the other
+    eigenvalues, Weyl's inequality on that form and w_k P_k = [-N_k, w_k B]
+    bound sigma_n(P_k) between
+    (a_k / hypot(1, (a_k + g) / delta_k) - ||N||_F v) / (||W||_F max(v, 1))
+    and (||N_k|| + a_k) / ||w_k||, and ||B||_F / sqrt(m) <= sigma_1(P_k) <=
+    2 ||A||_F + ||B||_F. The products are widened by their rounding bound,
+    the cutoffs by twice the SVD's backward error (n + m) eps sigma_1.
+    """
+    A, B, (eigs, V, W) = system.A, system.B, system._modal
+    n, m = B.shape
+    norm_b = math.sqrt(np.vdot(B, B))
+    sigma_1 = 2.0 * math.sqrt(np.vdot(A, A)) + norm_b
+    # rounding of one product entry per unit of ||w_k||, and of the SVD
+    slop = (n + 2) * _EPS * (math.sqrt(2 * n) + sigma_1)
+    noise = 2 * (n + m) * _EPS * sigma_1
+    with np.errstate(all="ignore"):  # an inf or NaN threshold decides nothing
+        # one product for [W, W A, W V, W B], then [W, N, F, W B] in place
+        X = W @ np.concatenate((np.eye(n), A, V, B), axis=1)
+        X[:, n:2 * n] -= eigs[:, None] * W
+        X.reshape(-1)[2 * n:: 3 * n + m + 1] -= 1.0
+        squares = np.add.reduceat(np.square(np.abs(X)), [0, n, 2 * n, 3 * n], axis=1)
+        norm_w, norm_n, norm_f, g = (math.sqrt(x) for x in squares.sum(axis=0).tolist())
+        w, r, _, a = np.sqrt(squares).T
+        norm_n, norm_f, g = (x + slop * norm_w for x in (norm_n, norm_f, g))
+        v = math.sqrt(n) / (1.0 - norm_f) if norm_f < 1.0 else math.inf
+        gaps = np.abs(np.subtract.outer(eigs, eigs))
+        gaps.reshape(-1)[:: n + 1] = np.inf
+        # a_k - slop w_k in place of a_k lowers the bound by at most slop
+        core = a / np.hypot(1.0, (a + g) / gaps.min(axis=1, initial=np.inf))
+        unit = np.float64(sigma_1 + noise)  # numpy division: zero only for A = 0, B = 0
+        holds_below = (core - norm_n * v) / (norm_w * max(v, 1.0) * unit) - (slop + noise) / unit
+        low = norm_b / math.sqrt(m) - noise
+        # an overflowed ||w_k|| hides its residual
+        scale = (1.0 / low if low > 0 else math.inf) if math.isfinite(norm_w) else math.nan
+        fails_from = ((a + r) / w + (2 * slop + noise)) * scale
+        values = np.fmin(a / w, np.inf)  # NaN reads as inf
+    return _locked(values), _locked(holds_below), _locked(fails_from)
+
+
+def _pencil(A: np.ndarray, B: np.ndarray, lam) -> np.ndarray:
+    """The PBH pencil [lam I - A, B], freshly built; real for a real eigenvalue lam."""
+    lam = lam if lam.imag else lam.real
+    pencil = np.concatenate((-A, B), axis=1).astype(type(lam), copy=False)
+    pencil.reshape(-1)[:: A.shape[0] + B.shape[1] + 1] = lam - A.diagonal()
+    return pencil
+
+
+def _pbh(system: LtiSystem, tol: Tolerances):
+    """(PbhResult, report), decided once per system and Tolerances and cached on it."""
+    if tol in system._pbh:
+        return system._pbh[tol]
+    # report() keeps no reference to the system, so the cache on it makes no cycle
+    A, B, eigs, n = system.A, system.B, system.eigenvalues, system.n
     shape = (n, n + system.m)
     cutoff = tol.rank_cutoff(shape)
-    _, holds_below, fails_from = system.modal_screen
+    values, holds_below, fails_from = _modal_screen(system)
     fails = cutoff >= fails_from
+    svals = {}  # eigenvalue index -> singular values of its pencil, as taken
     for k in np.flatnonzero(~(fails | (cutoff < holds_below))).tolist():
-        fails[k] = _rank(system.pencil_svals(k), shape, tol) < n
+        svals[k] = _locked(np.linalg.svd(_pencil(A, B, eigs[k]), compute_uv=False))
+        fails[k] = _rank(svals[k], shape, tol) < n
     failing = np.flatnonzero(fails)
-    if not failing.size:
-        return PbhResult(True)
-    # witness from the left null space of the pencil, so it pairs the
-    # eigen relation with a vanishing phi^T B; its singular values serve
-    # the verdict's report of the failing pencil
-    k = int(failing[0])
-    u, svals, _ = np.linalg.svd(system._pencil(k))
-    system._pencils.setdefault(k, _locked(svals))
-    phi = np.conj(u[:, -1])
-    return PbhResult(False, complex(system.eigenvalues[k]), _locked(phi / np.linalg.norm(phi)))
+    result = PbhResult(True)
+    if failing.size:
+        # witness from the left null space of the pencil, so it pairs the
+        # eigen relation with a vanishing phi^T B
+        k = int(failing[0])
+        u, s, _ = np.linalg.svd(_pencil(A, B, eigs[k]))
+        svals.setdefault(k, _locked(s))
+        phi = np.conj(u[:, -1])
+        result = PbhResult(False, complex(eigs[k]), _locked(phi / np.linalg.norm(phi)))
+
+    @functools.cache
+    def report() -> tuple[int, np.ndarray]:
+        """ControllabilityVerdict's (rank, singular values), locked; an SVD only when asked."""
+        if cutoff < holds_below.min(initial=np.inf):  # the screen passes every pencil
+            return n, _locked(np.sort(values)[::-1])
+        k = int(failing[0]) if failing.size else int(np.argmin(values))
+        if k not in svals:
+            svals[k] = _locked(np.linalg.svd(_pencil(A, B, eigs[k]), compute_uv=False))
+        return _rank(svals[k], shape, tol), svals[k]
+
+    system._pbh[tol] = result, report
+    return result, report
 
 
-def _necessary_conditions(system: LtiSystem, tol: Tolerances) -> tuple[list, bool, PbhResult]:
-    """Reasons for the two necessary conditions, whether both hold, and the PBH result."""
+def _necessary_conditions(system: LtiSystem, tol: Tolerances) -> tuple[list, bool]:
+    """Reasons for the two necessary conditions, and whether both hold."""
     pbh = pbh_controllable(system, tol)
     unit = _has_unit_eigenvalue(system.eigenvalues, tol)
     reasons = [ConditionCheck("pair (A, B) controllable (PBH)", pbh.controllable),
                ConditionCheck("no eigenvalue of A at 1", not unit)]
-    return reasons, pbh.controllable and not unit, pbh
+    return reasons, pbh.controllable and not unit
 
 
 _NECESSARY_FAILED = ConditionCheck(
@@ -184,7 +254,7 @@ def check_nonrepetitive_sufficient(
     """
     h, _ = _require_blocks(h)
     n = system.n
-    reasons, necessary, pbh = _necessary_conditions(system, tol)
+    reasons, necessary = _necessary_conditions(system, tol)
     # the spectrum of A^h is lambda^h over the spectrum of A
     powers = system.eigenvalues**h
     simple = _pairwise_distinct(powers, tol)
@@ -206,13 +276,7 @@ def check_nonrepetitive_sufficient(
                               f"least rank of [mu I - A^{h}, c K] {rank} of {n}")
     else:
         conditions = verdict = "yes" if necessary else "no"
-        values, holds_below, _ = system.modal_screen
-        if tol.rank_cutoff((n, n + system.m)) < holds_below.min(initial=np.inf):  # all pencils pass
-            rank, svals = n, np.sort(values)[::-1]
-        else:  # the cached pencil PBH failed at, else the one at the smallest modal value
-            k = np.argmin(values if pbh else system.eigenvalues != pbh.eigenvalue)
-            svals = system.pencil_svals(int(k))
-            rank = _rank(svals, (n, n + system.m), tol)
+        rank, svals = _pbh(system, tol)[1]()
         last = _NECESSARY_FAILED if not necessary else ConditionCheck(
             "sufficient conditions hold", True, f"smallest PBH pencil rank {rank} of {n}"
         )
@@ -240,12 +304,22 @@ def unit_ratio_orders(system: LtiSystem, tol: Tolerances = DEFAULT) -> list[Rati
     i, j = i[i < j], j[i < j]
     if not i.size:
         return []
-    # r^k, k = 1..max_order, down each column by a scalar loop's products r^(k-1) * r
-    powers = np.multiply.accumulate(np.full((tol.max_order, i.size), ratios[i, j]))
-    hits = abs(powers - 1.0) <= tol.root_of_unity
-    first = hits.argmax(axis=0).tolist()  # 0 for order 1 and for no order alike
-    return [RatioOrder(i=p, j=q, order=k + 1) for p, q, k, one in zip(
-        keep[i].tolist(), keep[j].tolist(), first, hits[0].tolist()) if k or one]
+    # r^k, k = 1..max_order, down each column by a scalar loop's products
+    # r^(k-1) * r, in blocks of at most 1024 rows, each block's first row the
+    # last row before it times r; the search stops once every pair has an order
+    ratio, orders = ratios[i, j], np.zeros(i.size, dtype=int)  # order 0: none found yet
+    for start in range(0, tol.max_order, 1024):
+        powers = np.full((min(1024, tol.max_order - start), i.size), ratio)
+        powers[0] = last * ratio if start else ratio
+        powers = np.multiply.accumulate(powers)
+        hits = abs(powers - 1.0) <= tol.root_of_unity
+        found = (orders == 0) & hits.any(axis=0)
+        orders[found] = start + 1 + hits.argmax(axis=0)[found]
+        if orders.all():
+            break
+        last = powers[-1]
+    return [RatioOrder(i=p, j=q, order=k) for p, q, k in zip(
+        keep[i].tolist(), keep[j].tolist(), orders.tolist()) if k]
 
 
 def select_h(
@@ -285,7 +359,7 @@ def check_real_spectrum_shortcut(system: LtiSystem, tol: Tolerances = DEFAULT) -
     """
     eigs = system.eigenvalues
     return (
-        _all_real(eigs, tol)
+        bool(np.all(np.abs(eigs.imag) <= tol.eig_sep * _spectral_scale(eigs)))  # all real
         and _pairwise_distinct(eigs, tol)
         and not _has_unit_eigenvalue(eigs, tol)
         and pbh_controllable(system, tol).controllable
@@ -325,7 +399,7 @@ def check_repetitive_sufficient(
     """
     h, b = _require_blocks(h, b)
     n = system.n
-    reasons, necessary, _ = _necessary_conditions(system, tol)
+    reasons, necessary = _necessary_conditions(system, tol)
     invertible = hb_invertible(system, h, b, tol)
     rank, svals = numeric_rank(krylov(system.A, system.B, h - 1), tol)
     reasons += [

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import AnalysisError, DimensionError
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def _locked(arr: np.ndarray) -> np.ndarray:
@@ -28,54 +25,6 @@ def _locked(arr: np.ndarray) -> np.ndarray:
     return arr.view()
 
 
-def _modal_screen(A: np.ndarray, B: np.ndarray, eigs: np.ndarray, V: np.ndarray):
-    """LtiSystem.modal_screen from the eigenvalues and unit right eigenvectors V of A.
-
-    With W = V^-1 as computed, N = W A - diag(lambda) W and F = W V - I,
-    ||W^-1|| <= v = sqrt(n) / (1 - ||F||_F), and W P_k diag(W^-1, I) =
-    [lambda_k I - diag(lambda) - N W^-1, W B]. With a_k = ||w_k B||,
-    g = ||W B||_F and delta_k the gap from lambda_k to the other
-    eigenvalues, Weyl's inequality on that form and w_k P_k = [-N_k, w_k B]
-    bound sigma_n(P_k) between
-    (a_k / hypot(1, (a_k + g) / delta_k) - ||N||_F v) / (||W||_F max(v, 1))
-    and (||N_k|| + a_k) / ||w_k||, and ||B||_F / sqrt(m) <= sigma_1(P_k) <=
-    2 ||A||_F + ||B||_F. The products are widened by their rounding bound,
-    the cutoffs by twice the SVD's backward error (n + m) eps sigma_1.
-    """
-    n, m = B.shape
-    norm_b = math.sqrt(np.vdot(B, B))
-    sigma_1 = 2.0 * math.sqrt(np.vdot(A, A)) + norm_b
-    # rounding of one product entry per unit of ||w_k||, and of the SVD
-    slop = (n + 2) * _EPS * (math.sqrt(2 * n) + sigma_1)
-    noise = 2 * (n + m) * _EPS * sigma_1
-    with np.errstate(all="ignore"):  # an inf or NaN threshold decides nothing
-        try:
-            W = np.linalg.inv(V)
-        except np.linalg.LinAlgError:
-            W = np.full_like(V, np.nan)
-        # one product for [W, W A, W V, W B], then [W, N, F, W B] in place
-        X = W @ np.concatenate((np.eye(n), A, V, B), axis=1)
-        X[:, n:2 * n] -= eigs[:, None] * W
-        X.reshape(-1)[2 * n:: 3 * n + m + 1] -= 1.0
-        squares = np.add.reduceat(np.square(np.abs(X)), [0, n, 2 * n, 3 * n], axis=1)
-        norm_w, norm_n, norm_f, g = (math.sqrt(x) for x in squares.sum(axis=0).tolist())
-        w, r, _, a = np.sqrt(squares).T
-        norm_n, norm_f, g = (x + slop * norm_w for x in (norm_n, norm_f, g))
-        v = math.sqrt(n) / (1.0 - norm_f) if norm_f < 1.0 else math.inf
-        gaps = np.abs(np.subtract.outer(eigs, eigs))
-        gaps.reshape(-1)[:: n + 1] = np.inf
-        # a_k - slop w_k in place of a_k lowers the bound by at most slop
-        core = a / np.hypot(1.0, (a + g) / gaps.min(axis=1, initial=np.inf))
-        unit = np.float64(sigma_1 + noise)  # numpy division: zero only for A = 0, B = 0
-        holds_below = (core - norm_n * v) / (norm_w * max(v, 1.0) * unit) - (slop + noise) / unit
-        low = norm_b / math.sqrt(m) - noise
-        # an overflowed ||w_k|| hides its residual
-        scale = (1.0 / low if low > 0 else math.inf) if math.isfinite(norm_w) else math.nan
-        fails_from = ((a + r) / w + (2 * slop + noise)) * scale
-        values = np.fmin(a / w, np.inf)  # NaN reads as inf
-    return _locked(values), _locked(holds_below), _locked(fails_from)
-
-
 @dataclass(frozen=True, eq=False)
 class LtiSystem:
     """The pair (A, B) of the recursion x[k+1] = A x[k] + B u[k].
@@ -83,9 +32,10 @@ class LtiSystem:
     A is n x n and B is n x m with m >= 1; all entries must be finite.
     Instances are immutable (the arrays are locked) and safe to share
     between concurrent analyses. Derived data are computed on first use,
-    cached and locked, and shared by every analysis of the system: the
-    spectrum of A (one eig), the modal PBH screen from its eigenvectors,
-    the PBH pencil singular values asked for, the PBH result per Tolerances.
+    cached and shared by every analysis of the system: the modal basis
+    (eigenvalues, unit right eigenvectors V and W = V^-1, from one eig and
+    one inv, locked), and the PBH decision per Tolerances, which
+    analysis.pbh_controllable makes and keeps in the _pbh slot.
     """
 
     A: np.ndarray
@@ -108,7 +58,6 @@ class LtiSystem:
             raise ValueError("system matrices must have finite entries")
         object.__setattr__(self, "A", _locked(A))
         object.__setattr__(self, "B", _locked(B))
-        object.__setattr__(self, "_pencils", {})  # eigenvalue index -> pencil_svals
         object.__setattr__(self, "_pbh", {})  # Tolerances -> analysis.pbh_controllable
 
     @property
@@ -120,49 +69,25 @@ class LtiSystem:
         return self.B.shape[1]
 
     @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+    def _modal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lambda, V, W): eigenvalues, unit right eigenvectors, W = V^-1 (NaN for a singular V)."""
         try:
-            eigs, vectors = np.linalg.eig(self.A)
+            eigs, V = np.linalg.eig(self.A)
         except np.linalg.LinAlgError as exc:
             cond = float(np.linalg.cond(self.A))
             raise AnalysisError(
                 f"eigensolver failed to converge (condition estimate {cond:.3e})"
             ) from exc
-        return _locked(eigs), vectors
+        try:
+            W = np.linalg.inv(V)
+        except np.linalg.LinAlgError:
+            W = np.full_like(V, np.nan)
+        return _locked(eigs), _locked(V), _locked(W)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of A, locked; AnalysisError if the eigensolver fails."""
-        return self._eig[0]
-
-    @cached_property
-    def modal_screen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(values, holds_below, fails_from), one entry per eigenvalue, locked.
-
-        values[k] = ||w_k B|| / ||w_k||, w_k the k-th row of W = V^-1. The
-        SVD of P_k = [lambda_k I - A, B] has sigma_n > c sigma_1 at every
-        cutoff c below holds_below[k] and at none from fails_from[k] on; a
-        cutoff in between, or a NaN threshold, needs that SVD.
-        """
-        return _modal_screen(self.A, self.B, *self._eig)
-
-    def _pencil(self, k: int) -> np.ndarray:
-        """The PBH pencil [lambda_k I - A, B], freshly built; real for a real eigenvalue."""
-        lam = self.eigenvalues[k]
-        lam = lam if lam.imag else lam.real
-        pencil = np.concatenate((-self.A, self.B), axis=1).astype(type(lam), copy=False)
-        pencil.reshape(-1)[:: self.n + self.m + 1] = lam - self.A.diagonal()
-        return pencil
-
-    def pencil_svals(self, k: int) -> np.ndarray:
-        """Singular values of [lambda_k I - A, B], descending, computed once per k, locked.
-
-        The PBH witness SVD of a failing pencil fills the entry it finds
-        empty, so a reported failure takes no second SVD.
-        """
-        if k not in self._pencils:
-            self._pencils[k] = _locked(np.linalg.svd(self._pencil(k), compute_uv=False))
-        return self._pencils[k]
+        return self._modal[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,10 @@
 """Controllability conditions, block-length selection, and spectral tests."""
 
 import dataclasses
+import gc
+import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +14,7 @@ from cbcontrol import (
     DEFAULT,
     LtiSystem,
     PreconditionError,
+    RatioOrder,
     Tolerances,
     build_scheme,
     bundled_problem,
@@ -26,7 +30,7 @@ from cbcontrol import (
     select_h,
     unit_ratio_orders,
 )
-from cbcontrol.analysis import _has_unit_eigenvalue
+from cbcontrol.analysis import _has_unit_eigenvalue, _modal_screen, _pencil
 from cbcontrol.numeric import numeric_rank
 
 from helpers import (
@@ -185,6 +189,25 @@ def test_select_h_skips_high_order_ratio_without_warning():
         warnings.simplefilter("error")
         assert unit_ratio_orders(system, Tolerances(max_order=32)) == []
         assert select_h(system, Tolerances(max_order=32)) == 2
+
+
+def test_ratio_order_search_memory_is_bounded():
+    # r^k is formed a block of rows at a time, and the search stops after the
+    # block in which every pair has found its order: a bound of 10^6 costs
+    # the memory of one block, as does a pair of no order at 10^5
+    found = load_problem(bundled_problem("rotation_2d")).system
+    angle = 1.0  # radians: the ratio e^(2i) reaches 1 at no k <= 10^5
+    none = LtiSystem(A=[[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]], B=[1.0, 0.0])
+    for system, max_order, want in ((found, 10**6, [RatioOrder(0, 1, 3)]), (none, 10**5, [])):
+        system.eigenvalues  # the eigen-solve is not part of the search
+        tracemalloc.start()
+        try:
+            got = unit_ratio_orders(system, Tolerances(max_order=max_order))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1 << 20, peak
 
 
 def test_select_h_certificate_keeps_power_spectrum_simple():
@@ -445,19 +468,22 @@ def test_bundled_verdicts_decide_without_warnings():
 
 def test_one_eigen_solve_per_system(monkeypatch):
     calls = []
-    original = np.linalg.eig
 
-    def counting(matrix):
-        calls.append(matrix.shape)
-        return original(matrix)
+    def counting(original):
+        def count(matrix):
+            calls.append((original.__name__, matrix.shape))
+            return original(matrix)
+        return count
 
-    monkeypatch.setattr(np.linalg, "eig", counting)
+    # one eig and one inv: the modal basis (eigenvalues, V and W = V^-1)
+    monkeypatch.setattr(np.linalg, "eig", counting(np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "inv", counting(np.linalg.inv))
     system = expander_system()
     h = select_h(system)
     check_nonrepetitive_sufficient(system, h)
     check_repetitive_sufficient(system, 4)
     hb_invertible(system, 2, 4)
-    assert len(calls) == 1
+    assert calls == [("eig", (2, 2)), ("inv", (2, 2))]
     assert not system.eigenvalues.flags.writeable
 
 
@@ -528,7 +554,7 @@ def test_vectorised_spectral_tests_match_pair_loops():
                 LtiSystem(A=np.zeros((3, 3)), B=np.ones((3, 1)))]
     hits = skips = 0
     for trial, system in enumerate(systems):
-        limit = (64, 8)[trial % 2]
+        limit = (64, 8, 2500)[trial % 3]  # 2500: three blocks of the blocked search
         got = unit_ratio_orders(system, dataclasses.replace(tol, max_order=limit))
         want, skipped = ratio_orders_loop(system, limit)
         assert [(o.i, o.j, o.order) for o in got] == want
@@ -639,12 +665,18 @@ def _counting_svd(monkeypatch):
 
 
 def test_screen_cleared_verdicts_take_no_pencil_svd(monkeypatch):
-    calls = _counting_svd(monkeypatch)
     rng = np.random.default_rng(45)
     mixed = random_system(rng, 7, 2)
     assert np.any(mixed.eigenvalues.imag > 0)
+    simple = random_real_simple_system(rng, 5, 2)
+    # eigenvalues 1e-15 apart, and each pencil's singular values taken
+    # before the SVDs are counted
+    basis = random_orthogonal(rng, 3)
+    near = LtiSystem(A=basis @ np.diag([0.7, 0.7 + 1e-15, -0.3]) @ basis.T, B=[[1.0], [0.5], [0.2]])
+    pencils = [np.linalg.svd(_pencil(near.A, near.B, near.eigenvalues[k]), compute_uv=False) for k in range(3)]
+    calls = _counting_svd(monkeypatch)
     # n + m is odd, so no lifted or reachability object shares the pencil shape
-    for system in (mixed, random_real_simple_system(rng, 5, 2)):
+    for system in (mixed, simple):
         calls.clear()
         h = select_h(system)
         verdicts = [check_nonrepetitive_sufficient(system, h)]
@@ -654,23 +686,26 @@ def test_screen_cleared_verdicts_take_no_pencil_svd(monkeypatch):
         # the modal screen decides every eigenvalue, and the verdict reports
         # its modal values: no pencil SVD at all
         assert [shape for shape, _, _ in calls].count((system.n, system.n + system.m)) == 0
-        values = system.modal_screen[0]
+        values = _modal_screen(system)[0]
         assert not values.flags.writeable
         for verdict in verdicts:
             assert verdict.conditions == "yes"
             assert verdict.numeric_rank == system.n
             assert np.array_equal(verdict.singular_values, np.sort(values)[::-1])
+            assert not verdict.singular_values.flags.writeable
 
-    # eigenvalues 1e-15 apart: the screen cannot clear them, PBH fails, and
-    # the verdict reports the pencil SVD at the eigenvalue PBH failed at, cached
-    basis = random_orthogonal(rng, 3)
-    near = LtiSystem(A=basis @ np.diag([0.7, 0.7 + 1e-15, -0.3]) @ basis.T, B=[[1.0], [0.5], [0.2]])
+    # the screen cannot clear the near pair, PBH fails, and the verdict
+    # reports the pencil SVD at the eigenvalue PBH failed at, cached
+    calls.clear()
     verdict = check_nonrepetitive_sufficient(near, 2)
     pbh = pbh_controllable(near)
     assert verdict.controllable == "no" and not pbh.controllable
     taken = len(calls)
     k = int(np.flatnonzero(near.eigenvalues == pbh.eigenvalue)[0])
-    assert verdict.singular_values is near.pencil_svals(k)
+    # values-only SVDs of the near pair's pencils, then the witness's with U:
+    # the report takes no SVD of its own
+    assert sorted(calls, key=lambda call: call[2]) == [((3, 4), False, False)] * 2 + [((3, 4), False, True)]
+    assert np.array_equal(verdict.singular_values, pencils[k])
     assert verdict.numeric_rank == 2
     assert check_nonrepetitive_sufficient(near, 2).singular_values is verdict.singular_values
     assert len(calls) == taken
@@ -702,14 +737,54 @@ def test_modal_pbh_failure_takes_one_pencil_svd(monkeypatch):
     # singular values are the ones the non-repetitive verdict reports
     system = LtiSystem(A=np.diag([0.5, -0.3, 2.0]), B=[[1.0], [1.0], [0.0]])
     expected = np.linalg.svd(np.hstack([2.0 * np.eye(3) - system.A, system.B]), compute_uv=False)
+    witness = np.linalg.svd(_pencil(system.A, system.B, system.eigenvalues[2]))[1]
     calls = _counting_svd(monkeypatch)
     verdict = check_nonrepetitive_sufficient(system, 2)
     assert check_repetitive_sufficient(system, 3).controllable == "no"
     # the witness SVD with U, then the repetitive verdict's rank(B)
     assert calls == [((3, 4), False, True), ((3, 1), False, False)]
     assert verdict.controllable == "no" and verdict.numeric_rank == 2
-    assert verdict.singular_values is system.pencil_svals(2)
+    assert np.array_equal(verdict.singular_values, witness)
     assert np.allclose(verdict.singular_values, expected, rtol=1e-14, atol=1e-15)
+
+
+def test_reported_pencil_svd_is_taken_only_for_the_verdict(monkeypatch):
+    # PBH passes, the screen cannot clear the pair 1e-15 apart, and it clears
+    # the eigenvalue at 1 (no verdict "yes"), where the smallest modal value
+    # is: the repetitive verdict takes the pair's pencil SVDs and rank(B)
+    # alone, and the non-repetitive verdict adds the SVD of the pencil it
+    # reports, once
+    system = LtiSystem(A=np.diag([0.5, 0.5 + 1e-15, 1.0]), B=[[1.0, 0.0], [0.0, 1.0], [0.01, 0.01]])
+    reported = np.linalg.svd(_pencil(system.A, system.B, system.eigenvalues[2]), compute_uv=False)
+    calls = _counting_svd(monkeypatch)
+    assert check_repetitive_sufficient(system, 3).controllable == "no"
+    assert pbh_controllable(system).controllable
+    assert calls == [((3, 5), False, False)] * 2 + [((3, 2), False, False)]
+    calls.clear()
+    verdict = check_nonrepetitive_sufficient(system, 2)
+    assert calls == [((3, 5), False, False)]
+    assert verdict.numeric_rank == 3
+    assert np.array_equal(verdict.singular_values, reported)
+    assert check_nonrepetitive_sufficient(system, 3).singular_values is verdict.singular_values
+    assert len(calls) == 1
+
+
+def test_cached_pbh_decision_keeps_no_reference_cycle():
+    # what the decision caches on a system refers to none of it, so a
+    # system is freed with its last reference, not at a later cyclic GC
+    A, B = np.diag([0.5, 0.5 + 1e-15, 1.0]), [[1.0, 0.0], [0.0, 1.0], [0.01, 0.01]]
+    for verdicts in ([], [check_repetitive_sufficient], [check_nonrepetitive_sufficient]):
+        system = LtiSystem(A=A, B=B)
+        pbh_controllable(system)
+        for verdict in verdicts:
+            verdict(system, 2)
+        ref = weakref.ref(system)
+        gc.disable()
+        try:
+            del system
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def _parity_slacks():
@@ -756,9 +831,9 @@ def test_modal_screen_brackets_each_pencil_ratio():
         system = makers[trial % 4](rng)
         if trial % 8 == 7:
             system = LtiSystem(A=system.A * 10.0 ** rng.uniform(-6, 6), B=system.B)
-        _, holds_below, fails_from = system.modal_screen
+        _, holds_below, fails_from = _modal_screen(system)
         for k in range(system.n):
-            svals = system.pencil_svals(k)
+            svals = np.linalg.svd(_pencil(system.A, system.B, system.eigenvalues[k]), compute_uv=False)
             ratio = svals[-1] / svals[0]
             assert not holds_below[k] >= ratio, (trial, k)
             assert not fails_from[k] < ratio, (trial, k)
@@ -1044,12 +1119,13 @@ def test_pbh_failure_reports_the_failing_pencil():
     # of the pencil at another eigenvalue
     basis = np.linalg.qr(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [1.0, 0.0, 1.0]]))[0]
     system = LtiSystem(A=basis @ np.diag([0.7, 0.7 + 1e-13, -0.3]) @ basis.T, B=np.eye(3)[:, :1])
+    pencils = [np.linalg.svd(_pencil(system.A, system.B, system.eigenvalues[k]), compute_uv=False) for k in range(3)]
     verdict = check_nonrepetitive_sufficient(system, 2)
     pbh = pbh_controllable(system)
     assert verdict.controllable == "no" and not pbh.controllable
     assert verdict.numeric_rank == 2
     k = int(np.flatnonzero(system.eigenvalues == pbh.eigenvalue)[0])
-    assert verdict.singular_values is system.pencil_svals(k)
+    assert np.array_equal(verdict.singular_values, pencils[k])
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -388,7 +388,9 @@ def test_design_float64_overflow(tmp_path, capsys):
 def test_analyze_block_length_overflow_exits_4(tmp_path, capsys):
     # A = diag(2, -2) has lambda^h twice at even h, so the lifted PBH test
     # runs: at h = 600 the norm of A^h overflows, at h = 1100 A^h itself,
-    # and the identical-block rank reads A^1098 B; each is one typed error
+    # and the identical-block rank reads A^1098 B; each is one typed error.
+    # At h = 1101 lambda^h is +inf and -inf, which differ in sign, but an
+    # overflowed spectrum reads as not simple, so the lifted test runs too
     doc = {
         "system": {"A": [[2.0, 0.0], [0.0, -2.0]], "B": [[1.0], [1.0]]},
         "task": {"x0": [0.0, 0.0], "xf": [1.0, 1.0], "b": 2, "h": 2,
@@ -396,7 +398,7 @@ def test_analyze_block_length_overflow_exits_4(tmp_path, capsys):
     }
     path = tmp_path / "doubling.json"
     path.write_text(json.dumps(doc))
-    for h, regime in (("600", "nonrep"), ("1100", "nonrep"), ("1100", "rep")):
+    for h, regime in (("600", "nonrep"), ("1100", "nonrep"), ("1101", "nonrep"), ("1100", "rep")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["analyze", "--problem", str(path), "--h", h, "--regime", regime])

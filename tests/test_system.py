@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from cbcontrol import (
-    AnalysisError, DimensionError, LtiSystem, Trajectory, build_scheme, lift, simulate,
+    AnalysisError, DimensionError, LtiSystem, Trajectory, build_scheme,
+    check_nonrepetitive_sufficient, lift, simulate,
 )
+from cbcontrol.analysis import _modal_screen
 
 from helpers import rotation_system
 
@@ -138,9 +140,12 @@ def test_locked_arrays_cannot_be_made_writeable():
     assert system.A[1, 1] == -0.3
     traj = simulate(system, [1.0, 0.0], np.zeros((3, 1)))
     lifted = lift(system, build_scheme(3, 1))
-    arrays = [system.A, system.B, system.eigenvalues, *system.modal_screen,
-              system.pencil_svals(0), traj.states, traj.inputs,
-              lifted.S, lifted.Abar, lifted.Bbar]
+    # the modal basis (lambda, V, W), the screen, and the singular values a
+    # verdict reports: the modal values, or a PBH pencil's where PBH fails
+    reported = [check_nonrepetitive_sufficient(plant, 2).singular_values
+                for plant in (system, LtiSystem(A=np.eye(2), B=[1.0, 1.0]))]
+    arrays = [system.A, system.B, system.eigenvalues, *system._modal, *_modal_screen(system),
+              *reported, traj.states, traj.inputs, lifted.S, lifted.Abar, lifted.Bbar]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr.setflags(write=True)
