@@ -39,7 +39,6 @@ from .errors import (
     AnalysisError,
     ChargeBalanceError,
     DimensionError,
-    InfeasibleTaskError,
     PreconditionError,
     ProblemFormatError,
     ReachabilityError,
@@ -60,7 +59,6 @@ __all__ = [
     "ControllabilityVerdict",
     "DEFAULT",
     "DimensionError",
-    "InfeasibleTaskError",
     "LiftedSystem",
     "LtiSystem",
     "PbhResult",

@@ -24,7 +24,6 @@ from powers of A is rank-tested against a condition that already decided.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -40,14 +39,19 @@ from .tolerances import _EPS, DEFAULT, Tolerances, require_integer
 
 @dataclass(frozen=True, eq=False)
 class PbhResult:
-    """Outcome of the PBH test, with a witness on failure."""
+    """Outcome of the PBH test: its rank evidence, and a witness on failure.
+
+    ``numeric_rank`` and ``singular_values`` (locked) are n and the modal
+    values ||w B|| / ||w||, descending, when the modal screen alone passes
+    every pencil; else the rank and singular values of the pencil where
+    PBH failed, or of the one at the smallest modal value.
+    """
 
     controllable: bool
+    numeric_rank: int
+    singular_values: np.ndarray
     eigenvalue: complex | None = None
     left_eigenvector: np.ndarray | None = None
-
-    def __bool__(self) -> bool:
-        return self.controllable
 
 
 @dataclass(frozen=True)
@@ -71,10 +75,8 @@ class ControllabilityVerdict:
     ``conditions`` equals ``controllable``. ``reasons`` lists every
     condition that was evaluated with its truth value.
     ``numeric_rank`` and ``singular_values`` describe the rank test that
-    decided. When the non-repetitive conditions decide, they are n and the
-    modal values ||w B|| / ||w||, descending, if the modal screen alone
-    passed PBH, else the PBH pencil where PBH failed, or the one at the
-    smallest modal value; the least-rank lifted pencil when that decides;
+    decided: the PbhResult's when the non-repetitive conditions decide,
+    the least-rank lifted pencil when that decides, and
     K = [A^(h-2) B, ..., A B, B] in the repetitive regime.
     """
 
@@ -124,9 +126,39 @@ def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
     cutoff; only the rest (clusters, ill-conditioned eigenvectors, values
     near the cutoff) take their own pencil SVD. On failure, returns the
     first offending eigenvalue and a locked unit left eigenvector phi (real
-    for a real eigenvalue) whose product phi^T B is numerically zero.
+    for a real eigenvalue) whose product phi^T B is numerically zero. The
+    rank evidence is taken with the decision; see PbhResult.
     """
-    return _pbh(system, tol)[0]
+    if tol in system._pbh:
+        return system._pbh[tol]
+    A, B, eigs, n = system.A, system.B, system.eigenvalues, system.n
+    shape = (n, n + system.m)
+    cutoff = tol.rank_cutoff(shape)
+    values, holds_below, fails_from = _modal_screen(system)
+    fails = cutoff >= fails_from
+    svals = {}  # eigenvalue index -> singular values of its pencil, as taken
+    for k in np.flatnonzero(~(fails | (cutoff < holds_below))).tolist():
+        svals[k] = _locked(np.linalg.svd(_pencil(A, B, eigs[k]), compute_uv=False))
+        fails[k] = _rank(svals[k], shape, tol) < n
+    failing = np.flatnonzero(fails)
+    witness = ()
+    if failing.size:
+        # witness from the left null space of the pencil, so it pairs the
+        # eigen relation with a vanishing phi^T B
+        k = int(failing[0])
+        u, s, _ = np.linalg.svd(_pencil(A, B, eigs[k]))
+        svals.setdefault(k, _locked(s))
+        phi = np.conj(u[:, -1])
+        witness = complex(eigs[k]), _locked(phi / np.linalg.norm(phi))
+    if cutoff < holds_below.min(initial=np.inf):  # the screen passes every pencil
+        rank, reported = n, _locked(np.sort(values)[::-1])
+    else:
+        k = int(failing[0]) if failing.size else int(np.argmin(values))
+        if k not in svals:
+            svals[k] = _locked(np.linalg.svd(_pencil(A, B, eigs[k]), compute_uv=False))
+        rank, reported = _rank(svals[k], shape, tol), svals[k]
+    result = system._pbh[tol] = PbhResult(not failing.size, rank, reported, *witness)
+    return result
 
 
 def _modal_screen(system: LtiSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,52 +218,13 @@ def _pencil(A: np.ndarray, B: np.ndarray, lam) -> np.ndarray:
     return pencil
 
 
-def _pbh(system: LtiSystem, tol: Tolerances):
-    """(PbhResult, report), decided once per system and Tolerances and cached on it."""
-    if tol in system._pbh:
-        return system._pbh[tol]
-    # report() keeps no reference to the system, so the cache on it makes no cycle
-    A, B, eigs, n = system.A, system.B, system.eigenvalues, system.n
-    shape = (n, n + system.m)
-    cutoff = tol.rank_cutoff(shape)
-    values, holds_below, fails_from = _modal_screen(system)
-    fails = cutoff >= fails_from
-    svals = {}  # eigenvalue index -> singular values of its pencil, as taken
-    for k in np.flatnonzero(~(fails | (cutoff < holds_below))).tolist():
-        svals[k] = _locked(np.linalg.svd(_pencil(A, B, eigs[k]), compute_uv=False))
-        fails[k] = _rank(svals[k], shape, tol) < n
-    failing = np.flatnonzero(fails)
-    result = PbhResult(True)
-    if failing.size:
-        # witness from the left null space of the pencil, so it pairs the
-        # eigen relation with a vanishing phi^T B
-        k = int(failing[0])
-        u, s, _ = np.linalg.svd(_pencil(A, B, eigs[k]))
-        svals.setdefault(k, _locked(s))
-        phi = np.conj(u[:, -1])
-        result = PbhResult(False, complex(eigs[k]), _locked(phi / np.linalg.norm(phi)))
-
-    @functools.cache
-    def report() -> tuple[int, np.ndarray]:
-        """ControllabilityVerdict's (rank, singular values), locked; an SVD only when asked."""
-        if cutoff < holds_below.min(initial=np.inf):  # the screen passes every pencil
-            return n, _locked(np.sort(values)[::-1])
-        k = int(failing[0]) if failing.size else int(np.argmin(values))
-        if k not in svals:
-            svals[k] = _locked(np.linalg.svd(_pencil(A, B, eigs[k]), compute_uv=False))
-        return _rank(svals[k], shape, tol), svals[k]
-
-    system._pbh[tol] = result, report
-    return result, report
-
-
-def _necessary_conditions(system: LtiSystem, tol: Tolerances) -> tuple[list, bool]:
-    """Reasons for the two necessary conditions, and whether both hold."""
+def _necessary_conditions(system: LtiSystem, tol: Tolerances) -> tuple[list, bool, PbhResult]:
+    """Reasons for the two necessary conditions, whether both hold, and the PBH result."""
     pbh = pbh_controllable(system, tol)
     unit = _has_unit_eigenvalue(system.eigenvalues, tol)
     reasons = [ConditionCheck("pair (A, B) controllable (PBH)", pbh.controllable),
                ConditionCheck("no eigenvalue of A at 1", not unit)]
-    return reasons, pbh.controllable and not unit
+    return reasons, pbh.controllable and not unit, pbh
 
 
 _NECESSARY_FAILED = ConditionCheck(
@@ -254,7 +247,7 @@ def check_nonrepetitive_sufficient(
     """
     h, _ = _require_blocks(h)
     n = system.n
-    reasons, necessary = _necessary_conditions(system, tol)
+    reasons, necessary, pbh = _necessary_conditions(system, tol)
     # the spectrum of A^h is lambda^h over the spectrum of A
     powers = system.eigenvalues**h
     simple = _pairwise_distinct(powers, tol)
@@ -276,7 +269,7 @@ def check_nonrepetitive_sufficient(
                               f"least rank of [mu I - A^{h}, c K] {rank} of {n}")
     else:
         conditions = verdict = "yes" if necessary else "no"
-        rank, svals = _pbh(system, tol)[1]()
+        rank, svals = pbh.numeric_rank, pbh.singular_values
         last = _NECESSARY_FAILED if not necessary else ConditionCheck(
             "sufficient conditions hold", True, f"smallest PBH pencil rank {rank} of {n}"
         )
@@ -399,7 +392,7 @@ def check_repetitive_sufficient(
     """
     h, b = _require_blocks(h, b)
     n = system.n
-    reasons, necessary = _necessary_conditions(system, tol)
+    reasons, necessary, _ = _necessary_conditions(system, tol)
     invertible = hb_invertible(system, h, b, tol)
     rank, svals = numeric_rank(krylov(system.A, system.B, h - 1), tol)
     reasons += [

@@ -22,7 +22,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,18 +38,11 @@ from .design import (
     NON_REPETITIVE,
     REGIMES,
     REPETITIVE,
-    SteeringTask,
     design_nonrepetitive,
     design_repetitive,
     verify_plan,
 )
-from .errors import (
-    AnalysisError,
-    InfeasibleTaskError,
-    PreconditionError,
-    ProblemFormatError,
-    ReachabilityError,
-)
+from .errors import AnalysisError, PreconditionError, ProblemFormatError, ReachabilityError
 from .lifting import lift
 from .problem_io import Problem, load_problem, read_inputs_csv, write_csv, write_text
 from .system import simulate
@@ -60,16 +52,6 @@ EXIT_PARSE = 2
 EXIT_UNREACHABLE = 3
 EXIT_PRECONDITION = 4
 EXIT_UNVERIFIED = 5
-
-
-@dataclass(frozen=True, eq=False)
-class RunReport:
-    """What one command produced: verdict data, design data, emitted files."""
-
-    verdict: dict | None = None
-    design: dict | None = None
-    rows: tuple = ()
-    manifest: tuple = ()
 
 
 def _verdict_dict(verdict: ControllabilityVerdict, h: int, extra: dict | None = None) -> dict:
@@ -123,7 +105,7 @@ def _resolve_h(problem: Problem):
     """The block length to use, plus the selection certificate when automatic."""
     if problem.h is not None:
         return problem.h, None
-    if problem.regime == NON_REPETITIVE:
+    if problem.task.regime == NON_REPETITIVE:
         orders = unit_ratio_orders(problem.system, tol=problem.tolerances)
         h = select_h(problem.system, tol=problem.tolerances, orders=orders)
         return h, {"selected_h": h, "ratio_orders": [dataclasses.asdict(o) for o in orders]}
@@ -134,9 +116,9 @@ def _resolve_h(problem: Problem):
 def _analyze(problem: Problem):
     """(h, verdict, verdict document) for the problem's regime."""
     h, cert = _resolve_h(problem)
-    if problem.regime == REPETITIVE:
+    if problem.task.regime == REPETITIVE:
         verdict = check_repetitive_sufficient(
-            problem.system, problem.b, h=h, tol=problem.tolerances
+            problem.system, problem.task.b, h=h, tol=problem.tolerances
         )
     else:
         verdict = check_nonrepetitive_sufficient(problem.system, h, tol=problem.tolerances)
@@ -158,16 +140,20 @@ def _print_verdict(doc: dict):
     print(f"verdict: {doc['controllable']}")
 
 
-def cmd_analyze(problem: Problem, out_dir=None) -> RunReport:
-    """Condition-by-condition controllability verdict for the problem."""
+def cmd_analyze(problem: Problem, out_dir=None) -> dict:
+    """Condition-by-condition controllability verdict for the problem.
+
+    Returns the report: the verdict document, as written to report.json
+    when out_dir is given, and the manifest of written files.
+    """
     report_path = None if out_dir is None else _output_dir(out_dir) / "report.json"
     _, _, doc = _analyze(problem)
     _print_verdict(doc)
-    manifest = []
+    report = {"verdict": doc}
     if report_path is not None:
-        _write_report(report_path, {"verdict": doc})
-        manifest.append(str(report_path))
-    return RunReport(verdict=doc, manifest=tuple(manifest))
+        _write_report(report_path, report)
+    report["manifest"] = [] if report_path is None else [str(report_path)]
+    return report
 
 
 def _plot_script(n: int, m: int, xf) -> str:
@@ -213,13 +199,14 @@ def _write_series(path, prefix: str, series):
     )
 
 
-def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
+def cmd_design(problem: Problem, out_dir, plot: bool = True) -> dict:
     """Design, verify, and serialize a minimum-energy plan.
 
     Refuses to design when the analysis verdict is "no". Writes
     inputs.csv, states.csv, blocks.csv, report.json, and (optionally)
     plot.gp into the output directory, which is created before any
-    analysis, so an unusable --out fails first.
+    analysis, so an unusable --out fails first. Returns the report that
+    report.json holds, its manifest then extended by report.json itself.
     """
     out_dir = _output_dir(out_dir)
     h, verdict, verdict_doc = _analyze(problem)
@@ -230,11 +217,10 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
             f"(failing conditions: {failing})"
         )
 
-    system, tol = problem.system, problem.tolerances
+    system, task, tol = problem.system, problem.task, problem.tolerances
     scheme = build_scheme(h, system.m)
     lifted = lift(system, scheme)
-    task = SteeringTask(x0=problem.x0, xf=problem.xf, b=problem.b, regime=problem.regime)
-    design = design_repetitive if problem.regime == REPETITIVE else design_nonrepetitive
+    design = design_repetitive if task.regime == REPETITIVE else design_nonrepetitive
     plan = design(lifted, task, tol)
     check = verify_plan(system, scheme, task, plan, tol)
 
@@ -245,18 +231,18 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
 
     _write_series(inputs_path, "u", plan.flat_inputs)
     _write_series(states_path, "x", check.trajectory.states)
-    block_energies = np.square(plan.flat_inputs).reshape(problem.b, -1).sum(axis=1)
+    block_energies = np.square(plan.flat_inputs).reshape(task.b, -1).sum(axis=1)
     write_csv(blocks_path, ["p", "energy", "imbalance"], _indexed(block_energies, check.imbalances))
     manifest = [str(inputs_path), str(states_path), str(blocks_path)]
     if plot:
         plot_path = out_dir / "plot.gp"
-        write_text(plot_path, _plot_script(system.n, system.m, problem.xf))
+        write_text(plot_path, _plot_script(system.n, system.m, task.xf))
         manifest.append(str(plot_path))
 
     design_doc = {
         "h": h,
-        "b": problem.b,
-        "regime": problem.regime,
+        "b": task.b,
+        "regime": task.regime,
         "energy": plan.energy,
         "terminal_error": check.terminal_error,
         "max_imbalance": float(check.imbalances.max()),
@@ -267,23 +253,22 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> RunReport:
     manifest.append(str(report_path))
 
     print(
-        f"designed {problem.regime} plan: h = {h}, b = {problem.b}, "
+        f"designed {task.regime} plan: h = {h}, b = {task.b}, "
         f"energy {plan.energy:.6g}, terminal error {check.terminal_error:.3e}"
     )
     for path in manifest:
         print(f"wrote {path}")
-    return RunReport(verdict=verdict_doc, design=design_doc, manifest=tuple(manifest))
+    return report
 
 
-def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> RunReport:
-    """Tabulate verdict, rank, and achievable energy across block lengths."""
+def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> list[dict]:
+    """Tabulate verdict, rank, and achievable energy across block lengths; returns the rows."""
     if h_min < 2 or h_max < h_min:
         raise ProblemFormatError(f"need 2 <= h_min <= h_max, got [{h_min}, {h_max}]")
-    if problem.regime != NON_REPETITIVE:
+    if problem.task.regime != NON_REPETITIVE:
         raise PreconditionError("sweep-h applies to the non-repetitive regime only")
     out_dir = _output_dir(out_dir)
-    system, tol = problem.system, problem.tolerances
-    task = SteeringTask(x0=problem.x0, xf=problem.xf, b=problem.b, regime=NON_REPETITIVE)
+    system, task, tol = problem.system, problem.task, problem.tolerances
     rows = []
     for h in range(h_min, h_max + 1):
         verdict = check_nonrepetitive_sufficient(system, h, tol)
@@ -315,24 +300,20 @@ def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> RunReport:
             f"{r['controllable']:>12}  {energy}"
         )
     print(f"wrote {sweep_path}")
-    return RunReport(rows=tuple(rows), manifest=(str(sweep_path),))
+    return rows
 
 
-def cmd_simulate(problem: Problem, inputs_path, out_dir) -> RunReport:
+def cmd_simulate(problem: Problem, inputs_path, out_dir):
     """Replay a serialized input sequence and write the resulting states."""
     states_path = _output_dir(out_dir) / "states.csv"
     system = problem.system
     inputs = read_inputs_csv(inputs_path, system.m)
-    traj = simulate(system, problem.x0, inputs)
+    traj = simulate(system, problem.task.x0, inputs)
     _write_series(states_path, "x", traj.states)
-    terminal_error = float(np.linalg.norm(traj.terminal - problem.xf))
+    terminal_error = float(np.linalg.norm(traj.terminal - problem.task.xf))
     print(
         f"replayed {traj.horizon} steps, terminal error {terminal_error:.3e}, "
         f"wrote {states_path}"
-    )
-    return RunReport(
-        design={"terminal_error": terminal_error, "steps": traj.horizon},
-        manifest=(str(states_path),),
     )
 
 
@@ -414,7 +395,7 @@ def main(argv=None) -> int:
                 cmd_analyze(problem, args.out)
             elif args.command == "design":
                 report = cmd_design(problem, args.out, plot=args.plot)
-                if not report.design["passed"]:
+                if not report["design"]["passed"]:
                     print("error: the designed plan failed verification; see report.json",
                           file=sys.stderr)
                     return EXIT_UNVERIFIED
@@ -425,7 +406,7 @@ def main(argv=None) -> int:
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ReachabilityError, InfeasibleTaskError) as exc:
+    except ReachabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
     except (PreconditionError, AnalysisError) as exc:

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charge_balance import BlockScheme, unpack
-from .errors import (
-    ChargeBalanceError, DimensionError, InfeasibleTaskError, PreconditionError, ReachabilityError,
-)
+from .errors import ChargeBalanceError, DimensionError, PreconditionError, ReachabilityError
 from .lifting import LiftedSystem, h_sum, reachability_matrix
 from .numeric import min_norm_solve
 from .system import LtiSystem, Trajectory, _locked, simulate
@@ -196,7 +194,9 @@ def oracle_stacked_ls(
     Solved as one minimum-norm least-squares system after row
     equilibration (which leaves the solution set of a consistent system
     unchanged). Shares no code path with the closed-form laws. Raises
-    ChargeBalanceError when a block of the solution carries net charge.
+    ReachabilityError, with the scaled residual and the stacked rank, when
+    that system is infeasible, and ChargeBalanceError when a block of the
+    solution carries net charge.
     """
     if scheme.m != system.m:
         raise DimensionError(
@@ -236,11 +236,12 @@ def oracle_stacked_ls(
     row_norms[row_norms == 0.0] = 1.0
     scaled_lhs = lhs / row_norms[:, None]
     scaled_target = target / row_norms
-    u, _, _, residual = min_norm_solve(scaled_lhs, scaled_target, tol)
+    u, rank, _, residual = min_norm_solve(scaled_lhs, scaled_target, tol)
     if residual > tol.reach * max(1.0, float(np.linalg.norm(scaled_target))):
-        raise InfeasibleTaskError(
-            f"stacked equality system is infeasible: scaled residual {residual:.3e}",
+        raise ReachabilityError(
+            f"stacked equality system is infeasible: scaled residual {residual:.3e}, rank {rank}",
             residual=residual,
+            rank=rank,
         )
 
     flat = u.reshape(steps, m)

@@ -26,14 +26,6 @@ class ReachabilityError(RuntimeError):
         self.rank = rank
 
 
-class InfeasibleTaskError(RuntimeError):
-    """The stacked equality system of a steering task has no solution."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class AnalysisError(RuntimeError):
     """A numerical analysis step failed, e.g. eigensolver breakdown."""
 

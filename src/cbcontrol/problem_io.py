@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import REGIMES
+from .design import REGIMES, SteeringTask
 from .errors import DimensionError, ProblemFormatError
 from .system import LtiSystem
 from .tolerances import DEFAULT, Tolerances, is_integer
@@ -51,17 +51,14 @@ _TOLERANCE_KEYS = {field.name for field in fields(Tolerances)}
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """A parsed problem file: plant, steering task fields, tolerances.
+    """A parsed problem file: plant, steering task, block length, tolerances.
 
     ``h`` is None when the file requested automatic block-length selection.
     """
 
     system: LtiSystem
-    x0: np.ndarray
-    xf: np.ndarray
-    b: int
+    task: SteeringTask
     h: int | None
-    regime: str
     tolerances: Tolerances
 
 
@@ -156,9 +153,8 @@ def parse_problem(text: str, source: str = "problem", overrides=None) -> Problem
     except ValueError as exc:
         raise ProblemFormatError(f"{source}: {exc}") from exc
 
-    return Problem(
-        system=system, x0=x0, xf=xf, b=b, h=h, regime=regime, tolerances=tolerances
-    )
+    task = SteeringTask(x0=x0, xf=xf, b=b, regime=regime)
+    return Problem(system=system, task=task, h=h, tolerances=tolerances)
 
 
 def load_problem(path, overrides=None) -> Problem:

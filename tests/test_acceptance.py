@@ -140,14 +140,15 @@ def test_criterion_4_repetitive_steering_four_state():
     system = problem.system
     scheme = build_scheme(problem.h, system.m)
     lifted = lift(system, scheme)
-    task = SteeringTask(x0=problem.x0, xf=problem.xf, b=problem.b, regime="repetitive")
+    task = problem.task
+    assert task.regime == "repetitive"
 
     def run():
         plan = design_repetitive(lifted, task)
         return plan, verify_plan(system, scheme, task, plan)
 
     (plan, check), runtime = _best_of(run)
-    gain = h_sum(lifted, problem.b)[0] @ lifted.Bbar
+    gain = h_sum(lifted, task.b)[0] @ lifted.Bbar
     ok = check.terminal_error <= 1e-6
     ok = ok and np.linalg.matrix_rank(gain) == 4
     ok = ok and plan.flat_inputs.shape[0] == 15
@@ -266,8 +267,8 @@ def test_criterion_7_condition_soundness_sweeps():
 
 def test_criterion_8_sweep_reports_fallback_row(tmp_path):
     problem = load_problem(bundled_problem("rotation_2d"))
-    report = cmd_sweep_h(problem, 2, 5, tmp_path)
-    by_h = {row["h"]: row for row in report.rows}
+    rows = cmd_sweep_h(problem, 2, 5, tmp_path)
+    by_h = {row["h"]: row for row in rows}
     ok = by_h[3]["conditions"] == "undetermined"
     ok = ok and by_h[3]["numeric_rank"] == 2
     ok = ok and by_h[3]["controllable"] == "yes"

@@ -748,25 +748,76 @@ def test_modal_pbh_failure_takes_one_pencil_svd(monkeypatch):
     assert np.allclose(verdict.singular_values, expected, rtol=1e-14, atol=1e-15)
 
 
-def test_reported_pencil_svd_is_taken_only_for_the_verdict(monkeypatch):
+def _singular_v_twin(monkeypatch, A, B):
+    """A system whose V reads singular (inv raises while it forms its modal basis)."""
+    system = LtiSystem(A=A, B=B)
+
+    def singular(matrix):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "inv", singular)
+        system._modal
+    return system
+
+
+def test_singular_eigenvector_basis_takes_one_pencil_svd_per_eigenvalue(monkeypatch):
+    rng = np.random.default_rng(47)
+    plant = random_system(rng, 5, 2)
+    system = _singular_v_twin(monkeypatch, plant.A, plant.B)
+    W = system._modal[2]
+    assert np.isnan(W).all() and not W.flags.writeable
+    values, holds_below, fails_from = _modal_screen(system)
+    assert np.isposinf(values).all()
+    assert np.isnan(holds_below).all() and np.isnan(fails_from).all()
+    # the screen decides nothing, so every eigenvalue takes one values-only SVD
+    calls = _counting_svd(monkeypatch)
+    pbh = pbh_controllable(system)
+    assert [(shape, with_u) for shape, _, with_u in calls] == [((5, 7), False)] * 5
+    verdict = check_nonrepetitive_sufficient(system, 2)
+    twin = check_nonrepetitive_sufficient(plant, 2)
+    assert (verdict.controllable, verdict.conditions) == (twin.controllable, twin.conditions) == ("yes", "yes")
+    assert verdict.reasons == twin.reasons
+    twin_pbh = pbh_controllable(plant)
+    assert (pbh.controllable, pbh.numeric_rank, pbh.eigenvalue) == (
+        twin_pbh.controllable, twin_pbh.numeric_rank, twin_pbh.eigenvalue) == (True, 5, None)
+
+    # B misses the invariant direction of 2.0: the pencils still find the witness
+    A, B = np.diag([0.5, -0.3, 2.0]), [[1.0], [1.0], [0.0]]
+    system, plant = _singular_v_twin(monkeypatch, A, B), LtiSystem(A=A, B=B)
+    pbh, twin_pbh = pbh_controllable(system), pbh_controllable(plant)
+    assert not pbh.controllable and pbh.eigenvalue == twin_pbh.eigenvalue == 2.0
+    assert np.array_equal(pbh.left_eigenvector, twin_pbh.left_eigenvector)
+    assert pbh.numeric_rank == twin_pbh.numeric_rank == 2
+    assert np.allclose(pbh.singular_values, twin_pbh.singular_values, rtol=1e-14, atol=1e-15)
+    verdict, twin = check_nonrepetitive_sufficient(system, 2), check_nonrepetitive_sufficient(plant, 2)
+    assert (verdict.controllable, verdict.conditions) == (twin.controllable, twin.conditions) == ("no", "no")
+    assert verdict.reasons == twin.reasons
+
+
+def test_reported_pencil_svd_is_taken_with_the_decision(monkeypatch):
     # PBH passes, the screen cannot clear the pair 1e-15 apart, and it clears
     # the eigenvalue at 1 (no verdict "yes"), where the smallest modal value
-    # is: the repetitive verdict takes the pair's pencil SVDs and rank(B)
-    # alone, and the non-repetitive verdict adds the SVD of the pencil it
-    # reports, once
+    # is: the first verdict, a repetitive one, takes the pair's pencil SVDs,
+    # the SVD of the pencil PBH reports and rank(B); the non-repetitive
+    # verdicts after it take none
     system = LtiSystem(A=np.diag([0.5, 0.5 + 1e-15, 1.0]), B=[[1.0, 0.0], [0.0, 1.0], [0.01, 0.01]])
     reported = np.linalg.svd(_pencil(system.A, system.B, system.eigenvalues[2]), compute_uv=False)
     calls = _counting_svd(monkeypatch)
     assert check_repetitive_sufficient(system, 3).controllable == "no"
-    assert pbh_controllable(system).controllable
-    assert calls == [((3, 5), False, False)] * 2 + [((3, 2), False, False)]
+    pbh = pbh_controllable(system)
+    assert pbh.controllable
+    assert calls == [((3, 5), False, False)] * 3 + [((3, 2), False, False)]
+    assert pbh.numeric_rank == 3
+    assert np.array_equal(pbh.singular_values, reported)
+    assert not pbh.singular_values.flags.writeable
     calls.clear()
     verdict = check_nonrepetitive_sufficient(system, 2)
-    assert calls == [((3, 5), False, False)]
+    assert calls == []
     assert verdict.numeric_rank == 3
-    assert np.array_equal(verdict.singular_values, reported)
+    assert verdict.singular_values is pbh.singular_values
     assert check_nonrepetitive_sufficient(system, 3).singular_values is verdict.singular_values
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_cached_pbh_decision_keeps_no_reference_cycle():

@@ -63,6 +63,19 @@ def test_parse_rejects_bad_shapes_and_values():
     with pytest.raises(ProblemFormatError, match="square"):
         parse_problem(json.dumps(bad_square))
 
+    with pytest.raises(ProblemFormatError, match="top level must be an object"):
+        parse_problem(json.dumps([base]))
+    for value, wording in (("identity", "'system.A' is not a numeric matrix"),
+                           ([0.5, 0.0], "'system.A' must be a list of rows")):
+        bad_matrix = json.loads(json.dumps(base))
+        bad_matrix["system"]["A"] = value
+        with pytest.raises(ProblemFormatError, match=wording):
+            parse_problem(json.dumps(bad_matrix))
+    bad_length = json.loads(json.dumps(base))
+    bad_length["task"]["x0"] = [0.0, 0.0, 0.0]
+    with pytest.raises(ProblemFormatError, match="must have length 2, got x0 of 3 and xf of 2"):
+        parse_problem(json.dumps(bad_length))
+
     for field, value in (("h", 1), ("h", True), ("b", True), ("b", 0)):
         bad_task = json.loads(json.dumps(base))
         bad_task["task"][field] = value
@@ -75,6 +88,9 @@ def test_parse_rejects_bad_shapes_and_values():
         parse_problem(json.dumps(bad_regime))
 
     bad_tol = json.loads(json.dumps(base))
+    bad_tol["tolerances"] = []
+    with pytest.raises(ProblemFormatError, match="field 'tolerances' must be an object"):
+        parse_problem(json.dumps(bad_tol))
     bad_tol["tolerances"] = {"windup": 3}
     with pytest.raises(ProblemFormatError, match="windup"):
         parse_problem(json.dumps(bad_tol))
@@ -150,6 +166,13 @@ def test_main_exit_code_parse_error(tmp_path, capsys):
 
     fixture = str(bundled_problem("rotation_2d"))
 
+    # --h that is neither an integer nor "auto" is refused by argparse itself
+    with pytest.raises(SystemExit) as exited:
+        main(["analyze", "--problem", fixture, "--h", "x"])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be an integer or 'auto', got 'x'" in captured.err and captured.out == ""
+
     # a sweep range that cannot be swept is a bad flag value, like --b 0
     for flags in (["--h-min", "1"], ["--h-min", "5", "--h-max", "3"]):
         out = tmp_path / "sweep"
@@ -188,10 +211,10 @@ _OVERRIDE_FLAGS = (
 
 
 def _problem_parts(problem):
-    """Every Problem field as comparable data, value and type alike."""
+    """Every Problem and task field as comparable data, value and type alike."""
+    fields = {**vars(problem.task), **vars(problem), "A": problem.system.A, "B": problem.system.B}
     return [(name, type(value), value.tobytes() if isinstance(value, np.ndarray) else value)
-            for name, value in vars(problem).items() if name != "system"] + [
-        ("A", problem.system.A.tobytes()), ("B", problem.system.B.tobytes())]
+            for name, value in fields.items() if name not in ("system", "task")]
 
 
 def test_override_flags_equal_the_same_value_in_the_file(tmp_path, monkeypatch):
@@ -311,7 +334,7 @@ def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
     assert main(["design", "--problem", expander, "--out", str(plain)]) == 0
     problem = load_problem(expander)
     design = json.loads((plain / "report.json").read_text())["design"]
-    assert (design["h"], design["b"]) == (problem.h, problem.b) == (2, 10)
+    assert (design["h"], design["b"]) == (problem.h, problem.task.b) == (2, 10)
     assert json.loads((overridden / "report.json").read_text())["design"]["b"] == 7
     assert (plain / "plot.gp").exists() and not (overridden / "plot.gp").exists()
     assert len(built) == 5
@@ -410,28 +433,40 @@ def test_analyze_block_length_overflow_exits_4(tmp_path, capsys):
 
 def test_analyze_rotation_auto_selects_four(capsys):
     report = cmd_analyze(load_problem(bundled_problem("rotation_2d")))
-    assert report.verdict["h"] == 4
-    assert report.verdict["selected_h"] == 4
-    assert report.verdict["controllable"] == "yes"
+    assert report["verdict"]["h"] == 4
+    assert report["verdict"]["selected_h"] == 4
+    assert report["verdict"]["controllable"] == "yes"
     out = capsys.readouterr().out
     assert "verdict: yes" in out
     assert "selected h: 4" in out
 
 
+def test_analyze_repetitive_auto_h_selects_two(tmp_path, capsys):
+    doc = json.loads(bundled_problem("expander_2d").read_text())
+    assert doc["task"]["regime"] == "repetitive"
+    doc["task"]["h"] = "auto"
+    report = cmd_analyze(parse_problem(json.dumps(doc)), tmp_path)
+    saved = json.loads((tmp_path / "report.json").read_text())
+    assert saved == {"verdict": report["verdict"]}
+    assert (saved["verdict"]["selected_h"], saved["verdict"]["ratio_orders"]) == (2, [])
+    assert report["manifest"] == [str(tmp_path / "report.json")]
+    assert "selected h: 2" in capsys.readouterr().out
+
+
 def test_analyze_identity_no_with_unit_eigenvalue_reason():
     report = cmd_analyze(load_problem(bundled_problem("identity_2d")))
-    assert report.verdict["controllable"] == "no"
-    failing = [r["name"] for r in report.verdict["reasons"] if not r["holds"]]
+    assert report["verdict"]["controllable"] == "no"
+    failing = [r["name"] for r in report["verdict"]["reasons"] if not r["holds"]]
     assert "no eigenvalue of A at 1" in failing
 
 
 def test_analyze_four_state_yes_by_exact_conditions():
     # identical blocks at h = 3: the conditions decide, numeric_rank is rank(K), K = [A B, B]
     report = cmd_analyze(load_problem(bundled_problem("four_state")))
-    assert report.verdict["controllable"] == "yes"
-    assert report.verdict["conditions"] == "yes"
-    assert report.verdict["numeric_rank"] == 4
-    names = {r["name"]: r["holds"] for r in report.verdict["reasons"]}
+    assert report["verdict"]["controllable"] == "yes"
+    assert report["verdict"]["conditions"] == "yes"
+    assert report["verdict"]["numeric_rank"] == 4
+    names = {r["name"]: r["holds"] for r in report["verdict"]["reasons"]}
     assert names["rank([A^(h-2) B, ..., A B, B]) = n"] is True
     assert names["no eigenvalue with lambda^15 = 1 and lambda^3 != 1"] is True
 
@@ -439,8 +474,8 @@ def test_analyze_four_state_yes_by_exact_conditions():
 def test_design_rotation_writes_expected_files(tmp_path):
     problem = load_problem(bundled_problem("rotation_2d"))
     report = cmd_design(problem, tmp_path / "run")
-    assert len(report.manifest) == 5
-    assert all(isinstance(path, str) for path in report.manifest)
+    assert len(report["manifest"]) == 5
+    assert all(isinstance(path, str) for path in report["manifest"])
     header, rows = read_csv(tmp_path / "run" / "states.csv")
     assert header == ["k", "x_1", "x_2"]
     assert len(rows) == 21
@@ -560,14 +595,14 @@ def test_simulate_replay_bit_identical(tmp_path):
 
 def test_sweep_rotation_reports_h3_fallback(tmp_path):
     problem = load_problem(bundled_problem("rotation_2d"))
-    report = cmd_sweep_h(problem, 2, 5, tmp_path)
-    by_h = {row["h"]: row for row in report.rows}
+    sweep = cmd_sweep_h(problem, 2, 5, tmp_path)
+    by_h = {row["h"]: row for row in sweep}
     assert by_h[3]["conditions"] == "undetermined"
     assert by_h[3]["numeric_rank"] == 2
     assert by_h[3]["controllable"] == "yes"
     assert by_h[2]["numeric_rank"] == 2
     assert by_h[2]["conditions"] == "yes"
-    for row in report.rows:
+    for row in sweep:
         verdict = check_nonrepetitive_sufficient(problem.system, row["h"], problem.tolerances)
         assert row["conditions"] == verdict.conditions
 
@@ -577,16 +612,22 @@ def test_sweep_rotation_reports_h3_fallback(tmp_path):
     # every h in this sweep admits the steering task
     assert all(isinstance(row[4], float) for row in rows)
 
+    # in one block at h = 2 the design raises ReachabilityError: the row
+    # keeps its "yes" verdict and leaves the energy empty
+    one_block = dataclasses.replace(problem, task=dataclasses.replace(problem.task, b=1))
+    assert cmd_sweep_h(one_block, 2, 2, tmp_path / "one")[0]["energy"] == ""
+    assert read_csv(tmp_path / "one" / "sweep.csv")[1] == [[2.0, "yes", 2.0, "yes", ""]]
+
 
 def test_sweep_identity_all_rank_zero(tmp_path):
     problem = load_problem(bundled_problem("identity_2d"))
     system = problem.system
-    report = cmd_sweep_h(problem, 2, 4, tmp_path)
+    sweep = cmd_sweep_h(problem, 2, 4, tmp_path)
     # the eigenvalue at 1 decides, so the reported rank is the PBH pencil's at 1
-    assert all(row["numeric_rank"] == 1 for row in report.rows)
-    assert all(row["controllable"] == "no" for row in report.rows)
+    assert all(row["numeric_rank"] == 1 for row in sweep)
+    assert all(row["controllable"] == "no" for row in sweep)
     # S Q = 0 exactly for A = I, so the n-block Gramian has rank 0 at every h
-    for row in report.rows:
+    for row in sweep:
         lifted = lift(system, build_scheme(row["h"], system.m))
         Rb = reachability_matrix(lifted, system.n)
         assert floored_rank(Rb @ Rb.T, np.linalg.norm(lifted.S, 2) ** 2) == 0
@@ -609,7 +650,7 @@ def test_emitted_csvs_roundtrip_through_reader(tmp_path):
     inputs = read_inputs_csv(tmp_path / "run" / "inputs.csv", 2)
     from cbcontrol import simulate
 
-    traj = simulate(problem.system, problem.x0, inputs)
+    traj = simulate(problem.system, problem.task.x0, inputs)
     _, state_rows = read_csv(tmp_path / "run" / "states.csv")
     parsed = np.array([row[1:] for row in state_rows])
     assert np.array_equal(parsed, traj.states)  # exact via 17 digits
@@ -758,7 +799,7 @@ def test_tolerance_flags_flow_through(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report2 = cmd_analyze(capped)
-    assert report2.verdict["h"] == 2
+    assert report2["verdict"]["h"] == 2
 
 
 def test_regime_flag_aliases(tmp_path):
@@ -781,7 +822,7 @@ def test_one_rollout_per_design(tmp_path, monkeypatch):
     # that trajectory and the designers never simulate
     import cbcontrol.cli as cli
     import cbcontrol.design as design
-    from cbcontrol import SteeringTask, build_scheme, lift
+    from cbcontrol import build_scheme, lift
 
     calls = []
     original = design.simulate
@@ -794,10 +835,10 @@ def test_one_rollout_per_design(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "simulate", counting)
     problem = load_problem(bundled_problem("rotation_2d"))
     report = cmd_design(problem, tmp_path / "run", plot=False)
-    assert report.design["passed"]
+    assert report["design"]["passed"]
     assert len(calls) == 1
     _, states = read_csv(tmp_path / "run" / "states.csv")
-    assert len(states) == problem.b * report.design["h"] + 1
+    assert len(states) == problem.task.b * report["design"]["h"] + 1
 
     del calls[:]
     problem = load_problem(bundled_problem("expander_2d"))  # B = I reaches every target
@@ -808,7 +849,7 @@ def test_one_rollout_per_design(tmp_path, monkeypatch):
         ("non-repetitive", design.design_nonrepetitive),
         ("repetitive", design.design_repetitive),
     ):
-        task = SteeringTask(x0=problem.x0, xf=problem.xf, b=problem.b, regime=regime)
+        task = dataclasses.replace(problem.task, regime=regime)
         designer(lifted, task)
         design.oracle_stacked_ls(system, scheme, task)
     assert calls == []

@@ -376,6 +376,24 @@ def test_oracle_rejects_charged_solution(monkeypatch):
     assert np.array_equal(info.value.imbalance > 1e-9, [False, True, False])
 
 
+def test_oracle_rejects_infeasible_and_mismatched_tasks():
+    # B = 0 reaches nothing: the terminal rows are zero, so the scaled
+    # residual is |e1| and the rank is the three block-sum rows'
+    system = LtiSystem(A=np.diag([0.5, 0.8]), B=np.zeros((2, 1)))
+    scheme = build_scheme(2, 1)
+    task = SteeringTask(x0=[0.0, 0.0], xf=[1.0, 0.0], b=3, regime="non-repetitive")
+    with pytest.raises(ReachabilityError, match="stacked equality system is infeasible") as info:
+        oracle_stacked_ls(system, scheme, task)
+    assert info.value.residual == pytest.approx(1.0, rel=1e-12)
+    assert info.value.rank == 3
+
+    with pytest.raises(DimensionError, match="scheme is for 2 input channels, system has 1"):
+        oracle_stacked_ls(system, build_scheme(2, 2), task)
+    short = SteeringTask(x0=[0.0], xf=[1.0], b=3, regime="non-repetitive")
+    with pytest.raises(DimensionError, match="task states have length 1, system has 2"):
+        oracle_stacked_ls(system, scheme, short)
+
+
 def test_verify_zero_plan_on_drifting_target():
     rng = np.random.default_rng(57)
     system = random_system(rng, 2, 1)
