@@ -7,9 +7,11 @@ pseudoinverse of the b-block Gramian G = Rb Rb^T:
     [w[0]; ...; w[b-1]] = Rb^T G^+ d,  i.e.  w[p] = Bbar^T (Abar^T)^(b-1-p) G^+ d
 
 With identical blocks one latent vector solves H_b Bbar w = d in the
-minimum-norm sense. Pseudoinverses are SVD truncations with the shared
-rank rule, so both laws return the minimum-norm minimizer when the
-reachable space is rank deficient. A plan is its inputs U = Q w alone.
+minimum-norm sense: by LU when the gain H_b Bbar is square (m(h-1) = n)
+and of full numeric rank, so the solution is unique, and otherwise as
+below. Pseudoinverses are SVD truncations with the shared rank rule, so
+both laws return the minimum-norm minimizer when the reachable space is
+rank deficient. A plan is its inputs U = Q w alone.
 
 A stacked least-squares solver over the raw per-step inputs
 (oracle_stacked_ls) provides an independent optimality cross-check; it
@@ -25,7 +27,7 @@ import numpy as np
 from .charge_balance import BlockScheme, unpack
 from .errors import ChargeBalanceError, DimensionError, PreconditionError, ReachabilityError
 from .lifting import LiftedSystem, h_sum, reachability_matrix
-from .numeric import min_norm_solve
+from .numeric import min_norm_solve, unique_or_min_norm_solve
 from .system import LtiSystem, Trajectory, _locked, simulate
 from .tolerances import DEFAULT, Tolerances, require_integer
 
@@ -132,15 +134,15 @@ def _block_imbalances(flat_inputs: np.ndarray, h: int) -> np.ndarray:
     return np.abs(flat_inputs.reshape(-1, h, flat_inputs.shape[1]).sum(axis=1)).max(axis=1)
 
 
-def _solve_reachable(matrix, d, tol: Tolerances, where: str, rank_name: str, n: int):
-    """Minimum-norm x with matrix @ x = d, or ReachabilityError when d is out of reach."""
-    x, rank, _, residual = min_norm_solve(matrix, d, tol)
+def _solve_reachable(solve, matrix, d, tol: Tolerances, where: str, rank_name: str):
+    """Minimum-norm x with matrix @ x = d by solve, or ReachabilityError when d is out of reach."""
+    x, rank, _, residual = solve(matrix, d, tol)
     dnorm = float(np.linalg.norm(d))
     if dnorm > 0.0 and residual > tol.reach * dnorm:
         raise ReachabilityError(
             f"target displacement is not reachable {where}: "
             f"residual {residual:.3e} (relative {residual / dnorm:.3e}), "
-            f"{rank_name} {rank} of {n}",
+            f"{rank_name} {rank} of {len(matrix)}",
             residual=residual,
             rank=rank,
         )
@@ -160,7 +162,8 @@ def design_nonrepetitive(
     _require_regime(task, NON_REPETITIVE)
     d = _displacement(task, np.linalg.matrix_power(lifted.Abar, task.b))
     Rb = reachability_matrix(lifted, task.b)
-    core = _solve_reachable(Rb @ Rb.T, d, tol, f"in {task.b} blocks", "Gramian rank", lifted.n)
+    core = _solve_reachable(min_norm_solve, Rb @ Rb.T, d, tol,
+                            f"in {task.b} blocks", "Gramian rank")
     latents = (Rb.T @ core).reshape(task.b, -1)
     return _plan((latents @ lifted.scheme.Q.T).reshape(-1, lifted.scheme.m))
 
@@ -172,14 +175,14 @@ def design_repetitive(
 
     Solves H_b Bbar w = d in the minimum-norm sense, with
     d = x_f - Abar^b x_0; one binary doubling (h_sum) gives both H_b and
-    Abar^b. By the isometry of the kernel basis the total energy is
-    b * ||w||^2.
+    Abar^b. A square gain of full numeric rank is solved by LU. By the
+    isometry of the kernel basis the total energy is b * ||w||^2.
     """
     _require_regime(task, REPETITIVE)
     total, reach_b = h_sum(lifted, task.b)
     d = _displacement(task, reach_b)
     gain = total @ lifted.Bbar
-    w = _solve_reachable(gain, d, tol, "with identical blocks", "rank", lifted.n)
+    w = _solve_reachable(unique_or_min_norm_solve, gain, d, tol, "with identical blocks", "rank")
     return _plan(np.tile(unpack(w, lifted.scheme), task.b).reshape(-1, lifted.scheme.m))
 
 

@@ -53,3 +53,19 @@ def min_norm_solve(matrix, rhs, tol: Tolerances = DEFAULT):
     x = vt[:rank].T @ (coeffs / s[:rank])
     residual = float(np.linalg.norm(rhs - u[:, :rank] @ coeffs))
     return x, rank, s, residual
+
+
+def unique_or_min_norm_solve(matrix, rhs, tol: Tolerances = DEFAULT):
+    """As min_norm_solve, but by LU when the matrix is square and of full numeric
+    rank by its singular values alone: the solution is then unique and the
+    residual 0. Any other matrix, or an LU that raises, goes to min_norm_solve."""
+    matrix = _require_finite(np.asarray(matrix, dtype=float), "the matrix of the solve")
+    rhs = _require_finite(np.asarray(rhs, dtype=float), "the right-hand side of the solve")
+    if matrix.shape[0] == matrix.shape[1]:
+        svals = np.linalg.svd(matrix, compute_uv=False)
+        if _rank(svals, matrix.shape, tol) == len(matrix):
+            try:
+                return np.linalg.solve(matrix, rhs), len(matrix), svals, 0.0
+            except np.linalg.LinAlgError:
+                pass
+    return min_norm_solve(matrix, rhs, tol)

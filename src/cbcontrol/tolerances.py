@@ -43,10 +43,12 @@ class Tolerances:
     root_of_unity: tolerance on abs(r**k - 1) when searching for the order of
         an eigenvalue ratio, and in the spectral tests built on it.
     unit_eigenvalue: tolerance on abs(lambda - 1) for the eigenvalue-at-one test.
-    max_order: largest ratio order searched when selecting a block length.
+    max_order: largest ratio order searched when selecting a block length;
+        at most root_of_unity / eps, since past that order the rounding of
+        the running products r^k alone reaches the root-of-unity tolerance.
 
     Every float field must be finite and positive, rank_slack at least 1,
-    and max_order a positive integer; anything else raises ValueError.
+    and max_order a positive integer within its bound; else ValueError.
     """
 
     charge_balance: float = 1e-9
@@ -62,8 +64,10 @@ class Tolerances:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if field.name == "max_order":
-                kind, ok = "a positive int", is_integer(value) and value >= 1
+            if field.name == "max_order":  # root_of_unity, an earlier field, is checked
+                cap = int(self.root_of_unity / _EPS)
+                kind = f"a positive int at most root_of_unity / eps = {cap}"
+                ok = is_integer(value) and 1 <= value <= cap
             else:
                 kind = "finite and positive"
                 ok = isinstance(value, numbers.Real) and math.isfinite(value) and value > 0

@@ -121,3 +121,16 @@ def floored_rank(matrix, floor: float) -> int:
     """
     svals = np.linalg.svd(np.atleast_2d(matrix), compute_uv=False)
     return int(np.count_nonzero(svals > DEFAULT.rank_cutoff(np.shape(matrix)) * max(svals[0], floor)))
+
+
+def counting_svd(monkeypatch):
+    """Patch np.linalg.svd to record (shape, complex, with U) of every call."""
+    calls = []
+    original = np.linalg.svd
+
+    def counting(matrix, *args, **kwargs):
+        calls.append((np.shape(matrix), np.iscomplexobj(matrix), kwargs.get("compute_uv", True)))
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls

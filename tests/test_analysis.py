@@ -34,6 +34,7 @@ from cbcontrol.analysis import _has_unit_eigenvalue, _modal_screen, _pencil
 from cbcontrol.numeric import numeric_rank
 
 from helpers import (
+    counting_svd,
     expander_system,
     floored_rank,
     four_state_system,
@@ -651,19 +652,6 @@ def test_pbh_matches_per_eigenvalue_pencil_loop():
     assert failures
 
 
-def _counting_svd(monkeypatch):
-    """Patch np.linalg.svd to record (shape, complex, with U) of every call."""
-    calls = []
-    original = np.linalg.svd
-
-    def counting(matrix, *args, **kwargs):
-        calls.append((np.shape(matrix), np.iscomplexobj(matrix), kwargs.get("compute_uv", True)))
-        return original(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
-
-
 def test_screen_cleared_verdicts_take_no_pencil_svd(monkeypatch):
     rng = np.random.default_rng(45)
     mixed = random_system(rng, 7, 2)
@@ -674,7 +662,7 @@ def test_screen_cleared_verdicts_take_no_pencil_svd(monkeypatch):
     basis = random_orthogonal(rng, 3)
     near = LtiSystem(A=basis @ np.diag([0.7, 0.7 + 1e-15, -0.3]) @ basis.T, B=[[1.0], [0.5], [0.2]])
     pencils = [np.linalg.svd(_pencil(near.A, near.B, near.eigenvalues[k]), compute_uv=False) for k in range(3)]
-    calls = _counting_svd(monkeypatch)
+    calls = counting_svd(monkeypatch)
     # n + m is odd, so no lifted or reachability object shares the pencil shape
     for system in (mixed, simple):
         calls.clear()
@@ -712,7 +700,7 @@ def test_screen_cleared_verdicts_take_no_pencil_svd(monkeypatch):
 
 
 def test_pbh_witness_decided_once_per_system(monkeypatch):
-    calls = _counting_svd(monkeypatch)
+    calls = counting_svd(monkeypatch)
     # distinct real eigenvalues, and B misses the invariant direction of 2.0
     system = LtiSystem(A=np.diag([0.5, -0.3, 2.0]), B=[[1.0], [1.0], [0.0]])
     assert select_h(system) == 2
@@ -738,7 +726,7 @@ def test_modal_pbh_failure_takes_one_pencil_svd(monkeypatch):
     system = LtiSystem(A=np.diag([0.5, -0.3, 2.0]), B=[[1.0], [1.0], [0.0]])
     expected = np.linalg.svd(np.hstack([2.0 * np.eye(3) - system.A, system.B]), compute_uv=False)
     witness = np.linalg.svd(_pencil(system.A, system.B, system.eigenvalues[2]))[1]
-    calls = _counting_svd(monkeypatch)
+    calls = counting_svd(monkeypatch)
     verdict = check_nonrepetitive_sufficient(system, 2)
     assert check_repetitive_sufficient(system, 3).controllable == "no"
     # the witness SVD with U, then the repetitive verdict's rank(B)
@@ -771,7 +759,7 @@ def test_singular_eigenvector_basis_takes_one_pencil_svd_per_eigenvalue(monkeypa
     assert np.isposinf(values).all()
     assert np.isnan(holds_below).all() and np.isnan(fails_from).all()
     # the screen decides nothing, so every eigenvalue takes one values-only SVD
-    calls = _counting_svd(monkeypatch)
+    calls = counting_svd(monkeypatch)
     pbh = pbh_controllable(system)
     assert [(shape, with_u) for shape, _, with_u in calls] == [((5, 7), False)] * 5
     verdict = check_nonrepetitive_sufficient(system, 2)
@@ -803,7 +791,7 @@ def test_reported_pencil_svd_is_taken_with_the_decision(monkeypatch):
     # verdicts after it take none
     system = LtiSystem(A=np.diag([0.5, 0.5 + 1e-15, 1.0]), B=[[1.0, 0.0], [0.0, 1.0], [0.01, 0.01]])
     reported = np.linalg.svd(_pencil(system.A, system.B, system.eigenvalues[2]), compute_uv=False)
-    calls = _counting_svd(monkeypatch)
+    calls = counting_svd(monkeypatch)
     assert check_repetitive_sufficient(system, 3).controllable == "no"
     pbh = pbh_controllable(system)
     assert pbh.controllable
@@ -1149,7 +1137,7 @@ def test_lifted_pbh_takes_one_pencil_svd_per_cluster(monkeypatch):
 
     monkeypatch.setattr(cbcontrol.lifting, "reachability_matrix", refuse)
     assert not hasattr(cbcontrol.analysis, "reachability_matrix")
-    calls = _counting_svd(monkeypatch)
+    calls = counting_svd(monkeypatch)
     # two 90-degree rotations of moduli 0.5 and 2: A^2 has -0.25 and -4 twice each
     quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
     A = np.zeros((4, 4))

@@ -104,6 +104,16 @@ def test_parse_rejects_bad_shapes_and_values():
         with pytest.raises(ProblemFormatError, match=field):
             parse_problem(json.dumps(bad_tol))
 
+    # max_order is bounded by root_of_unity / eps (45035996 at the defaults)
+    bad_tol["tolerances"] = {"max_order": 45035997}
+    bound = "max_order must be a positive int at most root_of_unity / eps = 45035996, got 45035997"
+    with pytest.raises(ProblemFormatError, match=bound):
+        parse_problem(json.dumps(bad_tol))
+    bad_tol["tolerances"] = {"max_order": 45035996}
+    assert parse_problem(json.dumps(bad_tol)).tolerances.max_order == 45035996
+    bad_tol["tolerances"] = {"max_order": 10**9, "root_of_unity": 1e-6}
+    assert parse_problem(json.dumps(bad_tol)).tolerances.max_order == 10**9
+
 
 def test_parse_tolerance_overrides():
     problem = load_problem(bundled_problem("rotation_2d"))
@@ -152,6 +162,8 @@ def test_main_exit_code_parse_error(tmp_path, capsys):
         (["--tol-term", "-1"], "tolerances", "terminal", -1.0),
         (["--tol-cb", "nan"], "tolerances", "charge_balance", float("nan")),
         (["--max-order", "0"], "tolerances", "max_order", 0),
+        # past root_of_unity / eps no order can be certified
+        (["--max-order", "1000000000"], "tolerances", "max_order", 10**9),
     ):
         doc = json.loads(bundled_problem("rotation_2d").read_text())
         path.write_text(json.dumps(doc))

@@ -26,9 +26,11 @@ from cbcontrol import (
     unpack,
     verify_plan,
 )
-from cbcontrol.numeric import min_norm_solve
+from cbcontrol.errors import AnalysisError
+from cbcontrol.numeric import min_norm_solve, unique_or_min_norm_solve
 
 from helpers import (
+    counting_svd,
     expander_system,
     feasible_task,
     four_state_system,
@@ -254,6 +256,92 @@ def test_unreachable_repetitive_raises():
         design_repetitive(lifted, task)
 
 
+def _min_norm_reference(lifted, task):
+    """The identical-block plan and singular values of min_norm_solve on the gain."""
+    total, reach_b = h_sum(lifted, task.b)
+    gain = total @ lifted.Bbar
+    w, rank, svals, residual = min_norm_solve(gain, task.xf - reach_b @ task.x0)
+    flat = np.tile(unpack(w, lifted.scheme), task.b).reshape(-1, lifted.scheme.m)
+    return flat, gain, rank, svals, residual
+
+
+def test_full_rank_square_gain_solves_by_lu(monkeypatch):
+    # m(h - 1) = n makes H_b Bbar square; at full numeric rank the
+    # solution is unique, so one values-only SVD certifies the rank and
+    # LU solves, within n eps kappa of the truncated-SVD solution
+    rng = np.random.default_rng(59)
+    shapes = [(2, 2), (1, 3), (2, 3), (4, 2), (1, 4), (3, 3)]  # (m, h)
+    cases = [(expander_system(), build_scheme(2, 2), SteeringTask(
+        x0=[-0.2, 0.3], xf=[1.0, -0.6], b=10, regime="repetitive"))]
+    for trial in range(60):
+        m, h = shapes[trial % len(shapes)]
+        system = random_system(rng, m * (h - 1), m)
+        scheme = build_scheme(h, m)
+        cases.append((system, scheme, feasible_task(
+            rng, system, scheme, int(rng.integers(1, 40)), "repetitive")))
+    calls = counting_svd(monkeypatch)
+    for system, scheme, task in cases:
+        lifted = lift(system, scheme)
+        calls.clear()
+        plan = design_repetitive(lifted, task)
+        assert [with_u for *_, with_u in calls] == [False]
+        reference, gain, rank, svals, _ = _min_norm_reference(lifted, task)
+        assert gain.shape == (system.n, system.n) and rank == system.n
+        kappa = svals[0] / svals[-1]
+        gap = np.linalg.norm(plan.flat_inputs - reference)
+        assert gap <= 10 * system.n * np.finfo(float).eps * kappa * np.linalg.norm(reference)
+        assert verify_plan(system, scheme, task, plan).passed
+
+
+def test_rank_deficient_square_gain_raises_as_min_norm_solve(monkeypatch):
+    # expander_2d at b = 30: H_b Bbar is square but of rank 1 of 2, so
+    # the design takes the truncated SVD after the values-only one and
+    # reports that solve's residual and rank
+    lifted = lift(expander_system(), build_scheme(2, 2))
+    task = SteeringTask(x0=[-0.2, 0.3], xf=[1.0, -0.6], b=30, regime="repetitive")
+    _, _, rank, _, residual = _min_norm_reference(lifted, task)
+    calls = counting_svd(monkeypatch)
+    with pytest.raises(ReachabilityError) as info:
+        design_repetitive(lifted, task)
+    assert [with_u for *_, with_u in calls] == [False, True]
+    assert str(info.value) == (
+        "target displacement is not reachable with identical blocks: "
+        "residual 6.000e-01 (relative 1.818e-02), rank 1 of 2"
+    )
+    assert (info.value.rank, info.value.residual) == (rank, residual) == (1, 0.6)
+
+
+def test_non_square_gain_plan_is_the_min_norm_solve_plan(monkeypatch):
+    # m(h - 1) != n: the gain is not square, so the design is the
+    # truncated-SVD solve itself, bit for bit, with no values-only SVD
+    rng = np.random.default_rng(60)
+    calls = counting_svd(monkeypatch)
+    for trial in range(40):
+        n, m, h = int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        if m * (h - 1) == n:
+            continue
+        system, scheme = random_system(rng, n, m), build_scheme(h, m)
+        lifted = lift(system, scheme)
+        task = feasible_task(rng, system, scheme, int(rng.integers(1, 40)), "repetitive")
+        calls.clear()
+        plan = design_repetitive(lifted, task)
+        assert [with_u for *_, with_u in calls] == [True]
+        assert np.array_equal(plan.flat_inputs, _min_norm_reference(lifted, task)[0])
+
+
+def test_overflowed_gain_raises_before_any_svd(monkeypatch):
+    # expander_2d at b = 600: A^1200 overflows, so the gain is not finite
+    lifted = lift(expander_system(), build_scheme(2, 2))
+    task = SteeringTask(x0=[-0.2, 0.3], xf=[1.0, -0.6], b=600, regime="repetitive")
+    calls = counting_svd(monkeypatch)
+    with np.errstate(all="ignore"), pytest.raises(AnalysisError, match="float64 overflow"):
+        design_repetitive(lifted, task)
+    for matrix, rhs in (([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]), (np.eye(2), [np.nan, 1.0])):
+        with pytest.raises(AnalysisError, match="float64 overflow"):
+            unique_or_min_norm_solve(matrix, rhs)
+    assert calls == []
+
+
 def test_q_invariance_of_designed_blocks():
     # the optimal stacked inputs depend on the kernel basis only through
     # the projector Q Q^T, so any orthogonal recombination gives the same plan
@@ -310,11 +398,15 @@ def test_designed_plans_pass_verification():
 
 
 def _per_block_reference(lifted, task):
-    """Blocks and energy as the per-block loops build them: one unpack per latent."""
+    """Blocks and energy as the per-block loops build them: one unpack per latent.
+
+    The latents come from the solve the design uses, so the comparison
+    checks the assembly of the plan, not the solve.
+    """
     scheme, b = lifted.scheme, task.b
     d = task.xf - np.linalg.matrix_power(lifted.Abar, b) @ task.x0
     if task.regime == "repetitive":
-        w, *_ = min_norm_solve(h_sum(lifted, b)[0] @ lifted.Bbar, d)
+        w, *_ = unique_or_min_norm_solve(h_sum(lifted, b)[0] @ lifted.Bbar, d)
         latents = [w] * b
     else:
         Rb = reachability_matrix(lifted, b)

@@ -4,8 +4,10 @@ The matrix is every bundled problem x {plain, --regime rep, --regime
 nonrep, --b 20, --b 30} x {analyze, design, sweep-h}: 75 runs of the
 `cbcontrol` command, each in its own process. For each run it prints the
 exit code, the sha256 of stdout and of stderr, and the sha256 of every
-file written under --out (each cut to its first 16 hex digits), then
-one full sha256 over all the lines.
+file written under --out (each cut to its first 16 hex digits); a design
+that wrote report.json adds its passed flag, energy (%.12g) and terminal
+error (%.3e), so a change that moves last bits can be read by value.
+Then it prints one full sha256 over all the lines.
 
 Every run works in one fresh temporary directory, with the problem file
 copied in and a relative --out, so no path of the checkout or of the
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -46,6 +49,19 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _design_values(report: Path) -> str:
+    """passed, energy and terminal error from a design's report.json ("" without one)."""
+    if not report.is_file():
+        return ""
+    design = json.loads(report.read_text())["design"]
+
+    def value(key, spec):
+        return "null" if design[key] is None else spec % design[key]
+
+    return (f"passed={design['passed']} energy={value('energy', '%.12g')} "
+            f"terminal_error={value('terminal_error', '%.3e')}")
+
+
 def run_matrix(src: Path, work: Path):
     """Yield one line per run: label, exit code, stdout, stderr and file hashes."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -63,8 +79,9 @@ def run_matrix(src: Path, work: Path):
                 files = sorted(path for path in (work / out).rglob("*") if path.is_file())
                 hashes = " ".join(f"{path.name}={_digest(path.read_bytes())[:16]}"
                                   for path in files)
+                values = _design_values(work / out / "report.json") if command == "design" else ""
                 yield (f"{label} exit={done.returncode} stdout={_digest(done.stdout)[:16]} "
-                       f"stderr={_digest(done.stderr)[:16]} {hashes}").rstrip()
+                       f"stderr={_digest(done.stderr)[:16]} {hashes} {values}").rstrip()
 
 
 def main(argv=None) -> int:
