@@ -8,10 +8,10 @@ pseudoinverse of the b-block Gramian G = Rb Rb^T:
 
 With identical blocks one latent vector solves H_b Bbar w = d in the
 minimum-norm sense: by LU when the gain H_b Bbar is square (m(h-1) = n)
-and of full numeric rank, so the solution is unique, and otherwise as
-below. Pseudoinverses are SVD truncations with the shared rank rule, so
-both laws return the minimum-norm minimizer when the reachable space is
-rank deficient. A plan is its inputs U = Q w alone.
+and a Cholesky of its Gram matrix proves full rank, so the solution is
+unique, and otherwise as below. Pseudoinverses are SVD truncations with
+the shared rank rule, so both laws return the minimum-norm minimizer when
+the reachable space is rank deficient. A plan is its inputs U = Q w alone.
 
 A stacked least-squares solver over the raw per-step inputs
 (oracle_stacked_ls) provides an independent optimality cross-check; it
@@ -175,8 +175,8 @@ def design_repetitive(
 
     Solves H_b Bbar w = d in the minimum-norm sense, with
     d = x_f - Abar^b x_0; one binary doubling (h_sum) gives both H_b and
-    Abar^b. A square gain of full numeric rank is solved by LU. By the
-    isometry of the kernel basis the total energy is b * ||w||^2.
+    Abar^b. A square gain that a Cholesky certifies of full rank is solved
+    by LU. By the isometry of the kernel basis the energy is b * ||w||^2.
     """
     _require_regime(task, REPETITIVE)
     total, reach_b = h_sum(lifted, task.b)

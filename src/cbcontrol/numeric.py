@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AnalysisError
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import _EPS, DEFAULT, Tolerances
 
 
 def _require_finite(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -56,16 +56,22 @@ def min_norm_solve(matrix, rhs, tol: Tolerances = DEFAULT):
 
 
 def unique_or_min_norm_solve(matrix, rhs, tol: Tolerances = DEFAULT):
-    """As min_norm_solve, but by LU when the matrix is square and of full numeric
-    rank by its singular values alone: the solution is then unique and the
-    residual 0. Any other matrix, or an LU that raises, goes to min_norm_solve."""
+    """As min_norm_solve, but by LU (rank n, residual 0, singular values None) when
+    a shifted Cholesky proves a square M has sigma_min > c sigma_max, c = tol.rank_cutoff.
+    With M scaled exactly to a largest entry in [0.5, 1), G = M^T M errs by gamma_n F,
+    F = trace(G), and a Cholesky that completes is exact within gamma_(n+1) F (Demmel
+    1989; Higham 2002, sec. 10.1). If G - (c^2 + 4(n+1) eps) F I factors, then
+    sigma_min^2 > c^2 F >= c^2 sigma_max^2: Frobenius conditions up to ~1/sqrt(4(n+1) eps)."""
     matrix = _require_finite(np.asarray(matrix, dtype=float), "the matrix of the solve")
     rhs = _require_finite(np.asarray(rhs, dtype=float), "the right-hand side of the solve")
-    if matrix.shape[0] == matrix.shape[1]:
-        svals = np.linalg.svd(matrix, compute_uv=False)
-        if _rank(svals, matrix.shape, tol) == len(matrix):
-            try:
-                return np.linalg.solve(matrix, rhs), len(matrix), svals, 0.0
-            except np.linalg.LinAlgError:
-                pass
+    n = len(matrix)
+    if matrix.shape == (n, n):
+        scaled = np.ldexp(matrix, -np.frexp(np.abs(matrix).max())[1])
+        gram = scaled.T @ scaled
+        gram.flat[:: n + 1] -= (tol.rank_cutoff((n, n)) ** 2 + 4 * (n + 1) * _EPS) * np.trace(gram)
+        try:
+            np.linalg.cholesky(gram)
+            return np.linalg.solve(matrix, rhs), n, None, 0.0
+        except np.linalg.LinAlgError:
+            pass
     return min_norm_solve(matrix, rhs, tol)

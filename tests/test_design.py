@@ -1,11 +1,13 @@
 """Minimum-energy plans, the stacked-least-squares oracle, and verification."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from cbcontrol import (
+    DEFAULT,
     ChargeBalanceError,
     ControlPlan,
     BlockScheme,
@@ -27,7 +29,7 @@ from cbcontrol import (
     verify_plan,
 )
 from cbcontrol.errors import AnalysisError
-from cbcontrol.numeric import min_norm_solve, unique_or_min_norm_solve
+from cbcontrol.numeric import min_norm_solve, numeric_rank, unique_or_min_norm_solve
 
 from helpers import (
     counting_svd,
@@ -267,8 +269,9 @@ def _min_norm_reference(lifted, task):
 
 def test_full_rank_square_gain_solves_by_lu(monkeypatch):
     # m(h - 1) = n makes H_b Bbar square; at full numeric rank the
-    # solution is unique, so one values-only SVD certifies the rank and
-    # LU solves, within n eps kappa of the truncated-SVD solution
+    # solution is unique, so a shifted Cholesky of its Gram matrix
+    # certifies the rank with no SVD and LU solves, within n eps kappa of
+    # the truncated-SVD solution
     rng = np.random.default_rng(59)
     shapes = [(2, 2), (1, 3), (2, 3), (4, 2), (1, 4), (3, 3)]  # (m, h)
     cases = [(expander_system(), build_scheme(2, 2), SteeringTask(
@@ -284,7 +287,7 @@ def test_full_rank_square_gain_solves_by_lu(monkeypatch):
         lifted = lift(system, scheme)
         calls.clear()
         plan = design_repetitive(lifted, task)
-        assert [with_u for *_, with_u in calls] == [False]
+        assert calls == []
         reference, gain, rank, svals, _ = _min_norm_reference(lifted, task)
         assert gain.shape == (system.n, system.n) and rank == system.n
         kappa = svals[0] / svals[-1]
@@ -295,15 +298,15 @@ def test_full_rank_square_gain_solves_by_lu(monkeypatch):
 
 def test_rank_deficient_square_gain_raises_as_min_norm_solve(monkeypatch):
     # expander_2d at b = 30: H_b Bbar is square but of rank 1 of 2, so
-    # the design takes the truncated SVD after the values-only one and
-    # reports that solve's residual and rank
+    # the Cholesky certificate fails and the design takes the truncated
+    # SVD alone, reporting that solve's residual and rank
     lifted = lift(expander_system(), build_scheme(2, 2))
     task = SteeringTask(x0=[-0.2, 0.3], xf=[1.0, -0.6], b=30, regime="repetitive")
     _, _, rank, _, residual = _min_norm_reference(lifted, task)
     calls = counting_svd(monkeypatch)
     with pytest.raises(ReachabilityError) as info:
         design_repetitive(lifted, task)
-    assert [with_u for *_, with_u in calls] == [False, True]
+    assert [with_u for *_, with_u in calls] == [True]
     assert str(info.value) == (
         "target displacement is not reachable with identical blocks: "
         "residual 6.000e-01 (relative 1.818e-02), rank 1 of 2"
@@ -313,7 +316,7 @@ def test_rank_deficient_square_gain_raises_as_min_norm_solve(monkeypatch):
 
 def test_non_square_gain_plan_is_the_min_norm_solve_plan(monkeypatch):
     # m(h - 1) != n: the gain is not square, so the design is the
-    # truncated-SVD solve itself, bit for bit, with no values-only SVD
+    # truncated-SVD solve itself, bit for bit, by its one SVD with U
     rng = np.random.default_rng(60)
     calls = counting_svd(monkeypatch)
     for trial in range(40):
@@ -340,6 +343,96 @@ def test_overflowed_gain_raises_before_any_svd(monkeypatch):
         with pytest.raises(AnalysisError, match="float64 overflow"):
             unique_or_min_norm_solve(matrix, rhs)
     assert calls == []
+
+
+def _with_singular_values(rng, svals):
+    """U diag(svals) V^T with random orthogonal U and V."""
+    n = len(svals)
+    return random_orthogonal(rng, n) @ np.diag(svals) @ random_orthogonal(rng, n).T
+
+
+def _solves_alike(first, second):
+    """The (x, rank, singular values, residual) of two solves, bit for bit."""
+    return (np.array_equal(first[0], second[0]) and first[1] == second[1]
+            and np.array_equal(first[2], second[2]) and first[3] == second[3])
+
+
+def test_cholesky_certificate_is_sound(monkeypatch):
+    # sigma_n / sigma_1 from 1e-1 to 1e-17 and at half, one and twice the
+    # rank cutoff, with the middle values spread or all at sigma_1: when the
+    # helper takes no SVD, the SVD rank rule gives rank n, and every
+    # matrix with kappa <= 1e5 is certified, so the check is not vacuous
+    rng = np.random.default_rng(71)
+    calls = counting_svd(monkeypatch)
+    for n in (2, 4, 20, 100):
+        cutoff = DEFAULT.rank_cutoff((n, n))
+        for ratio in (*np.logspace(-1, -17, 49), 0.5 * cutoff, cutoff, 2 * cutoff):
+            middles = (np.exp(rng.uniform(np.log(ratio), 0.0, n - 2)), np.ones(n - 2))
+            for middle in middles:
+                matrix = _with_singular_values(rng, np.concatenate(([1.0], middle, [ratio])))
+                calls.clear()
+                unique_or_min_norm_solve(matrix, rng.standard_normal(n))
+                if not calls:
+                    assert numeric_rank(matrix)[0] == n, (n, ratio)
+                elif ratio >= 1e-5:
+                    raise AssertionError(f"kappa {1 / ratio:.1e} at n = {n} not certified")
+
+
+def test_declined_full_rank_gain_is_the_min_norm_solve(monkeypatch):
+    # kappa = 1e9 at n = 4 is full rank by the SVD rule but past the
+    # certificate's reach: one SVD with U, and min_norm_solve's result
+    rng = np.random.default_rng(72)
+    matrix = _with_singular_values(rng, [1.0, 1e-3, 1e-6, 1e-9])
+    rhs = rng.standard_normal(4)
+    calls = counting_svd(monkeypatch)
+    result = unique_or_min_norm_solve(matrix, rhs)
+    assert [with_u for *_, with_u in calls] == [True]
+    assert result[1] == 4
+    assert _solves_alike(result, min_norm_solve(matrix, rhs))
+
+
+def test_certificate_ignores_power_of_two_scaling(monkeypatch):
+    # M 2^600 and M 2^-600 decide as M (certified, declined at kappa 1e9,
+    # rank 2 of 3) with every warning an error: the Gram matrix of the
+    # scaled copy neither overflows nor underflows, and LU on M 2^k
+    # returns x 2^-k exactly
+    rng = np.random.default_rng(73)
+    calls, paths = counting_svd(monkeypatch), []
+    for svals in ([1.0, 0.5, 0.25], [1.0, 1e-4, 1e-9], [1.0, 0.5, 0.0]):
+        matrix, rhs = _with_singular_values(rng, svals), rng.standard_normal(3)
+        calls.clear()
+        x, rank, *_ = unique_or_min_norm_solve(matrix, rhs)
+        path = list(calls)
+        paths.append([with_u for *_, with_u in calls])
+        for k in (600, -600):
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled_x, scaled_rank, *_ = unique_or_min_norm_solve(np.ldexp(matrix, k), rhs)
+            assert calls == path and scaled_rank == rank
+            if not path:
+                assert np.array_equal(scaled_x, np.ldexp(x, -k))
+            else:  # the SVD scales internally, not by a power of two
+                kappa = svals[0] / svals[rank - 1]
+                gap = np.linalg.norm(np.ldexp(scaled_x, k) - x)
+                assert gap <= 30 * np.finfo(float).eps * kappa * np.linalg.norm(x)
+    assert paths == [[], [True], [True]]
+
+
+def test_lu_that_raises_falls_back_to_min_norm_solve(monkeypatch):
+    # a certified matrix whose LU raises still gets min_norm_solve's result
+    rng = np.random.default_rng(74)
+    matrix, rhs = _with_singular_values(rng, [1.0, 0.5, 0.25]), rng.standard_normal(3)
+    expected, raised = min_norm_solve(matrix, rhs), []
+
+    def failing_solve(*args, **kwargs):
+        raised.append(args)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    calls = counting_svd(monkeypatch)
+    assert _solves_alike(unique_or_min_norm_solve(matrix, rhs), expected)
+    assert len(raised) == 1 and [with_u for *_, with_u in calls] == [True]
 
 
 def test_q_invariance_of_designed_blocks():
