@@ -32,15 +32,15 @@ def steer(system, h, b, x0, xf, label):
     print(f"== {label} (h = {h}, b = {b}) ==")
     for reason in verdict.reasons:
         print(f"    [{'x' if reason.holds else ' '}] {reason.name}")
-    # one doubling gives the geometric sum H_b and the power Abar^b
-    total, power = h_sum(lifted, b)
+    # one doubling gives the geometric sum H_b and the free response Abar^b x0
+    total, free = h_sum(lifted, b, task.x0)
     gain = total @ lifted.Bbar
     print(f"rank of the geometric-sum map: {np.linalg.matrix_rank(gain)} "
           f"of {system.n}")
     block = plan.flat_inputs[:h]  # the first h steps; every block repeats them
     print(f"single repeated block: {np.round(block.ravel(), 6).tolist()}")
     w = scheme.Q.T @ block.ravel()  # the block's latent coordinates
-    closed = power @ task.x0 + gain @ w
+    closed = free + gain @ w
     print(f"closed form Abar^b x0 + H_b Bbar w misses the target by "
           f"{np.linalg.norm(closed - task.xf):.2e}")
     print(f"energy {plan.energy:.6f} (= b * ||w||^2), "

@@ -100,12 +100,10 @@ def _require_regime(task: SteeringTask, expected: str):
         )
 
 
-def _displacement(task: SteeringTask, reach_b: np.ndarray) -> np.ndarray:
-    """d = x_f - Abar^b x_0, given reach_b = Abar^b."""
-    n = len(reach_b)
+def _require_states(task: SteeringTask, n: int):
+    """The task's states have the plant's length n, checked before d = x_f - Abar^b x_0."""
     if task.x0.size != n:
         raise DimensionError(f"task states have length {task.x0.size}, system has {n}")
-    return task.xf - reach_b @ task.x0
 
 
 def _plan(flat_inputs: np.ndarray) -> ControlPlan:
@@ -160,7 +158,8 @@ def design_nonrepetitive(
     the Gramian rank.
     """
     _require_regime(task, NON_REPETITIVE)
-    d = _displacement(task, np.linalg.matrix_power(lifted.Abar, task.b))
+    _require_states(task, lifted.n)
+    d = task.xf - np.linalg.matrix_power(lifted.Abar, task.b) @ task.x0
     Rb = reachability_matrix(lifted, task.b)
     core = _solve_reachable(min_norm_solve, Rb @ Rb.T, d, tol,
                             f"in {task.b} blocks", "Gramian rank")
@@ -175,12 +174,14 @@ def design_repetitive(
 
     Solves H_b Bbar w = d in the minimum-norm sense, with
     d = x_f - Abar^b x_0; one binary doubling (h_sum) gives both H_b and
-    Abar^b. A square gain that a Cholesky certifies of full rank is solved
-    by LU. By the isometry of the kernel basis the energy is b * ||w||^2.
+    Abar^b x_0, the last squaring applied to x_0 alone. A square gain
+    that a Cholesky certifies of full rank is solved by LU. By the
+    isometry of the kernel basis the energy is b * ||w||^2.
     """
     _require_regime(task, REPETITIVE)
-    total, reach_b = h_sum(lifted, task.b)
-    d = _displacement(task, reach_b)
+    _require_states(task, lifted.n)
+    total, free = h_sum(lifted, task.b, task.x0)
+    d = task.xf - free
     gain = total @ lifted.Bbar
     w = _solve_reachable(unique_or_min_norm_solve, gain, d, tol, "with identical blocks", "rank")
     return _plan(np.tile(unpack(w, lifted.scheme), task.b).reshape(-1, lifted.scheme.m))

@@ -7,10 +7,10 @@ and Bbar = S @ Q collects the effect of one stacked block through
 S = [A^(h-1) B, ..., A B, B].
 
 The identical-block design needs the geometric sum
-H_b = I + Abar + ... + Abar^(b-1) and the power Abar^b, since
-x[bh] = Abar^b x[0] + H_b Bbar w. `h_sum` forms both in one binary
-doubling, S_2k = S_k + Abar^k S_k and S_(2k+1) = I + Abar S_2k with the
-power carried alongside, in O(log b) dense products instead of b - 1.
+H_b = I + Abar + ... + Abar^(b-1) and the free response Abar^b x[0],
+since x[bh] = Abar^b x[0] + H_b Bbar w. `h_sum` forms both in one binary
+doubling in O(log b) dense products instead of b - 1, applying the last
+squaring to x[0] by matrix-vector products.
 """
 
 from __future__ import annotations
@@ -48,11 +48,17 @@ def krylov(M: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     """Block-Krylov matrix [M^(k-1) X, ..., M X, X], k >= 1, by k - 1 products from X.
 
     lift's S, reachability_matrix's Rb and analysis' K are all built here.
+    Each product is written in place into one (k, n, w) array, and the
+    blocks are laid side by side in a C-ordered copy: for w = 1 the
+    transposed view is F-ordered, and products with it round differently.
     """
-    blocks = [X]
-    for _ in range(k - 1):
-        blocks.append(M @ blocks[-1])
-    return np.hstack(blocks[::-1])
+    n, w = X.shape
+    blocks = np.empty((k, n, w))
+    blocks[-1] = X
+    dot = M.dot
+    for i in range(k - 1, 0, -1):
+        dot(blocks[i], out=blocks[i - 1])
+    return np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(n, k * w)
 
 
 def lift(system: LtiSystem, scheme: BlockScheme) -> LiftedSystem:
@@ -74,31 +80,42 @@ def reachability_matrix(lifted: LiftedSystem, b: int) -> np.ndarray:
     return krylov(lifted.Abar, lifted.Bbar, require_integer("block horizon", b, 1))
 
 
-def h_sum(lifted: LiftedSystem, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Geometric matrix sum H_b = I + Abar + ... + Abar^(b-1), and Abar^b.
+def h_sum(lifted: LiftedSystem, b: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric matrix sum H_b = I + Abar + ... + Abar^(b-1), and Abar^b @ x.
 
-    Returns the pair (H_b, Abar^b), so the identical-block state
-    x_b = Abar^b x_0 + H_b Bbar w needs no second powering. Binary
-    doubling over the bits of b, most significant first: from S_k and
-    Abar^k, S_2k = S_k + Abar^k S_k, and on a 1 bit
-    S_(2k+1) = I + Abar S_2k, with the power carried alongside. That is
-    O(log b) dense products instead of b - 1, in real arithmetic
-    whatever the spectrum. Rounding is that of binary powering: within
-    about 1e-13 relative of the b - 1 step Horner sum for normal Abar,
-    and growing with the condition number of Abar's eigenvectors. The
-    power is formed most significant bit first, so its last digits can
-    differ from those of np.linalg.matrix_power, which multiplies its
-    squares least significant bit first.
+    x is a vector or a matrix with n rows; the identical-block state is
+    x_b = Abar^b x_0 + H_b Bbar w. Binary doubling over the bits of b,
+    most significant first, from S_k and P = Abar^k: S_2k = S_k + P S_k
+    and P <- P P; on a 1 bit that is not the last, S_(2k+1) = S_2k + P
+    (the square just formed) and P <- P Abar. The last square is never
+    formed: Abar^b x = P (P x), times Abar on a final 1 bit, by
+    matrix-vector products, where S_(2k+1) = I + Abar S_2k. That is 5
+    dense products at b = 10, 10 at b = 50 and 14 at b = 200, in real
+    arithmetic whatever the spectrum. Rounding is that of binary
+    powering: within about 1e-13 relative of the b - 1 step Horner sum
+    for normal Abar, growing with the condition number of Abar's
+    eigenvectors; the power's last digits can differ from
+    np.linalg.matrix_power's, which multiplies its squares least
+    significant bit first.
     """
     b = require_integer("block horizon", b, 1)
     Abar = lifted.Abar
     eye = np.eye(lifted.n)
+    bits = bin(b)[3:]
+    if not bits:
+        return eye, Abar @ x
     total, power = eye, Abar
-    for i, bit in enumerate(bin(b)[3:]):
+    for i, bit in enumerate(bits):
         # S_1 = I, so S_2 = I + Abar needs no product
         total = total + (power if i == 0 else power @ total)
+        if i == len(bits) - 1:
+            break
         power = power @ power
         if bit == "1":
-            total = eye + Abar @ total
+            total = total + power
             power = power @ Abar
-    return total, power
+    free = power @ (power @ x)
+    if bits[-1] == "1":
+        total = eye + Abar @ total
+        free = Abar @ free
+    return total, free

@@ -120,7 +120,7 @@ def test_criterion_3_repetitive_steering_expander():
         return plan, verify_plan(system, scheme, task, plan)
 
     (plan, check), runtime = _best_of(run)
-    gain = h_sum(lifted, 10)[0] @ lifted.Bbar
+    gain = h_sum(lifted, 10, task.x0)[0] @ lifted.Bbar
     ok = check.terminal_error <= 1e-8
     ok = ok and np.linalg.matrix_rank(gain) == 2
     blocks = plan.flat_inputs.reshape(10, -1)
@@ -148,7 +148,7 @@ def test_criterion_4_repetitive_steering_four_state():
         return plan, verify_plan(system, scheme, task, plan)
 
     (plan, check), runtime = _best_of(run)
-    gain = h_sum(lifted, task.b)[0] @ lifted.Bbar
+    gain = h_sum(lifted, task.b, task.x0)[0] @ lifted.Bbar
     ok = check.terminal_error <= 1e-6
     ok = ok and np.linalg.matrix_rank(gain) == 4
     ok = ok and plan.flat_inputs.shape[0] == 15

@@ -257,7 +257,7 @@ def test_hb_invertible_stable_systems_and_polynomial_oracle():
         assert hb_invertible(system, h, b)
         lifted = lift(system, build_scheme(h, 1))
         explicit = sum(np.linalg.matrix_power(lifted.Abar, i) for i in range(b))
-        assert np.abs(h_sum(lifted, b)[0] - explicit).max() <= 1e-10
+        assert np.abs(h_sum(lifted, b, np.eye(3))[0] - explicit).max() <= 1e-10
         # the assembled sum agrees with the spectral verdict on stable plants
         assert floored_rank(explicit, 1.0) == 3
 

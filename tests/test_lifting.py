@@ -79,12 +79,17 @@ def test_krylov_is_bit_identical_to_the_loops_it_replaced():
     X = rng.standard_normal((3, 2))
     K = krylov(rng.standard_normal((3, 3)), X, 1)  # h = 2: K = B, as a new array
     assert np.array_equal(K, X) and not np.shares_memory(K, X)
+    # one column per block is still C-ordered: products with an F-ordered
+    # view of the same values round differently
+    for k in (2, 3, 200):
+        assert krylov(rng.standard_normal((4, 4)), rng.standard_normal((4, 1)), k).flags.c_contiguous
 
 
 def test_lift_reachability_and_analysis_build_the_parent_arrays():
     rng = np.random.default_rng(35)
-    for h in (2, 3, 7, 64, 300):
-        m = int(rng.integers(1, 3))
+    # m = 1 makes S a single-column Krylov, the case a column-ordered S
+    # would round differently in S @ Q
+    for h, m in ((2, 1), (2, 2), (3, 1), (7, 2), (64, 1), (300, 2)):
         system = random_system(rng, int(rng.integers(2, 6)), m)
         lifted = lift(system, build_scheme(h, m))
         S = _loop_S(system.A, system.B, h)
@@ -195,43 +200,51 @@ def _real_spectrum(rng, n, rho):
     return np.diag(eigs)
 
 
+def _states(n):
+    """The two forms of h_sum's x: a vector and the identity, whose product is Abar^b itself."""
+    return np.arange(1.0, n + 1.0) * (-1.0) ** np.arange(n), np.eye(n)
+
+
 def test_h_sum_trivial_cases():
     lifted = lift(expander_system(), build_scheme(2, 2))
-    total, power = h_sum(lifted, 1)
-    assert np.array_equal(total, np.eye(2))
-    assert np.array_equal(power, lifted.Abar)
     identity = lift(LtiSystem(A=np.eye(3), B=np.ones((3, 1))), build_scheme(2, 1))
     zero = _lifted_with(np.zeros((3, 3)))
-    for b in HORIZONS + (2**20,):  # exact in float64
-        assert np.array_equal(h_sum(identity, b)[0], b * np.eye(3))
-        assert np.array_equal(h_sum(identity, b)[1], np.eye(3))
-        assert np.array_equal(h_sum(zero, b)[0], np.eye(3))
-        assert np.array_equal(h_sum(zero, b)[1], np.zeros((3, 3)))
-    # integer nilpotent Abar: H_b = I + N + ... + N^(min(b, 4) - 1) and
-    # N^b, exactly
     N = np.array([[0, 2, -1, 3], [0, 0, 4, -2], [0, 0, 0, 5], [0, 0, 0, 0]])
     nilpotent = _lifted_with(N.astype(float))
-    for b in HORIZONS:
-        exact = np.eye(4, dtype=np.int64)
-        power = np.eye(4, dtype=np.int64)
-        for _ in range(min(b, 4) - 1):
-            power = power @ N
-            exact = exact + power
-        total, got_power = h_sum(nilpotent, b)
-        assert np.array_equal(total, exact)
-        assert np.array_equal(got_power, np.linalg.matrix_power(N, min(b, 4)))
-    # dyadic diagonal Abar: every power is a signed power of two, exactly
     exponents, signs = np.array([1, -1, -2, 0]), np.array([1.0, -1.0, 1.0, -1.0])
     dyadic = _lifted_with(np.diag(signs * np.ldexp(1.0, exponents)))
-    for b in HORIZONS:
-        exact = np.diag(signs**b * np.ldexp(1.0, exponents * b))
-        assert np.array_equal(h_sum(dyadic, b)[1], exact)
+    for x2, x3, x4 in zip(_states(2), _states(3), _states(4)):
+        total, free = h_sum(lifted, 1, x2)
+        assert np.array_equal(total, np.eye(2))
+        assert np.array_equal(free, lifted.Abar @ x2)
+        for b in HORIZONS + (2**20,):  # exact in float64
+            assert np.array_equal(h_sum(identity, b, x3)[0], b * np.eye(3))
+            assert np.array_equal(h_sum(identity, b, x3)[1], x3)
+            assert np.array_equal(h_sum(zero, b, x3)[0], np.eye(3))
+            assert np.array_equal(h_sum(zero, b, x3)[1], np.zeros_like(x3))
+        # integer nilpotent Abar: H_b = I + N + ... + N^(min(b, 4) - 1) and
+        # N^b x, exactly
+        for b in HORIZONS:
+            exact = np.eye(4, dtype=np.int64)
+            power = np.eye(4, dtype=np.int64)
+            for _ in range(min(b, 4) - 1):
+                power = power @ N
+                exact = exact + power
+            total, free = h_sum(nilpotent, b, x4)
+            assert np.array_equal(total, exact)
+            assert np.array_equal(free, np.linalg.matrix_power(N, min(b, 4)) @ x4)
+        # dyadic diagonal Abar: every power is a signed power of two, so
+        # Abar^b x is exact
+        for b in HORIZONS:
+            exact = np.diag(signs**b * np.ldexp(1.0, exponents * b))
+            assert np.array_equal(h_sum(dyadic, b, x4)[1], exact @ x4)
 
 
 def test_h_sum_expander_full_rank_map():
     lifted = lift(expander_system(), build_scheme(2, 2))
-    gain = h_sum(lifted, 10)[0] @ lifted.Bbar
-    assert np.linalg.matrix_rank(gain) == 2
+    for x in _states(2):
+        gain = h_sum(lifted, 10, x)[0] @ lifted.Bbar
+        assert np.linalg.matrix_rank(gain) == 2
 
 
 def test_h_sum_matches_power_series():
@@ -241,8 +254,11 @@ def test_h_sum_matches_power_series():
         lifted = lift(system, build_scheme(3, 1))
         b = int(rng.integers(1, 7))
         explicit = sum(np.linalg.matrix_power(lifted.Abar, i) for i in range(b))
-        got, _ = h_sum(lifted, b)
-        assert np.abs(got - explicit).max() <= 1e-10 * max(1.0, np.abs(explicit).max())
+        for x in _states(3):
+            got, free = h_sum(lifted, b, x)
+            assert np.abs(got - explicit).max() <= 1e-10 * max(1.0, np.abs(explicit).max())
+            power = np.linalg.matrix_power(lifted.Abar, b) @ x
+            assert np.abs(free - power).max() <= 1e-10 * max(1.0, np.abs(power).max())
 
 
 def test_h_sum_doubling_matches_horner():
@@ -258,14 +274,17 @@ def test_h_sum_doubling_matches_horner():
                 lifted = _lifted_with(Abar)
                 for b in HORIZONS:
                     ref = _horner_h_sum(lifted.Abar, b)
-                    err = np.linalg.norm(h_sum(lifted, b)[0] - ref) / np.linalg.norm(ref)
-                    worst = max(worst, err)
-            # the power from the doubling, against numpy's binary powering
+                    for x in _states(n):
+                        err = np.linalg.norm(h_sum(lifted, b, x)[0] - ref) / np.linalg.norm(ref)
+                        worst = max(worst, err)
+            # the free response from the doubling, against numpy's binary
+            # powering
             lifted = _lifted_with(symmetric)
             for b in range(1, 301):
                 ref = np.linalg.matrix_power(symmetric, b)
-                err = np.linalg.norm(h_sum(lifted, b)[1] - ref) / np.linalg.norm(ref)
-                worst_power = max(worst_power, err)
+                for x in _states(n):
+                    err = np.linalg.norm(h_sum(lifted, b, x)[1] - ref @ x) / np.linalg.norm(ref @ x)
+                    worst_power = max(worst_power, err)
     assert worst <= 1e-12
     assert worst_power <= 1e-12
 
@@ -282,25 +301,28 @@ def test_h_sum_non_normal_as_accurate_as_squaring():
             lifted = _lifted_with(basis @ _real_spectrum(rng, n, rho) @ np.linalg.inv(basis))
             for b in HORIZONS:
                 ref = _horner_h_sum(lifted.Abar, b)
-                total, doubled = h_sum(lifted, b)
-                err = np.linalg.norm(total - ref) / np.linalg.norm(ref)
                 power = np.eye(n)
                 for _ in range(b):
                     power = power @ lifted.Abar
                 squaring = np.linalg.matrix_power(lifted.Abar, b)
-                power_err = np.linalg.norm(squaring - power) / np.linalg.norm(power)
-                assert err <= 1e-12 + 100.0 * power_err, (rho, n, b, err, power_err)
-                # the doubling's own Abar^b drifts no further
-                doubled_err = np.linalg.norm(doubled - power) / np.linalg.norm(power)
-                assert doubled_err <= 1e-12 + 100.0 * power_err, (rho, n, b, doubled_err)
+                for x in _states(n):
+                    total, free = h_sum(lifted, b, x)
+                    err = np.linalg.norm(total - ref) / np.linalg.norm(ref)
+                    power_err = np.linalg.norm(squaring @ x - power @ x) / np.linalg.norm(power @ x)
+                    assert err <= 1e-12 + 100.0 * power_err, (rho, n, b, err, power_err)
+                    # the doubling's own Abar^b x drifts no further
+                    free_err = np.linalg.norm(free - power @ x) / np.linalg.norm(power @ x)
+                    assert free_err <= 1e-12 + 100.0 * power_err, (rho, n, b, free_err)
 
 
 def test_h_sum_long_horizon_closed_form():
     lam = np.array([0.5, -0.25])
     b = 2**20
-    got, _ = h_sum(_lifted_with(np.diag(lam)), b)
-    assert np.abs(np.diag(got) - (1.0 - lam**b) / (1.0 - lam)).max() <= 1e-15
-    assert not got[0, 1] and not got[1, 0]
+    for x in _states(2):
+        got, free = h_sum(_lifted_with(np.diag(lam)), b, x)
+        assert np.abs(np.diag(got) - (1.0 - lam**b) / (1.0 - lam)).max() <= 1e-15
+        assert not got[0, 1] and not got[1, 0]
+        assert not free.any()  # lam^b underflows to zero
 
 
 def test_block_boundary_equivalence():
@@ -346,15 +368,17 @@ def test_repetitive_closed_form():
         x = x0.copy()
         for _ in range(b):
             x = lifted.Abar @ x + lifted.Bbar @ w
-        total, power = h_sum(lifted, b)
-        closed = power @ x0 + total @ lifted.Bbar @ w
-        scale = max(1.0, np.abs(closed).max())
-        assert np.abs(x - closed).max() <= 1e-11 * scale
+        total, free = h_sum(lifted, b, x0)
+        total_eye, power = h_sum(lifted, b, np.eye(n))
+        assert np.array_equal(total, total_eye)
+        for closed in (free + total @ lifted.Bbar @ w, power @ x0 + total @ lifted.Bbar @ w):
+            scale = max(1.0, np.abs(closed).max())
+            assert np.abs(x - closed).max() <= 1e-11 * scale
 
 
-def test_design_repetitive_takes_the_power_from_h_sum(monkeypatch):
-    # d = xf - Abar^b x0 reads the power the doubling carries; numpy's
-    # binary powering is not called a second time
+def test_design_repetitive_takes_abar_b_x0_from_h_sum(monkeypatch):
+    # d = xf - Abar^b x0 reads the free response the doubling forms;
+    # numpy's binary powering is not called
     rng = np.random.default_rng(39)
     system = random_system(rng, 4, 2, radius=1.1)
     scheme = build_scheme(3, 2)
@@ -383,4 +407,4 @@ def test_horizon_validation():
         with pytest.raises(PreconditionError):
             reachability_matrix(lifted, bad_b)
         with pytest.raises(PreconditionError):
-            h_sum(lifted, bad_b)
+            h_sum(lifted, bad_b, np.zeros(2))

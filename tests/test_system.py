@@ -78,10 +78,13 @@ def test_simulate_matches_step_loop():
     # every step is exactly A @ x + B @ u, whatever container holds the inputs
     rng = np.random.default_rng(14)
     # the larger shapes block the BLAS products differently from n <= 8;
-    # n = 1 with m > 1 is a dot product, whose rounding follows the stride
+    # n = 1 with m > 1 is a dot product, whose rounding follows the stride;
+    # 511 to 1025 steps end just before, on and just after the edges of
+    # the 512-step chunks the rollout lists its rows in
     shapes = (
         (1, 1, 5), (2, 1, 40), (3, 2, 17), (5, 3, 64), (8, 8, 300), (1, 7, 33),
-        (20, 20, 200), (50, 5, 400), (200, 5, 100), (200, 200, 40), (7, 4, 1),
+        (20, 20, 200), (50, 5, 400), (200, 5, 100), (200, 200, 40),
+        (4, 2, 511), (4, 2, 512), (3, 1, 513), (6, 3, 1024), (2, 2, 1025), (7, 4, 1),
     )
     for n, m, steps in shapes:
         # spectral radius about 0.6, so both products count in every state
