@@ -198,3 +198,50 @@ def test_power_matches_naive_product_oracle():
     got = lifted_power(system, 4)
     assert np.abs(got - naive).max() <= 1e-12 * max(1.0, np.abs(naive).max())
 
+
+
+def _step_loop_states(system, x0, inputs):
+    states = [np.asarray(x0, dtype=float)]
+    for u in inputs:
+        states.append(system.A @ states[-1] + system.B @ u)
+    return np.array(states)
+
+
+def test_periodic_inputs_reuse_one_period_of_products(monkeypatch):
+    # rows that repeat bit for bit with period p take B @ u for one period,
+    # and the states stay bit for bit the A @ x + B @ u step loop
+    import cbcontrol.system as system_module
+    from cbcontrol import SteeringTask, design_repetitive
+
+    rng = np.random.default_rng(15)
+    n = m = 40
+    A = rng.standard_normal((n, n)) * 0.6 / np.sqrt(n)
+    system = LtiSystem(A=A, B=rng.standard_normal((n, m)))
+    x0 = rng.standard_normal(n)
+    scheme = build_scheme(2, m)
+    task = SteeringTask(x0=x0, xf=rng.standard_normal(n), b=50, regime="repetitive")
+    plan = design_repetitive(lift(system, scheme), task).flat_inputs
+    least_work = system_module._PERIOD_MIN_WORK
+    assert len(plan) * n * m >= least_work  # the plan is checked as it is
+    block = rng.standard_normal((3, m))
+    signed = np.zeros((8, m))
+    signed[1::2, 5] = -0.0  # equal values, other bits
+    almost = np.tile(block, (6, 1))
+    almost[-1, 0] += 1.0
+    cases = {
+        "identical-block plan": (plan, 2),
+        "-0.0 against 0.0": (signed, 2),
+        "periodic but the last row": (almost, len(almost)),
+        "N not a multiple of p": (np.tile(block, (8, 1))[:23], 3),
+        "all rows equal": (np.tile(block[:1], (9, 1)), 1),
+        "no repeat": (rng.standard_normal((12, m)), 12),
+    }
+    for name, (inputs, period) in cases.items():
+        assert system_module._period(np.ascontiguousarray(inputs)) == period, name
+        want = _step_loop_states(system, x0, inputs)
+        for work in (least_work, 1):  # as set, and for every input
+            monkeypatch.setattr(system_module, "_PERIOD_MIN_WORK", work)
+            for form in (inputs, iter(list(inputs))):
+                traj = simulate(system, x0, form)
+                assert traj.states.tobytes() == want.tobytes(), name
+                assert traj.inputs.tobytes() == np.ascontiguousarray(inputs).tobytes(), name
