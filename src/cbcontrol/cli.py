@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 problem-file parse error or bad flag value
 (including an --out path that cannot be created as a directory, and an
 output file that cannot be written), 3 unreachable target, 4 analysis
-precondition failure or float64 overflow, 5 design wrote a plan that
-failed its own verification (every output file is still written).
+precondition failure, float64 overflow or a horizon too long to hold in
+memory, 5 design wrote a plan that failed its own verification (every
+output file is still written).
 Every command creates --out before it analyzes, designs or replays, so
 an unusable --out exits 2 before any of that work, and a design that
 exits 3 or 4 writes nothing into it (a new directory stays empty).
@@ -269,6 +270,7 @@ def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> list[dict]
         raise PreconditionError("sweep-h applies to the non-repetitive regime only")
     out_dir = _output_dir(out_dir)
     system, task, tol = problem.system, problem.task, problem.tolerances
+    columns = ("h", "conditions", "numeric_rank", "controllable", "energy")
     rows = []
     for h in range(h_min, h_max + 1):
         verdict = check_nonrepetitive_sufficient(system, h, tol)
@@ -279,19 +281,11 @@ def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> list[dict]
                 energy = design_nonrepetitive(lifted, task, tol).energy
             except ReachabilityError:
                 pass
-        rows.append(
-            {
-                "h": h,
-                "conditions": verdict.conditions,
-                "numeric_rank": verdict.numeric_rank,
-                "controllable": verdict.controllable,
-                "energy": energy,
-            }
-        )
+        values = (h, verdict.conditions, verdict.numeric_rank, verdict.controllable, energy)
+        rows.append(dict(zip(columns, values)))
 
     sweep_path = out_dir / "sweep.csv"
-    columns = ["h", "conditions", "numeric_rank", "controllable", "energy"]
-    write_csv(sweep_path, columns, ([r[c] for c in columns] for r in rows))
+    write_csv(sweep_path, columns, (r.values() for r in rows))
     print(f"{'h':>3}  {'conditions':>12}  {'rank':>4}  {'controllable':>12}  energy")
     for r in rows:
         energy = f"{r['energy']:.6g}" if r["energy"] != "" else "-"
@@ -409,7 +403,7 @@ def main(argv=None) -> int:
     except ReachabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
-    except (PreconditionError, AnalysisError) as exc:
+    except (PreconditionError, AnalysisError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     return EXIT_OK

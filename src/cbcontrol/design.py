@@ -21,12 +21,13 @@ never touches the lifted objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .charge_balance import BlockScheme, unpack
 from .errors import ChargeBalanceError, DimensionError, PreconditionError, ReachabilityError
-from .lifting import LiftedSystem, h_sum, reachability_matrix
+from .lifting import LiftedSystem, _require_channels, h_sum, reachability_matrix
 from .numeric import min_norm_solve, unique_or_min_norm_solve
 from .system import LtiSystem, Trajectory, _locked, simulate
 from .tolerances import DEFAULT, Tolerances, require_integer
@@ -66,21 +67,25 @@ class SteeringTask:
 
 @dataclass(frozen=True, eq=False)
 class ControlPlan:
-    """A designed input sequence: the applied inputs and their energy.
+    """A designed input sequence: the applied inputs, and their energy derived from them.
 
     flat_inputs is the (b*h, m) per-step sequence that is applied, stored
-    locked (it cannot be made writeable again); energy is its total
-    squared norm. A plan keeps its last rollout: verify_plan and rollout
-    on the same system object from the same x0 share one simulation.
+    locked (it cannot be made writeable again). A plan keeps its last
+    rollout: verify_plan and rollout on the same system object from the
+    same x0 share one simulation.
     """
 
     flat_inputs: np.ndarray
-    energy: float
 
     def __post_init__(self):
         flat = np.array(self.flat_inputs, dtype=float, ndmin=1)  # a scalar is one step
         object.__setattr__(self, "flat_inputs", _locked(flat))
         object.__setattr__(self, "_rollout", {})  # (system, x0 bytes) -> Trajectory, one entry
+
+    @cached_property
+    def energy(self) -> float:
+        """Total squared norm of flat_inputs."""
+        return float(np.vdot(self.flat_inputs, self.flat_inputs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +109,6 @@ def _require_states(task: SteeringTask, n: int):
     """The task's states have the plant's length n, checked before d = x_f - Abar^b x_0."""
     if task.x0.size != n:
         raise DimensionError(f"task states have length {task.x0.size}, system has {n}")
-
-
-def _plan(flat_inputs: np.ndarray) -> ControlPlan:
-    """The plan applying flat_inputs; its energy is their squared norm."""
-    return ControlPlan(flat_inputs=flat_inputs, energy=float(np.vdot(flat_inputs, flat_inputs)))
 
 
 def _trajectory(system: LtiSystem, task: SteeringTask, plan: ControlPlan) -> Trajectory:
@@ -164,7 +164,7 @@ def design_nonrepetitive(
     core = _solve_reachable(min_norm_solve, Rb @ Rb.T, d, tol,
                             f"in {task.b} blocks", "Gramian rank")
     latents = (Rb.T @ core).reshape(task.b, -1)
-    return _plan((latents @ lifted.scheme.Q.T).reshape(-1, lifted.scheme.m))
+    return ControlPlan((latents @ lifted.scheme.Q.T).reshape(-1, lifted.scheme.m))
 
 
 def design_repetitive(
@@ -184,7 +184,7 @@ def design_repetitive(
     d = task.xf - free
     gain = total @ lifted.Bbar
     w = _solve_reachable(unique_or_min_norm_solve, gain, d, tol, "with identical blocks", "rank")
-    return _plan(np.tile(unpack(w, lifted.scheme), task.b).reshape(-1, lifted.scheme.m))
+    return ControlPlan(np.tile(unpack(w, lifted.scheme), task.b).reshape(-1, lifted.scheme.m))
 
 
 def oracle_stacked_ls(
@@ -197,20 +197,14 @@ def oracle_stacked_ls(
     in the repetitive regime, equality of every block with the first.
     Solved as one minimum-norm least-squares system after row
     equilibration (which leaves the solution set of a consistent system
-    unchanged). Shares no code path with the closed-form laws. Raises
+    unchanged). Shares no arithmetic with the closed-form laws. Raises
     ReachabilityError, with the scaled residual and the stacked rank, when
     that system is infeasible, and ChargeBalanceError when a block of the
     solution carries net charge.
     """
-    if scheme.m != system.m:
-        raise DimensionError(
-            f"scheme is for {scheme.m} input channels, system has {system.m}"
-        )
-    if task.x0.size != system.n:
-        raise DimensionError(
-            f"task states have length {task.x0.size}, system has {system.n}"
-        )
-    n, m, h, b = system.n, system.m, scheme.h, task.b
+    _require_channels(system, scheme)
+    _require_states(task, system.n)
+    m, h, b = system.m, scheme.h, task.b
     steps = b * h
     block_dim = scheme.block_dim
 
@@ -225,12 +219,8 @@ def oracle_stacked_ls(
     rows = [terminal, balance]
     rhs = [d_full, np.zeros(b * m)]
     if task.regime == REPETITIVE:
-        ties = np.zeros(((b - 1) * block_dim, steps * m))
-        eye_block = np.eye(block_dim)
-        for p in range(1, b):
-            sl = slice((p - 1) * block_dim, p * block_dim)
-            ties[sl, 0:block_dim] = -eye_block
-            ties[sl, p * block_dim : (p + 1) * block_dim] = eye_block
+        # block p minus block 0 is zero, for p = 1 .. b-1
+        ties = np.hstack((np.tile(-np.eye(block_dim), (b - 1, 1)), np.eye((b - 1) * block_dim)))
         rows.append(ties)
         rhs.append(np.zeros((b - 1) * block_dim))
     lhs = np.vstack(rows)
@@ -256,7 +246,7 @@ def oracle_stacked_ls(
             f"{imbalances.max():.3e} exceeds {tol.charge_balance:g}",
             imbalance=imbalances,
         )
-    return _plan(flat)
+    return ControlPlan(flat)
 
 
 def verify_plan(

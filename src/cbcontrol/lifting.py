@@ -61,12 +61,14 @@ def krylov(M: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(n, k * w)
 
 
+def _require_channels(system: LtiSystem, scheme: BlockScheme):
+    if scheme.m != system.m:
+        raise DimensionError(f"scheme is for {scheme.m} input channels, system has {system.m}")
+
+
 def lift(system: LtiSystem, scheme: BlockScheme) -> LiftedSystem:
     """Assemble S = krylov(A, B, h), Abar = A^h, and Bbar = S @ Q for the scheme."""
-    if scheme.m != system.m:
-        raise DimensionError(
-            f"scheme is for {scheme.m} input channels, system has {system.m}"
-        )
+    _require_channels(system, scheme)
     S = krylov(system.A, system.B, scheme.h)
     Abar = np.linalg.matrix_power(system.A, scheme.h)
     return LiftedSystem(system=system, scheme=scheme, S=S, Abar=Abar, Bbar=S @ scheme.Q)

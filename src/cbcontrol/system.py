@@ -92,7 +92,7 @@ class LtiSystem:
             W = np.full_like(V, np.nan)
         return _locked(eigs), _locked(V), _locked(W)
 
-    @cached_property
+    @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of A, locked; AnalysisError if the eigensolver fails."""
         return self._modal[0]
@@ -132,10 +132,10 @@ def _input_rows(inputs, m: int) -> np.ndarray:
     the offending input index.
     """
     try:
-        rows = np.asarray(inputs, dtype=float)
+        rows = np.atleast_1d(np.asarray(inputs, dtype=float))  # a scalar is one step
     except (TypeError, ValueError):
         rows = None
-    if rows is None or rows.ndim == 0:
+    if rows is None:
         checked = []
         for k, u in enumerate(inputs):
             u = np.asarray(u, dtype=float).reshape(-1)

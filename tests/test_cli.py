@@ -443,6 +443,62 @@ def test_analyze_block_length_overflow_exits_4(tmp_path, capsys):
         assert captured.err.startswith("error: float64 overflow"), (h, regime)
 
 
+def test_horizon_too_long_to_hold_exits_4(tmp_path, monkeypatch, capsys):
+    # at b = 1e8 the block-Krylov array of Rb does not fit in memory, and
+    # numpy's np.empty raises MemoryError: one typed error line, exit 4,
+    # and nothing written (no real allocation is attempted here)
+    import cbcontrol.lifting as lifting
+
+    original = lifting.krylov
+
+    def krylov(M, X, k):
+        if k >= 10**6:
+            raise MemoryError(f"Unable to allocate 2.98 GiB for an array with shape ({k}, 2, 2)")
+        return original(M, X, k)
+
+    monkeypatch.setattr(lifting, "krylov", krylov)
+    for command, name in (("design", "expander_2d"), ("sweep-h", "rotation_2d")):
+        out = tmp_path / command
+        code = main([command, "--problem", str(bundled_problem(name)), "--regime", "nonrep",
+                     "--b", "100000000", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4, command
+        assert err.splitlines() == [
+            "error: Unable to allocate 2.98 GiB for an array with shape (100000000, 2, 2)"
+        ]
+        assert list(out.iterdir()) == []
+
+
+VARIANT_FLAGS = {
+    "plain": [], "rep": ["--regime", "rep"], "nonrep": ["--regime", "nonrep"],
+    "b20": ["--b", "20"], "b30": ["--b", "30"],
+}
+# bundled runs that analyze calls "yes" and design still ends as unreachable
+YES_BUT_UNREACHABLE = {
+    ("expander_2d", "b30"): "ROADMAP item 2: identical-block gain rank 1 of 2",
+    ("four_state", "nonrep"): "ROADMAP item 1 (stage A): Gramian rank 3 of 4 at b = 5",
+    ("four_state", "b20"): "ROADMAP item 2: identical-block gain rank 2 of 4",
+    ("four_state", "b30"): "ROADMAP item 2: identical-block gain rank 2 of 4",
+}
+
+
+@pytest.mark.parametrize("name, variant", [
+    pytest.param(name, variant, marks=[pytest.mark.xfail(strict=True, reason=reason)]
+                 if (reason := YES_BUT_UNREACHABLE.get((name, variant))) else [])
+    for name in list_bundled() for variant in VARIANT_FLAGS
+])
+def test_bundled_yes_verdict_never_exits_3(tmp_path, capsys, name, variant):
+    # where analyze says "yes", design writes a plan: exit 0, or 5 when it
+    # fails verification; where it says "no", design refuses with exit 4
+    args = ["--problem", str(bundled_problem(name)), *VARIANT_FLAGS[variant]]
+    assert main(["analyze", *args, "--out", str(tmp_path / "analyze")]) == 0
+    verdict = json.loads((tmp_path / "analyze" / "report.json").read_text())["verdict"]
+    assert verdict["controllable"] in ("yes", "no")
+    code = main(["design", *args, "--out", str(tmp_path / "design")])
+    capsys.readouterr()
+    assert code in ((0, 5) if verdict["controllable"] == "yes" else (4,)), code
+
+
 def test_analyze_rotation_auto_selects_four(capsys):
     report = cmd_analyze(load_problem(bundled_problem("rotation_2d")))
     assert report["verdict"]["h"] == 4

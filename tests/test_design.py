@@ -516,7 +516,7 @@ def test_plan_arrays_match_per_block_loops():
     # one product with Q (distinct blocks) or one tiled block (identical
     # blocks), the energy as one squared norm and the imbalances from the
     # (b, h, m) view agree with the per-block unpack, U @ U and R @ U loops
-    assert [f.name for f in dataclasses.fields(ControlPlan)] == ["flat_inputs", "energy"]
+    assert [f.name for f in dataclasses.fields(ControlPlan)] == ["flat_inputs"]
     rng = np.random.default_rng(58)
     designers = {"non-repetitive": design_nonrepetitive, "repetitive": design_repetitive}
     for _ in range(30):
@@ -589,7 +589,7 @@ def test_verify_zero_plan_on_drifting_target():
     x0 = rng.standard_normal(2)
     xf = np.linalg.matrix_power(system.A, 4) @ x0
     task = SteeringTask(x0=x0, xf=xf, b=2, regime="non-repetitive")
-    zero = ControlPlan(flat_inputs=np.zeros((4, 1)), energy=0.0)
+    zero = ControlPlan(flat_inputs=np.zeros((4, 1)))
     check = verify_plan(system, scheme, task, zero)
     assert check.passed
     assert check.terminal_error == 0.0
@@ -604,7 +604,7 @@ def test_verify_flags_perturbed_block():
 
     flat = plan.flat_inputs.copy()
     flat[8, 0] += 0.1  # first step of block 4
-    tampered = ControlPlan(flat_inputs=flat, energy=plan.energy)
+    tampered = ControlPlan(flat_inputs=flat)
     check = verify_plan(system, scheme, task, tampered)
     assert not check.passed
     flagged = np.nonzero(check.imbalances > 1e-9)[0]
@@ -613,13 +613,14 @@ def test_verify_flags_perturbed_block():
 
 def test_verify_reads_the_applied_inputs():
     # imbalance is taken from the inputs that are simulated: a first block
-    # with net charge 5 fails whatever energy the plan records
+    # with net charge 5 fails, and the energy is derived from those inputs
     system = LtiSystem(A=[[0.0]], B=[[1.0]])
     scheme = build_scheme(2, 1)
     task = SteeringTask(x0=[0.0], xf=[0.0], b=2, regime="non-repetitive")
     plan = design_nonrepetitive(lift(system, scheme), task)
     assert verify_plan(system, scheme, task, plan).passed
     charged = dataclasses.replace(plan, flat_inputs=[[5.0], [0.0], [0.0], [0.0]])
+    assert (plan.energy, charged.energy) == (0.0, 25.0)
     check = verify_plan(system, scheme, task, charged)
     assert not check.passed
     assert check.terminal_error == 0.0  # A = 0 forgets the charge by the end
@@ -678,11 +679,11 @@ def test_verify_checks_the_step_count_before_simulating(monkeypatch):
     system = LtiSystem(A=[[0.0]], B=[[1.0]])
     scheme = build_scheme(2, 1)
     task = SteeringTask(x0=[0.0], xf=[0.0], b=2, regime="non-repetitive")
-    short = ControlPlan(flat_inputs=[[0.0]] * 3, energy=0.0)
+    short = ControlPlan(flat_inputs=[[0.0]] * 3)
     with pytest.raises(DimensionError, match="plan has 3 steps, task needs 2 blocks of 2"):
         verify_plan(system, scheme, task, short)
     with pytest.raises(DimensionError, match="plan has 1 steps"):  # a scalar is one step
-        verify_plan(system, scheme, task, ControlPlan(flat_inputs=0.0, energy=0.0))
+        verify_plan(system, scheme, task, ControlPlan(flat_inputs=0.0))
     assert calls == []
 
 

@@ -126,6 +126,11 @@ def test_simulate_dimension_errors():
         simulate(system, [0.0, 0.0], iter(bad))
     with pytest.raises(DimensionError, match="input 0 has length 2"):
         simulate(system, [0.0, 0.0], np.zeros((4, 2)))
+    # a bare scalar is one step, as in ControlPlan
+    traj = simulate(LtiSystem([[0.5]], [[1.0]]), [0.0], 5.0)
+    assert traj.inputs.tolist() == [[5.0]] and traj.states.tolist() == [[0.0], [5.0]]
+    with pytest.raises(DimensionError, match="input 0 has length 1, expected 2"):
+        simulate(LtiSystem(np.eye(2), np.eye(2)), [0.0, 0.0], 5.0)
 
 
 def test_trajectory_length_invariant():
