@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -735,20 +736,54 @@ def _write_csv_reference(path, header, rows):
             )
 
 
+def _awkward_doubles(rng):
+    """Doubles where a '%.17g' kernel can go wrong, both signs."""
+
+    def ulp_neighbours(v):
+        return np.concatenate([np.nextafter(v, 0), v, np.nextafter(v, np.inf)])
+
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17, 9.99e99, 1e100, 1e-280, 1e280, 0.0, np.inf])
+    odd = rng.integers(2**52, 2**53, 20_000) | 1
+    positive = np.concatenate([
+        ulp_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+        ulp_neighbours(np.array([float(f"1e{k}") for k in range(-300, 301)])),
+        ulp_neighbours(edges),
+        odd / 4,  # exact ties at the 17th digit, in [2**50, 2**51)
+        rng.integers(0, 2**60, 20_000, endpoint=True).astype(float),
+        np.ldexp(1.0, np.arange(61)) - 1,
+    ])
+    # random bit patterns: NaN payloads, negative NaN and subnormals too
+    bits = rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(float)
+    return np.concatenate([positive, -positive, bits])
+
+
 def test_write_csv_matches_csv_writer(tmp_path):
     rng = np.random.default_rng(51)
     specials = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308, 0.1]
-    chunk = problem_io._CHUNK_ROWS
+    chunk = problem_io._CHUNK_CELLS // 4
     table = rng.standard_normal((3 * chunk + 1, 4)) * 10.0 ** rng.integers(-300, 300, (3 * chunk + 1, 4))
     table[: len(specials), 0] = specials
     table[-1, :] = specials[-4:]
     table[chunk - 1 : chunk + 1, 1] = specials[:2]  # across a chunk boundary
     header = ["k", "x_1", "x_2", "x_3"]
+    awkward = _awkward_doubles(rng)
+    rule = problem_io._KERNEL_MIN_CELLS
+    column = rng.standard_normal((3 * problem_io._CHUNK_CELLS + 5, 1))
     cases = {
         "series": (header, table),
         "one row": (header, table[:1]),
         "no rows": (header, table[:0]),
         "one column": (["k"], table[:, :1]),
+        # 2**k, 10**k and their neighbours, ties, integers, exponent and
+        # fast-range edges, +-0, +-inf and random bit patterns
+        "awkward, one column": (["v"], awkward[:, None]),
+        "awkward, 7 columns": (["v"] * 7, awkward[: len(awkward) // 7 * 7].reshape(-1, 7)),
+        # chunks just below, at and just above the kernel's size rule
+        "below the rule": (["v"], column[: rule - 1]),
+        "at the rule": (["v"], column[:rule]),
+        "above the rule": (["v"], column[: rule + 1]),
+        "rule in 2 columns": (["v", "w"], column[: rule].reshape(-1, 2)),
+        "one column, chunks": (["v"], column),
         # the sweep-h table: strings, "" cells and floats per row
         "sweep": (
             ["h", "conditions", "numeric_rank", "controllable", "energy"],
@@ -772,6 +807,34 @@ def test_write_csv_matches_csv_writer(tmp_path):
             write_csv(tmp_path / "bad.csv", ["k", bad], table[:1, :2])
     with pytest.raises(ValueError, match="quoting"):
         write_csv(tmp_path / "bad.csv", ["k"], [[""]])
+
+
+def test_write_csv_kernel_proves_ordinary_tables():
+    # a standard-normal table sends no cell to the '%.17g' fallback, so the
+    # kernel cannot quietly hand its work back to the slow path
+    tables = problem_io._kernel_tables()
+    table = np.random.default_rng(52).standard_normal((4096, 9))
+    assert problem_io._scaled_digits(table.ravel(), tables)[2].all()
+    # nor do the neighbours of powers of ten, where log10 often puts the
+    # exponent one off, but for one exact tie: 1e15 - 0.125
+    powers = np.array([float(f"1e{k}") for k in range(-279, 280)])
+    near = np.concatenate([np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    proved = problem_io._scaled_digits(near, tables)[2]
+    assert near[~proved].tolist() == [1e15 - 0.125]
+
+
+def test_write_csv_memory_is_bounded(tmp_path):
+    # chunks are bounded in cells, so a wide table stays under the traced
+    # peak of the earlier 1024-row chunks of '%' formatting, about 12 MB
+    table = np.random.default_rng(53).standard_normal((4096, 201))
+    problem_io._kernel_tables()
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "wide.csv", [f"x_{i}" for i in range(201)], table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.0e6
 
 
 def test_read_inputs_csv_rejects_malformed(tmp_path, capsys):
