@@ -1,9 +1,10 @@
 """End-to-end tour of the command-line front end.
 
 Runs analyze, design, simulate (replay), and sweep-h on the bundled
-problem files, into ./cli_out. The replayed states are byte-identical
-to the designed ones, and the sweep table shows the h = 3 row where the
-sufficient conditions stay silent but the numeric rank decides.
+problem files, into cli_out under the working directory. The replayed
+states are byte-identical to the designed ones, and the sweep table shows
+the h = 3 row where the sufficient conditions stay silent but the numeric
+rank decides.
 """
 
 import shutil
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from cbcontrol import bundled_problem
 
-OUT = Path(__file__).resolve().parent / "cli_out"
+OUT = Path.cwd() / "cli_out"
 
 
 def run(*args):

@@ -27,16 +27,21 @@ def _zero_sum_basis(h: int) -> np.ndarray:
 
     Columns are the modified Gram-Schmidt orthonormalization, processed
     left to right, of the difference vectors e1 - e2, e2 - e3, ...,
-    e(h-1) - eh. The construction is deterministic, so schemes are
+    e(h-1) - eh. Column j is zero below row j + 1, so e_i - e(i+1) meets
+    only column i - 1: the sweep's other projections subtract exact zeros
+    and are skipped. The construction is deterministic, so schemes are
     reproducible across runs and platforms.
     """
-    basis = np.zeros((h, h - 1))
+    try:
+        basis = np.zeros((h, h - 1))
+    except ValueError as exc:  # past numpy's index range: as if out of memory
+        raise MemoryError(f"a {h} x {h - 1} kernel basis is too large to address: {exc}") from exc
     for i in range(h - 1):
         v = np.zeros(h)
         v[i] = 1.0
         v[i + 1] = -1.0
-        for j in range(i):
-            v -= (basis[:, j] @ v) * basis[:, j]
+        if i:
+            v -= (basis[:, i - 1] @ v) * basis[:, i - 1]
         basis[:, i] = v / np.linalg.norm(v)
     return basis
 

@@ -184,7 +184,14 @@ def design_repetitive(
     d = task.xf - free
     gain = total @ lifted.Bbar
     w = _solve_reachable(unique_or_min_norm_solve, gain, d, tol, "with identical blocks", "rank")
-    return ControlPlan(np.tile(unpack(w, lifted.scheme), task.b).reshape(-1, lifted.scheme.m))
+    block = unpack(w, lifted.scheme)
+    try:
+        inputs = np.tile(block, task.b)
+    except (ValueError, OverflowError) as exc:  # past numpy's index range: as if out of memory
+        raise MemoryError(
+            f"a plan of {task.b} blocks of {block.size} inputs is too large to address: {exc}"
+        ) from exc
+    return ControlPlan(inputs.reshape(-1, lifted.scheme.m))
 
 
 def oracle_stacked_ls(

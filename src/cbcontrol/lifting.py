@@ -53,7 +53,10 @@ def krylov(M: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     transposed view is F-ordered, and products with it round differently.
     """
     n, w = X.shape
-    blocks = np.empty((k, n, w))
+    try:
+        blocks = np.empty((k, n, w))
+    except ValueError as exc:  # past numpy's index range: as if out of memory
+        raise MemoryError(f"a {k} x {n} x {w} Krylov array is too large to address: {exc}") from exc
     blocks[-1] = X
     dot = M.dot
     for i in range(k - 1, 0, -1):

@@ -35,7 +35,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import itertools
 import json
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -430,7 +429,8 @@ def write_csv(path, header, rows):
 def read_inputs_csv(path, m: int) -> np.ndarray:
     """Parse an inputs.csv (columns k, u_1 .. u_m) into an (N, m) array.
 
-    The rows are parsed in one streaming pass. Raises ProblemFormatError
+    The file is read once, as its header line and a list of row lines,
+    and the rows are parsed by one np.loadtxt. Raises ProblemFormatError
     when the file cannot be read, is empty, has a header that is not
     m + 1 columns wide, or has a malformed row (a blank line, a row of the
     wrong width, or a cell that is not a finite number).
@@ -440,42 +440,36 @@ def read_inputs_csv(path, m: int) -> np.ndarray:
         # undecodable bytes become U+FFFD and so fail as non-numeric cells
         with path.open(errors="replace") as fh:
             first = fh.readline()
-            if not first:
-                raise ProblemFormatError(f"{path}: empty CSV")
-            header = next(csv.reader([first]), [])
-            if len(header) != m + 1:
-                raise ProblemFormatError(
-                    f"{path}: expected {m + 1} columns (k, u_1..u_{m}), got {len(header)}"
-                )
-            # loadtxt skips blank lines, which are malformed rows here, so
-            # count the lines it reads and compare with the rows it returns
-            lines = itertools.count()
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # a file with no rows
-                    table = np.loadtxt(
-                        (line for line, _ in zip(fh, lines)),
-                        delimiter=",", comments=None, ndmin=2,
-                    )
-            except ValueError:
-                table = None
-            count = next(lines)
+            rows = fh.readlines()
     except OSError as exc:
         raise ProblemFormatError(f"cannot read inputs file {path}: {exc}") from exc
-    if count == 0:
+    if not first:
+        raise ProblemFormatError(f"{path}: empty CSV")
+    header = next(csv.reader([first]), [])
+    if len(header) != m + 1:
+        raise ProblemFormatError(
+            f"{path}: expected {m + 1} columns (k, u_1..u_{m}), got {len(header)}"
+        )
+    if not rows:
         return np.zeros((0, m))
-    if table is None or table.shape != (count, m + 1) or not np.isfinite(table).all():
-        raise ProblemFormatError(f"{path}: malformed row {_first_malformed_row(path, m)}")
+    # loadtxt skips blank lines, which are malformed rows here, so the
+    # table then has fewer rows than the file
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # rows that are all blank
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        table = None
+    if table is None or table.shape != (len(rows), m + 1) or not np.isfinite(table).all():
+        raise ProblemFormatError(f"{path}: malformed row {_first_malformed_row(rows, m)}")
     return np.ascontiguousarray(table[:, 1:])
 
 
-def _first_malformed_row(path: Path, m: int) -> int:
-    """1-based index of the first data row that is not m + 1 finite numbers."""
-    rows = path.read_text(errors="replace").split("\n")[1:]
-    if rows and not rows[-1]:
-        rows.pop()  # the piece after the final line end
+def _first_malformed_row(rows: list[str], m: int) -> int:
+    """1-based index of the first of the row lines (each with its line end,
+    as readlines gives them) that is not m + 1 finite numbers."""
     for index, line in enumerate(rows, 1):
-        if not line:
+        if line == "\n":
             return index
         try:
             row = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)
@@ -483,4 +477,4 @@ def _first_malformed_row(path: Path, m: int) -> int:
             return index
         if row.shape[1] != m + 1 or not np.isfinite(row).all():
             return index
-    raise AssertionError(f"{path}: no malformed row")
+    raise AssertionError("no malformed row")

@@ -65,9 +65,10 @@ class Tolerances:
         for field in fields(self):
             value = getattr(self, field.name)
             if field.name == "max_order":  # root_of_unity, an earlier field, is checked
-                cap = int(self.root_of_unity / _EPS)
-                kind = f"a positive int at most root_of_unity / eps = {cap}"
-                ok = is_integer(value) and 1 <= value <= cap
+                cap = self.root_of_unity / _EPS  # inf past about 4e292
+                shown = f" = {int(cap)}" if math.isfinite(cap) else ""
+                kind = f"a positive int at most root_of_unity / eps{shown}"
+                ok = is_integer(value) and 1 <= int(value) <= cap  # int vs float is exact
             else:
                 kind = "finite and positive"
                 ok = isinstance(value, numbers.Real) and math.isfinite(value) and value > 0

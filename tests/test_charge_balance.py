@@ -14,6 +14,7 @@ from cbcontrol import (
     build_scheme,
     unpack,
 )
+from cbcontrol.charge_balance import _zero_sum_basis
 
 ROOT2 = np.sqrt(2.0)
 ROOT6 = np.sqrt(6.0)
@@ -45,6 +46,26 @@ def test_scheme_h3_two_channels_matches_fixed_basis():
     scheme = build_scheme(3, 2)
     assert np.allclose(scheme.Q, np.kron(expected_v, np.eye(2)), atol=1e-15)
     assert np.abs(scheme.Q.sum(axis=0)).max() <= 1e-13
+
+
+def _full_sweep_basis(h):
+    # modified Gram-Schmidt projecting each difference vector onto every
+    # earlier column: the bytes the one-projection construction must keep
+    basis = np.zeros((h, h - 1))
+    for i in range(h - 1):
+        v = np.zeros(h)
+        v[i] = 1.0
+        v[i + 1] = -1.0
+        for j in range(i):
+            v -= (basis[:, j] @ v) * basis[:, j]
+        basis[:, i] = v / np.linalg.norm(v)
+    return basis
+
+
+def test_zero_sum_basis_bytes_equal_the_full_sweep():
+    # the kernel basis feeds every lifted matrix and so every emitted CSV
+    for h in range(2, 201):
+        assert _zero_sum_basis(h).tobytes() == _full_sweep_basis(h).tobytes(), h
 
 
 @pytest.mark.parametrize("h", [2, 3, 4, 5, 7])
@@ -179,6 +200,8 @@ def test_dimension_errors():
     scheme = build_scheme(3, 2)
     with pytest.raises(DimensionError):
         unpack(np.zeros(5), scheme)
+    with pytest.raises(DimensionError, match="Q must be 6 x 4"):
+        BlockScheme(h=3, m=2, Q=scheme.Q[:, :3])
 
 
 def test_block_input_round_trip():

@@ -24,6 +24,7 @@ from cbcontrol import (
 from cbcontrol.cli import cmd_analyze, cmd_design, cmd_sweep_h, main
 from cbcontrol.errors import ProblemFormatError
 from cbcontrol.problem_io import read_inputs_csv, write_csv
+from cbcontrol.tolerances import Tolerances
 
 from helpers import floored_rank, read_csv
 
@@ -34,6 +35,8 @@ def test_bundled_problems_present():
         assert expected in names
     for name in names:
         load_problem(bundled_problem(name))  # every bundled file parses
+    with pytest.raises(FileNotFoundError, match="no bundled problem named 'nope.json'.*rotation_2d"):
+        bundled_problem("nope")
 
 
 def test_parse_reports_json_position():
@@ -114,6 +117,21 @@ def test_parse_rejects_bad_shapes_and_values():
     assert parse_problem(json.dumps(bad_tol)).tolerances.max_order == 45035996
     bad_tol["tolerances"] = {"max_order": 10**9, "root_of_unity": 1e-6}
     assert parse_problem(json.dumps(bad_tol)).tolerances.max_order == 10**9
+
+
+def test_root_of_unity_past_the_float_range_of_its_cap(tmp_path, capsys):
+    # root_of_unity / eps is inf past about 4e292, so every positive int is
+    # within the cap, which the message then gives by its formula alone
+    assert Tolerances(root_of_unity=1e300, max_order=10**400).max_order == 10**400
+    bound = "max_order must be a positive int at most root_of_unity / eps, got 0"
+    with pytest.raises(ValueError, match=bound):
+        Tolerances(root_of_unity=1e300, max_order=0)
+    doc = json.loads(bundled_problem("rotation_2d").read_text())
+    doc["tolerances"] = {"root_of_unity": 1e300}
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--problem", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_parse_tolerance_overrides():
@@ -467,6 +485,44 @@ def test_horizon_too_long_to_hold_exits_4(tmp_path, monkeypatch, capsys):
         assert err.splitlines() == [
             "error: Unable to allocate 2.98 GiB for an array with shape (100000000, 2, 2)"
         ]
+        assert list(out.iterdir()) == []
+
+
+def test_horizon_too_large_to_address_exits_4(tmp_path, capsys):
+    # past numpy's index range an array cannot even be requested: np.empty,
+    # np.zeros and np.tile raise ValueError or OverflowError there, which
+    # surface as the MemoryError of a failed allocation: exit 4, one line
+    huge = str(2**70)
+    decaying = tmp_path / "decaying.json"
+    decaying.write_text(json.dumps({
+        "system": {"A": [[0.5, 0.0], [0.0, 0.25]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+        "task": {"x0": [1.0, 0.0], "xf": [0.0, 1.0], "b": 2, "h": 2,
+                 "regime": "repetitive"},
+    }))
+    runs = [
+        (command, str(bundled_problem(name)), ["--regime", "nonrep", "--b", huge],
+         f"error: a {huge} x ")
+        # analysis says "no" for identity_2d, so neither command designs a plan
+        for command in ("design", "sweep-h") for name in list_bundled() if name != "identity_2d"
+    ] + [
+        (command, str(bundled_problem("rotation_2d")), ["--h", huge],
+         f"error: a {2**70 - 1} x 2 x 1 Krylov array is too large to address")
+        for command in ("analyze", "design")
+    ] + [
+        ("design", str(bundled_problem("rotation_2d")), ["--h", str(2**40)],
+         f"error: a {2**40} x {2**40 - 1} kernel basis is too large to address"),
+    ] + [
+        # np.tile raises ValueError at b = 2^60 and OverflowError at 2^70
+        ("design", str(decaying), ["--b", str(b)],
+         f"error: a plan of {b} blocks of 4 inputs is too large to address")
+        for b in (2**60, 2**70)
+    ]
+    for index, (command, problem, flags, message) in enumerate(runs):
+        out = tmp_path / str(index)
+        code = main([command, "--problem", problem, *flags, "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 4, (command, problem, flags)
+        assert len(err) == 1 and err[0].startswith(message), (command, problem, flags, err)
         assert list(out.iterdir()) == []
 
 

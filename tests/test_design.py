@@ -708,6 +708,8 @@ def test_task_validation():
     assert task.b == 3 and type(task.b) is int
     with pytest.raises(PreconditionError):
         SteeringTask(x0=[0.0], xf=[0.0], b=1, regime="sometimes")
+    with pytest.raises(DimensionError, match="x0 has length 2 but xf has length 1"):
+        SteeringTask(x0=[0.0, 0.0], xf=[0.0], b=1, regime="repetitive")
     for bad in ([np.nan, 0.3], [np.inf, 0.3], [0.2, -np.inf]):
         with pytest.raises(ValueError, match="finite"):
             SteeringTask(x0=bad, xf=[1.0, -0.6], b=2, regime="repetitive")

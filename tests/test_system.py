@@ -165,6 +165,8 @@ def test_system_validation():
         LtiSystem(A=np.zeros((2, 3)), B=np.zeros((2, 1)))
     with pytest.raises(DimensionError):
         LtiSystem(A=np.eye(2), B=np.zeros((3, 1)))
+    with pytest.raises(DimensionError, match="at least one column"):
+        LtiSystem(A=np.eye(2), B=np.zeros((2, 0)))
     with pytest.raises(ValueError):
         LtiSystem(A=[[np.nan, 0.0], [0.0, 1.0]], B=[[1.0], [0.0]])
 
