@@ -29,24 +29,30 @@ def _zero_sum_basis(h: int) -> np.ndarray:
     left to right, of the difference vectors e1 - e2, e2 - e3, ...,
     e(h-1) - eh. Column j is zero below row j + 1, so e_i - e(i+1) meets
     only column i - 1: the sweep's other projections subtract exact zeros
-    and are skipped. The construction is deterministic, so schemes are
+    and are skipped. The columns are built in place as the rows of an
+    (h-1) x h array, whose transpose is returned, so each projection reads
+    a contiguous row. The construction is deterministic, so schemes are
     reproducible across runs and platforms.
     """
     try:
-        basis = np.zeros((h, h - 1))
+        rows = np.zeros((h - 1, h))
     except ValueError as exc:  # past numpy's index range: as if out of memory
         raise MemoryError(f"a {h} x {h - 1} kernel basis is too large to address: {exc}") from exc
     for i in range(h - 1):
-        v = np.zeros(h)
+        v = rows[i]
         v[i] = 1.0
         v[i + 1] = -1.0
         if i:
-            v -= (basis[:, i - 1] @ v) * basis[:, i - 1]
-        basis[:, i] = v / np.linalg.norm(v)
-    return basis
+            v -= (rows[i - 1] @ v) * rows[i - 1]
+        v /= np.linalg.norm(v)
+    return rows.T
 
 
 def _require_block_shape(h, m):
+    if not is_integer(h):
+        raise PreconditionError(f"block length must be an integer, got {h!r}")
+    if not is_integer(m):
+        raise PreconditionError(f"input dimension must be an integer, got {m!r}")
     if h < 2:
         raise PreconditionError("charge balance needs at least two steps per block")
     if m < 1:
@@ -71,16 +77,19 @@ class BlockScheme:
 
     def __post_init__(self):
         _require_block_shape(self.h, self.m)
-        Q = _locked(np.array(self.Q, dtype=float))
+        # C order whatever the caller passed: _zero_sum_basis returns a transpose
+        Q = _locked(np.array(self.Q, dtype=float, order="C"))
         if Q.shape != (self.m * self.h, self.m * (self.h - 1)):
             raise DimensionError(
                 f"Q must be {self.m * self.h} x {self.m * (self.h - 1)}, got {Q.shape}"
             )
+        # |Q.T Q - I| in the one Gram array; written "not <=" so NaN fails
         gram = Q.T @ Q
-        if np.abs(gram - np.eye(Q.shape[1])).max() > _BASIS_ATOL:
+        gram.flat[:: gram.shape[0] + 1] -= 1.0
+        if not np.abs(gram, out=gram).max() <= _BASIS_ATOL:
             raise ValueError("Q columns are not orthonormal")
         # R @ Q without the product: per channel, Q's rows summed over the h steps
-        if np.abs(Q.reshape(self.h, self.m, -1).sum(axis=0)).max() > _BASIS_ATOL:
+        if not np.abs(Q.reshape(self.h, self.m, -1).sum(axis=0)).max() <= _BASIS_ATOL:
             raise ValueError("Q columns do not lie in the null space of R")
         object.__setattr__(self, "R", _locked(np.tile(np.eye(self.m), (1, self.h))))
         object.__setattr__(self, "Q", Q)
@@ -109,10 +118,6 @@ def build_scheme(h: int, m: int) -> BlockScheme:
     once and then shared by every caller in the process; the 128 most
     recently used shapes are held.
     """
-    if not is_integer(h):
-        raise PreconditionError(f"block length must be an integer, got {h!r}")
-    if not is_integer(m):
-        raise PreconditionError(f"input dimension must be an integer, got {m!r}")
     _require_block_shape(h, m)
     return _shared_scheme(int(h), int(m))
 

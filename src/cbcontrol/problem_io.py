@@ -16,6 +16,8 @@ Problem files are JSON with explicit field names:
       }
     }
 
+Any Tolerances field may be overridden; the README lists all nine.
+
 Numbers are decimal doubles and matrices are lists of rows. CSV output
 uses a comma delimiter, a header row, '.' as the decimal separator,
 "\r\n" line ends, no quoting, and C's '%.17g' for every number, so every
@@ -24,10 +26,8 @@ _CHUNK_CELLS cells at a time. A chunk of _KERNEL_MIN_CELLS (2048) cells or
 more goes through _format_chunk, a numpy kernel that prints the same bytes
 as '%.17g' at under half its cost per cell. It forms each cell's 17 digits
 from a double-double product that errs by less than 2**-100 of the scaled
-value, and leaves to '%' itself every cell it cannot prove: zeros,
-non-finite values, |v| outside [1e-280, 1e280], and scaled values within
-1e-6 of a rounding tie or of 10**16. A smaller chunk costs one
-string-format call.
+value, and leaves to '%' itself every cell it cannot prove (the set is
+stated in _scaled_digits). A smaller chunk costs one string-format call.
 """
 
 from __future__ import annotations
@@ -215,8 +215,7 @@ _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 # lo the nearest double to 10**k - hi, so the sum is within 2**-106 of it
 _POW_MIN, _POW_MAX = -300, 300
 # The product errs by less than 2**-100 of the scaled value, under 1e-13
-# below 1e17; a scaled value nearer than this to a rounding tie or to
-# 10**16 is left to FLOAT_FMT, and so are zeros and non-finite values.
+# below 1e17; _scaled_digits proves no cell nearer than this to a tie
 _MARGIN = 1e-6
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
 _CELL_WORDS = 13  # uint32 words per formatted cell, see _format_chunk
@@ -298,9 +297,11 @@ def _scaled_digits(cells, tables: _Tables):
     """Each cell's 17 significant digits q, decimal exponent e, and proof.
 
     q is round-half-even(|v| * 10**(16 - e)) in [1e16, 1e17). A cell is
-    proved when |v| is in [_FAST_MIN, _FAST_MAX] and its scaled value is
-    farther than _MARGIN from a tie and from 10**16, which the product's
-    error bound makes safe; q and e of other cells are meaningless.
+    proved when |v| is in [_FAST_MIN, _FAST_MAX] = [1e-280, 1e280] and its
+    scaled value is farther than _MARGIN (1e-6) from a rounding tie and
+    from 10**16, which the product's error bound makes safe. Zeros,
+    non-finite values and every other cell are not proved, and the kernel
+    leaves them to FLOAT_FMT; their q and e are meaningless.
     """
     a = np.abs(cells)
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)  # False for 0, inf and nan
@@ -403,11 +404,10 @@ def write_csv(path, header, rows):
     ``rows`` is a 2-D numeric array or an iterable of rows that mix
     strings and numbers. An array is written _CHUNK_CELLS cells at a time
     (whole rows, at least one); a chunk of _KERNEL_MIN_CELLS cells or more
-    goes through _format_chunk's exact kernel, which hands zeros,
-    non-finite values, |v| outside [1e-280, 1e280] and cells within 1e-6
-    of a rounding tie or of 10**16 after scaling to FLOAT_FMT, and a
-    smaller chunk through one FLOAT_FMT call. A string cell that CSV would
-    have to quote raises ValueError; a path that cannot be written raises
+    goes through _format_chunk's exact kernel, which hands the cells it
+    cannot prove (see _scaled_digits) to FLOAT_FMT, and a smaller chunk
+    through one FLOAT_FMT call. A string cell that CSV would have to quote
+    raises ValueError; a path that cannot be written raises
     ProblemFormatError.
     """
     with _writing(path, newline="") as fh:

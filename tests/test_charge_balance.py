@@ -4,6 +4,8 @@ A charge-balanced block U packs into its latent coordinates as
 w = scheme.Q.T @ U, the inverse of unpack on the kernel.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,13 +99,16 @@ def test_build_scheme_shares_one_locked_scheme_per_shape():
         with pytest.raises(ValueError):
             arr.setflags(write=True)
     # 3.0 == 3 and True == 1 hash alike, so a cache keyed on the raw
-    # arguments would answer them; they are refused on every call instead
+    # arguments would answer them; they are refused on every call instead,
+    # and a scheme built directly applies the same shape rule
     build_scheme(2, 1)
     for h, m in ((3.0, 2), (True, 2), (3, 2.0), (2, True), (np.float64(2), 1),
                  (1, 2), (0, 1), (-2, 1), (3, 0), (2, -1)):
         for _ in range(2):
             with pytest.raises(PreconditionError):
                 build_scheme(h, m)
+        with pytest.raises(PreconditionError):
+            BlockScheme(h=h, m=m, Q=scheme.Q)
 
 
 def test_scheme_rejects_bases_outside_the_kernel():
@@ -118,6 +123,27 @@ def test_scheme_rejects_bases_outside_the_kernel():
         BlockScheme(h=3, m=2, Q=tilted)
     with pytest.raises(ValueError, match="orthonormal"):
         BlockScheme(h=3, m=2, Q=2 * scheme.Q)
+    # a NaN maximum compares False against any tolerance, so NaN is refused
+    # here rather than surfacing later as a misleading overflow
+    with pytest.raises(ValueError):
+        BlockScheme(h=3, m=2, Q=np.full_like(scheme.Q, np.nan))
+    one_nan = scheme.Q.copy()
+    one_nan[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        BlockScheme(h=3, m=2, Q=one_nan)
+
+
+def test_scheme_check_holds_one_gram_array():
+    # the orthonormality check works in the Gram array itself: beside the
+    # locked copy of Q it forms no identity and no difference matrix
+    Q = build_scheme(400, 1).Q.copy()
+    tracemalloc.start()
+    try:
+        BlockScheme(h=400, m=1, Q=Q)
+        ratio = tracemalloc.get_traced_memory()[1] / Q.nbytes
+    finally:
+        tracemalloc.stop()
+    assert ratio <= 2.5, ratio
 
 
 def test_pack_zero_block():
