@@ -101,11 +101,13 @@ def _spectral_scale(eigs: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(eigs), initial=1.0))  # the spectral radius, at least 1
 
 
+def _near(values: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Pairs whose gap is not above eig_sep times the scale: NaN (overflow) counts as near."""
+    return ~(np.abs(np.subtract.outer(values, values)) > tol.eig_sep * _spectral_scale(values))
+
+
 def _pairwise_distinct(eigs: np.ndarray, tol: Tolerances) -> bool:
-    # never simple when overflowed: an inf makes the scale inf, so every gap reads as a repeat
-    gaps = np.abs(np.subtract.outer(eigs, eigs))
-    gaps.reshape(-1)[:: eigs.size + 1] = np.inf
-    return not (gaps <= tol.eig_sep * _spectral_scale(eigs)).any()
+    return bool(np.count_nonzero(_near(eigs, tol)) == eigs.size)  # near itself only
 
 
 def _has_unit_eigenvalue(eigs: np.ndarray, tol: Tolerances) -> bool:
@@ -250,7 +252,8 @@ def check_nonrepetitive_sufficient(
     reasons, necessary, pbh = _necessary_conditions(system, tol)
     # the spectrum of A^h is lambda^h over the spectrum of A
     powers = system.eigenvalues**h
-    simple = _pairwise_distinct(powers, tol)
+    near = _near(powers, tol)
+    simple = bool(np.count_nonzero(near) == n)
     reasons.append(ConditionCheck(f"A^{h} has a simple spectrum", simple))
 
     if necessary and not simple:
@@ -258,8 +261,7 @@ def check_nonrepetitive_sufficient(
         Ah, K = np.linalg.matrix_power(system.A, h), krylov(system.A, system.B, h - 1)
         # an overflowed A^h or norm leaves inf or NaN in the pencil: numeric_rank raises
         c = max(float(np.linalg.norm(Ah)) / float(np.linalg.norm(K)), 1.0)
-        # clusters: chains of the gaps _pairwise_distinct rejects, NaN (overflow) included
-        near = ~(np.abs(np.subtract.outer(powers, powers)) > tol.eig_sep * _spectral_scale(powers))
+        # clusters: chains of near powers; not simple, so one has two members
         reach = np.linalg.matrix_power(near, n)
         clusters = reach[reach.argmax(axis=1) == np.arange(n)]  # one row each, at its first index
         rank, svals = min((numeric_rank(np.hstack((powers[k].mean() * np.eye(n) - Ah, c * K)), tol)

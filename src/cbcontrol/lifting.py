@@ -15,6 +15,7 @@ squaring to x[0] by matrix-vector products.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,8 @@ def krylov(M: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
         raise MemoryError(f"a {k} x {n} x {w} Krylov array is too large to address: {exc}") from exc
     blocks[-1] = X
     dot = M.dot
-    for i in range(k - 1, 0, -1):
-        dot(blocks[i], out=blocks[i - 1])
+    for block, below in itertools.pairwise(blocks[::-1]):
+        dot(block, out=below)
     return np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(n, k * w)
 
 
@@ -109,16 +110,13 @@ def h_sum(lifted: LiftedSystem, b: int, x: np.ndarray) -> tuple[np.ndarray, np.n
     bits = bin(b)[3:]
     if not bits:
         return eye, Abar @ x
-    total, power = eye, Abar
-    for i, bit in enumerate(bits):
-        # S_1 = I, so S_2 = I + Abar needs no product
-        total = total + (power if i == 0 else power @ total)
-        if i == len(bits) - 1:
-            break
+    total, power = eye + Abar, Abar  # S_1 = I, so S_2 = I + Abar needs no product
+    for bit in bits[:-1]:
         power = power @ power
         if bit == "1":
             total = total + power
             power = power @ Abar
+        total = total + power @ total
     free = power @ (power @ x)
     if bits[-1] == "1":
         total = eye + Abar @ total

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -9,9 +10,6 @@ import numpy as np
 
 from .errors import AnalysisError, DimensionError
 
-# simulate lists the row views of this many steps at a time: as fast as
-# listing them all, with memory that stays flat over long rollouts
-_CHUNK = 512
 # simulate looks for a period in the input rows from this N * n * m on:
 # the check costs 8-14 us, about what the batched product costs at
 # n = m = 50 over 40 steps or n = m = 32 over 100 (one BLAS thread)
@@ -143,9 +141,7 @@ def _input_rows(inputs, m: int) -> np.ndarray:
                 raise DimensionError(f"input {k} has length {u.size}, expected {m}")
             checked.append(u)
         return np.array(checked).reshape(len(checked), m)
-    if len(rows) == 0:
-        return np.zeros((0, m))
-    if rows[0].size != m:  # every row has the size of the first
+    if len(rows) and rows[0].size != m:  # every row has the size of the first
         raise DimensionError(f"input 0 has length {rows[0].size}, expected {m}")
     # C order, so B @ u does not round by the memory layout of the inputs
     return np.ascontiguousarray(rows.reshape(len(rows), m))
@@ -185,9 +181,9 @@ def simulate(system: LtiSystem, x0, inputs) -> Trajectory:
         so no state differs from the step-by-step expression. Where
         N * n * m >= 2**17 and the input rows repeat bit for bit with a
         period p (as every identical-block plan's do), B @ u is formed
-        for the first p rows and copied into the rest. The row
-        views are listed 512 steps at a time, so a long rollout holds a
-        bounded list of them.
+        for the first p rows and copied into the rest. The steps walk
+        the state rows in consecutive pairs, so a long rollout holds no
+        list of them.
 
     Raises:
         DimensionError: naming the offending input index on a length
@@ -201,7 +197,7 @@ def simulate(system: LtiSystem, x0, inputs) -> Trajectory:
     dot = system.A.dot
     states = np.empty((steps + 1, system.n))
     states[0] = x0
-    p = _period(rows) if steps > 1 and steps * system.n * system.m >= _PERIOD_MIN_WORK else steps
+    p = _period(rows) if steps * system.n * system.m >= _PERIOD_MIN_WORK else steps
     # B @ u goes straight into the state rows: no N x n temporary
     np.matmul(system.B, rows[:p, :, None], out=states[1:p + 1, :, None])
     if p < steps:  # whole periods by one broadcast copy, then the partial one
@@ -209,9 +205,7 @@ def simulate(system: LtiSystem, x0, inputs) -> Trajectory:
         states[p + 1:whole * p + 1].reshape(whole - 1, p, system.n)[:] = states[1:p + 1]
         states[whole * p + 1:] = states[1:steps - whole * p + 1]
     ax = np.empty(system.n)
-    for start in range(0, steps, _CHUNK):
-        chunk = list(states[start:start + _CHUNK + 1])
-        for x, nxt in zip(chunk, chunk[1:]):
-            dot(x, ax)
-            nxt += ax
+    for x, nxt in itertools.pairwise(states):
+        dot(x, ax)
+        nxt += ax
     return Trajectory(states=states, inputs=rows)

@@ -93,7 +93,7 @@ def test_pbh_agrees_with_kalman_rank_oracle():
     assert _kalman_rank(system) < 4
 
 
-def test_spectral_report_flags():
+def test_rotation_spectrum_flags():
     system = rotation_system()
     eigs = system.eigenvalues
     assert eigs.shape == (2,)

@@ -462,6 +462,50 @@ def test_analyze_block_length_overflow_exits_4(tmp_path, capsys):
         assert captured.err.startswith("error: float64 overflow"), (h, regime)
 
 
+def test_edge_plants_exit_with_typed_codes(tmp_path, capsys):
+    # one-state plants, whose lambda^h may overflow alone, and small plants
+    # with repeated, zero or defective spectra: every run ends in a typed
+    # exit, with one stderr line when it is not 0
+    plants = {
+        "two": ([[2.0]], [[1.0]]), "huge": ([[1e200]], [[1.0]]), "half": ([[0.5]], [[1.0]]),
+        "flip": ([[-1.0]], [[1.0]]), "zero": ([[0.0]], [[1.0]]),
+        "quarter_turn": ([[0.0, -1.0], [1.0, 0.0]], [[1.0], [0.0]]),
+        "doubling": ([[2.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]]),
+        "jordan": ([[3.0, 1.0], [0.0, 3.0]], [[0.0], [1.0]]),
+        "zero_2d": ([[0.0, 0.0], [0.0, 0.0]], [[1.0], [0.0]]),
+    }
+    for name, (A, B) in plants.items():
+        n = len(A)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "system": {"A": A, "B": B},
+            "task": {"x0": [0.0] * n, "xf": [1.0] * n, "b": 2, "h": 2, "regime": "non-repetitive"},
+        }))
+        for h in ("2", "3", "1100"):
+            for regime in ("rep", "nonrep"):
+                for command in ("analyze", "design", "sweep-h"):
+                    run = (name, h, regime, command)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        code = main([command, "--problem", str(path), "--h", h, "--regime", regime,
+                                     "--out", str(tmp_path / "_".join(run))])
+                    err = capsys.readouterr().err
+                    assert code in (0, 2, 3, 4, 5), run
+                    assert code == 0 or len(err.splitlines()) == 1, (run, err)
+
+    # a one-state plant has a simple spectrum even when lambda^2 overflows:
+    # the conditions say yes, and design fails on the overflowed lift
+    huge = str(tmp_path / "huge.json")
+    assert main(["analyze", "--problem", huge, "--out", str(tmp_path / "verdict")]) == 0
+    verdict = json.loads((tmp_path / "verdict" / "report.json").read_text())["verdict"]
+    assert (verdict["conditions"], verdict["controllable"]) == ("yes", "yes")
+    assert {r["name"]: r["holds"] for r in verdict["reasons"]}["A^2 has a simple spectrum"] is True
+    capsys.readouterr()
+    assert main(["design", "--problem", huge, "--out", str(tmp_path / "plan")]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: float64 overflow"), err
+
+
 def test_horizon_too_long_to_hold_exits_4(tmp_path, monkeypatch, capsys):
     # at b = 1e8 the block-Krylov array of Rb does not fit in memory, and
     # numpy's np.empty raises MemoryError: one typed error line, exit 4,

@@ -79,8 +79,7 @@ def test_simulate_matches_step_loop():
     rng = np.random.default_rng(14)
     # the larger shapes block the BLAS products differently from n <= 8;
     # n = 1 with m > 1 is a dot product, whose rounding follows the stride;
-    # 511 to 1025 steps end just before, on and just after the edges of
-    # the 512-step chunks the rollout lists its rows in
+    # 511 to 1025 steps: long rollouts of odd and power-of-two lengths
     shapes = (
         (1, 1, 5), (2, 1, 40), (3, 2, 17), (5, 3, 64), (8, 8, 300), (1, 7, 33),
         (20, 20, 200), (50, 5, 400), (200, 5, 100), (200, 200, 40),
