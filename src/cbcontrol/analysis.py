@@ -213,7 +213,7 @@ def _modal_screen(system: LtiSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _pencil(A: np.ndarray, B: np.ndarray, lam) -> np.ndarray:
-    """The PBH pencil [lam I - A, B], freshly built; real for a real eigenvalue lam."""
+    """The PBH pencil [lam I - A, B], freshly built; real for a real lam."""
     lam = lam if lam.imag else lam.real
     pencil = np.concatenate((-A, B), axis=1).astype(type(lam), copy=False)
     pencil.reshape(-1)[:: A.shape[0] + B.shape[1] + 1] = lam - A.diagonal()
@@ -261,10 +261,12 @@ def check_nonrepetitive_sufficient(
         Ah, K = np.linalg.matrix_power(system.A, h), krylov(system.A, system.B, h - 1)
         # an overflowed A^h or norm leaves inf or NaN in the pencil: numeric_rank raises
         c = max(float(np.linalg.norm(Ah)) / float(np.linalg.norm(K)), 1.0)
-        # clusters: chains of near powers; not simple, so one has two members
-        reach = np.linalg.matrix_power(near, n)
-        clusters = reach[reach.argmax(axis=1) == np.arange(n)]  # one row each, at its first index
-        rank, svals = min((numeric_rank(np.hstack((powers[k].mean() * np.eye(n) - Ah, c * K)), tol)
+        # clusters: chains of near powers, closed by squaring the reflexive relation in
+        # floats (BLAS, exact: entries <= n); not simple, so one has two members
+        for _ in range(n.bit_length()):
+            near = near @ near.astype(float) > 0
+        clusters = near[near.argmax(axis=1) == np.arange(n)]  # one row each, at its first index
+        rank, svals = min((numeric_rank(_pencil(Ah, c * K, powers[k].mean()), tol)
                            for k in clusters if k.sum() > 1), key=lambda pencil: pencil[0])
         verdict = "yes" if rank == n else "no"
         last = ConditionCheck(f"lifted PBH at each repeated eigenvalue of A^{h}", rank == n,
@@ -356,8 +358,7 @@ def check_real_spectrum_shortcut(system: LtiSystem, tol: Tolerances = DEFAULT) -
     return (
         bool(np.all(np.abs(eigs.imag) <= tol.eig_sep * _spectral_scale(eigs)))  # all real
         and _pairwise_distinct(eigs, tol)
-        and not _has_unit_eigenvalue(eigs, tol)
-        and pbh_controllable(system, tol).controllable
+        and _necessary_conditions(system, tol)[1]
     )
 
 

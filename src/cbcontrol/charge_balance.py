@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError
 from .system import _locked
-from .tolerances import is_integer
+from .tolerances import require_integer
 
 _BASIS_ATOL = 1e-12
 
@@ -48,15 +48,8 @@ def _zero_sum_basis(h: int) -> np.ndarray:
     return rows.T
 
 
-def _require_block_shape(h, m):
-    if not is_integer(h):
-        raise PreconditionError(f"block length must be an integer, got {h!r}")
-    if not is_integer(m):
-        raise PreconditionError(f"input dimension must be an integer, got {m!r}")
-    if h < 2:
-        raise PreconditionError("charge balance needs at least two steps per block")
-    if m < 1:
-        raise PreconditionError(f"input dimension must be positive, got {m}")
+def _require_block_shape(h, m) -> tuple[int, int]:
+    return require_integer("block length", h, 2), require_integer("input dimension", m, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +111,7 @@ def build_scheme(h: int, m: int) -> BlockScheme:
     once and then shared by every caller in the process; the 128 most
     recently used shapes are held.
     """
-    _require_block_shape(h, m)
-    return _shared_scheme(int(h), int(m))
+    return _shared_scheme(*_require_block_shape(h, m))
 
 
 @functools.lru_cache

@@ -384,6 +384,8 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             overrides = {name: value for name, value in vars(args).items()
                          if "." in name and value is not None}
+            if args.command == "sweep-h" and "task.h" in overrides:
+                raise ProblemFormatError("sweep-h takes --h-min/--h-max, not --h")
             problem = load_problem(args.problem, overrides)
             if args.command == "analyze":
                 cmd_analyze(problem, args.out)

@@ -30,7 +30,8 @@ from cbcontrol import (
     select_h,
     unit_ratio_orders,
 )
-from cbcontrol.analysis import _has_unit_eigenvalue, _modal_screen, _pencil
+from cbcontrol.analysis import _has_unit_eigenvalue, _modal_screen, _near, _pencil
+from cbcontrol.lifting import krylov
 from cbcontrol.numeric import numeric_rank
 
 from helpers import (
@@ -1150,6 +1151,63 @@ def test_lifted_pbh_takes_one_pencil_svd_per_cluster(monkeypatch):
         pencil = (4, 4 + m * (h - 1))
         assert [shape for shape, _, _ in calls].count(pencil) == clusters, h
         assert verdict.controllable == "yes"
+
+
+def test_lifted_clusters_are_the_closure_of_the_near_relation(monkeypatch):
+    # one lifted pencil per row of matrix_power(near, n) with two members or
+    # more, at that cluster's mean: on random sparse reflexive, symmetric
+    # relations and on a 200-member chain, the longest closure
+    import cbcontrol.analysis as analysis
+
+    rng = np.random.default_rng(85)
+    relations = []
+    for _ in range(40):
+        n = int(rng.integers(2, 61))
+        near = rng.random((n, n)) < 1.5 / n
+        near[0, 1] = True  # not simple
+        near |= near.T | np.eye(n, dtype=bool)
+        relations.append(near)
+    relations.append(np.eye(200, dtype=bool) | np.eye(200, k=1, dtype=bool)
+                     | np.eye(200, k=-1, dtype=bool))
+    means, pencil = [], analysis._pencil
+    monkeypatch.setattr(analysis, "_pencil",
+                        lambda A, B, lam: means.append(lam) or pencil(A, B, lam))
+    for near in relations:
+        n = len(near)
+        system = LtiSystem(A=np.diag(np.arange(2.0, n + 2)), B=np.ones((n, 1)))
+        pbh_controllable(system)
+        monkeypatch.setattr(analysis, "_near", lambda values, tol, near=near: near)
+        means.clear()
+        check_nonrepetitive_sufficient(system, 2)
+        powers = system.eigenvalues**2
+        clusters = {tuple(row) for row in np.linalg.matrix_power(near, n) if row.sum() > 1}
+        assert sorted(means) == sorted(powers[np.array(k)].mean() for k in clusters), n
+    assert means == [powers.mean()]  # the chain is one cluster
+
+
+def _hstack_lifted_rank(system, h, tol=DEFAULT):
+    """Least lifted rank through complex np.hstack pencils and a boolean matrix power."""
+    A, n, powers = system.A, system.n, system.eigenvalues**h
+    Ah, K = np.linalg.matrix_power(A, h), krylov(A, system.B, h - 1)
+    c = max(float(np.linalg.norm(Ah)) / float(np.linalg.norm(K)), 1.0)
+    reach = np.linalg.matrix_power(_near(powers, tol), n)
+    return min(numeric_rank(np.hstack((powers[k].mean() * np.eye(n) - Ah, c * K)), tol)[0]
+               for k in reach if k.sum() > 1)
+
+
+def test_lifted_verdicts_match_the_complex_hstack_pencil():
+    # the lifted pencils come from _pencil, real at a real cluster mean;
+    # rank and verdict equal those of the complex pencil at the same mean
+    doubling = LtiSystem(A=np.diag([2.0, -2.0]), B=[[1.0], [1.0]])
+    cases = [(rotation_system(), 3), (rotation_system(), 6)]
+    cases += [(doubling, h) for h in (2, 4, 6, 8)]
+    cases += [(LtiSystem(A=A, B=B), h) for A, B, h, _ in _jordan_verdicts()]
+    for system, h in cases:
+        verdict = check_nonrepetitive_sufficient(system, h)
+        assert verdict.conditions == "undetermined", (system.A, h)
+        rank = _hstack_lifted_rank(system, h)
+        assert verdict.numeric_rank == rank, (system.A, h)
+        assert verdict.controllable == ("yes" if rank == system.n else "no"), (system.A, h)
 
 
 def test_pbh_failure_reports_the_failing_pencil():

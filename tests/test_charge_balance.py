@@ -83,9 +83,9 @@ def test_scheme_invariants(h, m):
 
 
 def test_scheme_rejects_short_blocks():
-    with pytest.raises(PreconditionError, match="at least two steps per block"):
+    with pytest.raises(PreconditionError, match="block length must be an integer >= 2"):
         build_scheme(1, 2)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="input dimension must be an integer >= 1"):
         build_scheme(3, 0)
 
 

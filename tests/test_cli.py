@@ -485,13 +485,25 @@ def test_edge_plants_exit_with_typed_codes(tmp_path, capsys):
             for regime in ("rep", "nonrep"):
                 for command in ("analyze", "design", "sweep-h"):
                     run = (name, h, regime, command)
+                    # sweep-h refuses --h: its one-length range is the same h
+                    block = ["--h-min", h, "--h-max", h] if command == "sweep-h" else ["--h", h]
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
-                        code = main([command, "--problem", str(path), "--h", h, "--regime", regime,
+                        code = main([command, "--problem", str(path), *block, "--regime", regime,
                                      "--out", str(tmp_path / "_".join(run))])
                     err = capsys.readouterr().err
                     assert code in (0, 2, 3, 4, 5), run
                     assert code == 0 or len(err.splitlines()) == 1, (run, err)
+                    assert command != "sweep-h" or code != 2, (run, err)  # a valid range
+
+    # sweep-h takes its block lengths from --h-min and --h-max only: --h is a
+    # bad flag value, refused before the problem is read or --out is made
+    out = tmp_path / "refused"
+    assert main(["sweep-h", "--problem", str(tmp_path / "two.json"), "--h", "3",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: sweep-h takes --h-min/--h-max, not --h"]
+    assert not out.exists()
 
     # a one-state plant has a simple spectrum even when lambda^2 overflows:
     # the conditions say yes, and design fails on the overflowed lift
