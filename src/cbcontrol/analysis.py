@@ -32,7 +32,7 @@ import numpy as np
 from .design import NON_REPETITIVE, REPETITIVE
 from .errors import PreconditionError
 from .lifting import krylov
-from .numeric import _rank, numeric_rank
+from .numeric import _rank, _require_finite, numeric_rank
 from .system import LtiSystem, _locked
 from .tolerances import _EPS, DEFAULT, Tolerances, require_integer
 
@@ -114,11 +114,6 @@ def _has_unit_eigenvalue(eigs: np.ndarray, tol: Tolerances) -> bool:
     return bool(np.any(np.abs(eigs - 1.0) <= tol.unit_eigenvalue))
 
 
-def _require_blocks(h, b=1) -> tuple[int, int]:
-    """(h, b) as ints, after checking both are integers with h >= 2 and b >= 1."""
-    return require_integer("block length", h, 2), require_integer("block horizon", b, 1)
-
-
 def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
     """PBH test: rank [lambda I - A, B] = n for every eigenvalue lambda.
 
@@ -138,28 +133,26 @@ def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
     cutoff = tol.rank_cutoff(shape)
     values, holds_below, fails_from = _modal_screen(system)
     fails = cutoff >= fails_from
-    svals = {}  # eigenvalue index -> singular values of its pencil, as taken
+    taken = {}  # eigenvalue index -> (rank, singular values) of its pencil
     for k in np.flatnonzero(~(fails | (cutoff < holds_below))).tolist():
-        svals[k] = _locked(np.linalg.svd(_pencil(A, B, eigs[k]), compute_uv=False))
-        fails[k] = _rank(svals[k], shape, tol) < n
+        taken[k] = numeric_rank(_pencil(A, B, eigs[k]), tol)
+        fails[k] = taken[k][0] < n
     failing = np.flatnonzero(fails)
     witness = ()
     if failing.size:
         # witness from the left null space of the pencil, so it pairs the
         # eigen relation with a vanishing phi^T B
         k = int(failing[0])
-        u, s, _ = np.linalg.svd(_pencil(A, B, eigs[k]))
-        svals.setdefault(k, _locked(s))
+        u, s, _ = np.linalg.svd(_require_finite(_pencil(A, B, eigs[k]), "the PBH pencil"))
+        taken.setdefault(k, (_rank(s, shape, tol), s))
         phi = np.conj(u[:, -1])
         witness = complex(eigs[k]), _locked(phi / np.linalg.norm(phi))
     if cutoff < holds_below.min(initial=np.inf):  # the screen passes every pencil
-        rank, reported = n, _locked(np.sort(values)[::-1])
+        rank, reported = n, np.sort(values)[::-1]
     else:
         k = int(failing[0]) if failing.size else int(np.argmin(values))
-        if k not in svals:
-            svals[k] = _locked(np.linalg.svd(_pencil(A, B, eigs[k]), compute_uv=False))
-        rank, reported = _rank(svals[k], shape, tol), svals[k]
-    result = system._pbh[tol] = PbhResult(not failing.size, rank, reported, *witness)
+        rank, reported = taken[k] if k in taken else numeric_rank(_pencil(A, B, eigs[k]), tol)
+    result = system._pbh[tol] = PbhResult(not failing.size, rank, _locked(reported), *witness)
     return result
 
 
@@ -247,7 +240,7 @@ def check_nonrepetitive_sufficient(
     so by (ii) it is PBH on (A^h, K), which a simple lambda^h passes by (i),
     leaving [mu I - A^h, c K], c = max(||A^h||_F / ||K||_F, 1), per cluster.
     """
-    h, _ = _require_blocks(h)
+    h = require_integer("block length", h, 2)
     n = system.n
     reasons, necessary, pbh = _necessary_conditions(system, tol)
     # the spectrum of A^h is lambda^h over the spectrum of A
@@ -377,7 +370,7 @@ def hb_invertible(system: LtiSystem, h: int, b: int, tol: Tolerances = DEFAULT) 
     lambda^(hb) = 1 while lambda^h != 1, i.e. A^h carries a nontrivial
     b-th root of unity.
     """
-    h, b = _require_blocks(h, b)
+    h, b = require_integer("block length", h, 2), require_integer("block horizon", b, 1)
     return _no_disruptive_roots(system.eigenvalues, h, b, tol)
 
 
@@ -393,10 +386,10 @@ def check_repetitive_sufficient(
     h = 2). The necessary conditions are reported too; the verdict is
     "yes" exactly when every condition holds.
     """
-    h, b = _require_blocks(h, b)
+    h, b = require_integer("block length", h, 2), require_integer("block horizon", b, 1)
     n = system.n
     reasons, necessary, _ = _necessary_conditions(system, tol)
-    invertible = hb_invertible(system, h, b, tol)
+    invertible = _no_disruptive_roots(system.eigenvalues, h, b, tol)
     rank, svals = numeric_rank(krylov(system.A, system.B, h - 1), tol)
     reasons += [
         ConditionCheck(f"no eigenvalue with lambda^{h * b} = 1 and lambda^{h} != 1", invertible),

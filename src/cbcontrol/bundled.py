@@ -2,20 +2,14 @@
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
-_FIXTURE_DIR = "fixtures"
+_FIXTURES = Path(__file__).with_name("fixtures")
 
 
 def list_bundled() -> list[str]:
     """Names of the bundled problem files, without extension."""
-    root = resources.files(__package__) / _FIXTURE_DIR
-    return sorted(
-        entry.name[: -len(".json")]
-        for entry in root.iterdir()
-        if entry.name.endswith(".json")
-    )
+    return sorted(path.stem for path in _FIXTURES.glob("*.json"))
 
 
 def bundled_problem(name: str) -> Path:
@@ -25,8 +19,7 @@ def bundled_problem(name: str) -> Path:
     """
     if not name.endswith(".json"):
         name = name + ".json"
-    entry = resources.files(__package__) / _FIXTURE_DIR / name
-    path = Path(str(entry))
+    path = _FIXTURES / name
     if not path.exists():
         raise FileNotFoundError(
             f"no bundled problem named {name!r}; available: {list_bundled()}"

@@ -9,10 +9,10 @@ from .tolerances import _EPS, DEFAULT, Tolerances
 
 
 def _require_finite(matrix: np.ndarray, what: str) -> np.ndarray:
-    """matrix, unless an inf or NaN shows float64 overflow of powers of A: AnalysisError."""
+    """matrix, unless an inf or NaN shows float64 overflow of A or its powers: AnalysisError."""
     if not np.isfinite(matrix).all():
         raise AnalysisError(f"float64 overflow: {what} has non-finite entries "
-                            "(the horizon or block length is too long for this plant)")
+                            "(the plant, horizon or block length is past float64's range)")
     return matrix
 
 

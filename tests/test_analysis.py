@@ -12,6 +12,7 @@ import pytest
 
 from cbcontrol import (
     DEFAULT,
+    AnalysisError,
     LtiSystem,
     PreconditionError,
     RatioOrder,
@@ -156,6 +157,24 @@ def test_select_h_conjugate_pair_order_two():
     minimal = min(k for k in range(1, 65) if abs(ratio**k - 1.0) <= 1e-8)
     assert orders[0].order == minimal == 2
     assert select_h(system) == 3
+
+
+def test_ratio_order_found_past_the_first_block():
+    # a rotation by 2 pi / 1031 has the ratio e^(4 pi i / 1031), of prime
+    # order 1031: r^k is searched in blocks of 1024 rows, so the order is
+    # found in the second block, whose first row is the first block's last
+    # row times r
+    theta = 2.0 * np.pi / 1031
+    A = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    system = LtiSystem(A=A, B=[[1.0], [0.0]])
+    tol = Tolerances(max_order=2000)
+    orders = unit_ratio_orders(system, tol)
+    assert len(orders) == 1
+    eigs = system.eigenvalues
+    ratio = eigs[orders[0].i] / eigs[orders[0].j]
+    minimal = next(k for k in range(1, 2001) if abs(ratio**k - 1.0) <= tol.root_of_unity)
+    assert orders[0].order == minimal == 1031
+    assert select_h(system, tol) == 1032
 
 
 def test_select_h_preconditions():
@@ -1223,6 +1242,20 @@ def test_pbh_failure_reports_the_failing_pencil():
     assert verdict.numeric_rank == 2
     k = int(np.flatnonzero(system.eigenvalues == pbh.eigenvalue)[0])
     assert np.array_equal(verdict.singular_values, pencils[k])
+
+
+def test_pbh_raises_on_an_overflowing_pencil():
+    # lambda - A_ii is +-inf in diag(1e308, -1e308), and 1e308 ones(2) has
+    # an eigenvalue of inf: each pencil's SVD would be NaN and read rank 0,
+    # a "no" for a controllable pair, so PBH raises and caches nothing
+    plants = [([[1e308, 0.0], [0.0, -1e308]], [[1.0], [1.0]]),
+              ([[1e308, 1e308], [1e308, 1e308]], [[1.0], [0.0]])]
+    for A, B in plants:
+        system = LtiSystem(A=A, B=B)
+        for _ in range(2):
+            with np.errstate(all="ignore"), pytest.raises(AnalysisError, match="^float64 overflow"):
+                pbh_controllable(system)
+        assert not system._pbh
 
 
 @pytest.mark.xfail(strict=True, reason=(

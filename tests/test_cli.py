@@ -444,22 +444,33 @@ def test_analyze_block_length_overflow_exits_4(tmp_path, capsys):
     # runs: at h = 600 the norm of A^h overflows, at h = 1100 A^h itself,
     # and the identical-block rank reads A^1098 B; each is one typed error.
     # At h = 1101 lambda^h is +inf and -inf, which differ in sign, but an
-    # overflowed spectrum reads as not simple, so the lifted test runs too
-    doc = {
-        "system": {"A": [[2.0, 0.0], [0.0, -2.0]], "B": [[1.0], [1.0]]},
-        "task": {"x0": [0.0, 0.0], "xf": [1.0, 1.0], "b": 2, "h": 2,
-                 "regime": "non-repetitive"},
+    # overflowed spectrum reads as not simple, so the lifted test runs too.
+    # A plant near float64's limit overflows its own PBH pencil at h = 2:
+    # lambda - A_ii is +-inf in diag(1e308, -1e308), and the eigenvalue
+    # 2e308 of 1e308 ones(2) is inf, so that error too comes before any verdict
+    plants = {
+        "doubling": ([[2.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]]),
+        "diag_1e308": ([[1e308, 0.0], [0.0, -1e308]], [[1.0], [1.0]]),
+        "ones_1e308": ([[1e308, 1e308], [1e308, 1e308]], [[1.0], [0.0]]),
     }
-    path = tmp_path / "doubling.json"
-    path.write_text(json.dumps(doc))
-    for h, regime in (("600", "nonrep"), ("1100", "nonrep"), ("1101", "nonrep"), ("1100", "rep")):
+    runs = [("doubling", h, regime) for h, regime in
+            (("600", "nonrep"), ("1100", "nonrep"), ("1101", "nonrep"), ("1100", "rep"))]
+    runs += [(name, "2", regime) for name in ("diag_1e308", "ones_1e308") for regime in ("nonrep", "rep")]
+    for name, (A, B) in plants.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({
+            "system": {"A": A, "B": B},
+            "task": {"x0": [0.0, 0.0], "xf": [1.0, 1.0], "b": 2, "h": 2,
+                     "regime": "non-repetitive"},
+        }))
+    for name, h, regime in runs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["analyze", "--problem", str(path), "--h", h, "--regime", regime])
+            code = main(["analyze", "--problem", str(tmp_path / f"{name}.json"), "--h", h,
+                         "--regime", regime])
         captured = capsys.readouterr()
-        assert code == 4, (h, regime)
-        assert len(captured.err.splitlines()) == 1, (h, regime, captured.err)
-        assert captured.err.startswith("error: float64 overflow"), (h, regime)
+        assert code == 4, (name, h, regime)
+        assert len(captured.err.splitlines()) == 1, (name, h, regime, captured.err)
+        assert captured.err.startswith("error: float64 overflow"), (name, h, regime)
 
 
 def test_edge_plants_exit_with_typed_codes(tmp_path, capsys):
