@@ -34,7 +34,8 @@ from .errors import PreconditionError
 from .lifting import krylov
 from .numeric import _rank, _require_finite, numeric_rank
 from .system import LtiSystem, _locked
-from .tolerances import _EPS, DEFAULT, Tolerances, require_integer
+from .tolerances import _EPS, DEFAULT, EIG_SEP, ROOT_OF_UNITY, UNIT_EIGENVALUE, UNIT_MODULUS
+from .tolerances import Tolerances, rank_cutoff, require_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,23 +102,23 @@ def _spectral_scale(eigs: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(eigs), initial=1.0))  # the spectral radius, at least 1
 
 
-def _near(values: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Pairs whose gap is not above eig_sep times the scale: NaN (overflow) counts as near."""
-    return ~(np.abs(np.subtract.outer(values, values)) > tol.eig_sep * _spectral_scale(values))
+def _near(values: np.ndarray) -> np.ndarray:
+    """Pairs whose gap is not above EIG_SEP times the scale: NaN (overflow) counts as near."""
+    return ~(np.abs(np.subtract.outer(values, values)) > EIG_SEP * _spectral_scale(values))
 
 
-def _pairwise_distinct(eigs: np.ndarray, tol: Tolerances) -> bool:
-    return bool(np.count_nonzero(_near(eigs, tol)) == eigs.size)  # near itself only
+def _pairwise_distinct(eigs: np.ndarray) -> bool:
+    return bool(np.count_nonzero(_near(eigs)) == eigs.size)  # near itself only
 
 
-def _has_unit_eigenvalue(eigs: np.ndarray, tol: Tolerances) -> bool:
-    return bool(np.any(np.abs(eigs - 1.0) <= tol.unit_eigenvalue))
+def _has_unit_eigenvalue(eigs: np.ndarray) -> bool:
+    return bool(np.any(np.abs(eigs - 1.0) <= UNIT_EIGENVALUE))
 
 
-def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
+def pbh_controllable(system: LtiSystem) -> PbhResult:
     """PBH test: rank [lambda I - A, B] = n for every eigenvalue lambda.
 
-    Decided once per system and Tolerances, and cached on the system. The
+    Decided once per system, and kept in the system's _pbh slot. The
     modal screen decides each eigenvalue whose row w of the system's cached
     W = V^-1 puts ||w B|| / ||w|| clearly on one side of the pencil's rank
     cutoff; only the rest (clusters, ill-conditioned eigenvectors, values
@@ -126,16 +127,16 @@ def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
     for a real eigenvalue) whose product phi^T B is numerically zero. The
     rank evidence is taken with the decision; see PbhResult.
     """
-    if tol in system._pbh:
-        return system._pbh[tol]
+    if system._pbh is not None:
+        return system._pbh
     A, B, eigs, n = system.A, system.B, system.eigenvalues, system.n
     shape = (n, n + system.m)
-    cutoff = tol.rank_cutoff(shape)
+    cutoff = rank_cutoff(shape)
     values, holds_below, fails_from = _modal_screen(system)
     fails = cutoff >= fails_from
     taken = {}  # eigenvalue index -> (rank, singular values) of its pencil
     for k in np.flatnonzero(~(fails | (cutoff < holds_below))).tolist():
-        taken[k] = numeric_rank(_pencil(A, B, eigs[k]), tol)
+        taken[k] = numeric_rank(_pencil(A, B, eigs[k]))
         fails[k] = taken[k][0] < n
     failing = np.flatnonzero(fails)
     witness = ()
@@ -144,15 +145,16 @@ def pbh_controllable(system: LtiSystem, tol: Tolerances = DEFAULT) -> PbhResult:
         # eigen relation with a vanishing phi^T B
         k = int(failing[0])
         u, s, _ = np.linalg.svd(_require_finite(_pencil(A, B, eigs[k]), "the PBH pencil"))
-        taken.setdefault(k, (_rank(s, shape, tol), s))
+        taken.setdefault(k, (_rank(s, shape), s))
         phi = np.conj(u[:, -1])
         witness = complex(eigs[k]), _locked(phi / np.linalg.norm(phi))
     if cutoff < holds_below.min(initial=np.inf):  # the screen passes every pencil
         rank, reported = n, np.sort(values)[::-1]
     else:
         k = int(failing[0]) if failing.size else int(np.argmin(values))
-        rank, reported = taken[k] if k in taken else numeric_rank(_pencil(A, B, eigs[k]), tol)
-    result = system._pbh[tol] = PbhResult(not failing.size, rank, _locked(reported), *witness)
+        rank, reported = taken[k] if k in taken else numeric_rank(_pencil(A, B, eigs[k]))
+    result = PbhResult(not failing.size, rank, _locked(reported), *witness)
+    object.__setattr__(system, "_pbh", result)
     return result
 
 
@@ -213,10 +215,10 @@ def _pencil(A: np.ndarray, B: np.ndarray, lam) -> np.ndarray:
     return pencil
 
 
-def _necessary_conditions(system: LtiSystem, tol: Tolerances) -> tuple[list, bool, PbhResult]:
+def _necessary_conditions(system: LtiSystem) -> tuple[list, bool, PbhResult]:
     """Reasons for the two necessary conditions, whether both hold, and the PBH result."""
-    pbh = pbh_controllable(system, tol)
-    unit = _has_unit_eigenvalue(system.eigenvalues, tol)
+    pbh = pbh_controllable(system)
+    unit = _has_unit_eigenvalue(system.eigenvalues)
     reasons = [ConditionCheck("pair (A, B) controllable (PBH)", pbh.controllable),
                ConditionCheck("no eigenvalue of A at 1", not unit)]
     return reasons, pbh.controllable and not unit, pbh
@@ -228,9 +230,7 @@ _NECESSARY_FAILED = ConditionCheck(
 )
 
 
-def check_nonrepetitive_sufficient(
-    system: LtiSystem, h: int, tol: Tolerances = DEFAULT
-) -> ControllabilityVerdict:
+def check_nonrepetitive_sufficient(system: LtiSystem, h: int) -> ControllabilityVerdict:
     """Verdict for distinct per-block inputs at block length h.
 
     Evaluates (i) PBH controllability of (A, B), (ii) no eigenvalue of A
@@ -242,10 +242,10 @@ def check_nonrepetitive_sufficient(
     """
     h = require_integer("block length", h, 2)
     n = system.n
-    reasons, necessary, pbh = _necessary_conditions(system, tol)
+    reasons, necessary, pbh = _necessary_conditions(system)
     # the spectrum of A^h is lambda^h over the spectrum of A
     powers = system.eigenvalues**h
-    near = _near(powers, tol)
+    near = _near(powers)
     simple = bool(np.count_nonzero(near) == n)
     reasons.append(ConditionCheck(f"A^{h} has a simple spectrum", simple))
 
@@ -259,7 +259,7 @@ def check_nonrepetitive_sufficient(
         for _ in range(n.bit_length()):
             near = near @ near.astype(float) > 0
         clusters = near[near.argmax(axis=1) == np.arange(n)]  # one row each, at its first index
-        rank, svals = min((numeric_rank(_pencil(Ah, c * K, powers[k].mean()), tol)
+        rank, svals = min((numeric_rank(_pencil(Ah, c * K, powers[k].mean()))
                            for k in clusters if k.sum() > 1), key=lambda pencil: pencil[0])
         verdict = "yes" if rank == n else "no"
         last = ConditionCheck(f"lifted PBH at each repeated eigenvalue of A^{h}", rank == n,
@@ -278,19 +278,19 @@ def check_nonrepetitive_sufficient(
 def unit_ratio_orders(system: LtiSystem, tol: Tolerances = DEFAULT) -> list[RatioOrder]:
     """Orders of eigenvalue ratios that are roots of unity.
 
-    A ratio r = lambda_i / lambda_j counts when |r| is within the
-    unit-modulus tolerance of 1 and some k <= tol.max_order brings r^k
-    within the root-of-unity tolerance of 1; the smallest such k is the
-    order. Unit-modulus ratios that reach no order within the search bound
-    are skipped silently: every conjugate pair has a unit-modulus ratio,
-    and the chosen block length is checked again by the gap test on the
+    A ratio r = lambda_i / lambda_j counts when |r| is within
+    UNIT_MODULUS of 1 and some k <= tol.max_order brings r^k within
+    ROOT_OF_UNITY of 1; the smallest such k is the order. Unit-modulus
+    ratios that reach no order within the search bound are skipped
+    silently: every conjugate pair has a unit-modulus ratio, and the
+    chosen block length is checked again by the gap test on the
     spectrum of A^h.
     """
     eigs = system.eigenvalues
     # pairs i < j of moduli clear of zero (no ratio overflows), ratio on the unit circle
-    keep = (np.abs(eigs) > tol.eig_sep * _spectral_scale(eigs)).nonzero()[0]
+    keep = (np.abs(eigs) > EIG_SEP * _spectral_scale(eigs)).nonzero()[0]
     ratios = np.divide.outer(eigs[keep], eigs[keep])
-    i, j = np.nonzero(np.abs(np.abs(ratios) - 1.0) <= tol.unit_modulus)
+    i, j = np.nonzero(np.abs(np.abs(ratios) - 1.0) <= UNIT_MODULUS)
     i, j = i[i < j], j[i < j]
     if not i.size:
         return []
@@ -302,7 +302,7 @@ def unit_ratio_orders(system: LtiSystem, tol: Tolerances = DEFAULT) -> list[Rati
         powers = np.full((min(1024, tol.max_order - start), i.size), ratio)
         powers[0] = last * ratio if start else ratio
         powers = np.multiply.accumulate(powers)
-        hits = abs(powers - 1.0) <= tol.root_of_unity
+        hits = abs(powers - 1.0) <= ROOT_OF_UNITY
         found = (orders == 0) & hits.any(axis=0)
         orders[found] = start + 1 + hits.argmax(axis=0)[found]
         if orders.all():
@@ -324,12 +324,12 @@ def select_h(
     the pair search runs once.
     """
     eigs = system.eigenvalues
-    if not _pairwise_distinct(eigs, tol):
+    if not _pairwise_distinct(eigs):
         raise PreconditionError(
             "eigenvalues of A are not numerically distinct; block-length "
             "selection needs a simple spectrum"
         )
-    if _has_unit_eigenvalue(eigs, tol):
+    if _has_unit_eigenvalue(eigs):
         raise PreconditionError(
             "A has an eigenvalue at 1; no block length restores controllability"
         )
@@ -340,7 +340,7 @@ def select_h(
     return math.lcm(*(entry.order for entry in orders)) + 1
 
 
-def check_real_spectrum_shortcut(system: LtiSystem, tol: Tolerances = DEFAULT) -> bool:
+def check_real_spectrum_shortcut(system: LtiSystem) -> bool:
     """True when a distinct all-real spectrum certifies block length 3.
 
     Needs (A, B) PBH-controllable, no eigenvalue at 1, and all eigenvalues
@@ -349,21 +349,21 @@ def check_real_spectrum_shortcut(system: LtiSystem, tol: Tolerances = DEFAULT) -
     """
     eigs = system.eigenvalues
     return (
-        bool(np.all(np.abs(eigs.imag) <= tol.eig_sep * _spectral_scale(eigs)))  # all real
-        and _pairwise_distinct(eigs, tol)
-        and _necessary_conditions(system, tol)[1]
+        bool(np.all(np.abs(eigs.imag) <= EIG_SEP * _spectral_scale(eigs)))  # all real
+        and _pairwise_distinct(eigs)
+        and _necessary_conditions(system)[1]
     )
 
 
-def _no_disruptive_roots(eigs: np.ndarray, h: int, b: int, tol: Tolerances) -> bool:
+def _no_disruptive_roots(eigs: np.ndarray, h: int, b: int) -> bool:
     """True when no eigenvalue satisfies lambda^(hb) = 1 with lambda^h != 1."""
-    disruptive = (np.abs(eigs ** (h * b) - 1.0) <= tol.root_of_unity) & (
-        np.abs(eigs**h - 1.0) > tol.root_of_unity
+    disruptive = (np.abs(eigs ** (h * b) - 1.0) <= ROOT_OF_UNITY) & (
+        np.abs(eigs**h - 1.0) > ROOT_OF_UNITY
     )
     return not np.any(disruptive)
 
 
-def hb_invertible(system: LtiSystem, h: int, b: int, tol: Tolerances = DEFAULT) -> bool:
+def hb_invertible(system: LtiSystem, h: int, b: int) -> bool:
     """Spectral invertibility of H_b = I + A^h + ... + A^(h(b-1)).
 
     H_b is singular exactly when some eigenvalue lambda of A has
@@ -371,12 +371,10 @@ def hb_invertible(system: LtiSystem, h: int, b: int, tol: Tolerances = DEFAULT) 
     b-th root of unity.
     """
     h, b = require_integer("block length", h, 2), require_integer("block horizon", b, 1)
-    return _no_disruptive_roots(system.eigenvalues, h, b, tol)
+    return _no_disruptive_roots(system.eigenvalues, h, b)
 
 
-def check_repetitive_sufficient(
-    system: LtiSystem, b: int, h: int = 2, tol: Tolerances = DEFAULT
-) -> ControllabilityVerdict:
+def check_repetitive_sufficient(system: LtiSystem, b: int, h: int = 2) -> ControllabilityVerdict:
     """Verdict for identical blocks over b repetitions, exact at every h.
 
     The state after b blocks is Abar^b x0 + H_b Bbar w with H_b square,
@@ -388,9 +386,9 @@ def check_repetitive_sufficient(
     """
     h, b = require_integer("block length", h, 2), require_integer("block horizon", b, 1)
     n = system.n
-    reasons, necessary, _ = _necessary_conditions(system, tol)
-    invertible = _no_disruptive_roots(system.eigenvalues, h, b, tol)
-    rank, svals = numeric_rank(krylov(system.A, system.B, h - 1), tol)
+    reasons, necessary, _ = _necessary_conditions(system)
+    invertible = _no_disruptive_roots(system.eigenvalues, h, b)
+    rank, svals = numeric_rank(krylov(system.A, system.B, h - 1))
     reasons += [
         ConditionCheck(f"no eigenvalue with lambda^{h * b} = 1 and lambda^{h} != 1", invertible),
         ConditionCheck("rank(B) = n" if h == 2 else "rank([A^(h-2) B, ..., A B, B]) = n",

@@ -118,11 +118,9 @@ def _analyze(problem: Problem):
     """(h, verdict, verdict document) for the problem's regime."""
     h, cert = _resolve_h(problem)
     if problem.task.regime == REPETITIVE:
-        verdict = check_repetitive_sufficient(
-            problem.system, problem.task.b, h=h, tol=problem.tolerances
-        )
+        verdict = check_repetitive_sufficient(problem.system, problem.task.b, h=h)
     else:
-        verdict = check_nonrepetitive_sufficient(problem.system, h, tol=problem.tolerances)
+        verdict = check_nonrepetitive_sufficient(problem.system, h)
     return h, verdict, _verdict_dict(verdict, h, cert)
 
 
@@ -222,7 +220,7 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> dict:
     scheme = build_scheme(h, system.m)
     lifted = lift(system, scheme)
     design = design_repetitive if task.regime == REPETITIVE else design_nonrepetitive
-    plan = design(lifted, task, tol)
+    plan = design(lifted, task)
     check = verify_plan(system, scheme, task, plan, tol)
 
     inputs_path = out_dir / "inputs.csv"
@@ -269,16 +267,16 @@ def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> list[dict]
     if problem.task.regime != NON_REPETITIVE:
         raise PreconditionError("sweep-h applies to the non-repetitive regime only")
     out_dir = _output_dir(out_dir)
-    system, task, tol = problem.system, problem.task, problem.tolerances
+    system, task = problem.system, problem.task
     columns = ("h", "conditions", "numeric_rank", "controllable", "energy")
     rows = []
     for h in range(h_min, h_max + 1):
-        verdict = check_nonrepetitive_sufficient(system, h, tol)
+        verdict = check_nonrepetitive_sufficient(system, h)
         energy = ""
         if verdict.controllable != "no":
             lifted = lift(system, build_scheme(h, system.m))
             try:
-                energy = design_nonrepetitive(lifted, task, tol).energy
+                energy = design_nonrepetitive(lifted, task).energy
             except ReachabilityError:
                 pass
         values = (h, verdict.conditions, verdict.numeric_rank, verdict.controllable, energy)

@@ -30,7 +30,7 @@ from .errors import ChargeBalanceError, DimensionError, PreconditionError, Reach
 from .lifting import LiftedSystem, _require_channels, h_sum, reachability_matrix
 from .numeric import min_norm_solve, unique_or_min_norm_solve
 from .system import LtiSystem, Trajectory, _locked, simulate
-from .tolerances import DEFAULT, Tolerances, require_integer
+from .tolerances import DEFAULT, REACH, Tolerances, require_integer
 
 NON_REPETITIVE = "non-repetitive"
 REPETITIVE = "repetitive"
@@ -132,11 +132,11 @@ def _block_imbalances(flat_inputs: np.ndarray, h: int) -> np.ndarray:
     return np.abs(flat_inputs.reshape(-1, h, flat_inputs.shape[1]).sum(axis=1)).max(axis=1)
 
 
-def _solve_reachable(solve, matrix, d, tol: Tolerances, where: str, rank_name: str):
+def _solve_reachable(solve, matrix, d, where: str, rank_name: str):
     """Minimum-norm x with matrix @ x = d by solve, or ReachabilityError when d is out of reach."""
-    x, rank, _, residual = solve(matrix, d, tol)
+    x, rank, _, residual = solve(matrix, d)
     dnorm = float(np.linalg.norm(d))
-    if dnorm > 0.0 and residual > tol.reach * dnorm:
+    if dnorm > 0.0 and residual > REACH * dnorm:
         raise ReachabilityError(
             f"target displacement is not reachable {where}: "
             f"residual {residual:.3e} (relative {residual / dnorm:.3e}), "
@@ -147,29 +147,23 @@ def _solve_reachable(solve, matrix, d, tol: Tolerances, where: str, rank_name: s
     return x
 
 
-def design_nonrepetitive(
-    lifted: LiftedSystem, task: SteeringTask, tol: Tolerances = DEFAULT
-) -> ControlPlan:
+def design_nonrepetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPlan:
     """Minimum-energy plan with distinct blocks.
 
     Raises ReachabilityError when the displacement lies outside the
-    column space of the b-block Gramian (relative residual above the
-    reach tolerance); the error carries the least-squares residual and
-    the Gramian rank.
+    column space of the b-block Gramian (relative residual above REACH);
+    the error carries the least-squares residual and the Gramian rank.
     """
     _require_regime(task, NON_REPETITIVE)
     _require_states(task, lifted.n)
     d = task.xf - np.linalg.matrix_power(lifted.Abar, task.b) @ task.x0
     Rb = reachability_matrix(lifted, task.b)
-    core = _solve_reachable(min_norm_solve, Rb @ Rb.T, d, tol,
-                            f"in {task.b} blocks", "Gramian rank")
+    core = _solve_reachable(min_norm_solve, Rb @ Rb.T, d, f"in {task.b} blocks", "Gramian rank")
     latents = (Rb.T @ core).reshape(task.b, -1)
     return ControlPlan((latents @ lifted.scheme.Q.T).reshape(-1, lifted.scheme.m))
 
 
-def design_repetitive(
-    lifted: LiftedSystem, task: SteeringTask, tol: Tolerances = DEFAULT
-) -> ControlPlan:
+def design_repetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPlan:
     """Minimum-energy plan applying one identical block b times.
 
     Solves H_b Bbar w = d in the minimum-norm sense, with
@@ -183,7 +177,7 @@ def design_repetitive(
     total, free = h_sum(lifted, task.b, task.x0)
     d = task.xf - free
     gain = total @ lifted.Bbar
-    w = _solve_reachable(unique_or_min_norm_solve, gain, d, tol, "with identical blocks", "rank")
+    w = _solve_reachable(unique_or_min_norm_solve, gain, d, "with identical blocks", "rank")
     block = unpack(w, lifted.scheme)
     try:
         inputs = np.tile(block, task.b)
@@ -237,8 +231,8 @@ def oracle_stacked_ls(
     row_norms[row_norms == 0.0] = 1.0
     scaled_lhs = lhs / row_norms[:, None]
     scaled_target = target / row_norms
-    u, rank, _, residual = min_norm_solve(scaled_lhs, scaled_target, tol)
-    if residual > tol.reach * max(1.0, float(np.linalg.norm(scaled_target))):
+    u, rank, _, residual = min_norm_solve(scaled_lhs, scaled_target)
+    if residual > REACH * max(1.0, float(np.linalg.norm(scaled_target))):
         raise ReachabilityError(
             f"stacked equality system is infeasible: scaled residual {residual:.3e}, rank {rank}",
             residual=residual,

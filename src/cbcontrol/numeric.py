@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AnalysisError
-from .tolerances import _EPS, DEFAULT, Tolerances
+from .tolerances import _EPS, rank_cutoff
 
 
 def _require_finite(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -16,16 +16,16 @@ def _require_finite(matrix: np.ndarray, what: str) -> np.ndarray:
     return matrix
 
 
-def _rank(svals: np.ndarray, shape, tol: Tolerances) -> int:
+def _rank(svals: np.ndarray, shape) -> int:
     """Count of descending singular values above the cutoff."""
     top = svals[0] if svals.size else 0.0
-    return int(np.count_nonzero(svals > tol.rank_cutoff(shape) * top))
+    return int(np.count_nonzero(svals > rank_cutoff(shape) * top))
 
 
-def numeric_rank(matrix, tol: Tolerances = DEFAULT):
+def numeric_rank(matrix):
     """Numeric rank: number of singular values above the cutoff.
 
-    The cutoff is ``tol.rank_cutoff(shape) * sigma_max``: relative to the
+    The cutoff is ``rank_cutoff(shape) * sigma_max``: relative to the
     matrix alone, with no absolute floor, so scaling keeps the rank.
 
     Accepts real or complex matrices. Returns (rank, singular_values)
@@ -34,10 +34,10 @@ def numeric_rank(matrix, tol: Tolerances = DEFAULT):
     """
     matrix = _require_finite(np.atleast_2d(np.asarray(matrix)), "the matrix to rank-test")
     svals = np.linalg.svd(matrix, compute_uv=False)
-    return _rank(svals, matrix.shape, tol), svals
+    return _rank(svals, matrix.shape), svals
 
 
-def min_norm_solve(matrix, rhs, tol: Tolerances = DEFAULT):
+def min_norm_solve(matrix, rhs):
     """Minimum-norm least-squares solution of ``matrix @ x = rhs``.
 
     Uses a truncated SVD with the shared rank cutoff. Returns
@@ -48,16 +48,16 @@ def min_norm_solve(matrix, rhs, tol: Tolerances = DEFAULT):
     matrix = _require_finite(np.asarray(matrix, dtype=float), "the matrix of the solve")
     rhs = _require_finite(np.asarray(rhs, dtype=float), "the right-hand side of the solve")
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    rank = _rank(s, matrix.shape, tol)
+    rank = _rank(s, matrix.shape)
     coeffs = u[:, :rank].T @ rhs
     x = vt[:rank].T @ (coeffs / s[:rank])
     residual = float(np.linalg.norm(rhs - u[:, :rank] @ coeffs))
     return x, rank, s, residual
 
 
-def unique_or_min_norm_solve(matrix, rhs, tol: Tolerances = DEFAULT):
+def unique_or_min_norm_solve(matrix, rhs):
     """As min_norm_solve, but by LU (rank n, residual 0, singular values None) when
-    a shifted Cholesky proves a square M has sigma_min > c sigma_max, c = tol.rank_cutoff.
+    a shifted Cholesky proves a square M has sigma_min > c sigma_max, c = rank_cutoff.
     With M scaled exactly to a largest entry in [0.5, 1), G = M^T M errs by gamma_n F,
     F = trace(G), and a Cholesky that completes is exact within gamma_(n+1) F (Demmel
     1989; Higham 2002, sec. 10.1). If G - (c^2 + 4(n+1) eps) F I factors, then
@@ -68,10 +68,10 @@ def unique_or_min_norm_solve(matrix, rhs, tol: Tolerances = DEFAULT):
     if matrix.shape == (n, n):
         scaled = np.ldexp(matrix, -np.frexp(np.abs(matrix).max())[1])
         gram = scaled.T @ scaled
-        gram.flat[:: n + 1] -= (tol.rank_cutoff((n, n)) ** 2 + 4 * (n + 1) * _EPS) * np.trace(gram)
+        gram.flat[:: n + 1] -= (rank_cutoff((n, n)) ** 2 + 4 * (n + 1) * _EPS) * np.trace(gram)
         try:
             np.linalg.cholesky(gram)
             return np.linalg.solve(matrix, rhs), n, None, 0.0
         except np.linalg.LinAlgError:
             pass
-    return min_norm_solve(matrix, rhs, tol)
+    return min_norm_solve(matrix, rhs)

@@ -40,8 +40,8 @@ class LtiSystem:
     between concurrent analyses. Derived data are computed on first use,
     cached and shared by every analysis of the system: the modal basis
     (eigenvalues, unit right eigenvectors V and W = V^-1, from one eig and
-    one inv, locked), and the PBH decision per Tolerances, which
-    analysis.pbh_controllable makes and keeps in the _pbh slot.
+    one inv, locked), and the PBH decision, which analysis.pbh_controllable
+    makes and keeps in the _pbh slot (None until decided).
     """
 
     A: np.ndarray
@@ -64,7 +64,7 @@ class LtiSystem:
             raise ValueError("system matrices must have finite entries")
         object.__setattr__(self, "A", _locked(A))
         object.__setattr__(self, "B", _locked(B))
-        object.__setattr__(self, "_pbh", {})  # Tolerances -> analysis.pbh_controllable
+        object.__setattr__(self, "_pbh", None)  # analysis.pbh_controllable, once decided
 
     @property
     def n(self) -> int:

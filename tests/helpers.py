@@ -1,10 +1,12 @@
 """Shared system generators and reference values for the test suite."""
 
 import csv
+from fractions import Fraction
 
 import numpy as np
 
-from cbcontrol import DEFAULT, LtiSystem, SteeringTask, simulate, unpack
+from cbcontrol import LtiSystem, SteeringTask, simulate, unpack
+from cbcontrol.tolerances import rank_cutoff
 
 ROOT3 = np.sqrt(3.0)
 
@@ -113,14 +115,14 @@ def read_csv(path):
 
 
 def floored_rank(matrix, floor: float) -> int:
-    """Numeric rank with the cutoff at DEFAULT.rank_cutoff(shape) * max(sigma_max, floor).
+    """Numeric rank with the cutoff at rank_cutoff(shape) * max(sigma_max, floor).
 
     The absolute floor suits a matrix assembled from factors of norm up to
     sqrt(floor) (a Gramian) or floor (a product): its rounding noise sits at
     the factors' scale even where the product itself is small.
     """
     svals = np.linalg.svd(np.atleast_2d(matrix), compute_uv=False)
-    return int(np.count_nonzero(svals > DEFAULT.rank_cutoff(np.shape(matrix)) * max(svals[0], floor)))
+    return int(np.count_nonzero(svals > rank_cutoff(np.shape(matrix)) * max(svals[0], floor)))
 
 
 def counting_svd(monkeypatch):
@@ -134,3 +136,61 @@ def counting_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     return calls
+
+
+def exact_mul(X, Y):
+    """Product of two matrices given as lists of rows, exact over Fractions."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+def _exact_sum(X, Y, scale=1):
+    return [[x + scale * y for x, y in zip(r, q)] for r, q in zip(X, Y)]
+
+
+def exact_min_energy(system: LtiSystem, h: int, task: SteeringTask):
+    """The minimum energy of task at block length h as a Fraction, or None when unreachable.
+
+    Exact over the rationals, which hold every double. The zero-sum
+    projector P = (I_h - 11^T / h) kron I_m gives Bbar Bbar^T = S P S^T
+    = S S^T - T T^T / h, with S = [A^(h-1) B, ..., B] and T the sum of its
+    blocks, so no square root is needed. With d = xf - A^(bh) x0 the energy
+    is d^T y, G y = d, for G = sum_(k<b) A^(hk) S P S^T (A^(hk))^T with
+    distinct blocks, and b d^T y for G = H_b S P S^T H_b^T,
+    H_b = sum_(k<b) A^(hk), with identical ones. Gauss-Jordan solves
+    G y = d with free variables at 0; an inconsistent G y = d gives None.
+    """
+    A, B = ([[Fraction(x) for x in row] for row in M.tolist()] for M in (system.A, system.B))
+    n = system.n
+    eye = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    blocks = [B]  # B, A B, ..., A^(h-1) B: S S^T and T do not depend on their order
+    for _ in range(h - 1):
+        blocks.append(exact_mul(A, blocks[-1]))
+    S = [sum((block[i] for block in blocks), []) for i in range(n)]
+    T = [[sum(col) for col in zip(*rows)] for rows in zip(*blocks)]
+    core = _exact_sum(exact_mul(S, list(zip(*S))), exact_mul(T, list(zip(*T))), Fraction(-1, h))
+    Ah = eye
+    for _ in range(h):
+        Ah = exact_mul(Ah, A)
+    power, H, G = eye, eye, core
+    for _ in range(task.b - 1):  # G = core + A^h G (A^h)^T, b - 1 times
+        power = exact_mul(power, Ah)
+        H = _exact_sum(H, power)
+        G = _exact_sum(core, exact_mul(exact_mul(Ah, G), list(zip(*Ah))))
+    if task.regime == "repetitive":
+        G = exact_mul(exact_mul(H, core), list(zip(*H)))
+    free = exact_mul(exact_mul(power, Ah), [[Fraction(x)] for x in task.x0.tolist()])
+    d = [Fraction(x) - y for x, (y,) in zip(task.xf.tolist(), free)]
+    rows, pivots = [g + [x] for g, x in zip(G, d)], []
+    for col in range(n):
+        pivot = next((i for i in range(len(pivots), n) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        top = rows[pivot]
+        rows[pivot], rows[len(pivots)] = rows[len(pivots)], [x / top[col] for x in top]
+        top = rows[len(pivots)]
+        rows = [row if row is top else _exact_sum([row], [top], -row[col])[0] for row in rows]
+        pivots.append(col)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
+    energy = sum(d[col] * row[-1] for col, row in zip(pivots, rows))
+    return task.b * energy if task.regime == "repetitive" else energy

@@ -1,6 +1,5 @@
 """Controllability conditions, block-length selection, and spectral tests."""
 
-import dataclasses
 import gc
 import tracemalloc
 import warnings
@@ -11,7 +10,6 @@ import numpy as np
 import pytest
 
 from cbcontrol import (
-    DEFAULT,
     AnalysisError,
     LtiSystem,
     PreconditionError,
@@ -32,11 +30,14 @@ from cbcontrol import (
     unit_ratio_orders,
 )
 from cbcontrol.analysis import _has_unit_eigenvalue, _modal_screen, _near, _pencil
+from cbcontrol import tolerances
 from cbcontrol.lifting import krylov
 from cbcontrol.numeric import numeric_rank
+from cbcontrol.tolerances import EIG_SEP, ROOT_OF_UNITY, UNIT_MODULUS
 
 from helpers import (
     counting_svd,
+    exact_mul,
     expander_system,
     floored_rank,
     four_state_system,
@@ -102,7 +103,7 @@ def test_rotation_spectrum_flags():
     # conjugate closure of the spectrum of a real matrix
     assert np.abs(np.sort(eigs) - np.sort(eigs.conj())).max() <= 1e-9
     assert not check_real_spectrum_shortcut(system)  # the spectrum is not real
-    assert not _has_unit_eigenvalue(eigs, DEFAULT)  # a rotation has no eigenvalue at 1
+    assert not _has_unit_eigenvalue(eigs)  # a rotation has no eigenvalue at 1
     reasons = {r.name: r.holds for r in check_nonrepetitive_sufficient(system, 3).reasons}
     assert reasons["no eigenvalue of A at 1"]
     assert not reasons["A^3 has a simple spectrum"]  # cube of the spectrum is {1, 1}
@@ -172,7 +173,7 @@ def test_ratio_order_found_past_the_first_block():
     assert len(orders) == 1
     eigs = system.eigenvalues
     ratio = eigs[orders[0].i] / eigs[orders[0].j]
-    minimal = next(k for k in range(1, 2001) if abs(ratio**k - 1.0) <= tol.root_of_unity)
+    minimal = next(k for k in range(1, 2001) if abs(ratio**k - 1.0) <= ROOT_OF_UNITY)
     assert orders[0].order == minimal == 1031
     assert select_h(system, tol) == 1032
 
@@ -347,10 +348,6 @@ def _exact(matrix):
     return [[Fraction(x) for x in row] for row in np.asarray(matrix).tolist()]
 
 
-def _mul(X, Y):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)] for row in X]
-
-
 def _exact_rank(X):
     """Rank over the rationals, by Gaussian elimination."""
     rows, rank = [[Fraction(x) for x in row] for row in X], 0
@@ -378,14 +375,14 @@ def _exact_lift(A, B, h):
     n, m = len(A), len(B[0])
     blocks = [B]
     for _ in range(h - 1):
-        blocks.insert(0, _mul(A, blocks[0]))
+        blocks.insert(0, exact_mul(A, blocks[0]))
     S = [sum((block[i] for block in blocks), []) for i in range(n)]
     diff = np.eye(h, h - 1, dtype=int) - np.eye(h, h - 1, -1, dtype=int)
     D = np.kron(diff, np.eye(m, dtype=int)).tolist()
     Ah = np.eye(n, dtype=int).tolist()
     for _ in range(h):
-        Ah = _mul(Ah, A)
-    return Ah, _mul(S, D)
+        Ah = exact_mul(Ah, A)
+    return Ah, exact_mul(S, D)
 
 
 def _exact_repetitive_rank(A, B, h, b):
@@ -393,9 +390,9 @@ def _exact_repetitive_rank(A, B, h, b):
     Ah, SD = _exact_lift(A, B, h)
     power = total = _exact(np.eye(len(A), dtype=int))
     for _ in range(b - 1):
-        power = _mul(power, Ah)
+        power = exact_mul(power, Ah)
         total = [[x + y for x, y in zip(r, q)] for r, q in zip(total, power)]
-    return _exact_rank(_mul(total, SD))
+    return _exact_rank(exact_mul(total, SD))
 
 
 def _exact_lifted_rank(A, B, h):
@@ -411,7 +408,7 @@ def _exact_lifted_rank(A, B, h):
         rank = _exact_rank(rows)
         if rank == n:
             break
-        block = _mul(Ah, block)
+        block = exact_mul(Ah, block)
     return rank
 
 
@@ -510,10 +507,9 @@ def test_one_eigen_solve_per_system(monkeypatch):
 
 def test_vectorised_spectral_tests_match_pair_loops():
     from cbcontrol.analysis import _no_disruptive_roots, _pairwise_distinct, _spectral_scale
-    from cbcontrol.tolerances import DEFAULT as tol
 
     def distinct_loop(eigs):
-        gap = tol.eig_sep * _spectral_scale(eigs)
+        gap = EIG_SEP * _spectral_scale(eigs)
         return all(
             abs(eigs[i] - eigs[j]) > gap
             for i in range(eigs.size) for j in range(i + 1, eigs.size)
@@ -521,8 +517,8 @@ def test_vectorised_spectral_tests_match_pair_loops():
 
     def no_disruptive_loop(eigs, h, b):
         return not any(
-            abs(lam ** (h * b) - 1.0) <= tol.root_of_unity
-            and abs(lam**h - 1.0) > tol.root_of_unity
+            abs(lam ** (h * b) - 1.0) <= ROOT_OF_UNITY
+            and abs(lam**h - 1.0) > ROOT_OF_UNITY
             for lam in eigs
         )
 
@@ -533,9 +529,9 @@ def test_vectorised_spectral_tests_match_pair_loops():
         if rng.random() < 0.5:
             eigs = eigs + 1e-3 * rng.standard_normal(5)
         for h in (1, 2, 3):
-            assert _pairwise_distinct(eigs**h, tol) == distinct_loop(eigs**h)
+            assert _pairwise_distinct(eigs**h) == distinct_loop(eigs**h)
             for b in (1, 2, 3, 6):
-                assert _no_disruptive_roots(eigs, h, b, tol) == no_disruptive_loop(eigs, h, b)
+                assert _no_disruptive_roots(eigs, h, b) == no_disruptive_loop(eigs, h, b)
 
     def ratio_orders_loop(system, limit):
         eigs = system.eigenvalues
@@ -543,14 +539,14 @@ def test_vectorised_spectral_tests_match_pair_loops():
         found, skipped = [], 0
         for i in range(eigs.size):
             for j in range(i + 1, eigs.size):
-                if min(abs(eigs[i]), abs(eigs[j])) <= tol.eig_sep * scale:
+                if min(abs(eigs[i]), abs(eigs[j])) <= EIG_SEP * scale:
                     continue
                 ratio = eigs[i] / eigs[j]
-                if abs(abs(ratio) - 1.0) > tol.unit_modulus:
+                if abs(abs(ratio) - 1.0) > UNIT_MODULUS:
                     continue
                 rk = ratio
                 for k in range(1, limit + 1):
-                    if abs(rk - 1.0) <= tol.root_of_unity:
+                    if abs(rk - 1.0) <= ROOT_OF_UNITY:
                         found.append((i, j, k))
                         break
                     rk *= ratio
@@ -576,7 +572,7 @@ def test_vectorised_spectral_tests_match_pair_loops():
     hits = skips = 0
     for trial, system in enumerate(systems):
         limit = (64, 8, 2500)[trial % 3]  # 2500: three blocks of the blocked search
-        got = unit_ratio_orders(system, dataclasses.replace(tol, max_order=limit))
+        got = unit_ratio_orders(system, Tolerances(max_order=limit))
         want, skipped = ratio_orders_loop(system, limit)
         assert [(o.i, o.j, o.order) for o in got] == want
         hits += bool(want)
@@ -618,8 +614,8 @@ def _rotation_mix(rng, irrational=False):
     return LtiSystem(A=A, B=rng.standard_normal((n, int(rng.integers(1, 3)))))
 
 
-def _pbh_pencil_loop(system, tol):
-    """PBH by one SVD of [lambda I - A, B] per eigenvalue (the reference).
+def _pbh_pencil_loop(system):
+    """PBH by one SVD of [lambda I - A, B] per eigenvalue (the reference), at RANK_SLACK.
 
     The pencil is real for a real eigenvalue and complex otherwise, as
     LtiSystem builds it, so the witness can be compared bit for bit.
@@ -629,7 +625,7 @@ def _pbh_pencil_loop(system, tol):
         lam = lam if lam.imag else lam.real
         pencil = np.hstack([-system.A, system.B]).astype(type(lam))
         np.fill_diagonal(pencil, lam - system.A.diagonal())
-        rank, _ = numeric_rank(pencil, tol)
+        rank, _ = numeric_rank(pencil)
         if rank < n:
             u, _, _ = np.linalg.svd(pencil)
             phi = np.conj(u[:, -1])
@@ -637,9 +633,9 @@ def _pbh_pencil_loop(system, tol):
     return True, None, None
 
 
-def test_pbh_matches_per_eigenvalue_pencil_loop():
+def test_pbh_matches_per_eigenvalue_pencil_loop(monkeypatch):
     rng = np.random.default_rng(44)
-    slacks = [DEFAULT.rank_slack, 1.0, 1e8, *(10.0 ** rng.uniform(0.0, 8.0, size=3))]
+    slacks = [tolerances.RANK_SLACK, 1.0, 1e8, *(10.0 ** rng.uniform(0.0, 8.0, size=3))]
     failures = 0
     for trial in range(160):
         n, m = int(rng.integers(1, 9)), int(rng.integers(1, 4))
@@ -659,9 +655,11 @@ def test_pbh_matches_per_eigenvalue_pencil_loop():
                 B[k:] = 0.0
             system = LtiSystem(A=A, B=B)
         for slack in slacks:
-            tol = dataclasses.replace(DEFAULT, rank_slack=float(slack))
-            got = pbh_controllable(system, tol)
-            controllable, eigenvalue, phi = _pbh_pencil_loop(system, tol)
+            # the decision is kept per system: a fresh one for each slack
+            monkeypatch.setattr(tolerances, "RANK_SLACK", float(slack))
+            system = LtiSystem(A=system.A, B=system.B)
+            got = pbh_controllable(system)
+            controllable, eigenvalue, phi = _pbh_pencil_loop(system)
             assert got.controllable == controllable
             assert got.eigenvalue == eigenvalue
             if phi is None:
@@ -849,7 +847,7 @@ def test_cached_pbh_decision_keeps_no_reference_cycle():
 def _parity_slacks():
     """The rank slacks of test_pbh_matches_per_eigenvalue_pencil_loop."""
     rng = np.random.default_rng(44)
-    return [DEFAULT.rank_slack, 1.0, 1e8, *(10.0 ** rng.uniform(0.0, 8.0, size=3))]
+    return [tolerances.RANK_SLACK, 1.0, 1e8, *(10.0 ** rng.uniform(0.0, 8.0, size=3))]
 
 
 def _non_normal_plant(rng):
@@ -920,11 +918,12 @@ def test_pbh_fallback_matches_pencil_loop_on_hard_families(monkeypatch):
         ran = 0
         for system in systems:
             for slack in _parity_slacks():
-                tol = dataclasses.replace(DEFAULT, rank_slack=float(slack))
+                monkeypatch.setattr(tolerances, "RANK_SLACK", float(slack))
+                system = LtiSystem(A=system.A, B=system.B)
                 before = len(fallback)
-                got = pbh_controllable(system, tol)
+                got = pbh_controllable(system)
                 ran += len(fallback) - before
-                controllable, eigenvalue, phi = _pbh_pencil_loop(system, tol)
+                controllable, eigenvalue, phi = _pbh_pencil_loop(system)
                 assert got.controllable == controllable, name
                 assert got.eigenvalue == eigenvalue, name
                 if phi is not None:
@@ -997,7 +996,7 @@ def _undetermined_verdicts(rng, make, count):
 def _exact_kalman_rank(A, B):
     blocks = [B.tolist()]
     for _ in range(len(A) - 1):
-        blocks.append(_mul(A.tolist(), blocks[-1]))
+        blocks.append(exact_mul(A.tolist(), blocks[-1]))
     return _exact_rank([sum((block[i] for block in blocks), []) for i in range(len(A))])
 
 
@@ -1195,7 +1194,7 @@ def test_lifted_clusters_are_the_closure_of_the_near_relation(monkeypatch):
         n = len(near)
         system = LtiSystem(A=np.diag(np.arange(2.0, n + 2)), B=np.ones((n, 1)))
         pbh_controllable(system)
-        monkeypatch.setattr(analysis, "_near", lambda values, tol, near=near: near)
+        monkeypatch.setattr(analysis, "_near", lambda values, near=near: near)
         means.clear()
         check_nonrepetitive_sufficient(system, 2)
         powers = system.eigenvalues**2
@@ -1204,13 +1203,13 @@ def test_lifted_clusters_are_the_closure_of_the_near_relation(monkeypatch):
     assert means == [powers.mean()]  # the chain is one cluster
 
 
-def _hstack_lifted_rank(system, h, tol=DEFAULT):
+def _hstack_lifted_rank(system, h):
     """Least lifted rank through complex np.hstack pencils and a boolean matrix power."""
     A, n, powers = system.A, system.n, system.eigenvalues**h
     Ah, K = np.linalg.matrix_power(A, h), krylov(A, system.B, h - 1)
     c = max(float(np.linalg.norm(Ah)) / float(np.linalg.norm(K)), 1.0)
-    reach = np.linalg.matrix_power(_near(powers, tol), n)
-    return min(numeric_rank(np.hstack((powers[k].mean() * np.eye(n) - Ah, c * K)), tol)[0]
+    reach = np.linalg.matrix_power(_near(powers), n)
+    return min(numeric_rank(np.hstack((powers[k].mean() * np.eye(n) - Ah, c * K)))[0]
                for k in reach if k.sum() > 1)
 
 

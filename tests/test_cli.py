@@ -28,6 +28,12 @@ from cbcontrol.tolerances import Tolerances
 
 from helpers import floored_rank, read_csv
 
+# the thresholds that are module constants, not Tolerances fields, at their values
+RETIRED_TOLERANCE_KEYS = (
+    ("reach", 1e-8), ("rank_slack", 100.0), ("eig_sep", 1e-8),
+    ("unit_modulus", 1e-9), ("root_of_unity", 1e-8), ("unit_eigenvalue", 1e-8),
+)
+
 
 def test_bundled_problems_present():
     names = list_bundled()
@@ -99,39 +105,42 @@ def test_parse_rejects_bad_shapes_and_values():
     with pytest.raises(ProblemFormatError, match="windup"):
         parse_problem(json.dumps(bad_tol))
 
-    for field, value in (
-        ("rank_slack", -1.0), ("rank_slack", 0.5), ("rank_slack", 0.999),
-        ("terminal", "tiny"), ("reach", None),
-        ("max_order", 2.5), ("max_order", True), ("eig_sep", 0.0),
-    ):
+    for field, value in (("terminal", "tiny"), ("max_order", 2.5), ("max_order", True)):
         bad_tol["tolerances"] = {field: value}
         with pytest.raises(ProblemFormatError, match=field):
             parse_problem(json.dumps(bad_tol))
+    # the fixed thresholds are no fields: a file naming one is refused, even
+    # at the value the threshold has
+    assert [f.name for f in dataclasses.fields(Tolerances)] == [
+        "charge_balance", "terminal", "max_order"]
+    for field, value in RETIRED_TOLERANCE_KEYS:
+        bad_tol["tolerances"] = {field: value}
+        with pytest.raises(ProblemFormatError, match=rf"unknown tolerance fields \['{field}'\]"):
+            parse_problem(json.dumps(bad_tol))
 
-    # max_order is bounded by root_of_unity / eps (45035996 at the defaults)
+    # max_order is bounded by ROOT_OF_UNITY / eps = 45035996
     bad_tol["tolerances"] = {"max_order": 45035997}
-    bound = "max_order must be a positive int at most root_of_unity / eps = 45035996, got 45035997"
+    bound = "max_order must be a positive int at most ROOT_OF_UNITY / eps = 45035996, got 45035997"
     with pytest.raises(ProblemFormatError, match=bound):
         parse_problem(json.dumps(bad_tol))
     bad_tol["tolerances"] = {"max_order": 45035996}
     assert parse_problem(json.dumps(bad_tol)).tolerances.max_order == 45035996
-    bad_tol["tolerances"] = {"max_order": 10**9, "root_of_unity": 1e-6}
-    assert parse_problem(json.dumps(bad_tol)).tolerances.max_order == 10**9
 
 
-def test_root_of_unity_past_the_float_range_of_its_cap(tmp_path, capsys):
-    # root_of_unity / eps is inf past about 4e292, so every positive int is
-    # within the cap, which the message then gives by its formula alone
-    assert Tolerances(root_of_unity=1e300, max_order=10**400).max_order == 10**400
-    bound = "max_order must be a positive int at most root_of_unity / eps, got 0"
-    with pytest.raises(ValueError, match=bound):
-        Tolerances(root_of_unity=1e300, max_order=0)
+def test_max_order_cap_is_a_constant(tmp_path, capsys):
+    # the cap depends on no other field: an order past it is refused however
+    # large, and a file cannot loosen the root-of-unity bound to lift it
+    bound = "max_order must be a positive int at most ROOT_OF_UNITY / eps = 45035996, got "
+    for order in (0, 10**9, 10**400):
+        with pytest.raises(ValueError, match=bound + str(order)):
+            Tolerances(max_order=order)
     doc = json.loads(bundled_problem("rotation_2d").read_text())
-    doc["tolerances"] = {"root_of_unity": 1e300}
+    doc["tolerances"] = {"root_of_unity": 1e300, "max_order": 10**9}
     path = tmp_path / "loose.json"
     path.write_text(json.dumps(doc))
-    assert main(["analyze", "--problem", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert capsys.readouterr().err == ""
+    assert main(["analyze", "--problem", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown tolerance fields ['root_of_unity']" in err
 
 
 def test_parse_tolerance_overrides():
@@ -145,8 +154,6 @@ def test_parse_tolerance_overrides():
     assert tweaked.tolerances.max_order == 16
     # numpy integers count as integers; the stored value is unchanged
     assert dataclasses.replace(tweaked.tolerances, max_order=np.int64(8)).max_order == 8
-    # rank_slack may sit exactly at its lower bound of 1
-    assert dataclasses.replace(tweaked.tolerances, rank_slack=1.0).rank_slack == 1.0
 
 
 def test_main_exit_code_parse_error(tmp_path, capsys):
@@ -155,22 +162,16 @@ def test_main_exit_code_parse_error(tmp_path, capsys):
     assert main(["analyze", "--problem", str(bad)]) == 2
     assert "parse error" in capsys.readouterr().err
 
-    # a negative rank slack would let PBH pass this uncontrollable pair
-    slack = tmp_path / "slack.json"
-    slack.write_text(json.dumps({
-        "system": {"A": [[0.5, 0.0], [0.0, 0.3]], "B": [[1.0], [0.0]]},
-        "task": {"x0": [0.0, 0.0], "xf": [1.0, 1.0], "b": 2, "h": 2,
-                 "regime": "non-repetitive"},
-        "tolerances": {"rank_slack": -1.0},
-    }))
-    assert main(["analyze", "--problem", str(slack)]) == 2
-    assert "rank_slack" in capsys.readouterr().err
-    # below 1 the rank cutoff drops under the SVD's own rounding error
-    doc = json.loads(slack.read_text())
-    doc["tolerances"] = {"rank_slack": 0.5}
-    slack.write_text(json.dumps(doc))
-    assert main(["analyze", "--problem", str(slack)]) == 2
-    assert "at least 1" in capsys.readouterr().err
+    # a file that names a fixed threshold fails with one stderr line naming it
+    fixed = tmp_path / "fixed.json"
+    for key, value in RETIRED_TOLERANCE_KEYS:
+        doc = json.loads(bundled_problem("rotation_2d").read_text())
+        doc["tolerances"] = {key: value}
+        fixed.write_text(json.dumps(doc))
+        assert main(["analyze", "--problem", str(fixed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and f"'{key}'" in captured.err
+        assert captured.out == ""
 
     # a bad override flag fails as the same value written into the file:
     # one stderr line, the same words, naming the field
@@ -181,7 +182,7 @@ def test_main_exit_code_parse_error(tmp_path, capsys):
         (["--tol-term", "-1"], "tolerances", "terminal", -1.0),
         (["--tol-cb", "nan"], "tolerances", "charge_balance", float("nan")),
         (["--max-order", "0"], "tolerances", "max_order", 0),
-        # past root_of_unity / eps no order can be certified
+        # past ROOT_OF_UNITY / eps no order can be certified
         (["--max-order", "1000000000"], "tolerances", "max_order", 10**9),
     ):
         doc = json.loads(bundled_problem("rotation_2d").read_text())
@@ -599,10 +600,10 @@ VARIANT_FLAGS = {
 }
 # bundled runs that analyze calls "yes" and design still ends as unreachable
 YES_BUT_UNREACHABLE = {
-    ("expander_2d", "b30"): "ROADMAP item 2: identical-block gain rank 1 of 2",
-    ("four_state", "nonrep"): "ROADMAP item 1 (stage A): Gramian rank 3 of 4 at b = 5",
-    ("four_state", "b20"): "ROADMAP item 2: identical-block gain rank 2 of 4",
-    ("four_state", "b30"): "ROADMAP item 2: identical-block gain rank 2 of 4",
+    ("expander_2d", "b30"): "ROADMAP item 4: identical-block gain rank 1 of 2",
+    ("four_state", "nonrep"): "ROADMAP item 1: Gramian rank 3 of 4 at b = 5",
+    ("four_state", "b20"): "ROADMAP item 4: identical-block gain rank 2 of 4",
+    ("four_state", "b30"): "ROADMAP item 4: identical-block gain rank 2 of 4",
 }
 
 
@@ -795,7 +796,7 @@ def test_sweep_rotation_reports_h3_fallback(tmp_path):
     assert by_h[2]["numeric_rank"] == 2
     assert by_h[2]["conditions"] == "yes"
     for row in sweep:
-        verdict = check_nonrepetitive_sufficient(problem.system, row["h"], problem.tolerances)
+        verdict = check_nonrepetitive_sufficient(problem.system, row["h"])
         assert row["conditions"] == verdict.conditions
 
     header, rows = read_csv(tmp_path / "sweep.csv")
