@@ -198,14 +198,14 @@ def _write_series(path, prefix: str, series):
     )
 
 
-def cmd_design(problem: Problem, out_dir, plot: bool = True) -> dict:
+def cmd_design(problem: Problem, out_dir) -> dict:
     """Design, verify, and serialize a minimum-energy plan.
 
     Refuses to design when the analysis verdict is "no". Writes
-    inputs.csv, states.csv, blocks.csv, report.json, and (optionally)
-    plot.gp into the output directory, which is created before any
-    analysis, so an unusable --out fails first. Returns the report that
-    report.json holds, its manifest then extended by report.json itself.
+    inputs.csv, states.csv, blocks.csv, plot.gp and report.json into the
+    output directory, which is created before any analysis, so an
+    unusable --out fails first. Returns the report that report.json
+    holds, its manifest then extended by report.json itself.
     """
     out_dir = _output_dir(out_dir)
     h, verdict, verdict_doc = _analyze(problem)
@@ -232,11 +232,9 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> dict:
     _write_series(states_path, "x", check.trajectory.states)
     block_energies = np.square(plan.flat_inputs).reshape(task.b, -1).sum(axis=1)
     write_csv(blocks_path, ["p", "energy", "imbalance"], _indexed(block_energies, check.imbalances))
-    manifest = [str(inputs_path), str(states_path), str(blocks_path)]
-    if plot:
-        plot_path = out_dir / "plot.gp"
-        write_text(plot_path, _plot_script(system.n, system.m, task.xf))
-        manifest.append(str(plot_path))
+    plot_path = out_dir / "plot.gp"
+    write_text(plot_path, _plot_script(system.n, system.m, task.xf))
+    manifest = [str(inputs_path), str(states_path), str(blocks_path), str(plot_path)]
 
     design_doc = {
         "h": h,
@@ -261,7 +259,7 @@ def cmd_design(problem: Problem, out_dir, plot: bool = True) -> dict:
 
 
 def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> list[dict]:
-    """Tabulate verdict, rank, and achievable energy across block lengths; returns the rows."""
+    """Tabulate verdict, rank and the designed plan's unverified energy per h; returns the rows."""
     if h_min < 2 or h_max < h_min:
         raise ProblemFormatError(f"need 2 <= h_min <= h_max, got [{h_min}, {h_max}]")
     if problem.task.regime != NON_REPETITIVE:
@@ -358,10 +356,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p_design = sub.add_parser("design", help="minimum-energy plan plus CSV output")
     _add_common(p_design, needs_out=True)
-    p_design.add_argument(
-        "--plot", action=argparse.BooleanOptionalAction, default=True,
-        help="emit a gnuplot script next to the CSVs",
-    )
 
     p_sweep = sub.add_parser("sweep-h", help="verdict and energy across block lengths")
     _add_common(p_sweep, needs_out=True)
@@ -388,7 +382,7 @@ def main(argv=None) -> int:
             if args.command == "analyze":
                 cmd_analyze(problem, args.out)
             elif args.command == "design":
-                report = cmd_design(problem, args.out, plot=args.plot)
+                report = cmd_design(problem, args.out)
                 if not report["design"]["passed"]:
                     print("error: the designed plan failed verification; see report.json",
                           file=sys.stderr)

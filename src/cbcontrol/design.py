@@ -188,9 +188,7 @@ def design_repetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPlan:
     return ControlPlan(inputs.reshape(-1, lifted.scheme.m))
 
 
-def oracle_stacked_ls(
-    system: LtiSystem, scheme: BlockScheme, task: SteeringTask, tol: Tolerances = DEFAULT
-) -> ControlPlan:
+def oracle_stacked_ls(system: LtiSystem, scheme: BlockScheme, task: SteeringTask) -> ControlPlan:
     """Independent optimality oracle over the raw per-step inputs.
 
     Minimizes the Euclidean norm of the full stacked input vector subject
@@ -201,7 +199,7 @@ def oracle_stacked_ls(
     unchanged). Shares no arithmetic with the closed-form laws. Raises
     ReachabilityError, with the scaled residual and the stacked rank, when
     that system is infeasible, and ChargeBalanceError when a block of the
-    solution carries net charge.
+    solution carries net charge above DEFAULT.charge_balance.
     """
     _require_channels(system, scheme)
     _require_states(task, system.n)
@@ -241,10 +239,10 @@ def oracle_stacked_ls(
 
     flat = u.reshape(steps, m)
     imbalances = _block_imbalances(flat, h)
-    if imbalances.max() > tol.charge_balance:
+    if imbalances.max() > DEFAULT.charge_balance:
         raise ChargeBalanceError(
             f"stacked solution is not charge balanced: block imbalance "
-            f"{imbalances.max():.3e} exceeds {tol.charge_balance:g}",
+            f"{imbalances.max():.3e} exceeds {DEFAULT.charge_balance:g}",
             imbalance=imbalances,
         )
     return ControlPlan(flat)

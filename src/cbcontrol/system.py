@@ -52,8 +52,6 @@ class LtiSystem:
         B = np.array(self.B, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionError(f"A must be square, got shape {A.shape}")
-        if B.ndim == 1:
-            B = B.reshape(-1, 1)
         if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise DimensionError(
                 f"B must have {A.shape[0]} rows, got shape {B.shape}"
@@ -126,25 +124,21 @@ class Trajectory:
 def _input_rows(inputs, m: int) -> np.ndarray:
     """The inputs as a C-ordered (N, m) float array, checked once.
 
-    Ragged rows and iterators are checked row by row, so the error names
-    the offending input index.
+    On ragged rows or a row of the wrong size the error names the first
+    offending input index.
     """
+    error = None
     try:
         rows = np.atleast_1d(np.asarray(inputs, dtype=float))  # a scalar is one step
-    except (TypeError, ValueError):
-        rows = None
-    if rows is None:
-        checked = []
-        for k, u in enumerate(inputs):
-            u = np.asarray(u, dtype=float).reshape(-1)
-            if u.size != m:
-                raise DimensionError(f"input {k} has length {u.size}, expected {m}")
-            checked.append(u)
-        return np.array(checked).reshape(len(checked), m)
-    if len(rows) and rows[0].size != m:  # every row has the size of the first
-        raise DimensionError(f"input 0 has length {rows[0].size}, expected {m}")
-    # C order, so B @ u does not round by the memory layout of the inputs
-    return np.ascontiguousarray(rows.reshape(len(rows), m))
+    except ValueError as exc:  # ragged rows
+        rows, error = inputs, exc
+    if error is None and rows.size == len(rows) * m:
+        # C order, so B @ u does not round by the memory layout of the inputs
+        return np.ascontiguousarray(rows.reshape(len(rows), m))
+    for k, u in enumerate(rows):
+        if np.size(u) != m:
+            raise DimensionError(f"input {k} has length {np.size(u)}, expected {m}")
+    raise error  # every row has m entries, so conversion itself failed
 
 
 def _period(rows: np.ndarray) -> int:
@@ -168,8 +162,8 @@ def simulate(system: LtiSystem, x0, inputs) -> Trajectory:
     Args:
         system: the plant.
         x0: initial state, length n.
-        inputs: an (N, m) array, or a sequence or iterator of N input
-            vectors of length m each (for m = 1, N scalars also work).
+        inputs: an array-like of N rows of m numbers each (for m = 1, N
+            scalars also work, and a bare scalar is one step).
 
     Returns:
         Trajectory with states[k+1] = A @ states[k] + B @ inputs[k],
@@ -188,6 +182,7 @@ def simulate(system: LtiSystem, x0, inputs) -> Trajectory:
     Raises:
         DimensionError: naming the offending input index on a length
             mismatch, or x0 when the initial state has the wrong size.
+        TypeError: from numpy, for an iterator or generator of inputs.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != system.n:

@@ -219,7 +219,8 @@ def test_ratio_order_search_memory_is_bounded():
     # the memory of one block, as does a pair of no order at 10^5
     found = load_problem(bundled_problem("rotation_2d")).system
     angle = 1.0  # radians: the ratio e^(2i) reaches 1 at no k <= 10^5
-    none = LtiSystem(A=[[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]], B=[1.0, 0.0])
+    none = LtiSystem(A=[[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]],
+                     B=[[1.0], [0.0]])
     for system, max_order, want in ((found, 10**6, [RatioOrder(0, 1, 3)]), (none, 10**5, [])):
         system.eigenvalues  # the eigen-solve is not part of the search
         tracemalloc.start()

@@ -1,0 +1,67 @@
+"""The pair runner's statistics, on synthetic numbers (no benchmark runs)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_median_and_iqr():
+    values = [5.0, 1.0, 3.0, 2.0, 4.0]
+    assert bench_pairs.median(values) == 3.0
+    assert bench_pairs.iqr(values) == 4.0 - 2.0  # quartiles by linear interpolation
+    assert bench_pairs.iqr([1.0, 2.0, 3.0, 4.0]) == pytest.approx(3.25 - 1.75)
+    assert bench_pairs.iqr([7.0]) == 0.0
+
+
+def test_wins_count_strictly_better_pairs_only():
+    base = [10.0, 10.0, 10.0, 10.0]
+    assert bench_pairs.wins(base, [9.0, 10.0, 11.0, 8.0], "lower") == 2  # the tie counts for neither
+    assert bench_pairs.wins(base, [9.0, 10.0, 11.0, 8.0], "higher") == 1
+    assert bench_pairs.wins(base, base, "lower") == bench_pairs.wins(base, base, "higher") == 0
+
+
+def test_gain_needs_nine_of_ten_wins_and_a_gap_above_the_iqr():
+    base = [10.0 + 0.1 * k for k in range(10)]  # IQR 0.45
+    ten = [value - 1.0 for value in base]
+    assert bench_pairs.wins(base, ten, "lower") == 10 and bench_pairs.gain(base, ten, "lower")
+    assert not bench_pairs.gain(base, ten, "higher")
+    eight = ten[:8] + base[8:]  # two ties
+    assert bench_pairs.wins(base, eight, "lower") == 8
+    assert not bench_pairs.gain(base, eight, "lower")
+    nine = ten[:9] + base[9:]
+    assert bench_pairs.gain(base, nine, "lower")
+    # every pair won, but by less than the base side's spread
+    close = [value - 0.1 for value in base]
+    assert bench_pairs.wins(base, close, "lower") == 10
+    assert not bench_pairs.gain(base, close, "lower")
+
+
+def test_bound_verdicts():
+    base = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+    assert bench_pairs.bound_verdict(base, base, "lower", 0.25) == "within"
+    assert bench_pairs.bound_verdict(base, [v * 1.2 for v in base], "lower", 0.25) == "within"
+    assert bench_pairs.bound_verdict(base, [v * 1.3 for v in base], "lower", 0.25) == "worse"
+    assert bench_pairs.bound_verdict(base, [v * 0.7 for v in base], "higher", 0.25) == "worse"
+    assert bench_pairs.bound_verdict(base, [v * 1.3 for v in base], "higher", 0.25) == "within"
+    # a base IQR wider than the bound: unresolved, unless every change run
+    # beats every base run
+    wide = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]
+    assert bench_pairs.iqr(wide) > 0.25 * bench_pairs.median(wide)
+    assert bench_pairs.bound_verdict(wide, wide, "lower", 0.25) == "unresolved"
+    assert bench_pairs.bound_verdict(wide, [0.5] * 10, "lower", 0.25) == "within"
+    # a metric whose base is 0 (no failed op) allows no increase at all
+    assert bench_pairs.bound_verdict([0.0] * 10, [0.0] * 10, "lower", 0.15) == "within"
+    assert bench_pairs.bound_verdict([0.0] * 10, [0.01] * 10, "lower", 0.15) == "worse"
+
+
+def test_compare_reports_every_field():
+    base, change = [2.0, 2.0, 2.0], [1.0, 1.0, 2.0]
+    doc = bench_pairs.compare(base, change, "lower", 0.25)
+    assert doc == {"base": base, "change": change, "base_median": 2.0, "change_median": 1.0,
+                   "base_iqr": 0.0, "wins": 2, "gain": False, "bound_verdict": "within"}

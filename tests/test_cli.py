@@ -357,9 +357,17 @@ def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
         assert len(built) == 5  # the top parser and its four subcommands
 
     # a fresh Namespace per call: flags of one call never reach the next
+    terminals = []
+    original_verify = cli.verify_plan
+
+    def recording(*args):
+        terminals.append(args[-1].terminal)
+        return original_verify(*args)
+
+    monkeypatch.setattr(cli, "verify_plan", recording)
     expander = str(bundled_problem("expander_2d"))
     overridden, plain = tmp_path / "overridden", tmp_path / "plain"
-    assert main(["design", "--problem", expander, "--h", "3", "--b", "7", "--no-plot",
+    assert main(["design", "--problem", expander, "--h", "3", "--b", "7", "--tol-term", "1e-7",
                  "--out", str(overridden)]) == 0
     assert main(["design", "--problem", expander, "--h", "1", "--out", str(plain)]) == 2
     assert "'task.h'" in capsys.readouterr().err
@@ -368,7 +376,7 @@ def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
     design = json.loads((plain / "report.json").read_text())["design"]
     assert (design["h"], design["b"]) == (problem.h, problem.task.b) == (2, 10)
     assert json.loads((overridden / "report.json").read_text())["design"]["b"] == 7
-    assert (plain / "plot.gp").exists() and not (overridden / "plot.gp").exists()
+    assert terminals == [1e-7, problem.tolerances.terminal] and terminals[1] != 1e-7
     assert len(built) == 5
 
 
@@ -731,7 +739,7 @@ def test_design_blocks_csv_matches_per_block_loops(tmp_path):
 
 def test_design_expander_blocks_identical(tmp_path):
     problem = load_problem(bundled_problem("expander_2d"))
-    cmd_design(problem, tmp_path / "run", plot=False)
+    cmd_design(problem, tmp_path / "run")
     _, rows = read_csv(tmp_path / "run" / "states.csv")
     assert np.abs(np.array(rows[-1][1:]) - np.array([1.0, -0.6])).max() <= 1e-6
 
@@ -739,7 +747,6 @@ def test_design_expander_blocks_identical(tmp_path):
     blocks = inputs.reshape(10, -1)
     for p in range(1, 10):
         assert np.array_equal(blocks[0], blocks[p])
-    assert not (tmp_path / "run" / "plot.gp").exists()
 
 
 def test_design_drift_only_zero_inputs(tmp_path):
@@ -1019,6 +1026,27 @@ def test_plot_script_mentions_files_and_targets(tmp_path):
     assert "-0.6" in script
 
 
+def test_every_design_writes_plot_script(tmp_path, capsys):
+    # plot.gp is always written, fourth in the manifest, and no flag turns
+    # it off: --no-plot is an unknown argument
+    names = ["inputs.csv", "states.csv", "blocks.csv", "plot.gp", "report.json"]
+    for name in list_bundled():
+        if name == "identity_2d":  # analysis says "no", so nothing is designed
+            continue
+        out = tmp_path / name
+        report = cmd_design(load_problem(bundled_problem(name)), out)
+        assert report["manifest"] == [str(out / file) for file in names], name
+        assert json.loads((out / "report.json").read_text())["manifest"] == report["manifest"][:4]
+        assert (out / "plot.gp").stat().st_size > 0, name
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exited:
+        main(["design", "--problem", str(bundled_problem("rotation_2d")), "--no-plot",
+              "--out", str(tmp_path / "no-plot")])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --no-plot" in capsys.readouterr().err
+    assert not (tmp_path / "no-plot").exists()
+
+
 def test_analyze_select_h_precondition_exit_code(tmp_path):
     doc = {
         "system": {"A": [[2.0, 0.0], [0.0, 2.0]], "B": [[1.0], [0.0]]},
@@ -1089,7 +1117,7 @@ def test_one_rollout_per_design(tmp_path, monkeypatch):
     monkeypatch.setattr(design, "simulate", counting)
     monkeypatch.setattr(cli, "simulate", counting)
     problem = load_problem(bundled_problem("rotation_2d"))
-    report = cmd_design(problem, tmp_path / "run", plot=False)
+    report = cmd_design(problem, tmp_path / "run")
     assert report["design"]["passed"]
     assert len(calls) == 1
     _, states = read_csv(tmp_path / "run" / "states.csv")

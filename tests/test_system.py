@@ -98,7 +98,6 @@ def test_simulate_matches_step_loop():
             "array": inputs,
             "list": [list(u) for u in inputs],
             "list of arrays": [u.copy() for u in inputs],
-            "generator": (u for u in inputs),
             "column vectors": inputs[:, :, None],
             "fortran order": np.asfortranarray(inputs),
             "strided": np.repeat(inputs, 2, axis=0)[::2],
@@ -121,8 +120,6 @@ def test_simulate_dimension_errors():
     bad = [np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(2)]
     with pytest.raises(DimensionError, match="input 3"):
         simulate(system, [0.0, 0.0], bad)
-    with pytest.raises(DimensionError, match="input 3"):
-        simulate(system, [0.0, 0.0], iter(bad))
     with pytest.raises(DimensionError, match="input 0 has length 2"):
         simulate(system, [0.0, 0.0], np.zeros((4, 2)))
     # a bare scalar is one step, as in ControlPlan
@@ -130,6 +127,21 @@ def test_simulate_dimension_errors():
     assert traj.inputs.tolist() == [[5.0]] and traj.states.tolist() == [[0.0], [5.0]]
     with pytest.raises(DimensionError, match="input 0 has length 1, expected 2"):
         simulate(LtiSystem(np.eye(2), np.eye(2)), [0.0, 0.0], 5.0)
+
+
+def test_simulate_takes_rows_of_numbers_only():
+    # one input form, an array-like of N rows of m numbers: numpy refuses an
+    # iterator (a ragged list names its first bad row: see above)
+    system = rotation_system()
+    rows = [np.zeros(1), np.zeros(1)]
+    with pytest.raises(TypeError):
+        simulate(system, [0.0, 0.0], (u for u in rows))
+    with pytest.raises(TypeError):
+        simulate(system, [0.0, 0.0], iter(rows))
+    # every row has one entry, so the conversion's own error stands
+    with pytest.raises(ValueError, match="could not convert") as caught:
+        simulate(system, [0.0, 0.0], [["a"], ["b"]])
+    assert caught.type is ValueError
 
 
 def test_trajectory_length_invariant():
@@ -142,7 +154,7 @@ def test_locked_arrays_cannot_be_made_writeable():
     # classes hold is a view of a read-only base, so the cached spectrum and
     # a shared trajectory cannot go stale
     A = np.array([[0.5, 1.0], [0.0, -0.3]])
-    system = LtiSystem(A=A, B=[1.0, 1.0])
+    system = LtiSystem(A=A, B=[[1.0], [1.0]])
     A[1, 1] = 0.1  # the caller's array is copied
     assert system.A[1, 1] == -0.3
     traj = simulate(system, [1.0, 0.0], np.zeros((3, 1)))
@@ -150,7 +162,7 @@ def test_locked_arrays_cannot_be_made_writeable():
     # the modal basis (lambda, V, W), the screen, and the singular values a
     # verdict reports: the modal values, or a PBH pencil's where PBH fails
     reported = [check_nonrepetitive_sufficient(plant, 2).singular_values
-                for plant in (system, LtiSystem(A=np.eye(2), B=[1.0, 1.0]))]
+                for plant in (system, LtiSystem(A=np.eye(2), B=[[1.0], [1.0]]))]
     arrays = [system.A, system.B, system.eigenvalues, *system._modal, *_modal_screen(system),
               *reported, traj.states, traj.inputs, lifted.S, lifted.Abar, lifted.Bbar]
     for arr in arrays:
@@ -166,6 +178,9 @@ def test_system_validation():
         LtiSystem(A=np.eye(2), B=np.zeros((3, 1)))
     with pytest.raises(DimensionError, match="at least one column"):
         LtiSystem(A=np.eye(2), B=np.zeros((2, 0)))
+    # as in problem files, B is n x m: a 1-D B is not read as a column
+    with pytest.raises(DimensionError, match=r"B must have 2 rows, got shape \(2,\)"):
+        LtiSystem(A=np.eye(2), B=[1.0, 0.0])
     with pytest.raises(ValueError):
         LtiSystem(A=[[np.nan, 0.0], [0.0, 1.0]], B=[[1.0], [0.0]])
 
@@ -247,7 +262,6 @@ def test_periodic_inputs_reuse_one_period_of_products(monkeypatch):
         want = _step_loop_states(system, x0, inputs)
         for work in (least_work, 1):  # as set, and for every input
             monkeypatch.setattr(system_module, "_PERIOD_MIN_WORK", work)
-            for form in (inputs, iter(list(inputs))):
-                traj = simulate(system, x0, form)
-                assert traj.states.tobytes() == want.tobytes(), name
-                assert traj.inputs.tobytes() == np.ascontiguousarray(inputs).tobytes(), name
+            traj = simulate(system, x0, inputs)
+            assert traj.states.tobytes() == want.tobytes(), name
+            assert traj.inputs.tobytes() == np.ascontiguousarray(inputs).tobytes(), name
