@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import NON_REPETITIVE, REPETITIVE
-from .errors import PreconditionError
+from .errors import AnalysisError, PreconditionError
 from .lifting import krylov
-from .numeric import _rank, _require_finite, numeric_rank
+from .numeric import numeric_rank
 from .system import LtiSystem, _locked
 from .tolerances import _EPS, DEFAULT, EIG_SEP, ROOT_OF_UNITY, UNIT_EIGENVALUE, UNIT_MODULUS
 from .tolerances import Tolerances, rank_cutoff, require_integer
@@ -40,19 +40,17 @@ from .tolerances import Tolerances, rank_cutoff, require_integer
 
 @dataclass(frozen=True, eq=False)
 class PbhResult:
-    """Outcome of the PBH test: its rank evidence, and a witness on failure.
+    """Outcome of the PBH test and its rank evidence.
 
     ``numeric_rank`` and ``singular_values`` (locked) are n and the modal
     values ||w B|| / ||w||, descending, when the modal screen alone passes
-    every pencil; else the rank and singular values of the pencil where
-    PBH failed, or of the one at the smallest modal value.
+    every pencil; else numeric_rank of the pencil at the first eigenvalue
+    where PBH fails, or of the one at the smallest modal value.
     """
 
     controllable: bool
     numeric_rank: int
     singular_values: np.ndarray
-    eigenvalue: complex | None = None
-    left_eigenvector: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -115,45 +113,41 @@ def _has_unit_eigenvalue(eigs: np.ndarray) -> bool:
     return bool(np.any(np.abs(eigs - 1.0) <= UNIT_EIGENVALUE))
 
 
+def _power(eigs: np.ndarray, k: int) -> np.ndarray:
+    """eigs**k; AnalysisError when the integer k is past float64's range, where numpy raises."""
+    try:
+        return eigs**k
+    except OverflowError:
+        raise AnalysisError("float64 overflow: the exponent of lambda^k is past float64's range "
+                            "(the horizon or block length is too large)") from None
+
+
 def pbh_controllable(system: LtiSystem) -> PbhResult:
     """PBH test: rank [lambda I - A, B] = n for every eigenvalue lambda.
 
     Decided once per system, and kept in the system's _pbh slot. The
     modal screen decides each eigenvalue whose row w of the system's cached
     W = V^-1 puts ||w B|| / ||w|| clearly on one side of the pencil's rank
-    cutoff; only the rest (clusters, ill-conditioned eigenvectors, values
-    near the cutoff) take their own pencil SVD. On failure, returns the
-    first offending eigenvalue and a locked unit left eigenvector phi (real
-    for a real eigenvalue) whose product phi^T B is numerically zero. The
-    rank evidence is taken with the decision; see PbhResult.
+    cutoff; the rest (clusters, ill-conditioned eigenvectors, values near
+    the cutoff), and a reported pencil the screen decided, are ranked by
+    numeric_rank, which raises AnalysisError on a non-finite pencil.
     """
     if system._pbh is not None:
         return system._pbh
     A, B, eigs, n = system.A, system.B, system.eigenvalues, system.n
-    shape = (n, n + system.m)
-    cutoff = rank_cutoff(shape)
+    cutoff = rank_cutoff((n, n + system.m))
     values, holds_below, fails_from = _modal_screen(system)
     fails = cutoff >= fails_from
     taken = {}  # eigenvalue index -> (rank, singular values) of its pencil
     for k in np.flatnonzero(~(fails | (cutoff < holds_below))).tolist():
         taken[k] = numeric_rank(_pencil(A, B, eigs[k]))
         fails[k] = taken[k][0] < n
-    failing = np.flatnonzero(fails)
-    witness = ()
-    if failing.size:
-        # witness from the left null space of the pencil, so it pairs the
-        # eigen relation with a vanishing phi^T B
-        k = int(failing[0])
-        u, s, _ = np.linalg.svd(_require_finite(_pencil(A, B, eigs[k]), "the PBH pencil"))
-        taken.setdefault(k, (_rank(s, shape), s))
-        phi = np.conj(u[:, -1])
-        witness = complex(eigs[k]), _locked(phi / np.linalg.norm(phi))
     if cutoff < holds_below.min(initial=np.inf):  # the screen passes every pencil
         rank, reported = n, np.sort(values)[::-1]
     else:
-        k = int(failing[0]) if failing.size else int(np.argmin(values))
+        k = int(fails.argmax()) if fails.any() else int(np.argmin(values))  # the first failure
         rank, reported = taken[k] if k in taken else numeric_rank(_pencil(A, B, eigs[k]))
-    result = PbhResult(not failing.size, rank, _locked(reported), *witness)
+    result = PbhResult(not fails.any(), rank, _locked(reported))
     object.__setattr__(system, "_pbh", result)
     return result
 
@@ -244,7 +238,7 @@ def check_nonrepetitive_sufficient(system: LtiSystem, h: int) -> Controllability
     n = system.n
     reasons, necessary, pbh = _necessary_conditions(system)
     # the spectrum of A^h is lambda^h over the spectrum of A
-    powers = system.eigenvalues**h
+    powers = _power(system.eigenvalues, h)
     near = _near(powers)
     simple = bool(np.count_nonzero(near) == n)
     reasons.append(ConditionCheck(f"A^{h} has a simple spectrum", simple))
@@ -357,7 +351,7 @@ def check_real_spectrum_shortcut(system: LtiSystem) -> bool:
 
 def _no_disruptive_roots(eigs: np.ndarray, h: int, b: int) -> bool:
     """True when no eigenvalue satisfies lambda^(hb) = 1 with lambda^h != 1."""
-    disruptive = (np.abs(eigs ** (h * b) - 1.0) <= ROOT_OF_UNITY) & (
+    disruptive = (np.abs(_power(eigs, h * b) - 1.0) <= ROOT_OF_UNITY) & (
         np.abs(eigs**h - 1.0) > ROOT_OF_UNITY
     )
     return not np.any(disruptive)

@@ -90,6 +90,8 @@ def _as_array(value, where, ndim: int) -> np.ndarray:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"problem file: field '{where}' is not a numeric {kind}") from exc
+    except OverflowError as exc:  # json reads an integer of any size
+        raise ProblemFormatError(f"problem file: field '{where}' exceeds float64's range") from exc
     if arr.ndim != ndim:
         raise ProblemFormatError(f"problem file: field '{where}' must be {shape}")
     if not np.isfinite(arr).all():

@@ -4,8 +4,8 @@ validation."""
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,8 +53,8 @@ class Tolerances:
     max_order: largest ratio order searched when selecting a block length,
         at most ROOT_OF_UNITY / eps = 45035996.
 
-    Both float fields must be finite and positive, and max_order a
-    positive integer within its bound; else ValueError.
+    Both float fields must be positive and finite in float64, and
+    max_order a positive integer within its bound; else ValueError.
     """
 
     charge_balance: float = 1e-9
@@ -69,7 +69,7 @@ class Tolerances:
                 ok = is_integer(value) and 1 <= int(value) <= _MAX_ORDER
             else:
                 kind = "finite and positive"
-                ok = isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+                ok = isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max
             if isinstance(value, bool) or not ok:
                 raise ValueError(f"tolerances.{field.name} must be {kind}, got {value!r}")
 

@@ -1,5 +1,6 @@
 """Controllability conditions, block-length selection, and spectral tests."""
 
+import dataclasses
 import gc
 import tracemalloc
 import warnings
@@ -12,6 +13,7 @@ import pytest
 from cbcontrol import (
     AnalysisError,
     LtiSystem,
+    PbhResult,
     PreconditionError,
     RatioOrder,
     Tolerances,
@@ -63,10 +65,13 @@ def test_pbh_repeated_eigenvalue_single_input_fails():
     system = LtiSystem(A=np.diag([2.0, 2.0]), B=[[1.0], [0.0]])
     result = pbh_controllable(system)
     assert not result.controllable
-    assert abs(result.eigenvalue - 2.0) <= 1e-9
-    phi = result.left_eigenvector
-    assert np.abs(phi @ system.A - result.eigenvalue * phi).max() <= 1e-9
-    assert np.abs(phi @ system.B).max() <= 1e-9
+    # the pencil [2 I - A, B] = [[0, 0, 1], [0, 0, 0]] at the first eigenvalue
+    assert _assert_reports_loop_pencil(result, system)[0] == 0
+    assert result.numeric_rank == 1
+    assert result.singular_values.tolist() == [1.0, 0.0]
+    # the rank evidence is all a PBH result holds
+    assert [f.name for f in dataclasses.fields(PbhResult)] == [
+        "controllable", "numeric_rank", "singular_values"]
 
 
 def test_pbh_agrees_with_kalman_rank_oracle():
@@ -616,22 +621,32 @@ def _rotation_mix(rng, irrational=False):
 
 
 def _pbh_pencil_loop(system):
-    """PBH by one SVD of [lambda I - A, B] per eigenvalue (the reference), at RANK_SLACK.
+    """PBH by one values-only SVD of [lambda I - A, B] per eigenvalue (the reference).
 
-    The pencil is real for a real eigenvalue and complex otherwise, as
-    LtiSystem builds it, so the witness can be compared bit for bit.
+    Returns (k, rank, singular values) of the pencil at the first eigenvalue
+    where the rank, at RANK_SLACK, is below n, or None when PBH passes. The
+    pencil is real for a real eigenvalue and complex otherwise, as
+    LtiSystem builds it, so its values can be compared bit for bit.
     """
-    n = system.n
-    for lam in system.eigenvalues:
+    for k, lam in enumerate(system.eigenvalues):
         lam = lam if lam.imag else lam.real
         pencil = np.hstack([-system.A, system.B]).astype(type(lam))
         np.fill_diagonal(pencil, lam - system.A.diagonal())
-        rank, _ = numeric_rank(pencil)
-        if rank < n:
-            u, _, _ = np.linalg.svd(pencil)
-            phi = np.conj(u[:, -1])
-            return False, complex(lam), phi / np.linalg.norm(phi)
-    return True, None, None
+        rank, svals = numeric_rank(pencil)
+        if rank < system.n:
+            return k, rank, svals
+    return None
+
+
+def _assert_reports_loop_pencil(got, system, label=None):
+    """got decides PBH as the loop does, and reports its first failing pencil bit for bit."""
+    failing = _pbh_pencil_loop(system)
+    assert got.controllable == (failing is None), label
+    if failing is not None:
+        _, rank, svals = failing
+        assert got.numeric_rank == rank, label
+        assert np.array_equal(got.singular_values, svals), label
+    return failing
 
 
 def test_pbh_matches_per_eigenvalue_pencil_loop(monkeypatch):
@@ -659,15 +674,7 @@ def test_pbh_matches_per_eigenvalue_pencil_loop(monkeypatch):
             # the decision is kept per system: a fresh one for each slack
             monkeypatch.setattr(tolerances, "RANK_SLACK", float(slack))
             system = LtiSystem(A=system.A, B=system.B)
-            got = pbh_controllable(system)
-            controllable, eigenvalue, phi = _pbh_pencil_loop(system)
-            assert got.controllable == controllable
-            assert got.eigenvalue == eigenvalue
-            if phi is None:
-                assert got.left_eigenvector is None
-            else:
-                assert np.array_equal(got.left_eigenvector, phi)
-            failures += not controllable
+            failures += _assert_reports_loop_pencil(pbh_controllable(system), system) is not None
     assert failures
 
 
@@ -681,6 +688,7 @@ def test_screen_cleared_verdicts_take_no_pencil_svd(monkeypatch):
     basis = random_orthogonal(rng, 3)
     near = LtiSystem(A=basis @ np.diag([0.7, 0.7 + 1e-15, -0.3]) @ basis.T, B=[[1.0], [0.5], [0.2]])
     pencils = [np.linalg.svd(_pencil(near.A, near.B, near.eigenvalues[k]), compute_uv=False) for k in range(3)]
+    k = _pbh_pencil_loop(near)[0]
     calls = counting_svd(monkeypatch)
     # n + m is odd, so no lifted or reachability object shares the pencil shape
     for system in (mixed, simple):
@@ -702,23 +710,21 @@ def test_screen_cleared_verdicts_take_no_pencil_svd(monkeypatch):
             assert not verdict.singular_values.flags.writeable
 
     # the screen cannot clear the near pair, PBH fails, and the verdict
-    # reports the pencil SVD at the eigenvalue PBH failed at, cached
+    # reports the pencil SVD at the first eigenvalue PBH fails at, cached
     calls.clear()
     verdict = check_nonrepetitive_sufficient(near, 2)
     pbh = pbh_controllable(near)
     assert verdict.controllable == "no" and not pbh.controllable
     taken = len(calls)
-    k = int(np.flatnonzero(near.eigenvalues == pbh.eigenvalue)[0])
-    # values-only SVDs of the near pair's pencils, then the witness's with U:
-    # the report takes no SVD of its own
-    assert sorted(calls, key=lambda call: call[2]) == [((3, 4), False, False)] * 2 + [((3, 4), False, True)]
+    # values-only SVDs of the near pair's pencils: the report takes no SVD of its own
+    assert calls == [((3, 4), False, False)] * 2
     assert np.array_equal(verdict.singular_values, pencils[k])
     assert verdict.numeric_rank == 2
     assert check_nonrepetitive_sufficient(near, 2).singular_values is verdict.singular_values
     assert len(calls) == taken
 
 
-def test_pbh_witness_decided_once_per_system(monkeypatch):
+def test_pbh_decided_once_per_system(monkeypatch):
     calls = counting_svd(monkeypatch)
     # distinct real eigenvalues, and B misses the invariant direction of 2.0
     system = LtiSystem(A=np.diag([0.5, -0.3, 2.0]), B=[[1.0], [1.0], [0.0]])
@@ -726,32 +732,37 @@ def test_pbh_witness_decided_once_per_system(monkeypatch):
     assert check_nonrepetitive_sufficient(system, 2).controllable == "no"
     assert check_repetitive_sufficient(system, 3).controllable == "no"
     assert not check_real_spectrum_shortcut(system)
-    # one real SVD with U: the witness, shared by both verdicts and the shortcut
-    assert calls.count(((3, 4), False, True)) == 1
+    # one real values-only SVD of the reported pencil, shared by both
+    # verdicts and the shortcut, and none with U
+    assert calls.count(((3, 4), False, False)) == 1
+    assert not any(with_u for _, _, with_u in calls)
     taken = len(calls)
     result = pbh_controllable(system)
     assert result is pbh_controllable(system)
     assert len(calls) == taken
-    assert result.eigenvalue == 2.0
-    assert result.left_eigenvector.dtype == np.float64
-    assert not result.left_eigenvector.flags.writeable
+    k = _assert_reports_loop_pencil(result, system)[0]
+    assert system.eigenvalues[k] == 2.0
+    assert result.singular_values.dtype == np.float64
+    assert not result.singular_values.flags.writeable
     with pytest.raises(ValueError):
-        result.left_eigenvector[0] = 0.0
+        result.singular_values[0] = 0.0
 
 
 def test_modal_pbh_failure_takes_one_pencil_svd(monkeypatch):
-    # the modal screen decides that PBH fails at 2.0, and the witness SVD's
-    # singular values are the ones the non-repetitive verdict reports
+    # the modal screen decides that PBH fails at 2.0, the first eigenvalue
+    # it fails at, and that pencil's values-only SVD is what the
+    # non-repetitive verdict reports
     system = LtiSystem(A=np.diag([0.5, -0.3, 2.0]), B=[[1.0], [1.0], [0.0]])
     expected = np.linalg.svd(np.hstack([2.0 * np.eye(3) - system.A, system.B]), compute_uv=False)
-    witness = np.linalg.svd(_pencil(system.A, system.B, system.eigenvalues[2]))[1]
+    k, rank, reported = _pbh_pencil_loop(system)
+    assert system.eigenvalues[k] == 2.0
     calls = counting_svd(monkeypatch)
     verdict = check_nonrepetitive_sufficient(system, 2)
     assert check_repetitive_sufficient(system, 3).controllable == "no"
-    # the witness SVD with U, then the repetitive verdict's rank(B)
-    assert calls == [((3, 4), False, True), ((3, 1), False, False)]
-    assert verdict.controllable == "no" and verdict.numeric_rank == 2
-    assert np.array_equal(verdict.singular_values, witness)
+    # the reported pencil's values-only SVD, then the repetitive verdict's rank(B)
+    assert calls == [((3, 4), False, False), ((3, 1), False, False)]
+    assert verdict.controllable == "no" and verdict.numeric_rank == rank == 2
+    assert np.array_equal(verdict.singular_values, reported)
     assert np.allclose(verdict.singular_values, expected, rtol=1e-14, atol=1e-15)
 
 
@@ -786,17 +797,20 @@ def test_singular_eigenvector_basis_takes_one_pencil_svd_per_eigenvalue(monkeypa
     assert (verdict.controllable, verdict.conditions) == (twin.controllable, twin.conditions) == ("yes", "yes")
     assert verdict.reasons == twin.reasons
     twin_pbh = pbh_controllable(plant)
-    assert (pbh.controllable, pbh.numeric_rank, pbh.eigenvalue) == (
-        twin_pbh.controllable, twin_pbh.numeric_rank, twin_pbh.eigenvalue) == (True, 5, None)
+    assert (pbh.controllable, pbh.numeric_rank) == (twin_pbh.controllable, twin_pbh.numeric_rank) == (True, 5)
+    assert _pbh_pencil_loop(system) is None
 
-    # B misses the invariant direction of 2.0: the pencils still find the witness
+    # B misses the invariant direction of 2.0: the pencils still find the
+    # failure, and both systems report the loop's pencil there bit for bit
     A, B = np.diag([0.5, -0.3, 2.0]), [[1.0], [1.0], [0.0]]
     system, plant = _singular_v_twin(monkeypatch, A, B), LtiSystem(A=A, B=B)
+    calls.clear()
     pbh, twin_pbh = pbh_controllable(system), pbh_controllable(plant)
-    assert not pbh.controllable and pbh.eigenvalue == twin_pbh.eigenvalue == 2.0
-    assert np.array_equal(pbh.left_eigenvector, twin_pbh.left_eigenvector)
-    assert pbh.numeric_rank == twin_pbh.numeric_rank == 2
-    assert np.allclose(pbh.singular_values, twin_pbh.singular_values, rtol=1e-14, atol=1e-15)
+    # three values-only pencil SVDs for the twin, one for the plant's report
+    assert calls == [((3, 4), False, False)] * 4
+    for got in (pbh, twin_pbh):
+        k = _assert_reports_loop_pencil(got, plant)[0]
+        assert plant.eigenvalues[k] == 2.0 and got.numeric_rank == 2
     verdict, twin = check_nonrepetitive_sufficient(system, 2), check_nonrepetitive_sufficient(plant, 2)
     assert (verdict.controllable, verdict.conditions) == (twin.controllable, twin.conditions) == ("no", "no")
     assert verdict.reasons == twin.reasons
@@ -898,15 +912,7 @@ def test_modal_screen_brackets_each_pencil_ratio():
 
 
 def test_pbh_fallback_matches_pencil_loop_on_hard_families(monkeypatch):
-    fallback = []
-    original = np.linalg.svd
-
-    def counting(matrix, *args, **kwargs):
-        if kwargs.get("compute_uv") is False:
-            fallback.append(np.shape(matrix))
-        return original(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    calls = counting_svd(monkeypatch)
     rng = np.random.default_rng(48)
     identity = load_problem(bundled_problem("identity_2d")).system
     families = {
@@ -921,14 +927,12 @@ def test_pbh_fallback_matches_pencil_loop_on_hard_families(monkeypatch):
             for slack in _parity_slacks():
                 monkeypatch.setattr(tolerances, "RANK_SLACK", float(slack))
                 system = LtiSystem(A=system.A, B=system.B)
-                before = len(fallback)
+                before = len(calls)
                 got = pbh_controllable(system)
-                ran += len(fallback) - before
-                controllable, eigenvalue, phi = _pbh_pencil_loop(system)
-                assert got.controllable == controllable, name
-                assert got.eigenvalue == eigenvalue, name
-                if phi is not None:
-                    assert np.array_equal(got.left_eigenvector, phi), name
+                # every pencil SVD of the decision is values only
+                assert not any(with_u for _, _, with_u in calls[before:]), name
+                ran += len(calls) - before
+                _assert_reports_loop_pencil(got, system, name)
         assert ran, name  # some eigenvalue of the family took its pencil SVD
 
 
@@ -1239,8 +1243,8 @@ def test_pbh_failure_reports_the_failing_pencil():
     verdict = check_nonrepetitive_sufficient(system, 2)
     pbh = pbh_controllable(system)
     assert verdict.controllable == "no" and not pbh.controllable
-    assert verdict.numeric_rank == 2
-    k = int(np.flatnonzero(system.eigenvalues == pbh.eigenvalue)[0])
+    k, rank, _ = _pbh_pencil_loop(system)
+    assert verdict.numeric_rank == rank == 2
     assert np.array_equal(verdict.singular_values, pencils[k])
 
 

@@ -81,6 +81,13 @@ def test_parse_rejects_bad_shapes_and_values():
         bad_matrix["system"]["A"] = value
         with pytest.raises(ProblemFormatError, match=wording):
             parse_problem(json.dumps(bad_matrix))
+    # json reads an integer of any size: one past float64's range is refused, naming its field
+    for section, field in (("system", "A"), ("system", "B"), ("task", "x0"), ("task", "xf")):
+        huge = json.loads(json.dumps(base))
+        entries = huge[section][field]
+        (entries[0] if section == "system" else entries)[0] = 10**400
+        with pytest.raises(ProblemFormatError, match=f"'{section}.{field}' exceeds float64's range"):
+            parse_problem(json.dumps(huge))
     bad_length = json.loads(json.dumps(base))
     bad_length["task"]["x0"] = [0.0, 0.0, 0.0]
     with pytest.raises(ProblemFormatError, match="must have length 2, got x0 of 3 and xf of 2"):
@@ -105,7 +112,8 @@ def test_parse_rejects_bad_shapes_and_values():
     with pytest.raises(ProblemFormatError, match="windup"):
         parse_problem(json.dumps(bad_tol))
 
-    for field, value in (("terminal", "tiny"), ("max_order", 2.5), ("max_order", True)):
+    for field, value in (("terminal", "tiny"), ("max_order", 2.5), ("max_order", True),
+                         ("terminal", 10**400), ("charge_balance", 10**400)):
         bad_tol["tolerances"] = {field: value}
         with pytest.raises(ProblemFormatError, match=field):
             parse_problem(json.dumps(bad_tol))
@@ -456,30 +464,36 @@ def test_analyze_block_length_overflow_exits_4(tmp_path, capsys):
     # overflowed spectrum reads as not simple, so the lifted test runs too.
     # A plant near float64's limit overflows its own PBH pencil at h = 2:
     # lambda - A_ii is +-inf in diag(1e308, -1e308), and the eigenvalue
-    # 2e308 of 1e308 ones(2) is inf, so that error too comes before any verdict
+    # 2e308 of 1e308 ones(2) is inf, so that error too comes before any verdict.
+    # An integer h, or h * b, past float64's range is no exponent numpy can
+    # take: analyze and design end with the same typed error, design's --out empty
     plants = {
         "doubling": ([[2.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]]),
         "diag_1e308": ([[1e308, 0.0], [0.0, -1e308]], [[1.0], [1.0]]),
         "ones_1e308": ([[1e308, 1e308], [1e308, 1e308]], [[1.0], [0.0]]),
     }
-    runs = [("doubling", h, regime) for h, regime in
+    runs = [("doubling", "analyze", ["--h", h, "--regime", regime]) for h, regime in
             (("600", "nonrep"), ("1100", "nonrep"), ("1101", "nonrep"), ("1100", "rep"))]
-    runs += [(name, "2", regime) for name in ("diag_1e308", "ones_1e308") for regime in ("nonrep", "rep")]
+    runs += [(name, "analyze", ["--h", "2", "--regime", regime])
+             for name in ("diag_1e308", "ones_1e308") for regime in ("nonrep", "rep")]
+    huge, out = str(10**400), tmp_path / "out"
+    for flags in (["--h", huge, "--regime", "nonrep"], ["--b", huge, "--regime", "rep"]):
+        runs += [("doubling", "analyze", flags), ("doubling", "design", [*flags, "--out", str(out)])]
     for name, (A, B) in plants.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({
             "system": {"A": A, "B": B},
             "task": {"x0": [0.0, 0.0], "xf": [1.0, 1.0], "b": 2, "h": 2,
                      "regime": "non-repetitive"},
         }))
-    for name, h, regime in runs:
+    for name, command, flags in runs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["analyze", "--problem", str(tmp_path / f"{name}.json"), "--h", h,
-                         "--regime", regime])
+            code = main([command, "--problem", str(tmp_path / f"{name}.json"), *flags])
         captured = capsys.readouterr()
-        assert code == 4, (name, h, regime)
-        assert len(captured.err.splitlines()) == 1, (name, h, regime, captured.err)
-        assert captured.err.startswith("error: float64 overflow"), (name, h, regime)
+        assert code == 4, (name, command, flags)
+        assert len(captured.err.splitlines()) == 1, (name, command, flags, captured.err)
+        assert captured.err.startswith("error: float64 overflow"), (name, command, flags)
+    assert not any(out.iterdir())
 
 
 def test_edge_plants_exit_with_typed_codes(tmp_path, capsys):
@@ -659,6 +673,11 @@ def test_analyze_identity_no_with_unit_eigenvalue_reason():
     assert report["verdict"]["controllable"] == "no"
     failing = [r["name"] for r in report["verdict"]["reasons"] if not r["holds"]]
     assert "no eigenvalue of A at 1" in failing
+    # the modal screen decides that PBH fails at one of the two eigenvalues at
+    # 1, and the verdict reports that pencil, [[0, 0, 1], [0, 0, 0]], by one
+    # values-only SVD
+    assert report["verdict"]["numeric_rank"] == 1
+    assert report["verdict"]["singular_values"] == [1.0, 0.0]
 
 
 def test_analyze_four_state_yes_by_exact_conditions():

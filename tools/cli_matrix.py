@@ -4,7 +4,9 @@ The matrix is every bundled problem x {plain, --regime rep, --regime
 nonrep, --b 20, --b 30} x {analyze, design, sweep-h}: 75 runs of the
 `cbcontrol` command, each in its own process. For each run it prints the
 exit code, the sha256 of stdout and of stderr, and the sha256 of every
-file written under --out (each cut to its first 16 hex digits); a design
+file written under --out (each cut to its first 16 hex digits); every
+command gets an --out, so analyze's report.json (verdict, rank and
+singular values) is fingerprinted too; a design
 that wrote report.json adds its passed flag, energy (%.12g) and terminal
 error (%.3e), so a change that moves last bits can be read by value.
 Then it prints one full sha256 over all the lines.
@@ -72,9 +74,7 @@ def run_matrix(src: Path, work: Path):
                 label = f"{problem}/{variant}/{command}"
                 out = Path("out", problem, variant, command)
                 argv = [sys.executable, "-m", "cbcontrol.cli", command,
-                        "--problem", f"{problem}.json", *flags]
-                if command != "analyze":
-                    argv += ["--out", str(out)]
+                        "--problem", f"{problem}.json", *flags, "--out", str(out)]
                 done = subprocess.run(argv, cwd=work, env=env, capture_output=True)
                 files = sorted(path for path in (work / out).rglob("*") if path.is_file())
                 hashes = " ".join(f"{path.name}={_digest(path.read_bytes())[:16]}"
