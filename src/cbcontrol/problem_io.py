@@ -27,6 +27,12 @@ as '%.17g' at under half its cost per cell. It forms each cell's 17 digits
 from a double-double product that errs by less than 2**-100 of the scaled
 value, and leaves to '%' itself every cell it cannot prove (the set is
 stated in _scaled_digits). A smaller chunk costs one string-format call.
+
+An identical-block plan's inputs.csv (period h) and blocks.csv (period
+1) repeat apart from their step column. From _PERIODIC_MIN_CELLS cells
+on, write_csv formats one period of such rows and the step column, and
+read_inputs_csv parses the step column and one period, then tiles it:
+the same bytes and arrays as every row formatted or parsed.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -44,7 +51,7 @@ import numpy as np
 
 from .design import REGIMES, SteeringTask
 from .errors import DimensionError, ProblemFormatError
-from .system import LtiSystem
+from .system import LtiSystem, _period
 from .tolerances import DEFAULT, Tolerances, is_integer
 
 FLOAT_FMT = "%.17g"
@@ -54,6 +61,11 @@ _CHUNK_CELLS = 8192
 # a smaller chunk goes through FLOAT_FMT: the kernel costs about 150 us a
 # call whatever its size, and '%' takes about 15 us for a 10 x 3 table
 _KERNEL_MIN_CELLS = 2048
+# a table is taken one period at a time from this many cells on, when one
+# period holds at most this many; ungated, cli-session's op_p50_ms rose
+# 1.3% and its peak_rss_mb 4.5 MB, and at 2048 its b = 150 plans'
+# 1,500-cell tables lost the op_p90_ms gain (measured in CHANGES.md)
+_PERIODIC_MIN_CELLS = 1024
 # characters that csv quoting would wrap; write_csv never quotes
 _QUOTED = (",", '"', "\r", "\n")
 
@@ -73,10 +85,10 @@ class Problem:
     tolerances: Tolerances
 
 
-def _require(mapping, key, where):
+def _require(mapping, key, where, source):
     if not isinstance(mapping, dict) or key not in mapping:
-        raise ProblemFormatError(f"problem file: missing field '{where}.{key}'"
-                                 if where else f"problem file: missing field '{key}'")
+        field = f"{where}.{key}" if where else key
+        raise ProblemFormatError(f"{source}: missing field '{field}'")
     return mapping[key]
 
 
@@ -84,19 +96,19 @@ def _require(mapping, key, where):
 _ARRAY_KINDS = {2: ("matrix", "a list of rows"), 1: ("vector", "a flat list of numbers")}
 
 
-def _as_array(value, where, ndim: int) -> np.ndarray:
+def _as_array(value, where, ndim: int, source) -> np.ndarray:
     kind, shape = _ARRAY_KINDS[ndim]
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"problem file: field '{where}' is not a numeric {kind}") from exc
+        raise ProblemFormatError(f"{source}: field '{where}' is not a numeric {kind}") from exc
     except OverflowError as exc:  # json reads an integer of any size
-        raise ProblemFormatError(f"problem file: field '{where}' exceeds float64's range") from exc
+        raise ProblemFormatError(f"{source}: field '{where}' exceeds float64's range") from exc
     if arr.ndim != ndim:
-        raise ProblemFormatError(f"problem file: field '{where}' must be {shape}")
+        raise ProblemFormatError(f"{source}: field '{where}' must be {shape}")
     if not np.isfinite(arr).all():
         # json reads NaN and Infinity, which are not numbers a plant can have
-        raise ProblemFormatError(f"problem file: field '{where}' has a non-finite entry")
+        raise ProblemFormatError(f"{source}: field '{where}' has a non-finite entry")
     return arr
 
 
@@ -119,23 +131,23 @@ def parse_problem(text: str, source: str = "problem", overrides=None) -> Problem
         if isinstance(doc.setdefault(section, {}), dict):
             doc[section][key] = value
 
-    system_doc = _require(doc, "system", "")
-    A = _as_array(_require(system_doc, "A", "system"), "system.A", 2)
-    B = _as_array(_require(system_doc, "B", "system"), "system.B", 2)
+    system_doc = _require(doc, "system", "", source)
+    A = _as_array(_require(system_doc, "A", "system", source), "system.A", 2, source)
+    B = _as_array(_require(system_doc, "B", "system", source), "system.B", 2, source)
     try:
         system = LtiSystem(A=A, B=B)
     except (DimensionError, ValueError) as exc:
         raise ProblemFormatError(f"{source}: invalid system matrices: {exc}") from exc
 
-    task_doc = _require(doc, "task", "")
-    x0 = _as_array(_require(task_doc, "x0", "task"), "task.x0", 1)
-    xf = _as_array(_require(task_doc, "xf", "task"), "task.xf", 1)
+    task_doc = _require(doc, "task", "", source)
+    x0 = _as_array(_require(task_doc, "x0", "task", source), "task.x0", 1, source)
+    xf = _as_array(_require(task_doc, "xf", "task", source), "task.xf", 1, source)
     if x0.size != system.n or xf.size != system.n:
         raise ProblemFormatError(
             f"{source}: task vectors must have length {system.n}, "
             f"got x0 of {x0.size} and xf of {xf.size}"
         )
-    b = _require(task_doc, "b", "task")
+    b = _require(task_doc, "b", "task", source)
     if not is_integer(b) or b < 1:
         raise ProblemFormatError(f"{source}: field 'task.b' must be a positive integer")
     h_raw = task_doc.get("h", "auto")
@@ -147,7 +159,7 @@ def parse_problem(text: str, source: str = "problem", overrides=None) -> Problem
         raise ProblemFormatError(
             f"{source}: field 'task.h' must be an integer >= 2 or \"auto\""
         )
-    regime = _require(task_doc, "regime", "task")
+    regime = _require(task_doc, "regime", "task", source)
     if regime not in REGIMES:
         raise ProblemFormatError(
             f"{source}: field 'task.regime' must be one of {REGIMES}, got {regime!r}"
@@ -399,29 +411,51 @@ def _format_chunk(chunk) -> str:
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _format_rows(rows) -> str:
+    """Rows of numbers as CSV lines: _format_chunk from _KERNEL_MIN_CELLS
+    cells on, else one FLOAT_FMT call."""
+    if rows.size >= _KERNEL_MIN_CELLS:
+        return _format_chunk(rows)
+    line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\r\n"
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_csv(path, header, rows):
     """Write a header row and data rows as CSV, numbers as C's '%.17g'.
 
-    ``rows`` is a 2-D numeric array or an iterable of rows that mix
+    ``rows`` is a 2-D float64 array or an iterable of rows that mix
     strings and numbers. An array is written _CHUNK_CELLS cells at a time
     (whole rows, at least one); a chunk of _KERNEL_MIN_CELLS cells or more
     goes through _format_chunk's exact kernel, which hands the cells it
     cannot prove (see _scaled_digits) to FLOAT_FMT, and a smaller chunk
-    through one FLOAT_FMT call. A string cell that CSV would have to quote
-    raises ValueError; a path that cannot be written raises
-    ProblemFormatError.
+    through one FLOAT_FMT call. An array of _PERIODIC_MIN_CELLS cells or
+    more whose rows repeat bit for bit past their first cell (by
+    system._period on the other columns), with a period p of at most
+    _PERIODIC_MIN_CELLS cells, has those cells of its first p rows
+    formatted once; each chunk then formats only its first column, by one
+    FLOAT_FMT call into a format that holds the period's text. Equal bits
+    print equal text, so the bytes are the same. A string cell that CSV
+    would have to quote raises ValueError; a path that cannot be written
+    raises ProblemFormatError.
     """
     with _writing(path, newline="") as fh:
         fh.write(_row_format(header) % tuple(header))
         if isinstance(rows, np.ndarray):
-            line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\r\n"
             step = max(1, _CHUNK_CELLS // max(1, rows.shape[1]))
-            for start in range(0, len(rows), step):
-                chunk = rows[start:start + step]
-                if chunk.size >= _KERNEL_MIN_CELLS:
-                    fh.write(_format_chunk(chunk))
-                else:
-                    fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+            period = len(rows)
+            if rows.size >= _PERIODIC_MIN_CELLS and rows.shape[1] > 1:
+                period = _period(rows[:, 1:])
+            if period * rows.shape[1] <= _PERIODIC_MIN_CELLS and period < len(rows):
+                # '%' leaves the tails alone: '%.17g' never prints a '%'
+                tails = _format_rows(rows[:period, 1:]).split("\r\n")[:-1]
+                lines = [f"{FLOAT_FMT},{tail}\r\n" for tail in tails]
+                for start in range(0, len(rows), step):
+                    first = rows[start:start + step, 0].tolist()
+                    cycle = itertools.islice(itertools.cycle(lines), start % period, None)
+                    fh.write("".join(itertools.islice(cycle, len(first))) % tuple(first))
+            else:
+                for start in range(0, len(rows), step):
+                    fh.write(_format_rows(rows[start:start + step]))
         else:
             for row in rows:
                 fh.write(_row_format(row) % tuple(row))
@@ -430,11 +464,15 @@ def write_csv(path, header, rows):
 def read_inputs_csv(path, m: int) -> np.ndarray:
     """Parse an inputs.csv (columns k, u_1 .. u_m) into an (N, m) array.
 
-    The file is read once, as its header line and a list of row lines,
-    and the rows are parsed by one np.loadtxt. Raises ProblemFormatError
-    when the file cannot be read, is empty, has a header that is not
-    m + 1 columns wide, or has a malformed row (a blank line, a row of the
-    wrong width, or a cell that is not a finite number).
+    The file is read once, as its header line and a list of row lines.
+    A file of _PERIODIC_MIN_CELLS cells or more whose row lines repeat
+    past their first comma is parsed one period at a time (see
+    _periodic_inputs); any other file, or one with an irregular row, by
+    one np.loadtxt of every row. Both give the same array, bit for bit.
+    Raises ProblemFormatError when the file cannot be read, is empty, has
+    a header that is not m + 1 columns wide, or has a malformed row (a
+    blank line, a row of the wrong width, or a cell that is not a finite
+    number).
     """
     path = Path(path)
     try:
@@ -453,17 +491,64 @@ def read_inputs_csv(path, m: int) -> np.ndarray:
         )
     if not rows:
         return np.zeros((0, m))
-    # loadtxt skips blank lines, which are malformed rows here, so the
-    # table then has fewer rows than the file
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # rows that are all blank
-            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        table = None
+    if len(rows) * (m + 1) >= _PERIODIC_MIN_CELLS:
+        inputs = _periodic_inputs(rows, m)
+        if inputs is not None:
+            return inputs
+    table = _parse_lines(rows)
     if table is None or table.shape != (len(rows), m + 1) or not np.isfinite(table).all():
         raise ProblemFormatError(f"{path}: malformed row {_first_malformed_row(rows, m)}")
     return np.ascontiguousarray(table[:, 1:])
+
+
+def _parse_lines(lines, ndmin=2):
+    """np.loadtxt of CSV lines, or None where it raises ValueError.
+
+    loadtxt skips blank lines, which are malformed rows here, so the
+    table then has fewer rows than there are lines.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # lines that are all blank
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=ndmin)
+    except ValueError:
+        return None
+
+
+def _periodic_inputs(rows: list[str], m: int) -> np.ndarray | None:
+    """The (N, m) inputs of row lines that repeat past their step cell, else None.
+
+    One period p is tried, as system._period tries one: the first line
+    after line 0 that ends as line 0 does from its first comma on, within
+    the first _PERIODIC_MIN_CELLS cells. The step cells of every line are
+    parsed to be checked, the first p tails once, and np.resize tiles
+    those. None on any irregular line, so the full parse reports it.
+    """
+    # readlines leaves each line its "\n", and the searched text ends with
+    # line 0's, so a match ends a line: p counts the line ends before it
+    window = "".join(rows[1:_PERIODIC_MIN_CELLS // (m + 1) + 1])
+    at = window.find("," + rows[0].partition(",")[2])
+    if at < 0:
+        return None
+    p = window.count("\n", 0, at) + 1
+    tails = [line.partition(",")[2] for line in rows[:p]]
+    values, steps = _parse_lines(tails), _parse_lines(_step_cells(rows, tails), ndmin=1)
+    if values is None or steps is None or values.shape != (p, m) or steps.shape != (len(rows),):
+        return None
+    if not (np.isfinite(values).all() and np.isfinite(steps).all()):
+        return None
+    return np.resize(values, (len(rows), m))
+
+
+def _step_cells(rows: list[str], tails: list[str]):
+    """Each line's text before its first comma, one at a time, so a long
+    file holds no list of them; ValueError at the first line k whose
+    text past its first comma is not tails[k % p], p = len(tails)."""
+    for index, line in enumerate(rows):
+        head, _, tail = line.partition(",")
+        if tail != tails[index % len(tails)]:
+            raise ValueError(f"row {index + 1} breaks the period")
+        yield head
 
 
 def _first_malformed_row(rows: list[str], m: int) -> int:
@@ -472,10 +557,7 @@ def _first_malformed_row(rows: list[str], m: int) -> int:
     for index, line in enumerate(rows, 1):
         if line == "\n":
             return index
-        try:
-            row = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return index
-        if row.shape[1] != m + 1 or not np.isfinite(row).all():
+        row = _parse_lines([line])
+        if row is None or row.shape[1] != m + 1 or not np.isfinite(row).all():
             return index
     raise AssertionError("no malformed row")

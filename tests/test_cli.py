@@ -88,6 +88,18 @@ def test_parse_rejects_bad_shapes_and_values():
         (entries[0] if section == "system" else entries)[0] = 10**400
         with pytest.raises(ProblemFormatError, match=f"'{section}.{field}' exceeds float64's range"):
             parse_problem(json.dumps(huge))
+    # an array or missing-field error starts with the file's path, as every other does
+    for section, field, value, wording in (
+            ("system", "A", "identity", "field 'system.A' is not a numeric matrix"),
+            ("task", "xf", [[1.0], [1.0]], "field 'task.xf' must be a flat list of numbers"),
+            ("system", "A", [[10**400]], "field 'system.A' exceeds float64's range"),
+            ("task", "b", None, "missing field 'task.b'")):
+        doc = json.loads(json.dumps(base))
+        doc[section][field] = value
+        if value is None:
+            del doc[section][field]
+        with pytest.raises(ProblemFormatError, match=f"^bad.json: {wording}$"):
+            parse_problem(json.dumps(doc), source="bad.json")
     bad_length = json.loads(json.dumps(base))
     bad_length["task"]["x0"] = [0.0, 0.0, 0.0]
     with pytest.raises(ProblemFormatError, match="must have length 2, got x0 of 3 and xf of 2"):
@@ -907,6 +919,40 @@ def _awkward_doubles(rng):
     return np.concatenate([positive, -positive, bits])
 
 
+def _periodic_table(n, tail):
+    """n rows: the step index 0 .. n - 1, then the rows of tail over and over."""
+    return np.column_stack([np.arange(n, dtype=float), np.resize(tail, (n, tail.shape[1]))])
+
+
+def _periodic_cases(rng):
+    """Periodic tables for the byte check, as (header, rows), named by what they test."""
+    gate = problem_io._PERIODIC_MIN_CELLS
+    step = problem_io._CHUNK_CELLS // 3  # rows per chunk of a 3-column table
+
+    def case(n, tail):
+        tail = np.asarray(tail, dtype=float)
+        return ["k"] + [f"u_{j + 1}" for j in range(tail.shape[1])], _periodic_table(n, tail)
+
+    cases = {
+        "period 2, signed zeros": case(1001, [[-0.0, 0.0], [0.0, -0.0]]),
+        "period 2, non-finite": case(777, [[np.nan, np.inf, 0.1], [-np.inf, 5e-324, -1e300]]),
+        "period 1": case(500, [[2.5, 1e-17]]),
+        "period 5 of 1001 rows": case(1001, rng.standard_normal((5, 1))),
+        # step % 4 == 2, so every other chunk starts inside a period
+        "chunks start inside a period": case(
+            3 * step + 5, rng.standard_normal((4, 2)) * 10.0 ** rng.integers(-300, 300, (4, 2))),
+        "repeats from row 1 only": case(1500, rng.standard_normal((3, 2))),
+        "first column repeats": case(1500, rng.standard_normal((2, 2))),
+        "below the gate": case(gate // 2 - 1, rng.standard_normal((2, 1))),
+        "at the gate": case(gate // 2, rng.standard_normal((2, 1))),
+        "a period of the gate's cells": case(3 * gate, rng.standard_normal((gate // 2, 1))),
+        "a period past the gate's cells": case(3 * gate, rng.standard_normal((gate // 2 + 1, 1))),
+    }
+    cases["repeats from row 1 only"][1][0, 1:] = [0.25, -0.5]  # no other row repeats row 0
+    cases["first column repeats"][1][:, 0] = np.resize([7.0, -7.0], 1500)
+    return cases
+
+
 def test_write_csv_matches_csv_writer(tmp_path):
     rng = np.random.default_rng(51)
     specials = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308, 0.1]
@@ -934,6 +980,8 @@ def test_write_csv_matches_csv_writer(tmp_path):
         "above the rule": (["v"], column[: rule + 1]),
         "rule in 2 columns": (["v", "w"], column[: rule].reshape(-1, 2)),
         "one column, chunks": (["v"], column),
+        # rows that repeat past their step cell (see _periodic_table)
+        **_periodic_cases(rng),
         # the sweep-h table: strings, "" cells and floats per row
         "sweep": (
             ["h", "conditions", "numeric_rank", "controllable", "energy"],
@@ -975,16 +1023,72 @@ def test_write_csv_kernel_proves_ordinary_tables():
 
 def test_write_csv_memory_is_bounded(tmp_path):
     # chunks are bounded in cells, so a wide table stays under the traced
-    # peak of the earlier 1024-row chunks of '%' formatting, about 12 MB
-    table = np.random.default_rng(53).standard_normal((4096, 201))
+    # peak of the earlier 1024-row chunks of '%' formatting, about 12 MB;
+    # so does one built from 2 rows, whose period is formatted once and
+    # whose chunks' formats hold only their own rows
+    rng = np.random.default_rng(53)
     problem_io._kernel_tables()
-    tracemalloc.start()
-    try:
-        write_csv(tmp_path / "wide.csv", [f"x_{i}" for i in range(201)], table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12.0e6
+    for table in (rng.standard_normal((4096, 201)),
+                  _periodic_table(4096, rng.standard_normal((2, 200)))):
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "wide.csv", [f"x_{i}" for i in range(201)], table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.0e6
+
+
+def test_write_csv_formats_one_period_of_a_periodic_table(tmp_path, monkeypatch):
+    # a 4,000 x 3 table of period 2 formats its step column and one period of
+    # the rest; formatted in full it would be 12,000 cells
+    formatted = []
+    kernel = problem_io._format_chunk
+
+    def counting(chunk):
+        formatted.append(chunk.size)
+        return kernel(chunk)
+
+    monkeypatch.setattr(problem_io, "_format_chunk", counting)
+    table = _periodic_table(4000, np.random.default_rng(54).standard_normal((2, 2)))
+    write_csv(tmp_path / "got.csv", ["k", "u_1", "u_2"], table)
+    _write_csv_reference(tmp_path / "want.csv", ["k", "u_1", "u_2"], table)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert sum(formatted) <= 4000 + 2 * 2
+
+
+def test_read_inputs_csv_periodic_files_match_the_full_parse(tmp_path, monkeypatch):
+    # a periodic file at or above the gate is parsed one period at a time,
+    # into the array one np.loadtxt of every row gives, bit for bit
+    gate = problem_io._PERIODIC_MIN_CELLS
+    periodic = []
+    one_period = problem_io._periodic_inputs
+
+    def recording(rows, m):
+        inputs = one_period(rows, m)
+        periodic.append(inputs is not None)
+        return inputs
+
+    monkeypatch.setattr(problem_io, "_periodic_inputs", recording)
+    rng = np.random.default_rng(55)
+    tails = {
+        "below the gate": (gate // 2 - 1, np.array([[1e-300], [-0.0], [0.0]])),
+        "at the gate": (gate // 2, np.array([[1e-300], [-0.0], [0.0]])),
+        "above the gate": (gate, rng.standard_normal((7, 2))),
+        "period 1": (3 * gate, rng.standard_normal((1, 2))),
+        "m = 6, 4,001 rows": (4001, rng.standard_normal((5, 6)) * 1e200),
+    }
+    for name, (n, tail) in tails.items():
+        path = tmp_path / f"{name}.csv"
+        table = _periodic_table(n, tail)
+        write_csv(path, ["k"] + [f"u_{j + 1}" for j in range(tail.shape[1])], table)
+        lines = path.read_text().splitlines(keepends=True)[1:]
+        full = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)[:, 1:]
+        periodic.clear()
+        got = read_inputs_csv(path, tail.shape[1])
+        assert periodic == ([] if name == "below the gate" else [True]), name
+        assert got.shape == full.shape and got.flags.c_contiguous, name
+        assert got.tobytes() == np.ascontiguousarray(full).tobytes(), name
 
 
 def test_read_inputs_csv_rejects_malformed(tmp_path, capsys):
@@ -1006,6 +1110,16 @@ def test_read_inputs_csv_rejects_malformed(tmp_path, capsys):
         "Infinity cell": (good + "2,Infinity,1\r\n", "malformed row 3"),
         "nan step index": (good.replace("\r\n1,", "\r\nNaN,"), "malformed row 2"),
     }
+    # a periodic file above the gate, each bad row after its first period
+    rows = [f"{k},{0.5 if k % 2 else -0.25},{-0.5 if k % 2 else 0.25}\r\n" for k in range(600)]
+    periodic = "k,u_1,u_2\r\n" + "".join(rows)
+    for name, bad in (("short row", "300,0.25\r\n"), ("non-numeric cell", "300,-0.25,one\r\n"),
+                      ("nan step index", "NaN,-0.25,0.25\r\n"), ("blank line", "\r\n"),
+                      ("empty step cell", ",-0.25,0.25\r\n"),
+                      ("extra column", "300,-0.25,0.25,0\r\n")):
+        cases[f"periodic, {name}"] = (periodic.replace(rows[300], bad), "malformed row 301")
+    cases["periodic, blank line inserted"] = (
+        periodic.replace(rows[300], "\r\n" + rows[300]), "malformed row 301")
     for name, (text, message) in cases.items():
         path = tmp_path / f"{name}.csv"
         path.write_bytes(text.encode())
@@ -1031,6 +1145,9 @@ def test_read_inputs_csv_rejects_malformed(tmp_path, capsys):
     for text in (good, good.replace("\r\n", "\n"), good.rstrip("\r\n")):
         path.write_bytes(text.encode())
         assert np.array_equal(read_inputs_csv(path, 2), [[1.0, -1.0], [-1.0, 1.0]])
+    path.write_bytes(periodic.encode())
+    want = np.resize([[-0.25, 0.25], [0.5, -0.5]], (600, 2))
+    assert np.array_equal(read_inputs_csv(path, 2), want)
     path.write_bytes(b"k,u_1,u_2\r\n")
     assert read_inputs_csv(path, 2).shape == (0, 2)
 
