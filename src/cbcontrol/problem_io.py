@@ -21,12 +21,12 @@ Numbers are decimal doubles and matrices are lists of rows. CSV output
 uses a comma delimiter, a header row, '.' as the decimal separator,
 "\r\n" line ends, no quoting, and C's '%.17g' for every number, so every
 double round-trips exactly. A numeric table is written at most
-_CHUNK_CELLS cells at a time. A chunk of _KERNEL_MIN_CELLS (2048) cells or
+_CHUNK_CELLS cells at a time. A chunk of _KERNEL_MIN_CELLS (512) cells or
 more goes through _format_chunk, a numpy kernel that prints the same bytes
-as '%.17g' at under half its cost per cell. It forms each cell's 17 digits
-from a double-double product that errs by less than 2**-100 of the scaled
-value, and leaves to '%' itself every cell it cannot prove (the set is
-stated in _scaled_digits). A smaller chunk costs one string-format call.
+as '%.17g', at half its cost from 2,048 cells. It forms each cell's 17
+digits from a double-double product that errs by less than 2**-100 of the
+scaled value, and leaves to '%' itself every cell it cannot prove (the set
+is stated in _scaled_digits). A smaller chunk costs one '%' call.
 
 An identical-block plan's inputs.csv (period h) and blocks.csv (period
 1) repeat apart from their step column. From _PERIODIC_MIN_CELLS cells
@@ -58,9 +58,9 @@ FLOAT_FMT = "%.17g"
 # cells formatted at a time (whole rows, at least one); bounds the memory
 # of one write, and the kernel's arrays stay in cache
 _CHUNK_CELLS = 8192
-# a smaller chunk goes through FLOAT_FMT: the kernel costs about 150 us a
-# call whatever its size, and '%' takes about 15 us for a 10 x 3 table
-_KERNEL_MIN_CELLS = 2048
+# a smaller chunk goes through FLOAT_FMT: the kernel costs about 70 us a
+# call plus 105 ns a cell and '%' 255 ns a cell, crossing near 480 cells
+_KERNEL_MIN_CELLS = 512
 # a table is taken one period at a time from this many cells on, when one
 # period holds at most this many; ungated, cli-session's op_p50_ms rose
 # 1.3% and its peak_rss_mb 4.5 MB, and at 2048 its b = 150 plans'

@@ -812,16 +812,34 @@ def test_design_unreachable_exit_code(tmp_path):
     assert code == 3
 
 
-def test_simulate_replay_bit_identical(tmp_path):
+def test_simulate_replay_bit_identical(tmp_path, monkeypatch):
+    # a replay reproduces states.csv byte for byte, and every CSV is what the
+    # csv.writer reference prints for the cells it parses to: at b = 10
+    # (h = 2) every table is under the kernel's size rule, and at b = 150
+    # (h = 4) the 1,200-cell inputs.csv and the 1,803-cell states.csv go
+    # through the kernel while the 450-cell blocks.csv does not
+    kernel_cells = []
+    kernel = problem_io._format_chunk
+
+    def counting(chunk):
+        kernel_cells.append(chunk.size)
+        return kernel(chunk)
+
+    monkeypatch.setattr(problem_io, "_format_chunk", counting)
     problem_path = str(bundled_problem("rotation_2d"))
-    assert main(["design", "--problem", problem_path, "--h", "2", "--b", "10",
-                 "--out", str(tmp_path / "a")]) == 0
-    assert main(["simulate", "--problem", problem_path,
-                 "--inputs", str(tmp_path / "a" / "inputs.csv"),
-                 "--out", str(tmp_path / "b")]) == 0
-    original = (tmp_path / "a" / "states.csv").read_bytes()
-    replayed = (tmp_path / "b" / "states.csv").read_bytes()
-    assert original == replayed
+    for flags, kernel_sizes in ((["--h", "2", "--b", "10"], []),
+                                (["--b", "150"], [1200, 1803, 1803])):
+        kernel_cells.clear()
+        design, replay = tmp_path / f"b{flags[-1]}", tmp_path / f"b{flags[-1]}-replay"
+        assert main(["design", "--problem", problem_path, *flags, "--out", str(design)]) == 0
+        assert main(["simulate", "--problem", problem_path, *flags,
+                     "--inputs", str(design / "inputs.csv"), "--out", str(replay)]) == 0
+        assert sorted(kernel_cells) == kernel_sizes
+        assert (design / "states.csv").read_bytes() == (replay / "states.csv").read_bytes()
+        for path in (*(design / name for name in ("inputs.csv", "states.csv", "blocks.csv")),
+                     replay / "states.csv"):
+            _write_csv_reference(tmp_path / "want.csv", *read_csv(path))
+            assert path.read_bytes() == (tmp_path / "want.csv").read_bytes(), path
 
 
 def test_sweep_rotation_reports_h3_fallback(tmp_path):
@@ -965,6 +983,14 @@ def test_write_csv_matches_csv_writer(tmp_path):
     awkward = _awkward_doubles(rng)
     rule = problem_io._KERNEL_MIN_CELLS
     column = rng.standard_normal((3 * problem_io._CHUNK_CELLS + 5, 1))
+
+    def wide(cols, rows):
+        """rows x cols of the series' cells, as signed and scaled as they come."""
+        return [f"v_{j}" for j in range(cols)], table.ravel()[: rows * cols].reshape(rows, cols)
+
+    step = problem_io._CHUNK_CELLS // 3  # rows per chunk of a 3-column table
+    both = wide(3, step + rule // 6)
+    assert both[1][step:].size < rule <= both[1][:step].size
     cases = {
         "series": (header, table),
         "one row": (header, table[:1]),
@@ -979,6 +1005,12 @@ def test_write_csv_matches_csv_writer(tmp_path):
         "at the rule": (["v"], column[:rule]),
         "above the rule": (["v"], column[: rule + 1]),
         "rule in 2 columns": (["v", "w"], column[: rule].reshape(-1, 2)),
+        # the widths of inputs.csv and states.csv of small plants, one row
+        # short of the rule and at it
+        **{f"{cols} columns, {where} the rule": wide(cols, -(-rule // cols) - short)
+           for cols in (3, 7) for where, short in (("below", 1), ("at", 0))},
+        # one chunk through the kernel, then a last chunk under the rule
+        "both paths in one file": both,
         "one column, chunks": (["v"], column),
         # rows that repeat past their step cell (see _periodic_table)
         **_periodic_cases(rng),
