@@ -70,15 +70,18 @@ class ControlPlan:
     """A designed input sequence: the applied inputs, and their energy derived from them.
 
     flat_inputs is the (b*h, m) per-step sequence that is applied, stored
-    locked (it cannot be made writeable again). A plan keeps its last
-    rollout: verify_plan and rollout on the same system object from the
-    same x0 share one simulation.
+    as a C-ordered float64 copy and locked (it cannot be made writeable
+    again); anything but a (steps, m) array-like raises DimensionError.
+    A plan keeps its last rollout: verify_plan and rollout on the same
+    system object from the same x0 share one simulation.
     """
 
     flat_inputs: np.ndarray
 
     def __post_init__(self):
-        flat = np.array(self.flat_inputs, dtype=float, ndmin=1)  # a scalar is one step
+        flat = np.array(self.flat_inputs, dtype=float, order="C")
+        if flat.ndim != 2:
+            raise DimensionError(f"plan inputs must have shape (steps, m), got {flat.shape}")
         object.__setattr__(self, "flat_inputs", _locked(flat))
         object.__setattr__(self, "_rollout", {})  # (system, x0 bytes) -> Trajectory, one entry
 
@@ -257,12 +260,13 @@ def verify_plan(
 ) -> PlanVerification:
     """Simulate a plan's applied inputs; report terminal error and imbalance.
 
-    Both checks read the simulated inputs; the imbalance of a block is the
-    largest per-channel net charge of its h steps. The report passes iff
-    the terminal error is within the terminal tolerance and every
-    per-block imbalance is within the charge-balance tolerance; a failed
-    check is reported, not raised. Raises DimensionError when the inputs
-    are not b blocks of h steps (checked before simulating) of m channels.
+    Both checks read plan.flat_inputs, the very array that is simulated;
+    the imbalance of a block is the largest per-channel net charge of its
+    h steps. The report passes iff the terminal error is within the
+    terminal tolerance and every per-block imbalance is within the
+    charge-balance tolerance; a failed check is reported, not raised.
+    Raises DimensionError when the inputs are not b blocks of h steps
+    (checked before simulating) of m channels.
     The trajectory is kept on the plan: rollout with the same system
     object and x0 returns it without a second simulation.
     """
@@ -273,7 +277,7 @@ def verify_plan(
         )
     traj = _trajectory(system, task, plan)
     terminal_error = float(np.linalg.norm(traj.terminal - task.xf))
-    imbalances = _block_imbalances(traj.inputs, scheme.h)
+    imbalances = _block_imbalances(plan.flat_inputs, scheme.h)
     passed = terminal_error <= tol.terminal and bool(
         np.all(imbalances <= tol.charge_balance)
     )

@@ -106,6 +106,10 @@ def _as_array(value, where, ndim: int, source) -> np.ndarray:
         raise ProblemFormatError(f"{source}: field '{where}' exceeds float64's range") from exc
     if arr.ndim != ndim:
         raise ProblemFormatError(f"{source}: field '{where}' must be {shape}")
+    # numpy would convert json's true, false and "1": only numbers are entries
+    entries = itertools.chain.from_iterable(value) if ndim == 2 else value
+    if not set(map(type, entries)) <= {int, float}:
+        raise ProblemFormatError(f"{source}: field '{where}' is not a numeric {kind}")
     if not np.isfinite(arr).all():
         # json reads NaN and Infinity, which are not numbers a plant can have
         raise ProblemFormatError(f"{source}: field '{where}' has a non-finite entry")

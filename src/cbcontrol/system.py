@@ -96,49 +96,20 @@ class LtiSystem:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A rollout: states x[0..N] (rows) and the inputs u[0..N-1] that produced it, locked."""
+    """A rollout: the states x[0..N] as rows, copied and locked; N is its horizon."""
 
     states: np.ndarray
-    inputs: np.ndarray
 
     def __post_init__(self):
-        states = _locked(np.array(self.states, dtype=float))
-        inputs = _locked(np.array(self.inputs, dtype=float))
-        if states.shape[0] != inputs.shape[0] + 1:
-            raise DimensionError(
-                f"need exactly one more state than inputs, got {states.shape[0]} "
-                f"states for {inputs.shape[0]} inputs"
-            )
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "states", _locked(np.array(self.states, dtype=float)))
 
     @property
     def horizon(self) -> int:
-        return self.inputs.shape[0]
+        return self.states.shape[0] - 1
 
     @property
     def terminal(self) -> np.ndarray:
         return self.states[-1]
-
-
-def _input_rows(inputs, m: int) -> np.ndarray:
-    """The inputs as a C-ordered (N, m) float array, checked once.
-
-    On ragged rows or a row of the wrong size the error names the first
-    offending input index.
-    """
-    error = None
-    try:
-        rows = np.atleast_1d(np.asarray(inputs, dtype=float))  # a scalar is one step
-    except ValueError as exc:  # ragged rows
-        rows, error = inputs, exc
-    if error is None and rows.size == len(rows) * m:
-        # C order, so B @ u does not round by the memory layout of the inputs
-        return np.ascontiguousarray(rows.reshape(len(rows), m))
-    for k, u in enumerate(rows):
-        if np.size(u) != m:
-            raise DimensionError(f"input {k} has length {np.size(u)}, expected {m}")
-    raise error  # every row has m entries, so conversion itself failed
 
 
 def _period(rows: np.ndarray) -> int:
@@ -165,32 +136,36 @@ def simulate(system: LtiSystem, x0, inputs) -> Trajectory:
     Args:
         system: the plant.
         x0: initial state, length n.
-        inputs: an array-like of N rows of m numbers each (for m = 1, N
-            scalars also work, and a bare scalar is one step).
+        inputs: an (N, m) array-like of numbers, one row per step.
 
     Returns:
         Trajectory with states[k+1] = A @ states[k] + B @ inputs[k],
-        bit for bit that expression at every step. The input products
-        B @ u are formed for all steps at once, straight into the state
-        rows, since none depends on a state; each step then adds A @ x.
-        The batched product runs the same per-row BLAS product as
-        B @ u on C-ordered inputs, and the two-term sum commutes exactly,
-        so no state differs from the step-by-step expression. Where
-        N * n * m >= 2**17 and the input rows repeat bit for bit with a
-        period p (as every identical-block plan's do), B @ u is formed
-        for the first p rows and copied into the rest. The steps walk
-        the state rows in consecutive pairs, so a long rollout holds no
-        list of them.
+        bit for bit that expression at every step. The inputs are made
+        C-ordered first, so B @ u does not round by their memory layout.
+        The input products B @ u are formed for all steps at once,
+        straight into the state rows, since none depends on a state;
+        each step then adds A @ x. The batched product runs the same
+        per-row BLAS product as B @ u on C-ordered inputs, and the
+        two-term sum commutes exactly, so no state differs from the
+        step-by-step expression. Where N * n * m >= 2**17 and the input
+        rows repeat bit for bit with a period p (as every identical-block
+        plan's do), B @ u is formed for the first p rows and copied into
+        the rest. The steps walk the state rows in consecutive pairs, so
+        a long rollout holds no list of them.
 
     Raises:
-        DimensionError: naming the offending input index on a length
-            mismatch, or x0 when the initial state has the wrong size.
-        TypeError: from numpy, for an iterator or generator of inputs.
+        DimensionError: naming the shape of inputs that are not (N, m),
+            or x0 when the initial state has the wrong size.
+        ValueError, TypeError: from numpy, for ragged or non-numeric
+            rows, or an iterator or generator of inputs.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != system.n:
         raise DimensionError(f"x0 has length {x0.size}, expected {system.n}")
-    rows = _input_rows(inputs, system.m)
+    rows = np.asarray(inputs, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != system.m:
+        raise DimensionError(f"inputs must have shape (N, {system.m}), got {rows.shape}")
+    rows = np.ascontiguousarray(rows)
     steps = len(rows)
     dot = system.A.dot
     states = np.empty((steps + 1, system.n))
@@ -206,4 +181,4 @@ def simulate(system: LtiSystem, x0, inputs) -> Trajectory:
     for x, nxt in itertools.pairwise(states):
         dot(x, ax)
         nxt += ax
-    return Trajectory(states=states, inputs=rows)
+    return Trajectory(states=states)

@@ -62,7 +62,7 @@ def test_parse_reports_missing_field():
         )
 
 
-def test_parse_rejects_bad_shapes_and_values():
+def test_parse_rejects_bad_shapes_and_values(tmp_path, capsys):
     base = {
         "system": {"A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0], [0.0]]},
         "task": {"x0": [0.0, 0.0], "xf": [1.0, 1.0], "b": 2, "h": 2,
@@ -100,6 +100,25 @@ def test_parse_rejects_bad_shapes_and_values():
             del doc[section][field]
         with pytest.raises(ProblemFormatError, match=f"^bad.json: {wording}$"):
             parse_problem(json.dumps(doc), source="bad.json")
+    # numpy would convert json's strings and booleans: only numbers are entries
+    for section, field, value in (("system", "A", [["0.5", 0.0], [0.0, 0.5]]),
+                                  ("system", "A", [[0.5, True], [0.0, 0.5]]),
+                                  ("system", "B", [[1], ["1e0"]]), ("task", "x0", [False, 0]),
+                                  ("task", "xf", ["1", 0.5])):
+        kind = "matrix" if section == "system" else "vector"
+        doc = json.loads(json.dumps(base))
+        doc[section][field] = value
+        with pytest.raises(ProblemFormatError,
+                           match=f"^bad.json: field '{section}.{field}' is not a numeric {kind}$"):
+            parse_problem(json.dumps(doc), source="bad.json")
+    mixed = json.loads(json.dumps(base))
+    mixed["system"] = {"A": [["0.5", True], [0, "-0.3"]], "B": [[1], ["1e0"]]}
+    mixed["task"].update(x0=[False, 0], xf=["1", 0.5])
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(mixed))
+    for command in ("analyze", "design"):
+        assert main([command, "--problem", str(path), "--out", str(tmp_path / command)]) == 2
+        assert "field 'system.A' is not a numeric matrix" in capsys.readouterr().err
     bad_length = json.loads(json.dumps(base))
     bad_length["task"]["x0"] = [0.0, 0.0, 0.0]
     with pytest.raises(ProblemFormatError, match="must have length 2, got x0 of 3 and xf of 2"):

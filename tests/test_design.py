@@ -545,7 +545,7 @@ def test_plan_arrays_match_per_block_loops():
                 assert all(np.array_equal(U, blocks[0]) for U in plan.flat_inputs.reshape(b, -1))
 
             check = verify_plan(system, scheme, task, plan)
-            applied = check.trajectory.inputs.reshape(b, -1)
+            applied = plan.flat_inputs.reshape(b, -1)
             imbalances = [np.abs(scheme.R @ U).max() for U in applied]
             assert check.imbalances.shape == (b,)
             assert np.abs(check.imbalances - imbalances).max() <= 1e-15 * scale
@@ -632,7 +632,7 @@ def test_verify_reads_the_applied_inputs():
     assert not check.passed
     assert check.terminal_error == 0.0  # A = 0 forgets the charge by the end
     assert list(check.imbalances) == [5.0, 0.0]
-    assert np.array_equal(check.trajectory.inputs, charged.flat_inputs)
+    assert check.trajectory.horizon == 4  # the trajectory is the states alone
     with pytest.raises(ValueError):
         charged.flat_inputs[0, 0] = 0.0  # the applied inputs are read-only
     for arr in (charged.flat_inputs, task.x0, task.xf):  # and cannot be unlocked
@@ -640,6 +640,30 @@ def test_verify_reads_the_applied_inputs():
             arr.setflags(write=True)
     with pytest.raises(DimensionError):
         verify_plan(system, scheme, task, dataclasses.replace(plan, flat_inputs=[[0.0]] * 3))
+
+
+def test_plan_inputs_are_one_c_ordered_form():
+    # a plan stores its inputs as a C-ordered (steps, m) float64 copy, so
+    # simulate runs on that very array; any other form is refused by shape
+    from cbcontrol.design import _block_imbalances
+
+    rng = np.random.default_rng(58)
+    inputs = np.asfortranarray(rng.standard_normal((6, 2)))
+    plan = ControlPlan(inputs)
+    assert plan.flat_inputs.flags.c_contiguous and plan.flat_inputs.dtype == np.float64
+    assert np.array_equal(plan.flat_inputs, inputs) and inputs.flags.writeable
+    for value, shape in ((0.0, r"\(\)"), ([0.0, 1.0], r"\(2,\)"),
+                         (np.zeros((4, 1, 1)), r"\(4, 1, 1\)")):
+        with pytest.raises(DimensionError, match=rf"shape \(steps, m\), got {shape}$"):
+            ControlPlan(value)
+    # the imbalances are those of plan.flat_inputs, bit for bit
+    system = random_system(rng, 3, 2)
+    scheme = build_scheme(3, 2)
+    check = verify_plan(system, scheme, SteeringTask(x0=np.zeros(3), xf=np.zeros(3), b=2,
+                                                     regime="non-repetitive"), plan)
+    want = _block_imbalances(plan.flat_inputs, 3)
+    assert check.imbalances.tobytes() == want.tobytes() and want.min() > 0.0
+    assert check.trajectory.states.tobytes() == simulate(system, np.zeros(3), inputs).states.tobytes()
 
 
 def _counting_simulate(monkeypatch) -> list:
@@ -689,8 +713,6 @@ def test_verify_checks_the_step_count_before_simulating(monkeypatch):
     short = ControlPlan(flat_inputs=[[0.0]] * 3)
     with pytest.raises(DimensionError, match="plan has 3 steps, task needs 2 blocks of 2"):
         verify_plan(system, scheme, task, short)
-    with pytest.raises(DimensionError, match="plan has 1 steps"):  # a scalar is one step
-        verify_plan(system, scheme, task, ControlPlan(flat_inputs=0.0))
     assert calls == []
 
 

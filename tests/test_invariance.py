@@ -1,7 +1,8 @@
-"""Invariance of designs under changes of units: the same task in other units.
+"""Invariance of designs under changes of units or of channel labels.
 
 Each relation is exact in real arithmetic, so it needs no reference
-solution; a design that breaks one depends on the units it was given.
+solution; a design that breaks one depends on the units or the labels it
+was given.
 """
 
 import json
@@ -46,6 +47,28 @@ def test_doubling_B_halves_inputs_and_quarters_energy(tmp_path, name, regime, b)
     if inputs is not None:
         assert np.abs(2.0 * doubled_inputs - inputs).max() <= 1e-12 * np.abs(inputs).max()
         assert abs(4.0 * doubled_energy - energy) <= 1e-12 * energy
+
+
+@pytest.mark.parametrize("name", list_bundled())
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("b", [None, 20], ids=["file_b", "b20"])
+def test_relabeling_channels_does_not_move_the_design(tmp_path, name, regime, b):
+    # B -> B P, with P the swap of the two channels (m = 2) or -1 (m = 1),
+    # is met by u -> u P: P is orthogonal and maps each block's per-channel
+    # sums by P, so the charge-balance set and the energy are unchanged. A
+    # design must exit the same way, and a plan it writes must map to the
+    # relabeled one, both within the oracle's 1e-8 relative
+    doc = json.loads(bundled_problem(name).read_text())
+    doc["task"].update(regime=regime, b=b or doc["task"]["b"])
+    code, inputs, energy = _design(tmp_path, "B", doc)
+    B = np.array(doc["system"]["B"], dtype=float)
+    P = np.array([[0.0, 1.0], [1.0, 0.0]]) if B.shape[1] == 2 else -np.eye(1)
+    doc["system"]["B"] = (B @ P).tolist()
+    relabeled_code, relabeled_inputs, relabeled_energy = _design(tmp_path, "BP", doc)
+    assert relabeled_code == code
+    if inputs is not None:  # drift_only's plan at its file b is zero
+        assert np.abs(inputs @ P - relabeled_inputs).max() <= 1e-8 * np.abs(inputs).max()
+        assert abs(relabeled_energy - energy) <= 1e-8 * energy
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

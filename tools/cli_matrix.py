@@ -9,6 +9,10 @@ command gets an --out, so analyze's report.json (verdict, rank and
 singular values) is fingerprinted too; a design
 that wrote report.json adds its passed flag, energy (%.12g) and terminal
 error (%.3e), so a change that moves last bits can be read by value.
+Each design that wrote inputs.csv is replayed by `simulate` with the
+same flags and its own --out (15 runs today, 90 in all); the replay's
+line gives its exit code, stdout, stderr and states.csv hashes, and
+same_states=, whether that states.csv equals the design's byte for byte.
 Then it prints one full sha256 over all the lines.
 
 Every run works in one fresh temporary directory, with the problem file
@@ -67,21 +71,32 @@ def _design_values(report: Path) -> str:
 def run_matrix(src: Path, work: Path):
     """Yield one line per run: label, exit code, stdout, stderr and file hashes."""
     env = dict(os.environ, PYTHONPATH=str(src))
+
+    def run(problem, variant, command, flags):
+        out = Path("out", problem, variant, command)
+        argv = [sys.executable, "-m", "cbcontrol.cli", command,
+                "--problem", f"{problem}.json", *flags, "--out", str(out)]
+        done = subprocess.run(argv, cwd=work, env=env, capture_output=True)
+        return out, (f"{problem}/{variant}/{command} exit={done.returncode} "
+                     f"stdout={_digest(done.stdout)[:16]} stderr={_digest(done.stderr)[:16]}")
+
     for problem in PROBLEMS:
         shutil.copy(src / "cbcontrol" / "fixtures" / f"{problem}.json", work)
         for variant, flags in VARIANTS.items():
             for command in COMMANDS:
-                label = f"{problem}/{variant}/{command}"
-                out = Path("out", problem, variant, command)
-                argv = [sys.executable, "-m", "cbcontrol.cli", command,
-                        "--problem", f"{problem}.json", *flags, "--out", str(out)]
-                done = subprocess.run(argv, cwd=work, env=env, capture_output=True)
+                out, line = run(problem, variant, command, flags)
                 files = sorted(path for path in (work / out).rglob("*") if path.is_file())
                 hashes = " ".join(f"{path.name}={_digest(path.read_bytes())[:16]}"
                                   for path in files)
                 values = _design_values(work / out / "report.json") if command == "design" else ""
-                yield (f"{label} exit={done.returncode} stdout={_digest(done.stdout)[:16]} "
-                       f"stderr={_digest(done.stderr)[:16]} {hashes} {values}").rstrip()
+                yield f"{line} {hashes} {values}".rstrip()
+                if command == "design" and (work / out / "inputs.csv").is_file():
+                    replay, line = run(problem, variant, "simulate",
+                                       [*flags, "--inputs", str(out / "inputs.csv")])
+                    states = work / replay / "states.csv"
+                    written = states.read_bytes() if states.is_file() else b""
+                    same = written == (work / out / "states.csv").read_bytes()
+                    yield f"{line} states.csv={_digest(written)[:16]} same_states={same}"
 
 
 def main(argv=None) -> int:
