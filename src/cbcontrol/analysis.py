@@ -43,9 +43,9 @@ class PbhResult:
     """Outcome of the PBH test and its rank evidence.
 
     ``numeric_rank`` and ``singular_values`` (locked) are n and the modal
-    values ||w B|| / ||w||, descending, when the modal screen alone passes
-    every pencil; else numeric_rank of the pencil at the first eigenvalue
-    where PBH fails, or of the one at the smallest modal value.
+    values ||w B|| / ||w||, descending, when the modal screen clears every
+    pencil; else numeric_rank of the pencil at the first eigenvalue where
+    PBH fails, or, when PBH holds, of the one at the smallest modal value.
     """
 
     controllable: bool
@@ -126,49 +126,48 @@ def pbh_controllable(system: LtiSystem) -> PbhResult:
     """PBH test: rank [lambda I - A, B] = n for every eigenvalue lambda.
 
     Decided once per system, and kept in the system's _pbh slot. The
-    modal screen decides each eigenvalue whose row w of the system's cached
-    W = V^-1 puts ||w B|| / ||w|| clearly on one side of the pencil's rank
-    cutoff; the rest (clusters, ill-conditioned eigenvectors, values near
-    the cutoff), and a reported pencil the screen decided, are ranked by
-    numeric_rank, which raises AnalysisError on a non-finite pencil.
+    modal screen clears each eigenvalue whose row w of the system's cached
+    W = V^-1 puts ||w B|| / ||w|| clearly above the pencil's rank cutoff.
+    The rest (clusters, ill-conditioned eigenvectors, values near or below
+    the cutoff) are ranked by numeric_rank, which raises AnalysisError on a
+    non-finite pencil, in index order until one has rank below n: PBH
+    fails there, and that pencil is the one reported.
     """
     if system._pbh is not None:
         return system._pbh
     A, B, eigs, n = system.A, system.B, system.eigenvalues, system.n
-    cutoff = rank_cutoff((n, n + system.m))
-    values, holds_below, fails_from = _modal_screen(system)
-    fails = cutoff >= fails_from
-    taken = {}  # eigenvalue index -> (rank, singular values) of its pencil
-    for k in np.flatnonzero(~(fails | (cutoff < holds_below))).tolist():
+    values, holds_below = _modal_screen(system)
+    taken, controllable = {}, False  # eigenvalue index -> (rank, singular values) of its pencil
+    for k in np.flatnonzero(~(rank_cutoff((n, n + system.m)) < holds_below)).tolist():
         taken[k] = numeric_rank(_pencil(A, B, eigs[k]))
-        fails[k] = taken[k][0] < n
-    if cutoff < holds_below.min(initial=np.inf):  # the screen passes every pencil
-        rank, reported = n, np.sort(values)[::-1]
-    else:
-        k = int(fails.argmax()) if fails.any() else int(np.argmin(values))  # the first failure
-        rank, reported = taken[k] if k in taken else numeric_rank(_pencil(A, B, eigs[k]))
-    result = PbhResult(not fails.any(), rank, _locked(reported))
+        if taken[k][0] < n:  # the first failure
+            break
+    else:  # PBH holds: report the pencil at the smallest modal value
+        controllable, k = True, int(np.argmin(values))
+        if taken and k not in taken:
+            taken[k] = numeric_rank(_pencil(A, B, eigs[k]))
+    # n and the modal values when the screen clears every pencil
+    rank, reported = taken[k] if taken else (n, np.sort(values)[::-1])
+    result = PbhResult(controllable, rank, _locked(reported))
     object.__setattr__(system, "_pbh", result)
     return result
 
 
-def _modal_screen(system: LtiSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, holds_below, fails_from) of the modal PBH screen, one per eigenvalue, locked.
+def _modal_screen(system: LtiSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(values, holds_below) of the modal PBH screen, one per eigenvalue, locked.
 
     values[k] = ||w_k B|| / ||w_k||, w_k the k-th row of the system's cached
     W = V^-1. The SVD of P_k = [lambda_k I - A, B] has sigma_n > c sigma_1
-    at every cutoff c below holds_below[k] and at none from fails_from[k]
-    on; a cutoff in between, or a NaN threshold, needs that SVD. With W as
-    computed, N = W A - diag(lambda) W and F = W V - I,
-    ||W^-1|| <= v = sqrt(n) / (1 - ||F||_F), and W P_k diag(W^-1, I) =
-    [lambda_k I - diag(lambda) - N W^-1, W B]. With a_k = ||w_k B||,
-    g = ||W B||_F and delta_k the gap from lambda_k to the other
-    eigenvalues, Weyl's inequality on that form and w_k P_k = [-N_k, w_k B]
-    bound sigma_n(P_k) between
-    (a_k / hypot(1, (a_k + g) / delta_k) - ||N||_F v) / (||W||_F max(v, 1))
-    and (||N_k|| + a_k) / ||w_k||, and ||B||_F / sqrt(m) <= sigma_1(P_k) <=
-    2 ||A||_F + ||B||_F. The products are widened by their rounding bound,
-    the cutoffs by twice the SVD's backward error (n + m) eps sigma_1.
+    at every cutoff c below holds_below[k]; any other cutoff, or a NaN
+    threshold, needs that SVD. With W as computed, N = W A - diag(lambda) W
+    and F = W V - I, ||W^-1|| <= v = sqrt(n) / (1 - ||F||_F), and
+    W P_k diag(W^-1, I) = [lambda_k I - diag(lambda) - N W^-1, W B]. With
+    a_k = ||w_k B||, g = ||W B||_F and delta_k the gap from lambda_k to the
+    other eigenvalues, Weyl's inequality on that form bounds sigma_n(P_k)
+    below by (a_k / hypot(1, (a_k + g) / delta_k) - ||N||_F v) / (||W||_F max(v, 1)),
+    and sigma_1(P_k) <= 2 ||A||_F + ||B||_F. The products are widened by
+    their rounding bound, the cutoff by twice the SVD's backward error
+    (n + m) eps sigma_1.
     """
     A, B, (eigs, V, W) = system.A, system.B, system._modal
     n, m = B.shape
@@ -184,7 +183,7 @@ def _modal_screen(system: LtiSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray
         X.reshape(-1)[2 * n:: 3 * n + m + 1] -= 1.0
         squares = np.add.reduceat(np.square(np.abs(X)), [0, n, 2 * n, 3 * n], axis=1)
         norm_w, norm_n, norm_f, g = (math.sqrt(x) for x in squares.sum(axis=0).tolist())
-        w, r, _, a = np.sqrt(squares).T
+        w, _, _, a = np.sqrt(squares).T
         norm_n, norm_f, g = (x + slop * norm_w for x in (norm_n, norm_f, g))
         v = math.sqrt(n) / (1.0 - norm_f) if norm_f < 1.0 else math.inf
         gaps = np.abs(np.subtract.outer(eigs, eigs))
@@ -193,12 +192,8 @@ def _modal_screen(system: LtiSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray
         core = a / np.hypot(1.0, (a + g) / gaps.min(axis=1, initial=np.inf))
         unit = np.float64(sigma_1 + noise)  # numpy division: zero only for A = 0, B = 0
         holds_below = (core - norm_n * v) / (norm_w * max(v, 1.0) * unit) - (slop + noise) / unit
-        low = norm_b / math.sqrt(m) - noise
-        # an overflowed ||w_k|| hides its residual
-        scale = (1.0 / low if low > 0 else math.inf) if math.isfinite(norm_w) else math.nan
-        fails_from = ((a + r) / w + (2 * slop + noise)) * scale
         values = np.fmin(a / w, np.inf)  # NaN reads as inf
-    return _locked(values), _locked(holds_below), _locked(fails_from)
+    return _locked(values), _locked(holds_below)
 
 
 def _pencil(A: np.ndarray, B: np.ndarray, lam) -> np.ndarray:

@@ -716,8 +716,9 @@ def test_screen_cleared_verdicts_take_no_pencil_svd(monkeypatch):
     pbh = pbh_controllable(near)
     assert verdict.controllable == "no" and not pbh.controllable
     taken = len(calls)
-    # values-only SVDs of the near pair's pencils: the report takes no SVD of its own
-    assert calls == [((3, 4), False, False)] * 2
+    # one values-only SVD, of the pencil at the near pair's first eigenvalue,
+    # where PBH fails: the loop stops there, and the report takes no SVD of its own
+    assert calls == [((3, 4), False, False)]
     assert np.array_equal(verdict.singular_values, pencils[k])
     assert verdict.numeric_rank == 2
     assert check_nonrepetitive_sufficient(near, 2).singular_values is verdict.singular_values
@@ -749,9 +750,9 @@ def test_pbh_decided_once_per_system(monkeypatch):
 
 
 def test_modal_pbh_failure_takes_one_pencil_svd(monkeypatch):
-    # the modal screen decides that PBH fails at 2.0, the first eigenvalue
-    # it fails at, and that pencil's values-only SVD is what the
-    # non-repetitive verdict reports
+    # the modal screen clears 0.5 and -0.3 and leaves 2.0 open: PBH fails at
+    # that pencil, and its values-only SVD is what the non-repetitive
+    # verdict reports
     system = LtiSystem(A=np.diag([0.5, -0.3, 2.0]), B=[[1.0], [1.0], [0.0]])
     expected = np.linalg.svd(np.hstack([2.0 * np.eye(3) - system.A, system.B]), compute_uv=False)
     k, rank, reported = _pbh_pencil_loop(system)
@@ -785,9 +786,9 @@ def test_singular_eigenvector_basis_takes_one_pencil_svd_per_eigenvalue(monkeypa
     system = _singular_v_twin(monkeypatch, plant.A, plant.B)
     W = system._modal[2]
     assert np.isnan(W).all() and not W.flags.writeable
-    values, holds_below, fails_from = _modal_screen(system)
+    values, holds_below = _modal_screen(system)
     assert np.isposinf(values).all()
-    assert np.isnan(holds_below).all() and np.isnan(fails_from).all()
+    assert np.isnan(holds_below).all()
     # the screen decides nothing, so every eigenvalue takes one values-only SVD
     calls = counting_svd(monkeypatch)
     pbh = pbh_controllable(system)
@@ -814,6 +815,25 @@ def test_singular_eigenvector_basis_takes_one_pencil_svd_per_eigenvalue(monkeypa
     verdict, twin = check_nonrepetitive_sufficient(system, 2), check_nonrepetitive_sufficient(plant, 2)
     assert (verdict.controllable, verdict.conditions) == (twin.controllable, twin.conditions) == ("no", "no")
     assert verdict.reasons == twin.reasons
+
+
+def test_pbh_stops_at_the_first_failing_pencil(monkeypatch):
+    # the screen decides nothing on the twin, and B misses the invariant
+    # direction of 2.0, the first eigenvalue in eig order: its pencil is the
+    # only one ranked, and the one reported, where a pencil per eigenvalue
+    # would take three SVDs
+    A, B = np.diag([2.0, 0.5, -0.3]), [[0.0], [1.0], [1.0]]
+    system, plant = _singular_v_twin(monkeypatch, A, B), LtiSystem(A=A, B=B)
+    assert system.eigenvalues[0] == 2.0
+    assert np.isnan(_modal_screen(system)[1]).all()
+    calls = counting_svd(monkeypatch)
+    pbh = pbh_controllable(system)
+    assert calls == [((3, 4), False, False)]
+    assert (pbh.controllable, pbh.numeric_rank) == (False, 2)
+    assert _assert_reports_loop_pencil(pbh, plant)[0] == 0
+    twin_pbh = pbh_controllable(plant)
+    assert twin_pbh.controllable == pbh.controllable and twin_pbh.numeric_rank == pbh.numeric_rank
+    assert twin_pbh.singular_values.tobytes() == pbh.singular_values.tobytes()
 
 
 def test_reported_pencil_svd_is_taken_with_the_decision(monkeypatch):
@@ -895,20 +915,19 @@ def _jordan_plant(rng):
 
 
 def test_modal_screen_brackets_each_pencil_ratio():
-    # the screen's thresholds bound the computed sigma_n / sigma_1 of every
-    # pencil, so a cutoff on either side of them decides like the SVD does
+    # the screen's threshold bounds the computed sigma_n / sigma_1 of every
+    # pencil from below, so a cutoff under it decides like the SVD does
     rng = np.random.default_rng(47)
     makers = (_non_normal_plant, _near_repeated_plant, _jordan_plant, _rotation_mix)
     for trial in range(400):
         system = makers[trial % 4](rng)
         if trial % 8 == 7:
             system = LtiSystem(A=system.A * 10.0 ** rng.uniform(-6, 6), B=system.B)
-        _, holds_below, fails_from = _modal_screen(system)
+        _, holds_below = _modal_screen(system)
         for k in range(system.n):
             svals = np.linalg.svd(_pencil(system.A, system.B, system.eigenvalues[k]), compute_uv=False)
             ratio = svals[-1] / svals[0]
             assert not holds_below[k] >= ratio, (trial, k)
-            assert not fails_from[k] < ratio, (trial, k)
 
 
 def test_pbh_fallback_matches_pencil_loop_on_hard_families(monkeypatch):

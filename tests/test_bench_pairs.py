@@ -65,3 +65,13 @@ def test_compare_reports_every_field():
     doc = bench_pairs.compare(base, change, "lower", 0.25)
     assert doc == {"base": base, "change": change, "base_median": 2.0, "change_median": 1.0,
                    "base_iqr": 0.0, "wins": 2, "gain": False, "bound_verdict": "within"}
+
+
+def test_src_lines_counts_python_files_at_any_depth(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text("a = 1\n\nb = 2\n")
+    (package / "sub" / "mod.py").write_text("def f():\n    return 1")  # no final newline
+    (package / "fixture.json").write_text("{}\n{}\n")  # not Python: not counted
+    (package / "empty.py").write_text("")
+    assert bench_pairs.src_lines(tmp_path / "src") == 5

@@ -704,9 +704,9 @@ def test_analyze_identity_no_with_unit_eigenvalue_reason():
     assert report["verdict"]["controllable"] == "no"
     failing = [r["name"] for r in report["verdict"]["reasons"] if not r["holds"]]
     assert "no eigenvalue of A at 1" in failing
-    # the modal screen decides that PBH fails at one of the two eigenvalues at
-    # 1, and the verdict reports that pencil, [[0, 0, 1], [0, 0, 0]], by one
-    # values-only SVD
+    # the modal screen clears neither eigenvalue at 1, PBH fails at the first
+    # one's pencil, [[0, 0, 1], [0, 0, 0]], and the verdict reports it from
+    # that one values-only SVD
     assert report["verdict"]["numeric_rank"] == 1
     assert report["verdict"]["singular_values"] == [1.0, 0.0]
 

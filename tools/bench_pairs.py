@@ -19,9 +19,10 @@ and the bound verdict ("worse" past the metric's bound, "unresolved" when
 the base IQR exceeds the bound and not every change run beats every base
 run, else "within"). It also records each run's correct and failed
 counts, the `env:` line of each side, and, for both sides,
-`tools/cli_matrix.py`'s sha and exit tally and `tools/op_outcomes.py
---seconds 3`'s failed counts at seeds 1-3. Nothing is written under
-`src/` or `benchmark/`, and the temporary directory is removed.
+`tools/cli_matrix.py`'s sha and exit tally, `tools/op_outcomes.py
+--seconds 3`'s failed counts at seeds 1-3 and the lines of `src/**/*.py`,
+whose difference it prints. Nothing is written under `src/` or
+`benchmark/`, and the temporary directory is removed.
 """
 
 from __future__ import annotations
@@ -130,6 +131,11 @@ def _outcomes(side: Path, seed: int) -> list[str]:
                  "--seconds", str(OUTCOME_SECONDS), "--src", str(side / "src")]).splitlines()
 
 
+def src_lines(src: Path) -> int:
+    """Lines of every .py file under src, at any depth."""
+    return sum(len(path.read_text().splitlines()) for path in src.rglob("*.py"))
+
+
 def _make_sides(work: Path, rev: str) -> dict[str, Path]:
     ignore = shutil.ignore_patterns("__pycache__")
     sides = {name: work / name for name in SIDES}
@@ -188,6 +194,7 @@ def measure(args, sides: dict[str, Path]) -> dict:
                                            if line.startswith("failed "))
         differing[str(seed)] = sum(a != b for a, b in zip_longest(*lines.values()))
     doc["op_outcomes"] = {"seconds": OUTCOME_SECONDS, **failed, "differing_lines": differing}
+    doc["src_lines"] = {side: src_lines(sides[side] / "src") for side in SIDES}
     doc["summary"] = {
         verdict: [f"{workload}/{name}" for workload, result in doc["workloads"].items()
                   for name, metric in result["end_to_end"].items()
@@ -216,6 +223,9 @@ def main(argv=None) -> int:
                   f"{metric['change_median']:<10.4g} iqr {metric['base_iqr']:<9.3g} "
                   f"wins {metric['wins']}/{args.pairs} gain {metric['gain']!s:5} "
                   f"{metric['bound_verdict']}")
+    lines = doc["src_lines"]
+    print(f"src lines base {lines['base']} change {lines['change']} "
+          f"({lines['change'] - lines['base']:+d})")
     return 0
 
 
