@@ -8,7 +8,8 @@ The decidable conditions implemented here:
   necessary, so their failure decides "no".
 * Block-length selection: whenever a ratio of eigenvalues is a root of
   unity of order k, powers of A can collapse distinct eigenvalues;
-  h = lcm(orders) + 1 avoids every such collapse.
+  h = lcm(orders) + 1 over orders up to MAX_ORDER avoids every such
+  collapse, and the gap test on the spectrum of A^h catches the rest.
 * All-real shortcut: a distinct real spectrum keeps cubes distinct, so
   h = 3 is certified.
 * Invertibility of the geometric sum H_b through the spectrum of A.
@@ -34,8 +35,8 @@ from .errors import AnalysisError, PreconditionError
 from .lifting import krylov
 from .numeric import numeric_rank
 from .system import LtiSystem, _locked
-from .tolerances import _EPS, DEFAULT, EIG_SEP, ROOT_OF_UNITY, UNIT_EIGENVALUE, UNIT_MODULUS
-from .tolerances import Tolerances, rank_cutoff, require_integer
+from .tolerances import _EPS, EIG_SEP, MAX_ORDER, ROOT_OF_UNITY, UNIT_EIGENVALUE, UNIT_MODULUS
+from .tolerances import rank_cutoff, require_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,15 +265,15 @@ def check_nonrepetitive_sufficient(system: LtiSystem, h: int) -> Controllability
     )
 
 
-def unit_ratio_orders(system: LtiSystem, tol: Tolerances = DEFAULT) -> list[RatioOrder]:
+def unit_ratio_orders(system: LtiSystem) -> list[RatioOrder]:
     """Orders of eigenvalue ratios that are roots of unity.
 
     A ratio r = lambda_i / lambda_j counts when |r| is within
-    UNIT_MODULUS of 1 and some k <= tol.max_order brings r^k within
+    UNIT_MODULUS of 1 and some k <= MAX_ORDER brings r^k within
     ROOT_OF_UNITY of 1; the smallest such k is the order. Unit-modulus
-    ratios that reach no order within the search bound are skipped
-    silently: every conjugate pair has a unit-modulus ratio, and the
-    chosen block length is checked again by the gap test on the
+    ratios of no order up to MAX_ORDER are skipped silently: every
+    conjugate pair has a unit-modulus ratio, and a higher order that
+    divides the chosen block length is caught by the gap test on the
     spectrum of A^h.
     """
     eigs = system.eigenvalues
@@ -283,34 +284,23 @@ def unit_ratio_orders(system: LtiSystem, tol: Tolerances = DEFAULT) -> list[Rati
     i, j = i[i < j], j[i < j]
     if not i.size:
         return []
-    # r^k, k = 1..max_order, down each column by a scalar loop's products
-    # r^(k-1) * r, in blocks of at most 1024 rows, each block's first row the
-    # last row before it times r; the search stops once every pair has an order
-    ratio, orders = ratios[i, j], np.zeros(i.size, dtype=int)  # order 0: none found yet
-    for start in range(0, tol.max_order, 1024):
-        powers = np.full((min(1024, tol.max_order - start), i.size), ratio)
-        powers[0] = last * ratio if start else ratio
-        powers = np.multiply.accumulate(powers)
-        hits = abs(powers - 1.0) <= ROOT_OF_UNITY
-        found = (orders == 0) & hits.any(axis=0)
-        orders[found] = start + 1 + hits.argmax(axis=0)[found]
-        if orders.all():
-            break
-        last = powers[-1]
+    # r^k, k = 1..MAX_ORDER, down each column by a scalar loop's products r^(k-1) * r
+    powers = np.multiply.accumulate(np.full((MAX_ORDER, i.size), ratios[i, j]))
+    hits = abs(powers - 1.0) <= ROOT_OF_UNITY
+    orders = np.where(hits.any(axis=0), 1 + hits.argmax(axis=0), 0)  # order 0: none found
     return [RatioOrder(i=p, j=q, order=k) for p, q, k in zip(
         keep[i].tolist(), keep[j].tolist(), orders.tolist()) if k]
 
 
-def select_h(
-    system: LtiSystem, tol: Tolerances = DEFAULT, orders: list[RatioOrder] | None = None
-) -> int:
+def select_h(system: LtiSystem, orders: list[RatioOrder] | None = None) -> int:
     """Block length certified to keep the eigenvalues of A^h distinct.
 
     Requires numerically distinct eigenvalues and no eigenvalue at 1.
-    Returns lcm(orders) + 1 over all root-of-unity ratio orders, or 2
-    when no ratio is a root of unity. ``orders`` takes the result of
-    ``unit_ratio_orders(system, tol)`` when the caller already has it, so
-    the pair search runs once.
+    Returns lcm(orders) + 1 over all root-of-unity ratio orders up to
+    MAX_ORDER, or 2 when no ratio has one; a higher order that divides
+    the result is caught by the gap test on the spectrum of A^h.
+    ``orders`` takes the result of ``unit_ratio_orders(system)`` when the
+    caller already has it, so the pair search runs once.
     """
     eigs = system.eigenvalues
     if not _pairwise_distinct(eigs):
@@ -323,7 +313,7 @@ def select_h(
             "A has an eigenvalue at 1; no block length restores controllability"
         )
     if orders is None:
-        orders = unit_ratio_orders(system, tol)
+        orders = unit_ratio_orders(system)
     if not orders:
         return 2
     return math.lcm(*(entry.order for entry in orders)) + 1

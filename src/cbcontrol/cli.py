@@ -107,8 +107,8 @@ def _resolve_h(problem: Problem):
     if problem.h is not None:
         return problem.h, None
     if problem.task.regime == NON_REPETITIVE:
-        orders = unit_ratio_orders(problem.system, tol=problem.tolerances)
-        h = select_h(problem.system, tol=problem.tolerances, orders=orders)
+        orders = unit_ratio_orders(problem.system)
+        h = select_h(problem.system, orders=orders)
         return h, {"selected_h": h, "ratio_orders": [dataclasses.asdict(o) for o in orders]}
     # identical blocks: the h = 2 conditions are the ones with coverage
     return 2, {"selected_h": 2, "ratio_orders": []}
@@ -334,8 +334,6 @@ def _add_common(parser: argparse.ArgumentParser, needs_out: bool):
                         type=float, help="terminal-state tolerance override")
     parser.add_argument("--tol-cb", dest="tolerances.charge_balance", metavar="TOL_CB",
                         type=float, help="charge-balance tolerance override")
-    parser.add_argument("--max-order", dest="tolerances.max_order", metavar="MAX_ORDER",
-                        type=int, help="largest ratio order searched in block-length selection")
 
 
 @functools.cache

@@ -11,11 +11,11 @@ Problem files are JSON with explicit field names:
         "regime": "repetitive"        // or "non-repetitive"
       },
       "tolerances": {                 // optional overrides
-        "charge_balance": 1e-9, "terminal": 1e-6, "max_order": 64
+        "charge_balance": 1e-9, "terminal": 1e-6
       }
     }
 
-Any of the three Tolerances fields may be overridden; any other key is refused.
+Either Tolerances field may be overridden; any other key is refused.
 
 Numbers are decimal doubles and matrices are lists of rows. CSV output
 uses a comma delimiter, a header row, '.' as the decimal separator,

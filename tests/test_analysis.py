@@ -2,7 +2,6 @@
 
 import dataclasses
 import gc
-import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
@@ -15,8 +14,6 @@ from cbcontrol import (
     LtiSystem,
     PbhResult,
     PreconditionError,
-    RatioOrder,
-    Tolerances,
     build_scheme,
     bundled_problem,
     check_nonrepetitive_sufficient,
@@ -35,7 +32,7 @@ from cbcontrol.analysis import _has_unit_eigenvalue, _modal_screen, _near, _penc
 from cbcontrol import tolerances
 from cbcontrol.lifting import krylov
 from cbcontrol.numeric import numeric_rank
-from cbcontrol.tolerances import EIG_SEP, ROOT_OF_UNITY, UNIT_MODULUS
+from cbcontrol.tolerances import EIG_SEP, MAX_ORDER, ROOT_OF_UNITY, UNIT_MODULUS
 
 from helpers import (
     counting_svd,
@@ -165,24 +162,6 @@ def test_select_h_conjugate_pair_order_two():
     assert select_h(system) == 3
 
 
-def test_ratio_order_found_past_the_first_block():
-    # a rotation by 2 pi / 1031 has the ratio e^(4 pi i / 1031), of prime
-    # order 1031: r^k is searched in blocks of 1024 rows, so the order is
-    # found in the second block, whose first row is the first block's last
-    # row times r
-    theta = 2.0 * np.pi / 1031
-    A = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    system = LtiSystem(A=A, B=[[1.0], [0.0]])
-    tol = Tolerances(max_order=2000)
-    orders = unit_ratio_orders(system, tol)
-    assert len(orders) == 1
-    eigs = system.eigenvalues
-    ratio = eigs[orders[0].i] / eigs[orders[0].j]
-    minimal = next(k for k in range(1, 2001) if abs(ratio**k - 1.0) <= ROOT_OF_UNITY)
-    assert orders[0].order == minimal == 1031
-    assert select_h(system, tol) == 1032
-
-
 def test_select_h_preconditions():
     repeated = LtiSystem(A=np.diag([2.0, 2.0]), B=np.eye(2))
     with pytest.raises(PreconditionError, match="distinct"):
@@ -214,28 +193,26 @@ def test_select_h_skips_high_order_ratio_without_warning():
     system = LtiSystem(A=A, B=[[1.0], [0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert unit_ratio_orders(system, Tolerances(max_order=32)) == []
-        assert select_h(system, Tolerances(max_order=32)) == 2
+        assert unit_ratio_orders(system) == []
+        assert select_h(system) == 2
 
 
-def test_ratio_order_search_memory_is_bounded():
-    # r^k is formed a block of rows at a time, and the search stops after the
-    # block in which every pair has found its order: a bound of 10^6 costs
-    # the memory of one block, as does a pair of no order at 10^5
-    found = load_problem(bundled_problem("rotation_2d")).system
-    angle = 1.0  # radians: the ratio e^(2i) reaches 1 at no k <= 10^5
-    none = LtiSystem(A=[[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]],
-                     B=[[1.0], [0.0]])
-    for system, max_order, want in ((found, 10**6, [RatioOrder(0, 1, 3)]), (none, 10**5, [])):
-        system.eigenvalues  # the eigen-solve is not part of the search
-        tracemalloc.start()
-        try:
-            got = unit_ratio_orders(system, Tolerances(max_order=max_order))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == want
-        assert peak < 1 << 20, peak
+def test_order_past_max_order_dividing_h_is_caught_by_the_gap_test():
+    # rotation pairs at radii 0.9 and 0.8 whose in-pair ratios have orders
+    # 64 and 65: only 64 is within MAX_ORDER, so h = 65, where the second
+    # pair's powers collide; the gap test sees it and lifted PBH decides
+    A = np.zeros((4, 4))
+    for at, radius, order in ((0, 0.9, 64), (2, 0.8, 65)):
+        theta = np.pi / order  # the in-pair ratio is e^(2 pi i / order)
+        A[at:at + 2, at:at + 2] = radius * np.array(
+            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    system = LtiSystem(A=A, B=np.ones((4, 1)))
+    assert MAX_ORDER == 64
+    assert [o.order for o in unit_ratio_orders(system)] == [64]
+    assert select_h(system) == 65
+    verdict = check_nonrepetitive_sufficient(system, 65)
+    assert {r.name: r.holds for r in verdict.reasons}["A^65 has a simple spectrum"] is False
+    assert (verdict.conditions, verdict.controllable) == ("undetermined", "yes")
 
 
 def test_select_h_certificate_keeps_power_spectrum_simple():
@@ -576,10 +553,9 @@ def test_vectorised_spectral_tests_match_pair_loops():
     systems += [LtiSystem(A=np.diag([0.5, -2.0, 3.0, 0.0]), B=np.ones((4, 1))),
                 LtiSystem(A=np.zeros((3, 3)), B=np.ones((3, 1)))]
     hits = skips = 0
-    for trial, system in enumerate(systems):
-        limit = (64, 8, 2500)[trial % 3]  # 2500: three blocks of the blocked search
-        got = unit_ratio_orders(system, Tolerances(max_order=limit))
-        want, skipped = ratio_orders_loop(system, limit)
+    for system in systems:
+        got = unit_ratio_orders(system)
+        want, skipped = ratio_orders_loop(system, MAX_ORDER)
         assert [(o.i, o.j, o.order) for o in got] == want
         hits += bool(want)
         skips += skipped > 1

@@ -28,10 +28,12 @@ from cbcontrol.tolerances import Tolerances
 
 from helpers import floored_rank, read_csv
 
-# the thresholds that are module constants, not Tolerances fields, at their values
+# the thresholds and the ratio-order search bound: module constants, not
+# Tolerances fields, at their values
 RETIRED_TOLERANCE_KEYS = (
     ("reach", 1e-8), ("rank_slack", 100.0), ("eig_sep", 1e-8),
     ("unit_modulus", 1e-9), ("root_of_unity", 1e-8), ("unit_eigenvalue", 1e-8),
+    ("max_order", 64),
 )
 
 
@@ -143,7 +145,7 @@ def test_parse_rejects_bad_shapes_and_values(tmp_path, capsys):
     with pytest.raises(ProblemFormatError, match="windup"):
         parse_problem(json.dumps(bad_tol))
 
-    for field, value in (("terminal", "tiny"), ("max_order", 2.5), ("max_order", True),
+    for field, value in (("terminal", "tiny"), ("charge_balance", True),
                          ("terminal", 10**400), ("charge_balance", 10**400)):
         bad_tol["tolerances"] = {field: value}
         with pytest.raises(ProblemFormatError, match=field):
@@ -151,35 +153,21 @@ def test_parse_rejects_bad_shapes_and_values(tmp_path, capsys):
     # the fixed thresholds are no fields: a file naming one is refused, even
     # at the value the threshold has
     assert [f.name for f in dataclasses.fields(Tolerances)] == [
-        "charge_balance", "terminal", "max_order"]
+        "charge_balance", "terminal"]
     for field, value in RETIRED_TOLERANCE_KEYS:
         bad_tol["tolerances"] = {field: value}
         with pytest.raises(ProblemFormatError, match=rf"unknown tolerance fields \['{field}'\]"):
             parse_problem(json.dumps(bad_tol))
 
-    # max_order is bounded by ROOT_OF_UNITY / eps = 45035996
-    bad_tol["tolerances"] = {"max_order": 45035997}
-    bound = "max_order must be a positive int at most ROOT_OF_UNITY / eps = 45035996, got 45035997"
-    with pytest.raises(ProblemFormatError, match=bound):
-        parse_problem(json.dumps(bad_tol))
-    bad_tol["tolerances"] = {"max_order": 45035996}
-    assert parse_problem(json.dumps(bad_tol)).tolerances.max_order == 45035996
 
-
-def test_max_order_cap_is_a_constant(tmp_path, capsys):
-    # the cap depends on no other field: an order past it is refused however
-    # large, and a file cannot loosen the root-of-unity bound to lift it
-    bound = "max_order must be a positive int at most ROOT_OF_UNITY / eps = 45035996, got "
-    for order in (0, 10**9, 10**400):
-        with pytest.raises(ValueError, match=bound + str(order)):
-            Tolerances(max_order=order)
-    doc = json.loads(bundled_problem("rotation_2d").read_text())
-    doc["tolerances"] = {"root_of_unity": 1e300, "max_order": 10**9}
-    path = tmp_path / "loose.json"
-    path.write_text(json.dumps(doc))
-    assert main(["analyze", "--problem", str(path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "unknown tolerance fields ['root_of_unity']" in err
+def test_max_order_is_no_flag(capsys):
+    # the ratio-order search bound is the constant MAX_ORDER: --max-order is
+    # a usage error, as a file naming max_order is a parse error (with the
+    # other retired keys in RETIRED_TOLERANCE_KEYS)
+    with pytest.raises(SystemExit) as exited:
+        main(["analyze", "--problem", str(bundled_problem("rotation_2d")), "--max-order", "8"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --max-order 8" in capsys.readouterr().err
 
 
 def test_parse_tolerance_overrides():
@@ -187,12 +175,9 @@ def test_parse_tolerance_overrides():
     assert problem.tolerances.terminal == 1e-6
     text = bundled_problem("rotation_2d").read_text()
     doc = json.loads(text)
-    doc["tolerances"] = {"terminal": 1e-9, "max_order": 16}
+    doc["tolerances"] = {"terminal": 1e-9}
     tweaked = parse_problem(json.dumps(doc))
     assert tweaked.tolerances.terminal == 1e-9
-    assert tweaked.tolerances.max_order == 16
-    # numpy integers count as integers; the stored value is unchanged
-    assert dataclasses.replace(tweaked.tolerances, max_order=np.int64(8)).max_order == 8
 
 
 def test_main_exit_code_parse_error(tmp_path, capsys):
@@ -220,9 +205,6 @@ def test_main_exit_code_parse_error(tmp_path, capsys):
         (["--h", "1"], "task", "h", 1),
         (["--tol-term", "-1"], "tolerances", "terminal", -1.0),
         (["--tol-cb", "nan"], "tolerances", "charge_balance", float("nan")),
-        (["--max-order", "0"], "tolerances", "max_order", 0),
-        # past ROOT_OF_UNITY / eps no order can be certified
-        (["--max-order", "1000000000"], "tolerances", "max_order", 10**9),
     ):
         doc = json.loads(bundled_problem("rotation_2d").read_text())
         path.write_text(json.dumps(doc))
@@ -277,7 +259,6 @@ _OVERRIDE_FLAGS = (
     ("--regime", "nonrep", "task", "regime", "non-repetitive"),
     ("--tol-term", "1e-9", "tolerances", "terminal", 1e-9),
     ("--tol-cb", "1e-7", "tolerances", "charge_balance", 1e-7),
-    ("--max-order", "8", "tolerances", "max_order", 8),
 )
 
 
@@ -1259,17 +1240,6 @@ def test_tolerance_flags_flow_through(tmp_path):
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert report["design"]["passed"] is False
     assert (tmp_path / "run" / "inputs.csv").exists()
-
-    # a bounded ratio-order search skips the order-3 pair, silently, and
-    # settles on h = 2
-    problem = load_problem(bundled_problem("rotation_2d"))
-    capped = dataclasses.replace(
-        problem, tolerances=dataclasses.replace(problem.tolerances, max_order=2)
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report2 = cmd_analyze(capped)
-    assert report2["verdict"]["h"] == 2
 
 
 def test_regime_flag_aliases(tmp_path):

@@ -7,17 +7,27 @@ was given, or is not the minimum it claims.
 """
 
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from cbcontrol import SteeringTask, build_scheme, bundled_problem, lift, list_bundled
+from cbcontrol import (
+    LtiSystem,
+    SteeringTask,
+    build_scheme,
+    bundled_problem,
+    check_nonrepetitive_sufficient,
+    check_repetitive_sufficient,
+    lift,
+    list_bundled,
+)
 from cbcontrol.cli import main
 from cbcontrol.design import NON_REPETITIVE, REGIMES, REPETITIVE, design_nonrepetitive, design_repetitive
 from cbcontrol.errors import AnalysisError, ReachabilityError
 from cbcontrol.problem_io import read_inputs_csv
 
-from helpers import random_system
+from helpers import random_orthogonal, random_system
 
 
 def _design(tmp_path, name: str, doc: dict):
@@ -160,25 +170,124 @@ def test_superposition_moves_the_start_into_the_target():
     # steering x0 to xf costs what steering 0 to xf - A^(bh) x0 costs, in
     # both regimes: both tasks design a plan of equal energy within 1e-8
     # relative, or both raise the same error
-    rng = np.random.default_rng(12)
     designed = 0
-    for trial in range(200):
+    for trial, (system, x0, xf, h, b) in enumerate(_float_family()):
+        shifted = xf - np.linalg.matrix_power(system.A, b * h) @ x0
+        outcomes = _outcomes(system, x0, xf, h, b)
+        shifted_outcomes = _outcomes(system, np.zeros(system.n), shifted, h, b)
+        for regime in REGIMES:
+            energies = [outcomes[regime], shifted_outcomes[regime]]
+            designed += all(isinstance(energy, float) for energy in energies)
+            assert _same_outcome(energies[1], energies[0], 1e-8), (trial, regime, energies)
+    assert designed >= 200
+
+
+def _float_family():
+    """200 seeded float plants and tasks (system, x0, xf, h, b): n 2-6, m 1-3,
+    h 2-3, b 2-10, A Gaussian at spectral radius U(0.5, 1.3), B, x0 and xf
+    Gaussian."""
+    rng = np.random.default_rng(12)
+    for _ in range(200):
         n, m, h, b = (int(rng.integers(lo, hi)) for lo, hi in ((2, 7), (1, 4), (2, 4), (2, 11)))
         system = random_system(rng, n, m, radius=rng.uniform(0.5, 1.3))
-        x0, xf = rng.standard_normal(n), rng.standard_normal(n)
-        lifted = lift(system, build_scheme(h, m))
-        shifted = xf - np.linalg.matrix_power(system.A, b * h) @ x0
-        for regime, design in ((NON_REPETITIVE, design_nonrepetitive), (REPETITIVE, design_repetitive)):
-            energies = []
-            for start, target in ((x0, xf), (np.zeros(n), shifted)):
-                task = SteeringTask(x0=start, xf=target, b=b, regime=regime)
-                try:
-                    energies.append(design(lifted, task).energy)
-                except (ReachabilityError, AnalysisError) as exc:
-                    energies.append(type(exc))
-            if all(isinstance(energy, float) for energy in energies):
-                designed += 1
-                assert abs(energies[1] - energies[0]) <= 1e-8 * energies[0], (trial, regime)
-            else:
-                assert energies[0] == energies[1], (trial, regime, energies)
-    assert designed >= 200
+        yield system, rng.standard_normal(n), rng.standard_normal(n), h, b
+
+
+def _outcomes(system, x0, xf, h, b):
+    """Per regime, the designed energy or the type of the error the design raised."""
+    lifted = lift(system, build_scheme(h, system.m))
+    outcomes = {}
+    for regime, design in ((NON_REPETITIVE, design_nonrepetitive), (REPETITIVE, design_repetitive)):
+        try:
+            outcomes[regime] = design(lifted, SteeringTask(x0=x0, xf=xf, b=b, regime=regime)).energy
+        except (ReachabilityError, AnalysisError) as exc:
+            outcomes[regime] = type(exc)
+    return outcomes
+
+
+def _answers(system, x0, xf, h, b):
+    """Both verdicts, then the outcomes of both regimes' designs."""
+    verdicts = (check_nonrepetitive_sufficient(system, h).controllable,
+                check_repetitive_sufficient(system, b, h).controllable)
+    return verdicts, _outcomes(system, x0, xf, h, b)
+
+
+def _same_outcome(got, want, rel):
+    """Both the same error, or both designed with energies within rel relative
+    (rel None: both designed, whatever the energies)."""
+    if isinstance(got, float) and isinstance(want, float):
+        return rel is None or abs(got - want) <= rel * want
+    return got == want
+
+
+def _similarity(rng, n, kind):
+    """T = diag(10^U(-3, 3)), or U diag(10^U(0, 3)) V^T with U, V orthogonal."""
+    if kind == "diagonal":
+        return np.diag(10.0 ** rng.uniform(-3.0, 3.0, n))
+    return (random_orthogonal(rng, n) * 10.0 ** rng.uniform(0.0, 3.0, n)) @ random_orthogonal(rng, n).T
+
+
+def _similar_answers(kind):
+    """(trial, answers, answers after x -> T x) over the float family."""
+    rng = np.random.default_rng(13)
+    for trial, (system, x0, xf, h, b) in enumerate(_float_family()):
+        T = _similarity(rng, system.n, kind)
+        similar = LtiSystem(A=T @ system.A @ np.linalg.inv(T), B=T @ system.B)
+        yield trial, _answers(system, x0, xf, h, b), _answers(similar, T @ x0, T @ xf, h, b)
+
+
+# the one family member whose identical-block energy moves past 1e-8: the
+# strict xfail below
+_NON_NORMAL = ("svd", 65)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "svd"])
+def test_state_similarity_keeps_verdicts_and_identical_block_energies(kind):
+    # (A, B, x0, xf) -> (T A T^-1, T B, T x0, T xf) with T of condition up
+    # to 1e6 is the same plant in other state coordinates: both verdicts
+    # must agree, and the identical-block designs must agree in outcome and,
+    # where both design, in energy within 1e-8 relative
+    for trial, (verdicts, outcomes), (similar_verdicts, similar_outcomes) in _similar_answers(kind):
+        assert similar_verdicts == verdicts, trial
+        if (kind, trial) != _NON_NORMAL:
+            assert _same_outcome(similar_outcomes[REPETITIVE], outcomes[REPETITIVE], 1e-8), (
+                trial, outcomes[REPETITIVE], similar_outcomes[REPETITIVE])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 12: the lift forms A^h by float products; T makes this A non-normal "
+    "(entries up to 845, spectral radius 1.27), so H_b errs by 1.7e-7 relative and the "
+    "identical-block energy misses the float plant's exact minimum by 1.1e-6"))
+def test_state_similarity_keeps_the_identical_block_energy_of_a_non_normal_plant():
+    kind, at = _NON_NORMAL
+    trial, (_, outcomes), (_, similar_outcomes) = next(islice(_similar_answers(kind), at, None))
+    assert _same_outcome(similar_outcomes[REPETITIVE], outcomes[REPETITIVE], 1e-8), (
+        trial, outcomes[REPETITIVE], similar_outcomes[REPETITIVE])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP items 1 and 2: the distinct-block rank rule and solve depend on state "
+    "units; outcomes flip and passing plans' energies differ past 1e-8 relative"))
+@pytest.mark.parametrize("kind", ["diagonal", "svd"])
+def test_state_similarity_keeps_distinct_block_designs(kind):
+    # as above for distinct blocks: the same outcome, and where both
+    # design, the same energy within 1e-8 relative
+    for trial, (_, outcomes), (_, similar_outcomes) in _similar_answers(kind):
+        assert _same_outcome(similar_outcomes[NON_REPETITIVE], outcomes[NON_REPETITIVE], 1e-8), (
+            trial, outcomes[NON_REPETITIVE], similar_outcomes[NON_REPETITIVE])
+
+
+def test_orthogonal_channel_mixing_on_a_float_family():
+    # B -> B M, M Haar-orthogonal m x m, maps each block's per-channel sums
+    # by M^T, so the charge-balance set and the energy are unchanged: both
+    # verdicts and both regimes' outcomes must agree, and identical-block
+    # energies within 1e-8 relative; distinct-block energies are not
+    # compared (they differ by up to 2.7e-8 relative, ROADMAP item 12)
+    rng = np.random.default_rng(13)
+    for trial, (system, x0, xf, h, b) in enumerate(_float_family()):
+        M = random_orthogonal(rng, system.m)
+        verdicts, outcomes = _answers(system, x0, xf, h, b)
+        mixed_verdicts, mixed = _answers(LtiSystem(A=system.A, B=system.B @ M), x0, xf, h, b)
+        assert mixed_verdicts == verdicts, trial
+        assert _same_outcome(mixed[REPETITIVE], outcomes[REPETITIVE], 1e-8), trial
+        assert _same_outcome(mixed[NON_REPETITIVE], outcomes[NON_REPETITIVE], None), trial
