@@ -15,7 +15,8 @@ the reachable space is rank deficient. A plan is its inputs U = Q w alone.
 
 A stacked least-squares solver over the raw per-step inputs
 (oracle_stacked_ls) provides an independent optimality cross-check; it
-never touches the lifted objects.
+never touches the lifted objects. With identical blocks it solves for
+the inputs of the one block that repeats.
 """
 
 from __future__ import annotations
@@ -135,18 +136,22 @@ def _block_imbalances(flat_inputs: np.ndarray, h: int) -> np.ndarray:
     return np.abs(flat_inputs.reshape(-1, h, flat_inputs.shape[1]).sum(axis=1)).max(axis=1)
 
 
-def _solve_reachable(solve, matrix, d, where: str, rank_name: str):
-    """Minimum-norm x with matrix @ x = d by solve, or ReachabilityError when d is out of reach."""
-    x, rank, _, residual = solve(matrix, d)
+def _require_reached(residual: float, d, what: str, rank_text: str, rank: int):
+    """ReachabilityError when residual exceeds REACH relative to d; a zero d is always reached."""
     dnorm = float(np.linalg.norm(d))
     if dnorm > 0.0 and residual > REACH * dnorm:
         raise ReachabilityError(
-            f"target displacement is not reachable {where}: "
-            f"residual {residual:.3e} (relative {residual / dnorm:.3e}), "
-            f"{rank_name} {rank} of {len(matrix)}",
+            f"{what}: residual {residual:.3e} (relative {residual / dnorm:.3e}), {rank_text}",
             residual=residual,
             rank=rank,
         )
+
+
+def _solve_reachable(solve, matrix, d, where: str, rank_name: str):
+    """Minimum-norm x with matrix @ x = d by solve, or ReachabilityError when d is out of reach."""
+    x, rank, _, residual = solve(matrix, d)
+    _require_reached(residual, d, f"target displacement is not reachable {where}",
+                     f"{rank_name} {rank} of {len(matrix)}", rank)
     return x
 
 
@@ -194,21 +199,24 @@ def design_repetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPlan:
 def oracle_stacked_ls(system: LtiSystem, scheme: BlockScheme, task: SteeringTask) -> ControlPlan:
     """Independent optimality oracle over the raw per-step inputs.
 
-    Minimizes the Euclidean norm of the full stacked input vector subject
-    to the unrolled terminal equality, the per-block zero-sum rows, and,
-    in the repetitive regime, equality of every block with the first.
+    Minimizes the Euclidean norm of the stacked inputs subject to the
+    unrolled terminal equality and the per-block zero-sum rows. With
+    identical blocks the unknowns are the h*m inputs of the one block
+    that repeats, the terminal rows sum the b blocks' columns, and the
+    plan is that block b times (whose norm is sqrt(b) times its own).
     Solved as one minimum-norm least-squares system after row
     equilibration (which leaves the solution set of a consistent system
     unchanged). Shares no arithmetic with the closed-form laws. Raises
     ReachabilityError, with the scaled residual and the stacked rank, when
-    that system is infeasible, and ChargeBalanceError when a block of the
-    solution carries net charge above DEFAULT.charge_balance.
+    that system is infeasible, or with the unscaled terminal residual when
+    the solution misses the target as _solve_reachable decides; before
+    that, ChargeBalanceError when a block of the solution carries net
+    charge above DEFAULT.charge_balance.
     """
     _require_channels(system, scheme)
     _require_states(task, system.n)
     m, h, b = system.m, scheme.h, task.b
     steps = b * h
-    block_dim = scheme.block_dim
 
     # terminal rows: [A^(steps-1) B, ..., A B, B] u = xf - A^steps x0
     powers = [system.B]
@@ -217,16 +225,13 @@ def oracle_stacked_ls(system: LtiSystem, scheme: BlockScheme, task: SteeringTask
     terminal = np.hstack(powers[::-1])
     d_full = task.xf - np.linalg.matrix_power(system.A, steps) @ task.x0
 
-    balance = np.kron(np.eye(b), scheme.R)
-    rows = [terminal, balance]
-    rhs = [d_full, np.zeros(b * m)]
-    if task.regime == REPETITIVE:
-        # block p minus block 0 is zero, for p = 1 .. b-1
-        ties = np.hstack((np.tile(-np.eye(block_dim), (b - 1, 1)), np.eye((b - 1) * block_dim)))
-        rows.append(ties)
-        rhs.append(np.zeros((b - 1) * block_dim))
-    lhs = np.vstack(rows)
-    target = np.concatenate(rhs)
+    if task.regime == REPETITIVE:  # u is one block v repeated: the columns of the b blocks add
+        terminal = terminal.reshape(system.n, b, h * m).sum(axis=1)
+        balance = scheme.R
+    else:
+        balance = np.kron(np.eye(b), scheme.R)
+    lhs = np.vstack((terminal, balance))
+    target = np.concatenate((d_full, np.zeros(len(balance))))
 
     row_norms = np.linalg.norm(lhs, axis=1)
     row_norms[row_norms == 0.0] = 1.0
@@ -240,7 +245,7 @@ def oracle_stacked_ls(system: LtiSystem, scheme: BlockScheme, task: SteeringTask
             rank=rank,
         )
 
-    flat = u.reshape(steps, m)
+    flat = (np.tile(u, b) if task.regime == REPETITIVE else u).reshape(steps, m)
     imbalances = _block_imbalances(flat, h)
     if imbalances.max() > DEFAULT.charge_balance:
         raise ChargeBalanceError(
@@ -248,6 +253,8 @@ def oracle_stacked_ls(system: LtiSystem, scheme: BlockScheme, task: SteeringTask
             f"{imbalances.max():.3e} exceeds {DEFAULT.charge_balance:g}",
             imbalance=imbalances,
         )
+    miss = float(np.linalg.norm(terminal @ u - d_full))  # unscaled: equilibration hides it
+    _require_reached(miss, d_full, "stacked solution misses the target", f"rank {rank}", rank)
     return ControlPlan(flat)
 
 

@@ -49,20 +49,30 @@ def krylov(M: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     """Block-Krylov matrix [M^(k-1) X, ..., M X, X], k >= 1, by k - 1 products from X.
 
     lift's S, reachability_matrix's Rb and analysis' K are all built here.
-    Each product is written in place into one (k, n, w) array, and the
-    blocks are laid side by side in a C-ordered copy: for w = 1 the
-    transposed view is F-ordered, and products with it round differently.
+    Each product is written in place into a stage of c contiguous (n, w)
+    blocks (at most 2^16 cells, at least 2 blocks), the top block of one
+    stage giving the next its first product, and each stage is copied into
+    its place in one C-ordered (n, k, w) result, so the matrix is never
+    held twice. For w = 1 a transposed view would be F-ordered, and
+    products with it round differently.
     """
     n, w = X.shape
+    c = min(k, max(2, 2**16 // max(1, n * w)))
     try:
-        blocks = np.empty((k, n, w))
+        result = np.empty((n, k, w))
     except ValueError as exc:  # past numpy's index range: as if out of memory
         raise MemoryError(f"a {k} x {n} x {w} Krylov array is too large to address: {exc}") from exc
-    blocks[-1] = X
+    stage = np.empty((c, n, w))
+    stage[-1] = X
     dot = M.dot
-    for block, below in itertools.pairwise(blocks[::-1]):
-        dot(block, out=below)
-    return np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(n, k * w)
+    for top in range(k, 0, -c):
+        if top < k:
+            dot(stage[0], out=stage[-1])
+        part = stage[max(0, c - top):]
+        for block, below in itertools.pairwise(part[::-1]):
+            dot(block, out=below)
+        result[:, top - len(part):top] = part.transpose(1, 0, 2)
+    return result.reshape(n, k * w)
 
 
 def _require_channels(system: LtiSystem, scheme: BlockScheme):

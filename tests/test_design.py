@@ -589,6 +589,48 @@ def test_oracle_rejects_infeasible_and_mismatched_tasks():
         oracle_stacked_ls(system, scheme, short)
 
 
+def test_repetitive_oracle_solves_over_the_one_block(monkeypatch):
+    # identical blocks: the unknowns are one block's h m inputs, the rows the
+    # n summed terminal rows and the m block sums, and the plan is that block
+    # b times, bit for bit
+    import cbcontrol.design as design
+
+    shapes = []
+
+    def recording(matrix, rhs):
+        shapes.append(np.shape(matrix))
+        return min_norm_solve(matrix, rhs)
+
+    monkeypatch.setattr(design, "min_norm_solve", recording)
+    rng = np.random.default_rng(59)
+    for n, m, h, b in ((2, 1, 2, 1), (3, 2, 3, 4), (5, 2, 2, 20), (4, 3, 4, 7)):
+        system = random_system(rng, n, m)
+        scheme = build_scheme(h, m)
+        task = feasible_task(rng, system, scheme, b, REPETITIVE)
+        plan = oracle_stacked_ls(system, scheme, task)
+        assert shapes.pop() == (n + m, h * m)
+        blocks = plan.flat_inputs.reshape(b, -1)
+        assert all(block.tobytes() == blocks[0].tobytes() for block in blocks)
+        nonrep = dataclasses.replace(task, regime=NON_REPETITIVE)
+        oracle_stacked_ls(system, scheme, nonrep)
+        assert shapes.pop() == (n + b * m, b * h * m)
+
+
+def test_oracle_rejects_a_plan_that_misses():
+    # four_state at b = 10: the row-equilibrated residual is tiny because the
+    # equilibrated target is, yet the plan ends 2.6 from xf; a zero
+    # displacement still gives the zero plan
+    system = four_state_system()
+    scheme = build_scheme(3, 2)
+    for regime in REGIMES:
+        task = SteeringTask(x0=np.zeros(4), xf=[1.0, -0.6, 0.5, -0.4], b=10, regime=regime)
+        with pytest.raises(ReachabilityError, match="stacked solution misses the target") as info:
+            oracle_stacked_ls(system, scheme, task)
+        assert info.value.residual > 1.0
+        still = SteeringTask(x0=np.zeros(4), xf=np.zeros(4), b=10, regime=regime)
+        assert oracle_stacked_ls(system, scheme, still).energy == 0.0
+
+
 def test_verify_zero_plan_on_drifting_target():
     rng = np.random.default_rng(57)
     system = random_system(rng, 2, 1)
@@ -774,19 +816,29 @@ _EXACT_MISSES = {
 }
 
 
-@pytest.mark.parametrize("name, regime, b", [
-    pytest.param(name, regime, b, marks=[pytest.mark.xfail(strict=True, reason=reason)]
-                 if (reason := _EXACT_MISSES.get((name, regime, b))) else [])
-    for name in list_bundled() for regime in REGIMES for b in (5, 10, 20, 30)
-])
-def test_bundled_energy_is_the_exact_minimum(name, regime, b):
-    # every bundled plant is rational, so exact arithmetic gives the minimum
-    # energy at the file's h (as the CLI resolves it), or exact unreachability
+def _bundled_cases(misses):
+    """Every bundled problem in both regimes at b = 5, 10, 20, 30; strict xfails from misses."""
+    return [
+        pytest.param(name, regime, b, marks=[pytest.mark.xfail(strict=True, reason=reason)]
+                     if (reason := misses.get((name, regime, b))) else [])
+        for name in list_bundled() for regime in REGIMES for b in (5, 10, 20, 30)
+    ]
+
+
+def _bundled_task(name, regime, b):
+    """(h, system, task, exact minimum energy or None) of a bundled problem at regime and b."""
     doc = json.loads(bundled_problem(name).read_text())
     doc["task"].update(regime=regime, b=b)
     problem = parse_problem(json.dumps(doc))
     h, system, task = _resolve_h(problem)[0], problem.system, problem.task
-    exact = exact_min_energy(system, h, task)
+    return h, system, task, exact_min_energy(system, h, task)
+
+
+@pytest.mark.parametrize("name, regime, b", _bundled_cases(_EXACT_MISSES))
+def test_bundled_energy_is_the_exact_minimum(name, regime, b):
+    # every bundled plant is rational, so exact arithmetic gives the minimum
+    # energy at the file's h (as the CLI resolves it), or exact unreachability
+    h, system, task, exact = _bundled_task(name, regime, b)
     # one input at h = 2 leaves rotation_2d's identical block one direction
     assert exact is not None or name in ("identity_2d", "rotation_2d")
     if name == "identity_2d":  # A = I holds the unactuated second state
@@ -798,3 +850,30 @@ def test_bundled_energy_is_the_exact_minimum(name, regime, b):
             design(lifted, task)
     else:
         assert abs(design(lifted, task).energy - float(exact)) <= 1e-8 * float(exact)
+
+
+# bundled runs where the oracle raises ReachabilityError on a target that is
+# exactly reachable: its stacked rows unroll A^(b h) of an unstable plant, and
+# its plan misses xf by more than REACH relative
+_ORACLE_MISSES = {
+    (name, regime, b): f"ROADMAP item 3: plan misses xf; unrolls A^{h * b}, spectral radius {rho}"
+    for name, h, rho, horizons in (
+        ("four_state", 3, 5, (10, 20, 30)),
+        ("expander_2d", 2, 2, (20, 30)),
+    )
+    for regime in REGIMES for b in horizons
+}
+
+
+@pytest.mark.parametrize("name, regime, b", _bundled_cases(_ORACLE_MISSES))
+def test_oracle_energy_is_the_exact_minimum(name, regime, b):
+    # the oracle against the same exact minimum, or ReachabilityError where
+    # the target is exactly out of reach
+    h, system, task, exact = _bundled_task(name, regime, b)
+    scheme = build_scheme(h, system.m)
+    if exact is None:
+        with pytest.raises(ReachabilityError):
+            oracle_stacked_ls(system, scheme, task)
+    else:
+        energy = oracle_stacked_ls(system, scheme, task).energy
+        assert abs(energy - float(exact)) <= 1e-8 * float(exact)

@@ -1,5 +1,8 @@
 """Lifted block dynamics, reachability matrices, and geometric sums."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,58 @@ def test_krylov_is_bit_identical_to_the_loops_it_replaced():
     # view of the same values round differently
     for k in (2, 3, 200):
         assert krylov(rng.standard_normal((4, 4)), rng.standard_normal((4, 1)), k).flags.c_contiguous
+
+
+# krylov as it was before its products went through a bounded stage: every
+# block written in place into one (k, n, w) array, then one C-ordered copy
+def _one_array_krylov(M, X, k):
+    n, w = X.shape
+    blocks = np.empty((k, n, w))
+    blocks[-1] = X
+    for block, below in itertools.pairwise(blocks[::-1]):
+        M.dot(block, out=below)
+    return np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(n, k * w)
+
+
+def test_krylov_stage_is_bit_identical_to_one_array():
+    # the stage holds c = min(k, max(2, 2^16 // (n w))) blocks; k runs across
+    # one block, a part, the whole, one past and many stages of it, and the
+    # last shapes hold more than 2^16 cells a block, so c = 2
+    rng = np.random.default_rng(36)
+    for n, w, ks in (
+        (4, 3, (1, 2, 100, 5461, 5462, 20000)),  # c = 5461
+        (5, 1, (1, 13107, 13108, 40000)),  # w = 1: c = 13107
+        (1, 2, (1, 32768, 32769, 100000)),  # n = 1: c = 32768
+        (1, 1, (3, 65537)),
+        (200, 15, (21, 22, 200)),  # c = 21
+        (300, 300, (1, 2, 3, 5)),  # 90,000 cells a block: c = 2
+    ):
+        M = rng.standard_normal((n, n))
+        M *= 0.999 / np.abs(np.linalg.eigvals(M)).max()  # 10^5 powers stay normal floats
+        X = rng.standard_normal((n, w))
+        for k in ks:
+            got = krylov(M, X, k)
+            assert got.flags.c_contiguous and got.shape == (n, k * w), (n, w, k)
+            assert got.tobytes() == _one_array_krylov(M, X, k).tobytes(), (n, w, k)
+
+
+def test_krylov_holds_the_matrix_once():
+    # the result plus one stage of 2^16 // (n w) blocks, and a few small
+    # objects; the one-array build holds the matrix twice, 9.6 MB here
+    rng = np.random.default_rng(37)
+    n, w, k = 200, 15, 200
+    M = rng.standard_normal((n, n)) * (0.5 / np.sqrt(n))
+    X = rng.standard_normal((n, w))
+    stage = (2**16 // (n * w)) * n * w * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        K = krylov(M, X, k)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= K.nbytes + stage + 16384, (peak, K.nbytes)
 
 
 def test_lift_reachability_and_analysis_build_the_parent_arrays():

@@ -20,9 +20,10 @@ the base IQR exceeds the bound and not every change run beats every base
 run, else "within"). It also records each run's correct and failed
 counts, the `env:` line of each side, and, for both sides,
 `tools/cli_matrix.py`'s sha and exit tally, `tools/op_outcomes.py
---seconds 3`'s failed counts at seeds 1-3 and the lines of `src/**/*.py`,
-whose difference it prints. Nothing is written under `src/` or
-`benchmark/`, and the temporary directory is removed.
+--seconds 3`'s failed counts, differing lines (its last line, peak memory,
+is recorded apart and not compared) and peak memory at seeds 1-3, and the
+lines of `src/**/*.py`, whose difference it prints. Nothing is written
+under `src/` or `benchmark/`, and the temporary directory is removed.
 """
 
 from __future__ import annotations
@@ -186,14 +187,18 @@ def measure(args, sides: dict[str, Path]) -> dict:
     doc["numpy"] = {side: env["numpy"] for side, env in doc["env"].items()}
     doc["cli_matrix"] = {side: _matrix(sides[side]) for side in SIDES}
     failed = {side: {} for side in SIDES}
+    peaks = {side: {} for side in SIDES}
     differing = {}
     for seed in OUTCOME_SEEDS:
         lines = {side: _outcomes(sides[side], seed) for side in SIDES}
         for side in SIDES:
             failed[side][str(seed)] = next(line for line in lines[side]
                                            if line.startswith("failed "))
+            # the last line, peak memory, differs between runs; it is kept, not compared
+            peaks[side][str(seed)] = float(lines[side].pop().removeprefix("peak_rss_mb "))
         differing[str(seed)] = sum(a != b for a, b in zip_longest(*lines.values()))
-    doc["op_outcomes"] = {"seconds": OUTCOME_SECONDS, **failed, "differing_lines": differing}
+    doc["op_outcomes"] = {"seconds": OUTCOME_SECONDS, **failed, "differing_lines": differing,
+                          "peak_rss_mb": peaks}
     doc["src_lines"] = {side: src_lines(sides[side] / "src") for side in SIDES}
     doc["summary"] = {
         verdict: [f"{workload}/{name}" for workload, result in doc["workloads"].items()

@@ -8,11 +8,14 @@ prints the schedule index, the cell, the outcome kind, the terminal error
 of verify_plan in float.hex() and the first 16 hex digits of the sha256
 of the plan's inputs ("-" for both when no plan was made). Then it prints
 the count of each kind, the failed ops against the schedule's length,
-and one sha256 over the non-repetitive lines, whose plans a change that
-keeps their arithmetic leaves bit for bit alone.
+one sha256 over the non-repetitive lines, whose plans a change that
+keeps their arithmetic leaves bit for bit alone, and last
+`peak_rss_mb <value>`: the `ru_maxrss` of this one process in MB, as
+benchmark/worker.py reads it, so the whole schedule's peak memory shows
+without a benchmark run.
 
-Two checkouts with the same outcomes print the same lines, so compare
-them with diff:
+Two checkouts with the same outcomes print the same lines but the last,
+so compare them with diff:
 
     python3 tools/op_outcomes.py --seed 1 > after.txt
     python3 tools/op_outcomes.py --seed 1 --src /path/to/other/checkout/src > before.txt
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import resource
 import sys
 import warnings
 from collections import Counter
@@ -83,6 +87,7 @@ def main(argv=None) -> int:
     print("kinds " + " ".join(f"{kind}={count}" for kind, count in sorted(kinds.items())))
     print(f"failed {ops - kinds['ok']} of {ops}")
     print(f"non-repetitive sha256={nonrepetitive.hexdigest()}")
+    print(f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.2f}")
     return 0
 
 
