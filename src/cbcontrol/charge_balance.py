@@ -88,11 +88,6 @@ class BlockScheme:
         object.__setattr__(self, "Q", Q)
 
     @property
-    def block_dim(self) -> int:
-        """Length of one stacked block vector U."""
-        return self.m * self.h
-
-    @property
     def latent_dim(self) -> int:
         """Length of one latent coordinate vector w."""
         return self.m * (self.h - 1)

@@ -11,7 +11,8 @@ minimum-norm sense: by LU when the gain H_b Bbar is square (m(h-1) = n)
 and a Cholesky of its Gram matrix proves full rank, so the solution is
 unique, and otherwise as below. Pseudoinverses are SVD truncations with
 the shared rank rule, so both laws return the minimum-norm minimizer when
-the reachable space is rank deficient. A plan is its inputs U = Q w alone.
+the reachable space is rank deficient. Both laws and the oracle check
+their solve's residual with _require_reached. A plan is its inputs U = Q w.
 
 A stacked least-squares solver over the raw per-step inputs
 (oracle_stacked_ls) provides an independent optimality cross-check; it
@@ -147,14 +148,6 @@ def _require_reached(residual: float, d, what: str, rank_text: str, rank: int):
         )
 
 
-def _solve_reachable(solve, matrix, d, where: str, rank_name: str):
-    """Minimum-norm x with matrix @ x = d by solve, or ReachabilityError when d is out of reach."""
-    x, rank, _, residual = solve(matrix, d)
-    _require_reached(residual, d, f"target displacement is not reachable {where}",
-                     f"{rank_name} {rank} of {len(matrix)}", rank)
-    return x
-
-
 def design_nonrepetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPlan:
     """Minimum-energy plan with distinct blocks.
 
@@ -166,7 +159,9 @@ def design_nonrepetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPla
     _require_states(task, lifted.n)
     d = task.xf - np.linalg.matrix_power(lifted.Abar, task.b) @ task.x0
     Rb = reachability_matrix(lifted, task.b)
-    core = _solve_reachable(min_norm_solve, Rb @ Rb.T, d, f"in {task.b} blocks", "Gramian rank")
+    core, rank, _, residual = min_norm_solve(Rb @ Rb.T, d)
+    _require_reached(residual, d, f"target displacement is not reachable in {task.b} blocks",
+                     f"Gramian rank {rank} of {lifted.n}", rank)
     latents = (Rb.T @ core).reshape(task.b, -1)
     return ControlPlan((latents @ lifted.scheme.Q.T).reshape(-1, lifted.scheme.m))
 
@@ -185,7 +180,9 @@ def design_repetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPlan:
     total, free = h_sum(lifted, task.b, task.x0)
     d = task.xf - free
     gain = total @ lifted.Bbar
-    w = _solve_reachable(unique_or_min_norm_solve, gain, d, "with identical blocks", "rank")
+    w, rank, _, residual = unique_or_min_norm_solve(gain, d)
+    _require_reached(residual, d, "target displacement is not reachable with identical blocks",
+                     f"rank {rank} of {lifted.n}", rank)
     block = unpack(w, lifted.scheme)
     try:
         inputs = np.tile(block, task.b)
@@ -209,7 +206,7 @@ def oracle_stacked_ls(system: LtiSystem, scheme: BlockScheme, task: SteeringTask
     unchanged). Shares no arithmetic with the closed-form laws. Raises
     ReachabilityError, with the scaled residual and the stacked rank, when
     that system is infeasible, or with the unscaled terminal residual when
-    the solution misses the target as _solve_reachable decides; before
+    the solution misses the target by _require_reached's rule; before
     that, ChargeBalanceError when a block of the solution carries net
     charge above DEFAULT.charge_balance.
     """

@@ -246,6 +246,10 @@ def test_unreachable_target_raises_with_consistent_residual():
         design_nonrepetitive(lifted, task)
     err = info.value
     assert err.rank == 1
+    assert str(err) == (
+        "target displacement is not reachable in 1 blocks: residual 2.196e-01 "
+        "(relative 2.217e-01), Gramian rank 1 of 2"
+    )
     from cbcontrol import reachability_matrix
 
     Rb = reachability_matrix(lifted, 1)
