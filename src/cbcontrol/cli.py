@@ -45,7 +45,7 @@ from .design import (
 )
 from .errors import AnalysisError, PreconditionError, ProblemFormatError, ReachabilityError
 from .lifting import lift
-from .problem_io import Problem, load_problem, read_inputs_csv, write_csv, write_text
+from .problem_io import FLOAT_FMT, Problem, load_problem, read_inputs_csv, write_csv, write_text
 from .system import simulate
 
 EXIT_OK = 0
@@ -267,7 +267,9 @@ def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> list[dict]
     out_dir = _output_dir(out_dir)
     system, task = problem.system, problem.task
     columns = ("h", "conditions", "numeric_rank", "controllable", "energy")
-    rows = []
+    # FLOAT_FMT prints the ints h and rank as integers; a blank energy stays blank
+    line = f"{FLOAT_FMT},%s,{FLOAT_FMT},%s,%s\r\n"
+    rows, lines = [], [",".join(columns) + "\r\n"]
     for h in range(h_min, h_max + 1):
         verdict = check_nonrepetitive_sufficient(system, h)
         energy = ""
@@ -279,9 +281,10 @@ def cmd_sweep_h(problem: Problem, h_min: int, h_max: int, out_dir) -> list[dict]
                 pass
         values = (h, verdict.conditions, verdict.numeric_rank, verdict.controllable, energy)
         rows.append(dict(zip(columns, values)))
+        lines.append(line % (*values[:4], energy if energy == "" else FLOAT_FMT % energy))
 
     sweep_path = out_dir / "sweep.csv"
-    write_csv(sweep_path, columns, (r.values() for r in rows))
+    write_text(sweep_path, "".join(lines))
     print(f"{'h':>3}  {'conditions':>12}  {'rank':>4}  {'controllable':>12}  energy")
     for r in rows:
         energy = f"{r['energy']:.6g}" if r["energy"] != "" else "-"

@@ -17,10 +17,10 @@ Problem files are JSON with explicit field names:
 
 Either Tolerances field may be overridden; any other key is refused.
 
-Numbers are decimal doubles and matrices are lists of rows. CSV output
-uses a comma delimiter, a header row, '.' as the decimal separator,
-"\r\n" line ends, no quoting, and C's '%.17g' for every number, so every
-double round-trips exactly. A numeric table is written at most
+Numbers are decimal doubles and matrices are lists of rows. write_csv
+writes a table of doubles: a comma delimiter, a header row, '.' as the
+decimal separator, "\r\n" line ends, no quoting, and C's '%.17g' for
+every cell, so every double round-trips exactly. It is written at most
 _CHUNK_CELLS cells at a time. A chunk of _KERNEL_MIN_CELLS (512) cells or
 more goes through _format_chunk, a numpy kernel that prints the same bytes
 as '%.17g', at half its cost from 2,048 cells. It forms each cell's 17
@@ -66,8 +66,6 @@ _KERNEL_MIN_CELLS = 512
 # 1.3% and its peak_rss_mb 4.5 MB, and at 2048 its b = 150 plans'
 # 1,500-cell tables lost the op_p90_ms gain (measured in CHANGES.md)
 _PERIODIC_MIN_CELLS = 1024
-# characters that csv quoting would wrap; write_csv never quotes
-_QUOTED = (",", '"', "\r", "\n")
 
 _TOLERANCE_KEYS = {field.name for field in fields(Tolerances)}
 
@@ -197,32 +195,21 @@ def load_problem(path, overrides=None) -> Problem:
 
 
 @contextlib.contextmanager
-def _writing(path, newline=None):
-    """path opened for writing; an OSError becomes a ProblemFormatError naming it."""
+def _writing(path):
+    """path opened for writing, with no line-end translation; an OSError
+    becomes a ProblemFormatError naming it."""
     try:
-        with Path(path).open("w", newline=newline) as fh:
+        with Path(path).open("w", newline="") as fh:
             yield fh
     except OSError as exc:
         raise ProblemFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_text(path, text: str):
-    """Write text to path; ProblemFormatError when it cannot be written."""
+    """Write text to path, its line ends as given; ProblemFormatError when
+    it cannot be written."""
     with _writing(path) as fh:
         fh.write(text)
-
-
-def _row_format(cells) -> str:
-    """The line format of one row of strings and numbers."""
-    formats = []
-    for cell in cells:
-        if isinstance(cell, str):
-            if any(char in cell for char in _QUOTED) or (cell == "" and len(cells) == 1):
-                raise ValueError(f"CSV cell {cell!r} would need quoting")
-            formats.append("%s")
-        else:
-            formats.append(FLOAT_FMT)
-    return ",".join(formats) + "\r\n"
 
 
 # The kernel proves its digits for |v| in this range only: there every
@@ -425,44 +412,38 @@ def _format_rows(rows) -> str:
 
 
 def write_csv(path, header, rows):
-    """Write a header row and data rows as CSV, numbers as C's '%.17g'.
+    """Write a header row and a 2-D float64 array as CSV, cells as C's '%.17g'.
 
-    ``rows`` is a 2-D float64 array or an iterable of rows that mix
-    strings and numbers. An array is written _CHUNK_CELLS cells at a time
-    (whole rows, at least one); a chunk of _KERNEL_MIN_CELLS cells or more
-    goes through _format_chunk's exact kernel, which hands the cells it
-    cannot prove (see _scaled_digits) to FLOAT_FMT, and a smaller chunk
-    through one FLOAT_FMT call. An array of _PERIODIC_MIN_CELLS cells or
-    more whose rows repeat bit for bit past their first cell (by
-    system._period on the other columns), with a period p of at most
-    _PERIODIC_MIN_CELLS cells, has those cells of its first p rows
-    formatted once; each chunk then formats only its first column, by one
-    FLOAT_FMT call into a format that holds the period's text. Equal bits
-    print equal text, so the bytes are the same. A string cell that CSV
-    would have to quote raises ValueError; a path that cannot be written
-    raises ProblemFormatError.
+    The header's names are joined by commas as given. ``rows`` is written
+    _CHUNK_CELLS cells at a time (whole rows, at least one); a chunk of
+    _KERNEL_MIN_CELLS cells or more goes through _format_chunk's exact
+    kernel, which hands the cells it cannot prove (see _scaled_digits) to
+    FLOAT_FMT, and a smaller chunk through one FLOAT_FMT call. An array of
+    _PERIODIC_MIN_CELLS cells or more whose rows repeat bit for bit past
+    their first cell (by system._period on the other columns), with a
+    period p of at most _PERIODIC_MIN_CELLS cells, has those cells of its
+    first p rows formatted once; each chunk then formats only its first
+    column, by one FLOAT_FMT call into a format that holds the period's
+    text. Equal bits print equal text, so the bytes are the same. A path
+    that cannot be written raises ProblemFormatError.
     """
-    with _writing(path, newline="") as fh:
-        fh.write(_row_format(header) % tuple(header))
-        if isinstance(rows, np.ndarray):
-            step = max(1, _CHUNK_CELLS // max(1, rows.shape[1]))
-            period = len(rows)
-            if rows.size >= _PERIODIC_MIN_CELLS and rows.shape[1] > 1:
-                period = _period(rows[:, 1:])
-            if period * rows.shape[1] <= _PERIODIC_MIN_CELLS and period < len(rows):
-                # '%' leaves the tails alone: '%.17g' never prints a '%'
-                tails = _format_rows(rows[:period, 1:]).split("\r\n")[:-1]
-                lines = [f"{FLOAT_FMT},{tail}\r\n" for tail in tails]
-                for start in range(0, len(rows), step):
-                    first = rows[start:start + step, 0].tolist()
-                    cycle = itertools.islice(itertools.cycle(lines), start % period, None)
-                    fh.write("".join(itertools.islice(cycle, len(first))) % tuple(first))
-            else:
-                for start in range(0, len(rows), step):
-                    fh.write(_format_rows(rows[start:start + step]))
+    with _writing(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        step = max(1, _CHUNK_CELLS // max(1, rows.shape[1]))
+        period = len(rows)
+        if rows.size >= _PERIODIC_MIN_CELLS and rows.shape[1] > 1:
+            period = _period(rows[:, 1:])
+        if period * rows.shape[1] <= _PERIODIC_MIN_CELLS and period < len(rows):
+            # '%' leaves the tails alone: '%.17g' never prints a '%'
+            tails = _format_rows(rows[:period, 1:]).split("\r\n")[:-1]
+            lines = [f"{FLOAT_FMT},{tail}\r\n" for tail in tails]
+            for start in range(0, len(rows), step):
+                first = rows[start:start + step, 0].tolist()
+                cycle = itertools.islice(itertools.cycle(lines), start % period, None)
+                fh.write("".join(itertools.islice(cycle, len(first))) % tuple(first))
         else:
-            for row in rows:
-                fh.write(_row_format(row) % tuple(row))
+            for start in range(0, len(rows), step):
+                fh.write(_format_rows(rows[start:start + step]))
 
 
 def read_inputs_csv(path, m: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from cbcontrol import (
 )
 from cbcontrol.cli import cmd_analyze, cmd_design, cmd_sweep_h, main
 from cbcontrol.errors import ProblemFormatError
-from cbcontrol.problem_io import read_inputs_csv, write_csv
+from cbcontrol.problem_io import read_inputs_csv, write_csv, write_text
 from cbcontrol.tolerances import Tolerances
 
 from helpers import floored_rank, read_csv
@@ -860,12 +860,22 @@ def test_sweep_rotation_reports_h3_fallback(tmp_path):
     assert [row[0] for row in rows] == [2.0, 3.0, 4.0, 5.0]
     # every h in this sweep admits the steering task
     assert all(isinstance(row[4], float) for row in rows)
+    _assert_sweep_csv(tmp_path, sweep)
 
     # in one block at h = 2 the design raises ReachabilityError: the row
     # keeps its "yes" verdict and leaves the energy empty
     one_block = dataclasses.replace(problem, task=dataclasses.replace(problem.task, b=1))
-    assert cmd_sweep_h(one_block, 2, 2, tmp_path / "one")[0]["energy"] == ""
+    sweep = cmd_sweep_h(one_block, 2, 2, tmp_path / "one")
+    assert sweep[0]["energy"] == ""
     assert read_csv(tmp_path / "one" / "sweep.csv")[1] == [[2.0, "yes", 2.0, "yes", ""]]
+    _assert_sweep_csv(tmp_path / "one", sweep)
+
+
+def _assert_sweep_csv(out, sweep):
+    """out/sweep.csv is, byte for byte, what csv.writer makes of the returned rows."""
+    rows = [list(row.values()) for row in sweep]
+    _write_csv_reference(out / "want.csv", list(sweep[0]), rows)
+    assert (out / "sweep.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
 def test_sweep_identity_all_rank_zero(tmp_path):
@@ -880,6 +890,9 @@ def test_sweep_identity_all_rank_zero(tmp_path):
         lifted = lift(system, build_scheme(row["h"], system.m))
         Rb = reachability_matrix(lifted, system.n)
         assert floored_rank(Rb @ Rb.T, np.linalg.norm(lifted.S, 2) ** 2) == 0
+    # the "no" rows leave every energy blank
+    assert all(row["energy"] == "" for row in sweep)
+    _assert_sweep_csv(tmp_path, sweep)
 
 
 def test_sweep_rejects_repetitive(tmp_path):
@@ -1014,13 +1027,6 @@ def test_write_csv_matches_csv_writer(tmp_path):
         "one column, chunks": (["v"], column),
         # rows that repeat past their step cell (see _periodic_table)
         **_periodic_cases(rng),
-        # the sweep-h table: strings, "" cells and floats per row
-        "sweep": (
-            ["h", "conditions", "numeric_rank", "controllable", "energy"],
-            [[2.0, "yes", 2.0, "yes", 0.1], [3.0, "undetermined", 1.0, "no", ""],
-             [4.0, "no", 0.0, "no", ""], [5.0, "yes", 2.0, "yes", 5e-324],
-             [6.0, "undetermined", 2.0, "yes", -0.0]],
-        ),
     }
     for name, (head, rows) in cases.items():
         write_csv(tmp_path / "got.csv", head, rows)
@@ -1029,14 +1035,21 @@ def test_write_csv_matches_csv_writer(tmp_path):
         assert got == want, name
     assert b"\r\n" in got and b'"' not in got
 
-    # write_csv never quotes: a cell that csv would quote is refused
-    for bad in ("a,b", 'say "hi"', "two\nlines", "cr\r"):
-        with pytest.raises(ValueError, match="quoting"):
-            write_csv(tmp_path / "bad.csv", ["k", "note"], [[1.0, bad]])
-        with pytest.raises(ValueError, match="quoting"):
-            write_csv(tmp_path / "bad.csv", ["k", bad], table[:1, :2])
-    with pytest.raises(ValueError, match="quoting"):
-        write_csv(tmp_path / "bad.csv", ["k"], [[""]])
+
+def test_written_files_keep_their_line_ends(tmp_path):
+    # no writer translates line ends: write_text leaves the bytes it is
+    # given, so plot.gp and report.json end their lines with "\n" and
+    # sweep.csv with "\r\n"
+    write_text(tmp_path / "mixed.txt", "a\r\nb\nc")
+    assert (tmp_path / "mixed.txt").read_bytes() == b"a\r\nb\nc"
+    problem = load_problem(bundled_problem("rotation_2d"))
+    cmd_design(problem, tmp_path / "design")
+    cmd_sweep_h(problem, 2, 3, tmp_path / "sweep")
+    for path in (tmp_path / "design" / "plot.gp", tmp_path / "design" / "report.json"):
+        text = path.read_bytes()
+        assert text.endswith(b"\n") and b"\r" not in text, path
+    text = (tmp_path / "sweep" / "sweep.csv").read_bytes()
+    assert text.endswith(b"\r\n") and text.count(b"\n") == text.count(b"\r\n") == 3
 
 
 def test_write_csv_kernel_proves_ordinary_tables():
