@@ -11,7 +11,7 @@ and the orthonormality makes the map an isometry: ||U|| = ||w||.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,17 +56,16 @@ def _require_block_shape(h, m) -> tuple[int, int]:
 class BlockScheme:
     """Charge-balance data for blocks of h steps on m input channels.
 
-    R is the m x (m*h) per-channel block-sum matrix [I_m ... I_m], derived
-    from h and m, and Q is an (m*h) x (m*(h-1)) orthonormal basis of
+    R is the m x (m*h) per-channel block-sum matrix [I_m ... I_m], built
+    from h and m and locked on first read (its one reader in the package
+    is the stacked oracle); Q is an (m*h) x (m*(h-1)) orthonormal basis of
     Ker(R). Any Q satisfying the invariants is accepted, so recombined
-    bases Q @ Theta (Theta orthogonal) can be used interchangeably with
-    the canonical one.
+    bases Q @ Theta (Theta orthogonal) can stand in for the canonical one.
     """
 
     h: int
     m: int
     Q: np.ndarray
-    R: np.ndarray = field(init=False)
 
     def __post_init__(self):
         _require_block_shape(self.h, self.m)
@@ -84,8 +83,12 @@ class BlockScheme:
         # R @ Q without the product: per channel, Q's rows summed over the h steps
         if not np.abs(Q.reshape(self.h, self.m, -1).sum(axis=0)).max() <= _BASIS_ATOL:
             raise ValueError("Q columns do not lie in the null space of R")
-        object.__setattr__(self, "R", _locked(np.tile(np.eye(self.m), (1, self.h))))
         object.__setattr__(self, "Q", Q)
+
+    @functools.cached_property
+    def R(self) -> np.ndarray:
+        """The block-sum matrix [I_m ... I_m], built and locked on first read."""
+        return _locked(np.tile(np.eye(self.m), (1, self.h)))
 
     @property
     def latent_dim(self) -> int:
@@ -102,9 +105,9 @@ def build_scheme(h: int, m: int) -> BlockScheme:
 
     Raises PreconditionError unless h >= 2 and m >= 1 are integers (numpy
     integers count; bool and float do not). A scheme is immutable, with Q
-    and R locked read-only, so one object per (h, m) is built and checked
-    once and then shared by every caller in the process; the 128 most
-    recently used shapes are held.
+    locked read-only and R built and locked on first read (by the stacked
+    oracle only), so one object per (h, m) is built and checked once and
+    shared by every caller in the process; the 128 latest shapes are held.
     """
     return _shared_scheme(*_require_block_shape(h, m))
 

@@ -180,6 +180,7 @@ def design_repetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPlan:
     total, free = h_sum(lifted, task.b, task.x0)
     d = task.xf - free
     gain = total @ lifted.Bbar
+    del total  # H_b is n x n: not held through the solve
     w, rank, _, residual = unique_or_min_norm_solve(gain, d)
     _require_reached(residual, d, "target displacement is not reachable with identical blocks",
                      f"rank {rank} of {lifted.n}", rank)

@@ -55,22 +55,32 @@ def min_norm_solve(matrix, rhs):
     return x, rank, s, residual
 
 
+def _certified_full_rank(matrix: np.ndarray) -> bool:
+    """Whether a shifted Cholesky proves the square matrix M has sigma_min > c sigma_max,
+    c = rank_cutoff. With M scaled exactly to a largest entry in [0.5, 1), G = M^T M errs
+    by gamma_n F, F = trace(G), and a Cholesky that completes is exact within
+    gamma_(n+1) F (Demmel 1989; Higham 2002, sec. 10.1). If G - (c^2 + 4(n+1) eps) F I
+    factors, then sigma_min^2 > c^2 F >= c^2 sigma_max^2: Frobenius conditions up to
+    ~1/sqrt(4(n+1) eps). Its n x n arrays are freed on return."""
+    n = len(matrix)
+    scaled = np.ldexp(matrix, -np.frexp(np.abs(matrix).max())[1])
+    gram = scaled.T @ scaled
+    gram.flat[:: n + 1] -= (rank_cutoff((n, n)) ** 2 + 4 * (n + 1) * _EPS) * np.trace(gram)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def unique_or_min_norm_solve(matrix, rhs):
     """As min_norm_solve, but by LU (rank n, residual 0, singular values None) when
-    a shifted Cholesky proves a square M has sigma_min > c sigma_max, c = rank_cutoff.
-    With M scaled exactly to a largest entry in [0.5, 1), G = M^T M errs by gamma_n F,
-    F = trace(G), and a Cholesky that completes is exact within gamma_(n+1) F (Demmel
-    1989; Higham 2002, sec. 10.1). If G - (c^2 + 4(n+1) eps) F I factors, then
-    sigma_min^2 > c^2 F >= c^2 sigma_max^2: Frobenius conditions up to ~1/sqrt(4(n+1) eps)."""
+    _certified_full_rank proves a square matrix has sigma_min > rank_cutoff sigma_max."""
     matrix = _require_finite(np.asarray(matrix, dtype=float), "the matrix of the solve")
     rhs = _require_finite(np.asarray(rhs, dtype=float), "the right-hand side of the solve")
     n = len(matrix)
-    if matrix.shape == (n, n):
-        scaled = np.ldexp(matrix, -np.frexp(np.abs(matrix).max())[1])
-        gram = scaled.T @ scaled
-        gram.flat[:: n + 1] -= (rank_cutoff((n, n)) ** 2 + 4 * (n + 1) * _EPS) * np.trace(gram)
+    if matrix.shape == (n, n) and _certified_full_rank(matrix):
         try:
-            np.linalg.cholesky(gram)
             return np.linalg.solve(matrix, rhs), n, None, 0.0
         except np.linalg.LinAlgError:
             pass

@@ -146,6 +146,19 @@ def test_scheme_check_holds_one_gram_array():
     assert ratio <= 2.5, ratio
 
 
+def test_scheme_builds_r_on_first_read():
+    # only the stacked oracle reads R, so a scheme holds none until then:
+    # at m = 200, h = 2 that is 640,000 bytes no design reads
+    scheme = BlockScheme(h=2, m=200, Q=build_scheme(2, 200).Q)
+    assert "R" not in vars(scheme)
+    R = scheme.R
+    expected = np.tile(np.eye(200), (1, 2))
+    assert (R.dtype, R.shape, R.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+    with pytest.raises(ValueError):
+        R.setflags(write=True)
+    assert scheme.R is R
+
+
 def test_pack_zero_block():
     scheme = build_scheme(3, 2)
     assert np.array_equal(scheme.Q.T @ unpack(np.zeros(4), scheme), np.zeros(4))

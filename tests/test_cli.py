@@ -680,6 +680,20 @@ def test_analyze_repetitive_auto_h_selects_two(tmp_path, capsys):
     assert "selected h: 2" in capsys.readouterr().out
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: automatic h is 2 for identical blocks, "
+                   "where rotation_2d reads 'no' (rank(B) 1 of 2) and design exits 4")
+def test_design_rotation_repetitive_auto_selects_h3(tmp_path, capsys):
+    # the smallest h at which the identical-block conditions hold is 3, and
+    # --h 3 designs there a plan that verifies
+    code = main(["design", "--problem", str(bundled_problem("rotation_2d")), "--regime", "rep",
+                 "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    design = json.loads((tmp_path / "report.json").read_text())["design"]
+    assert (design["h"], design["passed"]) == (3, True)
+    assert design["energy"] == pytest.approx(0.277333, rel=1e-5)
+
+
 def test_analyze_identity_no_with_unit_eigenvalue_reason():
     report = cmd_analyze(load_problem(bundled_problem("identity_2d")))
     assert report["verdict"]["controllable"] == "no"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -446,6 +447,65 @@ def test_lu_that_raises_falls_back_to_min_norm_solve(monkeypatch):
     calls = counting_svd(monkeypatch)
     assert _solves_alike(unique_or_min_norm_solve(matrix, rhs), expected)
     assert len(raised) == 1 and [with_u for *_, with_u in calls] == [True]
+
+
+def _entry_bytes(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records, per call, tracemalloc's
+    current bytes at entry and the nbytes of its first argument."""
+    real, entries = getattr(module, name), []
+
+    def recording(*args, **kwargs):
+        entries.append((tracemalloc.get_traced_memory()[0], args[0].nbytes))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return entries
+
+
+def _traced_from(func, *args):
+    """func(*args) under tracemalloc; returns the traced bytes just before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        func(*args)
+    finally:
+        tracemalloc.stop()
+    return base
+
+
+def test_certificate_arrays_are_freed_before_the_solve(monkeypatch):
+    # at n = 200 the certificate's scaled copy and Gram array are 640,000
+    # bytes; neither the LU nor the SVD fallback runs while they are held
+    import cbcontrol.numeric as numeric
+
+    rng = np.random.default_rng(75)
+    n = 200
+    full = _with_singular_values(rng, np.linspace(1.0, 0.5, n))
+    deficient = _with_singular_values(rng, np.concatenate((np.ones(n - 1), [0.0])))
+    rhs = rng.standard_normal(n)
+    solves = _entry_bytes(monkeypatch, np.linalg, "solve")
+    fallbacks = _entry_bytes(monkeypatch, numeric, "min_norm_solve")
+    for matrix, entries in ((full, solves), (deficient, fallbacks)):
+        solves.clear()
+        fallbacks.clear()
+        base = _traced_from(unique_or_min_norm_solve, matrix, rhs)
+        assert solves + fallbacks == entries and len(entries) == 1
+        assert entries[0][0] - base <= 64 * 1024, entries[0][0] - base
+
+
+def test_identical_block_design_frees_h_b_before_the_solve(monkeypatch):
+    # H_b is n x n (320,000 bytes at n = 200) and only forms the gain: the
+    # solve runs with the gain and two n-vectors held above the baseline
+    import cbcontrol.design as design
+
+    rng = np.random.default_rng(76)
+    system, scheme = random_system(rng, 200, 200), build_scheme(2, 200)
+    lifted = lift(system, scheme)
+    task = feasible_task(rng, system, scheme, 10, "repetitive")
+    entries = _entry_bytes(monkeypatch, design, "unique_or_min_norm_solve")
+    base = _traced_from(design_repetitive, lifted, task)
+    [(held, gain_bytes)] = entries
+    assert held - base <= gain_bytes + 64 * 1024, (held - base, gain_bytes)
 
 
 def test_q_invariance_of_designed_blocks():
