@@ -25,7 +25,8 @@ for k, x in enumerate(traj.states):
 
 # a charge-balanced block: two steps that sum to zero per channel
 scheme = build_scheme(2, 1)
-print("\nconstraint matrix R:", scheme.R)
+R = np.tile(np.eye(scheme.m), (1, scheme.h))  # per-channel block sums [I ... I]
+print("\nconstraint matrix R:", R)
 print("kernel basis Q (each block is (u, -u) / sqrt(2)):")
 print(scheme.Q)
 
@@ -35,7 +36,8 @@ print("latent w =", w, "-> stacked block U =", U, " (sums to", U.sum(), ")")
 
 # lifting compresses one block into a single update of the boundary state
 lifted = lift(system, scheme)
-print("\nS  =", lifted.S.tolist())
+S = np.hstack([system.A @ system.B, system.B])  # [A^(h-1) B, ..., A B, B] at h = 2
+print("\nS  =", S.tolist())
 print("Abar = A^2, Bbar = S Q =", lifted.Bbar.ravel())
 
 x0 = np.array([0.3, -0.2])

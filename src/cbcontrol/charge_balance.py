@@ -1,11 +1,12 @@
-"""Zero-net-charge block constraint: constraint matrix, kernel basis, coordinates.
+"""Zero-net-charge block constraint: kernel basis and latent coordinates.
 
 Inputs are grouped into blocks of h consecutive steps, and within each
 block every input channel must sum to zero. Stacking one block into a
 vector U in R^(m*h), the constraint reads R @ U = 0 with
-R = [I_m  I_m ... I_m]. An orthonormal basis Q of the null space of R
-turns constrained blocks into free latent coordinates w through U = Q @ w,
-and the orthonormality makes the map an isometry: ||U|| = ||w||.
+R = [I_m  I_m ... I_m], which no law needs formed. An orthonormal basis
+Q of the null space of R turns constrained blocks into free latent
+coordinates w through U = Q @ w, and the orthonormality makes the map an
+isometry: ||U|| = ||w||.
 """
 
 from __future__ import annotations
@@ -56,11 +57,10 @@ def _require_block_shape(h, m) -> tuple[int, int]:
 class BlockScheme:
     """Charge-balance data for blocks of h steps on m input channels.
 
-    R is the m x (m*h) per-channel block-sum matrix [I_m ... I_m], built
-    from h and m and locked on first read (its one reader in the package
-    is the stacked oracle); Q is an (m*h) x (m*(h-1)) orthonormal basis of
-    Ker(R). Any Q satisfying the invariants is accepted, so recombined
-    bases Q @ Theta (Theta orthogonal) can stand in for the canonical one.
+    Q is an (m*h) x (m*(h-1)) orthonormal basis of Ker(R), where R is the
+    m x (m*h) per-channel block-sum matrix [I_m ... I_m]; R itself is not
+    held. Any Q satisfying the invariants is accepted, so recombined bases
+    Q @ Theta (Theta orthogonal) can stand in for the canonical one.
     """
 
     h: int
@@ -85,11 +85,6 @@ class BlockScheme:
             raise ValueError("Q columns do not lie in the null space of R")
         object.__setattr__(self, "Q", Q)
 
-    @functools.cached_property
-    def R(self) -> np.ndarray:
-        """The block-sum matrix [I_m ... I_m], built and locked on first read."""
-        return _locked(np.tile(np.eye(self.m), (1, self.h)))
-
     @property
     def latent_dim(self) -> int:
         """Length of one latent coordinate vector w."""
@@ -105,9 +100,9 @@ def build_scheme(h: int, m: int) -> BlockScheme:
 
     Raises PreconditionError unless h >= 2 and m >= 1 are integers (numpy
     integers count; bool and float do not). A scheme is immutable, with Q
-    locked read-only and R built and locked on first read (by the stacked
-    oracle only), so one object per (h, m) is built and checked once and
-    shared by every caller in the process; the 128 latest shapes are held.
+    locked read-only, so one object per (h, m) is built and checked once
+    and shared by every caller in the process; the 128 latest shapes are
+    held.
     """
     return _shared_scheme(*_require_block_shape(h, m))
 

@@ -223,11 +223,11 @@ def oracle_stacked_ls(system: LtiSystem, scheme: BlockScheme, task: SteeringTask
     terminal = np.hstack(powers[::-1])
     d_full = task.xf - np.linalg.matrix_power(system.A, steps) @ task.x0
 
+    balance = np.tile(np.eye(m), (1, h))  # per-channel block sums [I_m ... I_m]
     if task.regime == REPETITIVE:  # u is one block v repeated: the columns of the b blocks add
         terminal = terminal.reshape(system.n, b, h * m).sum(axis=1)
-        balance = scheme.R
     else:
-        balance = np.kron(np.eye(b), scheme.R)
+        balance = np.kron(np.eye(b), balance)
     lhs = np.vstack((terminal, balance))
     target = np.concatenate((d_full, np.zeros(len(balance))))
 

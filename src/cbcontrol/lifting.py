@@ -4,7 +4,7 @@ Sampling the plant at block boundaries k = 0, h, 2h, ... turns the
 constrained per-step problem into an unconstrained one in the latent
 coordinates: x[(p+1)h] = Abar @ x[ph] + Bbar @ w[p], where Abar = A^h
 and Bbar = S @ Q collects the effect of one stacked block through
-S = [A^(h-1) B, ..., A B, B].
+S = [A^(h-1) B, ..., A B, B]; only Abar and Bbar are kept.
 
 The identical-block design needs the geometric sum
 H_b = I + Abar + ... + Abar^(b-1) and the free response Abar^b x[0],
@@ -32,12 +32,11 @@ class LiftedSystem:
 
     system: LtiSystem
     scheme: BlockScheme
-    S: np.ndarray
     Abar: np.ndarray
     Bbar: np.ndarray
 
     def __post_init__(self):
-        for name in ("S", "Abar", "Bbar"):
+        for name in ("Abar", "Bbar"):
             object.__setattr__(self, name, _locked(np.array(getattr(self, name), dtype=float)))
 
     @property
@@ -81,11 +80,11 @@ def _require_channels(system: LtiSystem, scheme: BlockScheme):
 
 
 def lift(system: LtiSystem, scheme: BlockScheme) -> LiftedSystem:
-    """Assemble S = krylov(A, B, h), Abar = A^h, and Bbar = S @ Q for the scheme."""
+    """Abar = A^h and Bbar = S @ Q for the scheme, with S = krylov(A, B, h) not kept."""
     _require_channels(system, scheme)
-    S = krylov(system.A, system.B, scheme.h)
+    Bbar = krylov(system.A, system.B, scheme.h) @ scheme.Q
     Abar = np.linalg.matrix_power(system.A, scheme.h)
-    return LiftedSystem(system=system, scheme=scheme, S=S, Abar=Abar, Bbar=S @ scheme.Q)
+    return LiftedSystem(system=system, scheme=scheme, Abar=Abar, Bbar=Bbar)
 
 
 def reachability_matrix(lifted: LiftedSystem, b: int) -> np.ndarray:

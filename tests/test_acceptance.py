@@ -28,6 +28,7 @@ from cbcontrol import (
     verify_plan,
 )
 from cbcontrol.cli import cmd_sweep_h
+from cbcontrol.lifting import krylov
 
 from helpers import (
     expander_system,
@@ -227,7 +228,7 @@ def test_criterion_7_condition_soundness_sweeps():
         Rb = reachability_matrix(lifted, n)
         G = Rb @ Rb.T
         verdict = check_nonrepetitive_sufficient(system, h)
-        rank = floored_rank(G, np.linalg.norm(lifted.S, 2) ** 2)
+        rank = floored_rank(G, np.linalg.norm(krylov(system.A, system.B, h), 2) ** 2)
         if verdict.controllable != "yes" or rank != n:
             sufficient_ok = False
             print(f"counterexample: n={n} m={m} h={h} rank={rank} verdict={verdict.controllable}")

@@ -1,7 +1,9 @@
-"""Constraint matrix, kernel basis, and block coordinate maps.
+"""Kernel basis and block coordinate maps.
 
 A charge-balanced block U packs into its latent coordinates as
-w = scheme.Q.T @ U, the inverse of unpack on the kernel.
+w = scheme.Q.T @ U, the inverse of unpack on the kernel. No scheme holds
+the block-sum matrix R = [I_m ... I_m]; _block_sums builds it from its
+definition.
 """
 
 import tracemalloc
@@ -22,15 +24,19 @@ ROOT2 = np.sqrt(2.0)
 ROOT6 = np.sqrt(6.0)
 
 
+def _block_sums(h, m):
+    return np.tile(np.eye(m), (1, h))
+
+
 def test_scheme_h2_single_channel_closed_form():
     scheme = build_scheme(2, 1)
     assert np.allclose(scheme.Q, np.array([[1.0], [-1.0]]) / ROOT2, atol=1e-15)
-    assert np.array_equal(scheme.R, np.ones((1, 2)))
+    assert np.array_equal(_block_sums(2, 1), np.ones((1, 2)))
 
 
 def test_scheme_h2_three_channels_exact_identities():
     scheme = build_scheme(2, 3)
-    assert np.abs(scheme.R @ scheme.Q).max() <= 1e-15
+    assert np.abs(_block_sums(2, 3) @ scheme.Q).max() <= 1e-15
     assert np.abs(scheme.Q.T @ scheme.Q - np.eye(3)).max() <= 1e-15
     assert np.linalg.matrix_rank(scheme.Q) == 3
 
@@ -74,11 +80,10 @@ def test_zero_sum_basis_bytes_equal_the_full_sweep():
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_scheme_invariants(h, m):
     scheme = build_scheme(h, m)
-    # R is derived from h and m alone: [I_m ... I_m], read-only
-    assert np.array_equal(scheme.R, np.kron(np.ones((1, h)), np.eye(m)))
-    assert not scheme.R.flags.writeable
+    R = _block_sums(h, m)
+    assert np.array_equal(R, np.kron(np.ones((1, h)), np.eye(m)))
     assert np.abs(scheme.Q.T @ scheme.Q - np.eye(m * (h - 1))).max() <= 1e-12
-    assert np.abs(scheme.R @ scheme.Q).max() <= 1e-12
+    assert np.abs(R @ scheme.Q).max() <= 1e-12
     assert np.linalg.matrix_rank(scheme.Q) == m * (h - 1)
 
 
@@ -94,10 +99,9 @@ def test_build_scheme_shares_one_locked_scheme_per_shape():
     assert scheme is build_scheme(np.int64(3), np.int64(2))
     assert build_scheme(2, 1) is build_scheme(2, 1)
     assert build_scheme(2, 1) is not build_scheme(2, 2)
-    # the shared arrays cannot be made writeable again
-    for arr in (scheme.Q, scheme.R):
-        with pytest.raises(ValueError):
-            arr.setflags(write=True)
+    # the shared basis cannot be made writeable again
+    with pytest.raises(ValueError):
+        scheme.Q.setflags(write=True)
     # 3.0 == 3 and True == 1 hash alike, so a cache keyed on the raw
     # arguments would answer them; they are refused on every call instead,
     # and a scheme built directly applies the same shape rule
@@ -144,19 +148,6 @@ def test_scheme_check_holds_one_gram_array():
     finally:
         tracemalloc.stop()
     assert ratio <= 2.5, ratio
-
-
-def test_scheme_builds_r_on_first_read():
-    # only the stacked oracle reads R, so a scheme holds none until then:
-    # at m = 200, h = 2 that is 640,000 bytes no design reads
-    scheme = BlockScheme(h=2, m=200, Q=build_scheme(2, 200).Q)
-    assert "R" not in vars(scheme)
-    R = scheme.R
-    expected = np.tile(np.eye(200), (1, 2))
-    assert (R.dtype, R.shape, R.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
-    with pytest.raises(ValueError):
-        R.setflags(write=True)
-    assert scheme.R is R
 
 
 def test_pack_zero_block():

@@ -225,7 +225,7 @@ def test_min_norm_among_feasible_alternatives():
     for _ in range(steps - 1):
         powers.append(system.A @ powers[-1])
     terminal = np.hstack(powers[::-1])
-    balance = np.kron(np.eye(b), scheme.R)
+    balance = np.kron(np.eye(b), np.tile(np.eye(scheme.m), (1, scheme.h)))
     E = np.vstack([terminal, balance])
     u_star = plan.flat_inputs.ravel()
 
@@ -610,7 +610,8 @@ def test_plan_arrays_match_per_block_loops():
 
             check = verify_plan(system, scheme, task, plan)
             applied = plan.flat_inputs.reshape(b, -1)
-            imbalances = [np.abs(scheme.R @ U).max() for U in applied]
+            balance = np.tile(np.eye(m), (1, h))  # per-channel block sums [I_m ... I_m]
+            imbalances = [np.abs(balance @ U).max() for U in applied]
             assert check.imbalances.shape == (b,)
             assert np.abs(check.imbalances - imbalances).max() <= 1e-15 * scale
 

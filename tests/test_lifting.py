@@ -1,5 +1,6 @@
 """Lifted block dynamics, reachability matrices, and geometric sums."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -41,9 +42,25 @@ def test_lift_column_order_of_s():
     system = random_system(rng, 3, 2)
     lifted = lift(system, build_scheme(3, 2))
     A, B = system.A, system.B
-    expected = np.hstack([A @ (A @ B), A @ B, B])
-    assert np.array_equal(lifted.S, expected)
-    assert np.array_equal(lifted.Bbar, lifted.S @ lifted.scheme.Q)
+    S = krylov(A, B, 3)
+    assert np.array_equal(S, np.hstack([A @ (A @ B), A @ B, B]))
+    assert np.array_equal(lifted.Bbar, S @ lifted.scheme.Q)
+
+
+def test_lifted_system_holds_only_abar_and_bbar():
+    # S = krylov(A, B, h) is read once, for Bbar = S @ Q: at n = m = 200,
+    # h = 2 keeping it would hold 640,000 bytes beside Abar and Bbar
+    system = random_system(np.random.default_rng(31), 200, 200)
+    scheme = build_scheme(2, 200)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lifted = lift(system, scheme)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= lifted.Abar.nbytes + lifted.Bbar.nbytes + 16384, held
+    assert [f.name for f in dataclasses.fields(lifted)] == ["system", "scheme", "Abar", "Bbar"]
 
 
 # the three loops krylov replaced, copied as they were: lift's S over h
@@ -148,7 +165,7 @@ def test_lift_reachability_and_analysis_build_the_parent_arrays():
         system = random_system(rng, int(rng.integers(2, 6)), m)
         lifted = lift(system, build_scheme(h, m))
         S = _loop_S(system.A, system.B, h)
-        assert lifted.S.tobytes() == S.tobytes(), h
+        assert krylov(system.A, system.B, h).tobytes() == S.tobytes(), h
         assert lifted.Bbar.tobytes() == (S @ lifted.scheme.Q).tobytes(), h
         for b in (1, 2, 7):
             Rb = reachability_matrix(lifted, b)
@@ -242,7 +259,7 @@ def _lifted_with(Abar):
     """A lifted system with the given Abar; only Abar and n matter to h_sum."""
     n = len(Abar)
     return LiftedSystem(system=LtiSystem(A=Abar, B=np.zeros((n, 1))), scheme=build_scheme(2, 1),
-                        S=np.zeros((n, 2)), Abar=Abar, Bbar=np.zeros((n, 1)))
+                        Abar=Abar, Bbar=np.zeros((n, 1)))
 
 
 HORIZONS = (1, 2, 3, 7, 8, 9, 63, 64, 65, 200, 257)

@@ -170,7 +170,7 @@ def test_locked_arrays_cannot_be_made_writeable():
     reported = [check_nonrepetitive_sufficient(plant, 2).singular_values
                 for plant in (system, LtiSystem(A=np.eye(2), B=[[1.0], [1.0]]))]
     arrays = [system.A, system.B, system.eigenvalues, *system._modal, *_modal_screen(system),
-              *reported, traj.states, lifted.S, lifted.Abar, lifted.Bbar]
+              *reported, traj.states, lifted.Abar, lifted.Bbar]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr.setflags(write=True)

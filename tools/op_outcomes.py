@@ -8,8 +8,9 @@ prints the schedule index, the cell, the outcome kind, the terminal error
 of verify_plan in float.hex() and the first 16 hex digits of the sha256
 of the plan's inputs ("-" for both when no plan was made). Then it prints
 the count of each kind, the failed ops against the schedule's length,
-one sha256 over the non-repetitive lines, whose plans a change that
-keeps their arithmetic leaves bit for bit alone, and last
+one sha256 over the non-repetitive lines and one over the repetitive
+lines, so a change that keeps either law's arithmetic shows in one line
+that it leaves that law's plans bit for bit alone, and last
 `peak_rss_mb <value>`: the `ru_maxrss` of this one process in MB, as
 benchmark/worker.py reads it, so the whole schedule's peak memory shows
 without a benchmark run.
@@ -77,16 +78,16 @@ def main(argv=None) -> int:
     warnings.simplefilter("ignore")  # verdict warnings are expected; outcomes are checked
 
     kinds = Counter()
-    nonrepetitive = hashlib.sha256()
+    regimes = {"non-repetitive": hashlib.sha256(), "repetitive": hashlib.sha256()}
     for cell, kind, line in op_lines(args.seed, args.seconds):
         print(line, flush=True)
         kinds[kind] += 1
-        if cell[0] == "non-repetitive":
-            nonrepetitive.update(line.encode() + b"\n")
+        regimes[cell[0]].update(line.encode() + b"\n")
     ops = sum(kinds.values())
     print("kinds " + " ".join(f"{kind}={count}" for kind, count in sorted(kinds.items())))
     print(f"failed {ops - kinds['ok']} of {ops}")
-    print(f"non-repetitive sha256={nonrepetitive.hexdigest()}")
+    for regime, digest in regimes.items():
+        print(f"{regime} sha256={digest.hexdigest()}")
     print(f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.2f}")
     return 0
 
