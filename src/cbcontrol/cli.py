@@ -184,18 +184,9 @@ def _plot_script(n: int, m: int, xf) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _indexed(*columns) -> np.ndarray:
-    """A table whose first column counts the rows 0, 1, ... as floats."""
-    return np.column_stack([np.arange(len(columns[0]), dtype=float), *columns])
-
-
-def _write_series(path, prefix: str, series):
-    """Rows k, prefix_1 .. prefix_d: the layout of inputs.csv and states.csv."""
-    write_csv(
-        path,
-        ["k"] + [f"{prefix}_{i + 1}" for i in range(series.shape[1])],
-        _indexed(series),
-    )
+def _header(prefix: str, d: int) -> list[str]:
+    """k, prefix_1 .. prefix_d: the header of inputs.csv and states.csv."""
+    return ["k"] + [f"{prefix}_{i + 1}" for i in range(d)]
 
 
 def cmd_design(problem: Problem, out_dir) -> dict:
@@ -228,10 +219,11 @@ def cmd_design(problem: Problem, out_dir) -> dict:
     blocks_path = out_dir / "blocks.csv"
     report_path = out_dir / "report.json"
 
-    _write_series(inputs_path, "u", plan.flat_inputs)
-    _write_series(states_path, "x", check.trajectory.states)
+    write_csv(inputs_path, _header("u", system.m), plan.flat_inputs)
+    write_csv(states_path, _header("x", system.n), check.trajectory.states)
     block_energies = np.square(plan.flat_inputs).reshape(task.b, -1).sum(axis=1)
-    write_csv(blocks_path, ["p", "energy", "imbalance"], _indexed(block_energies, check.imbalances))
+    write_csv(blocks_path, ["p", "energy", "imbalance"],
+              np.column_stack((block_energies, check.imbalances)))
     plot_path = out_dir / "plot.gp"
     write_text(plot_path, _plot_script(system.n, system.m, task.xf))
     manifest = [str(inputs_path), str(states_path), str(blocks_path), str(plot_path)]
@@ -302,7 +294,7 @@ def cmd_simulate(problem: Problem, inputs_path, out_dir):
     system = problem.system
     inputs = read_inputs_csv(inputs_path, system.m)
     traj = simulate(system, problem.task.x0, inputs)
-    _write_series(states_path, "x", traj.states)
+    write_csv(states_path, _header("x", system.n), traj.states)
     terminal_error = float(np.linalg.norm(traj.terminal - problem.task.xf))
     print(
         f"replayed {traj.horizon} steps, terminal error {terminal_error:.3e}, "

@@ -18,21 +18,22 @@ Problem files are JSON with explicit field names:
 Either Tolerances field may be overridden; any other key is refused.
 
 Numbers are decimal doubles and matrices are lists of rows. write_csv
-writes a table of doubles: a comma delimiter, a header row, '.' as the
-decimal separator, "\r\n" line ends, no quoting, and C's '%.17g' for
-every cell, so every double round-trips exactly. It is written at most
-_CHUNK_CELLS cells at a time. A chunk of _KERNEL_MIN_CELLS (512) cells or
-more goes through _format_chunk, a numpy kernel that prints the same bytes
-as '%.17g', at half its cost from 2,048 cells. It forms each cell's 17
-digits from a double-double product that errs by less than 2**-100 of the
-scaled value, and leaves to '%' itself every cell it cannot prove (the set
-is stated in _scaled_digits). A smaller chunk costs one '%' call.
+writes a table of doubles behind a step column: a comma delimiter, a
+header row, '.' as the decimal separator, "\r\n" line ends, no quoting,
+steps as integers and C's '%.17g' for every other cell, so every double
+round-trips exactly. It is written at most _CHUNK_CELLS cells at a time.
+A chunk of _KERNEL_MIN_CELLS (512) cells or more goes through
+_format_chunk, a numpy kernel that prints the same bytes as '%.17g', at
+half its cost from 2,048 cells. It forms each cell's 17 digits from a
+double-double product that errs by less than 2**-100 of the scaled
+value, and leaves to '%' itself every cell it cannot prove (the set is
+stated in _scaled_digits). A smaller chunk costs one '%' call.
 
-An identical-block plan's inputs.csv (period h) and blocks.csv (period
-1) repeat apart from their step column. From _PERIODIC_MIN_CELLS cells
-on, write_csv formats one period of such rows and the step column, and
-read_inputs_csv parses the step column and one period, then tiles it:
-the same bytes and arrays as every row formatted or parsed.
+An identical-block plan's inputs (period h) and block table (period 1)
+repeat. From _PERIODIC_MIN_CELLS cells on, write_csv formats one period
+of such rows and prints the steps into it, and read_inputs_csv parses
+the step column and one period, then tiles it: the same bytes and arrays
+as every row formatted or parsed.
 """
 
 from __future__ import annotations
@@ -411,39 +412,40 @@ def _format_rows(rows) -> str:
     return (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def write_csv(path, header, rows):
-    """Write a header row and a 2-D float64 array as CSV, cells as C's '%.17g'.
+def write_csv(path, header, columns):
+    """Write a header row, then row k of a 2-D float64 array as "k,<its cells>".
 
-    The header's names are joined by commas as given. ``rows`` is written
-    _CHUNK_CELLS cells at a time (whole rows, at least one); a chunk of
-    _KERNEL_MIN_CELLS cells or more goes through _format_chunk's exact
-    kernel, which hands the cells it cannot prove (see _scaled_digits) to
-    FLOAT_FMT, and a smaller chunk through one FLOAT_FMT call. An array of
-    _PERIODIC_MIN_CELLS cells or more whose rows repeat bit for bit past
-    their first cell (by system._period on the other columns), with a
-    period p of at most _PERIODIC_MIN_CELLS cells, has those cells of its
-    first p rows formatted once; each chunk then formats only its first
-    column, by one FLOAT_FMT call into a format that holds the period's
-    text. Equal bits print equal text, so the bytes are the same. A path
-    that cannot be written raises ProblemFormatError.
+    The header's names, the step column's among them, are joined by commas
+    as given. A step k prints as an integer, FLOAT_FMT's bytes for float(k)
+    (k < 2**53), and a cell of ``columns`` as C's '%.17g'. Rows go out
+    _CHUNK_CELLS cells at a time, step cells included (whole rows, at least
+    one), each chunk with its steps stacked on as floats: through
+    _format_chunk's exact kernel from _KERNEL_MIN_CELLS cells, which hands
+    the cells it cannot prove (see _scaled_digits) to FLOAT_FMT, else
+    through one FLOAT_FMT call. A table of _PERIODIC_MIN_CELLS cells or more
+    whose rows repeat bit for bit (by system._period), with a period p of at
+    most _PERIODIC_MIN_CELLS cells, has its first p rows formatted once;
+    each chunk then prints its steps by one '%d' call into a format that
+    holds the period's text. Equal bits print equal text, so the bytes are
+    the same. A path that cannot be written raises ProblemFormatError.
     """
     with _writing(path) as fh:
         fh.write(",".join(header) + "\r\n")
-        step = max(1, _CHUNK_CELLS // max(1, rows.shape[1]))
-        period = len(rows)
-        if rows.size >= _PERIODIC_MIN_CELLS and rows.shape[1] > 1:
-            period = _period(rows[:, 1:])
-        if period * rows.shape[1] <= _PERIODIC_MIN_CELLS and period < len(rows):
+        n, width = len(columns), columns.shape[1] + 1  # cells a row, step included
+        per_chunk = max(1, _CHUNK_CELLS // width)  # rows
+        period = _period(columns) if n * width >= _PERIODIC_MIN_CELLS else n
+        if period * width <= _PERIODIC_MIN_CELLS and period < n:
             # '%' leaves the tails alone: '%.17g' never prints a '%'
-            tails = _format_rows(rows[:period, 1:]).split("\r\n")[:-1]
-            lines = [f"{FLOAT_FMT},{tail}\r\n" for tail in tails]
-            for start in range(0, len(rows), step):
-                first = rows[start:start + step, 0].tolist()
+            tails = _format_rows(columns[:period]).split("\r\n")[:-1]
+            lines = [f"%d,{tail}\r\n" for tail in tails]
+            for start in range(0, n, per_chunk):
+                steps = range(start, min(start + per_chunk, n))
                 cycle = itertools.islice(itertools.cycle(lines), start % period, None)
-                fh.write("".join(itertools.islice(cycle, len(first))) % tuple(first))
+                fh.write("".join(itertools.islice(cycle, len(steps))) % tuple(steps))
         else:
-            for start in range(0, len(rows), step):
-                fh.write(_format_rows(rows[start:start + step]))
+            for start in range(0, n, per_chunk):
+                steps = np.arange(start, min(start + per_chunk, n), dtype=float)
+                fh.write(_format_rows(np.column_stack((steps, columns[start:start + per_chunk]))))
 
 
 def read_inputs_csv(path, m: int) -> np.ndarray:

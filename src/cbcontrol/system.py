@@ -119,8 +119,8 @@ def _period(rows: np.ndarray) -> int:
     after it that share row 0's first entry. Bits, not values, are
     compared: -0.0 and 0.0 can give products of different bits, and
     print differently. simulate forms B @ u once per period by it, and
-    problem_io.write_csv formats one period of a table's rows past the
-    first column; rows may be any float64 view, contiguous or not.
+    problem_io.write_csv formats one period of a table's value rows;
+    rows may be any float64 view, contiguous or not.
     """
     bits = rows.view(np.uint64)
     first = rows[0].tobytes()

@@ -858,6 +858,35 @@ def test_simulate_replay_bit_identical(tmp_path, monkeypatch):
             assert path.read_bytes() == (tmp_path / "want.csv").read_bytes(), path
 
 
+def test_simulate_writes_its_own_states(tmp_path, monkeypatch):
+    # write_csv prints the step column itself, so states.csv is written
+    # from simulate's locked (N + 1, n) states, not from an indexed copy
+    import cbcontrol.cli as cli
+    from cbcontrol import simulate
+
+    problem_path = str(bundled_problem("rotation_2d"))
+    design, replay = tmp_path / "design", tmp_path / "replay"
+    assert main(["design", "--problem", problem_path, "--out", str(design)]) == 0
+    received, replayed = [], []
+
+    def recording(path, header, columns):
+        received.append(columns)
+        write_csv(path, header, columns)
+
+    def replaying(*args):
+        replayed.append(simulate(*args))
+        return replayed[-1]
+
+    monkeypatch.setattr(cli, "write_csv", recording)
+    monkeypatch.setattr(cli, "simulate", replaying)
+    assert main(["simulate", "--problem", problem_path, "--inputs", str(design / "inputs.csv"),
+                 "--out", str(replay)]) == 0
+    [states], [traj] = received, replayed
+    assert states is traj.states and not states.flags.writeable
+    assert states.shape == (traj.horizon + 1, 2)
+    assert (design / "states.csv").read_bytes() == (replay / "states.csv").read_bytes()
+
+
 def test_sweep_rotation_reports_h3_fallback(tmp_path):
     problem = load_problem(bundled_problem("rotation_2d"))
     sweep = cmd_sweep_h(problem, 2, 5, tmp_path)
@@ -967,15 +996,22 @@ def _awkward_doubles(rng):
     return np.concatenate([positive, -positive, bits])
 
 
+def _with_steps(columns):
+    """columns behind a step column 0 .. N - 1 of floats: the table
+    write_csv prints for them, as the byte reference takes it."""
+    return np.column_stack((np.arange(len(columns), dtype=float), columns))
+
+
 def _periodic_table(n, tail):
-    """n rows: the step index 0 .. n - 1, then the rows of tail over and over."""
-    return np.column_stack([np.arange(n, dtype=float), np.resize(tail, (n, tail.shape[1]))])
+    """n rows: the rows of tail over and over."""
+    return np.resize(tail, (n, tail.shape[1]))
 
 
 def _periodic_cases(rng):
-    """Periodic tables for the byte check, as (header, rows), named by what they test."""
+    """Periodic tables for the byte check, as (header, value columns),
+    named by what they test; the row widths count the step column."""
     gate = problem_io._PERIODIC_MIN_CELLS
-    step = problem_io._CHUNK_CELLS // 3  # rows per chunk of a 3-column table
+    step = problem_io._CHUNK_CELLS // 3  # rows per chunk of a 3-cell row
 
     def case(n, tail):
         tail = np.asarray(tail, dtype=float)
@@ -990,67 +1026,76 @@ def _periodic_cases(rng):
         "chunks start inside a period": case(
             3 * step + 5, rng.standard_normal((4, 2)) * 10.0 ** rng.integers(-300, 300, (4, 2))),
         "repeats from row 1 only": case(1500, rng.standard_normal((3, 2))),
-        "first column repeats": case(1500, rng.standard_normal((2, 2))),
         "below the gate": case(gate // 2 - 1, rng.standard_normal((2, 1))),
         "at the gate": case(gate // 2, rng.standard_normal((2, 1))),
         "a period of the gate's cells": case(3 * gate, rng.standard_normal((gate // 2, 1))),
         "a period past the gate's cells": case(3 * gate, rng.standard_normal((gate // 2 + 1, 1))),
+        # step cells 99,999 and 100,000 gain a digit inside a period's text
+        "steps past 100,000": case(100_002, rng.standard_normal((3, 1))),
     }
-    cases["repeats from row 1 only"][1][0, 1:] = [0.25, -0.5]  # no other row repeats row 0
-    cases["first column repeats"][1][:, 0] = np.resize([7.0, -7.0], 1500)
+    cases["repeats from row 1 only"][1][0] = [0.25, -0.5]  # no other row repeats row 0
     return cases
 
 
 def test_write_csv_matches_csv_writer(tmp_path):
+    # write_csv prints row k as "k,<its cells>": the bytes csv.writer gives
+    # the table with a float step column in front (see _with_steps)
     rng = np.random.default_rng(51)
     specials = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308, 0.1]
-    chunk = problem_io._CHUNK_CELLS // 4
+    chunk = problem_io._CHUNK_CELLS // 5  # rows per chunk of a 5-cell row
     table = rng.standard_normal((3 * chunk + 1, 4)) * 10.0 ** rng.integers(-300, 300, (3 * chunk + 1, 4))
     table[: len(specials), 0] = specials
     table[-1, :] = specials[-4:]
     table[chunk - 1 : chunk + 1, 1] = specials[:2]  # across a chunk boundary
-    header = ["k", "x_1", "x_2", "x_3"]
+    header = ["k", "x_1", "x_2", "x_3", "x_4"]
     awkward = _awkward_doubles(rng)
     rule = problem_io._KERNEL_MIN_CELLS
     column = rng.standard_normal((3 * problem_io._CHUNK_CELLS + 5, 1))
 
     def wide(cols, rows):
         """rows x cols of the series' cells, as signed and scaled as they come."""
-        return [f"v_{j}" for j in range(cols)], table.ravel()[: rows * cols].reshape(rows, cols)
+        return ["k"] + [f"v_{j}" for j in range(cols)], table.ravel()[: rows * cols].reshape(rows, cols)
 
-    step = problem_io._CHUNK_CELLS // 3  # rows per chunk of a 3-column table
-    both = wide(3, step + rule // 6)
-    assert both[1][step:].size < rule <= both[1][:step].size
+    step = problem_io._CHUNK_CELLS // 3  # rows per chunk of a 3-cell row
+    both = wide(2, step + rule // 6)
+    assert 3 * (len(both[1]) - step) < rule <= 3 * step
     cases = {
         "series": (header, table),
         "one row": (header, table[:1]),
         "no rows": (header, table[:0]),
-        "one column": (["k"], table[:, :1]),
+        "one column": (header[:2], table[:, :1]),
         # 2**k, 10**k and their neighbours, ties, integers, exponent and
         # fast-range edges, +-0, +-inf and random bit patterns
-        "awkward, one column": (["v"], awkward[:, None]),
-        "awkward, 7 columns": (["v"] * 7, awkward[: len(awkward) // 7 * 7].reshape(-1, 7)),
-        # chunks just below, at and just above the kernel's size rule
-        "below the rule": (["v"], column[: rule - 1]),
-        "at the rule": (["v"], column[:rule]),
-        "above the rule": (["v"], column[: rule + 1]),
-        "rule in 2 columns": (["v", "w"], column[: rule].reshape(-1, 2)),
-        # the widths of inputs.csv and states.csv of small plants, one row
-        # short of the rule and at it
-        **{f"{cols} columns, {where} the rule": wide(cols, -(-rule // cols) - short)
-           for cols in (3, 7) for where, short in (("below", 1), ("at", 0))},
+        "awkward, one column": (["k", "v"], awkward[:, None]),
+        "awkward, 7 columns": (["k"] + ["v"] * 7, awkward[: len(awkward) // 7 * 7].reshape(-1, 7)),
+        # chunks of 2-cell rows just below, at and just above the kernel's
+        # size rule
+        "below the rule": (["k", "v"], column[: rule // 2 - 1]),
+        "at the rule": (["k", "v"], column[: rule // 2]),
+        "above the rule": (["k", "v"], column[: rule // 2 + 1]),
+        "rule in 4 columns": (["k", "v", "w", "z"], column[: rule // 4 * 3].reshape(-1, 3)),
+        # the widths of inputs.csv and states.csv of small plants (3 and 7
+        # cells, the step's included), one row short of the rule and at it
+        **{f"{cols + 1} columns, {where} the rule": wide(cols, -(-rule // (cols + 1)) - short)
+           for cols in (2, 6) for where, short in (("below", 1), ("at", 0))},
         # one chunk through the kernel, then a last chunk under the rule
         "both paths in one file": both,
-        "one column, chunks": (["v"], column),
-        # rows that repeat past their step cell (see _periodic_table)
+        "one column, chunks": (["k", "v"], column),
+        # step cells 99,999 and 100,000 gain a digit inside a chunk
+        "steps past 100,000": (["k", "v"], rng.standard_normal((100_002, 1))),
+        # rows that repeat bit for bit (see _periodic_table)
         **_periodic_cases(rng),
     }
-    for name, (head, rows) in cases.items():
-        write_csv(tmp_path / "got.csv", head, rows)
-        _write_csv_reference(tmp_path / "want.csv", head, rows)
+    for name, (head, columns) in cases.items():
+        write_csv(tmp_path / "got.csv", head, columns)
+        _write_csv_reference(tmp_path / "want.csv", head, _with_steps(columns))
         got, want = (tmp_path / "got.csv").read_bytes(), (tmp_path / "want.csv").read_bytes()
         assert got == want, name
     assert b"\r\n" in got and b'"' not in got
+    # the step is printed by '%d': the bytes of '%.17g' for every k a double
+    # holds exactly, up to 2**53
+    for k in (9, 10, 99, 100, 9_999, 10_000, 99_999, 100_000, 10**16, 2**53):
+        assert "%d" % k == "%.17g" % float(k), k
 
 
 def test_written_files_keep_their_line_ends(tmp_path):
@@ -1090,11 +1135,11 @@ def test_write_csv_memory_is_bounded(tmp_path):
     # whose chunks' formats hold only their own rows
     rng = np.random.default_rng(53)
     problem_io._kernel_tables()
-    for table in (rng.standard_normal((4096, 201)),
+    for table in (rng.standard_normal((4096, 200)),
                   _periodic_table(4096, rng.standard_normal((2, 200)))):
         tracemalloc.start()
         try:
-            write_csv(tmp_path / "wide.csv", [f"x_{i}" for i in range(201)], table)
+            write_csv(tmp_path / "wide.csv", ["k"] + [f"x_{i}" for i in range(200)], table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1102,21 +1147,22 @@ def test_write_csv_memory_is_bounded(tmp_path):
 
 
 def test_write_csv_formats_one_period_of_a_periodic_table(tmp_path, monkeypatch):
-    # a 4,000 x 3 table of period 2 formats its step column and one period of
-    # the rest; formatted in full it would be 12,000 cells
+    # a 4,000-row table of period 2 formats the 4 cells of one period as
+    # floats; its steps are printed into that text, and no float step cell
+    # is formed: formatted in full it would be 12,000 cells
     formatted = []
-    kernel = problem_io._format_chunk
+    rows = problem_io._format_rows
 
     def counting(chunk):
-        formatted.append(chunk.size)
-        return kernel(chunk)
+        formatted.append(chunk.shape)
+        return rows(chunk)
 
-    monkeypatch.setattr(problem_io, "_format_chunk", counting)
+    monkeypatch.setattr(problem_io, "_format_rows", counting)
     table = _periodic_table(4000, np.random.default_rng(54).standard_normal((2, 2)))
     write_csv(tmp_path / "got.csv", ["k", "u_1", "u_2"], table)
-    _write_csv_reference(tmp_path / "want.csv", ["k", "u_1", "u_2"], table)
+    _write_csv_reference(tmp_path / "want.csv", ["k", "u_1", "u_2"], _with_steps(table))
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    assert sum(formatted) <= 4000 + 2 * 2
+    assert formatted == [(2, 2)]
 
 
 def test_read_inputs_csv_periodic_files_match_the_full_parse(tmp_path, monkeypatch):
@@ -1142,10 +1188,12 @@ def test_read_inputs_csv_periodic_files_match_the_full_parse(tmp_path, monkeypat
     }
     for name, (n, tail) in tails.items():
         path = tmp_path / f"{name}.csv"
-        table = _periodic_table(n, tail)
-        write_csv(path, ["k"] + [f"u_{j + 1}" for j in range(tail.shape[1])], table)
+        write_csv(path, ["k"] + [f"u_{j + 1}" for j in range(tail.shape[1])],
+                  _periodic_table(n, tail))
         lines = path.read_text().splitlines(keepends=True)[1:]
-        full = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)[:, 1:]
+        full = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        assert np.array_equal(full[:, 0], np.arange(n)), name
+        full = full[:, 1:]
         periodic.clear()
         got = read_inputs_csv(path, tail.shape[1])
         assert periodic == ([] if name == "below the gate" else [True]), name
