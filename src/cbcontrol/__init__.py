@@ -19,7 +19,7 @@ from .analysis import (
     select_h,
     unit_ratio_orders,
 )
-from .bundled import bundled_problem, list_bundled
+from .bundled import bundled_problem
 from .charge_balance import (
     BlockScheme,
     build_scheme,
@@ -81,7 +81,6 @@ __all__ = [
     "h_sum",
     "hb_invertible",
     "lift",
-    "list_bundled",
     "load_problem",
     "oracle_stacked_ls",
     "parse_problem",

@@ -35,7 +35,7 @@ from .errors import AnalysisError, PreconditionError
 from .lifting import krylov
 from .numeric import numeric_rank
 from .system import LtiSystem, _locked
-from .tolerances import _EPS, EIG_SEP, MAX_ORDER, ROOT_OF_UNITY, UNIT_EIGENVALUE, UNIT_MODULUS
+from .tolerances import _EPS, EIG_SEP, MAX_ORDER, ROOT_OF_UNITY, UNIT_MODULUS
 from .tolerances import rank_cutoff, require_integer
 
 
@@ -111,7 +111,7 @@ def _pairwise_distinct(eigs: np.ndarray) -> bool:
 
 
 def _has_unit_eigenvalue(eigs: np.ndarray) -> bool:
-    return bool(np.any(np.abs(eigs - 1.0) <= UNIT_EIGENVALUE))
+    return bool(np.any(np.abs(eigs - 1.0) <= ROOT_OF_UNITY))  # lambda**1 == 1
 
 
 def _power(eigs: np.ndarray, k: int) -> np.ndarray:

@@ -116,22 +116,6 @@ def _require_states(task: SteeringTask, n: int):
         raise DimensionError(f"task states have length {task.x0.size}, system has {n}")
 
 
-def _trajectory(system: LtiSystem, task: SteeringTask, plan: ControlPlan) -> Trajectory:
-    """The plan's rollout from task.x0, simulated once and kept on the plan.
-
-    Every array the rollout depends on is locked, so the system object and
-    the bytes of x0 identify it; a new key replaces the one kept.
-    """
-    key = (system, task.x0.tobytes())
-    memo = plan._rollout
-    traj = memo.get(key)
-    if traj is None:
-        traj = simulate(system, task.x0, plan.flat_inputs)
-        memo.clear()
-        memo[key] = traj
-    return traj
-
-
 def _block_imbalances(flat_inputs: np.ndarray, h: int) -> np.ndarray:
     """Largest per-channel net charge of each block of h steps."""
     return np.abs(flat_inputs.reshape(-1, h, flat_inputs.shape[1]).sum(axis=1)).max(axis=1)
@@ -272,15 +256,16 @@ def verify_plan(
     charge-balance tolerance; a failed check is reported, not raised.
     Raises DimensionError when the inputs are not b blocks of h steps
     (checked before simulating) of m channels.
-    The trajectory is kept on the plan: rollout with the same system
-    object and x0 returns it without a second simulation.
+    The trajectory is rollout(system, task, plan), so a later rollout
+    with the same system object and x0 returns it without a second
+    simulation.
     """
     steps = plan.flat_inputs.shape[0]
     if steps != task.b * scheme.h:
         raise DimensionError(
             f"plan has {steps} steps, task needs {task.b} blocks of {scheme.h}"
         )
-    traj = _trajectory(system, task, plan)
+    traj = rollout(system, task, plan)
     terminal_error = float(np.linalg.norm(traj.terminal - task.xf))
     imbalances = _block_imbalances(plan.flat_inputs, scheme.h)
     passed = terminal_error <= tol.terminal and bool(
@@ -292,9 +277,18 @@ def verify_plan(
 
 
 def rollout(system: LtiSystem, task: SteeringTask, plan: ControlPlan) -> Trajectory:
-    """Full per-step trajectory of a plan from the task's initial state.
+    """Full per-step trajectory of a plan from task.x0, simulated once and kept on the plan.
 
-    Simulated once per plan, system object and x0: after verify_plan it is
-    report.trajectory itself, and verify_plan after rollout reuses it.
+    Every array the rollout depends on is locked, so the system object and
+    the bytes of x0 identify it; a new key replaces the one kept. After
+    verify_plan it is report.trajectory itself, and verify_plan after
+    rollout reuses it.
     """
-    return _trajectory(system, task, plan)
+    key = (system, task.x0.tobytes())
+    memo = plan._rollout
+    traj = memo.get(key)
+    if traj is None:
+        traj = simulate(system, task.x0, plan.flat_inputs)
+        memo.clear()
+        memo[key] = traj
+    return traj

@@ -32,8 +32,7 @@ RANK_SLACK = 100.0  # headroom factor of the SVD numeric-rank rule, over the SVD
 REACH = 1e-8  # relative residual of a target displacement past which it is out of reach
 EIG_SEP = 1e-8  # relative eigenvalue gap below which a spectrum is not simple
 UNIT_MODULUS = 1e-9  # bound on abs(abs(r) - 1) screening eigenvalue ratios r
-ROOT_OF_UNITY = 1e-8  # bound on abs(r**k - 1) for a ratio order, and on abs(lambda**k - 1)
-UNIT_EIGENVALUE = 1e-8  # bound on abs(lambda - 1) for an eigenvalue at 1
+ROOT_OF_UNITY = 1e-8  # bound on abs(r**k - 1) for a ratio order, and on abs(lambda**k - 1), k >= 1
 MAX_ORDER = 64  # largest eigenvalue-ratio order searched when selecting a block length
 
 

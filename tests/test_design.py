@@ -23,7 +23,6 @@ from cbcontrol import (
     design_repetitive,
     h_sum,
     lift,
-    list_bundled,
     oracle_stacked_ls,
     parse_problem,
     reachability_matrix,
@@ -32,6 +31,7 @@ from cbcontrol import (
     unpack,
     verify_plan,
 )
+from cbcontrol.bundled import list_bundled
 from cbcontrol.cli import _resolve_h
 from cbcontrol.design import NON_REPETITIVE, REGIMES, REPETITIVE
 from cbcontrol.errors import AnalysisError
@@ -773,22 +773,23 @@ def test_plan_inputs_are_one_c_ordered_form():
     assert check.trajectory.states.tobytes() == simulate(system, np.zeros(3), inputs).states.tobytes()
 
 
-def _counting_simulate(monkeypatch) -> list:
+def _count_calls(monkeypatch, name: str = "simulate") -> list:
+    """The calls verify_plan and rollout make to design.<name>, one entry each."""
     import cbcontrol.design as design
 
     calls = []
-    original = design.simulate
+    original = getattr(design, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(design, "simulate", counting)
+    monkeypatch.setattr(design, name, counting)
     return calls
 
 
 def test_verify_and_rollout_share_one_simulation(monkeypatch):
-    calls = _counting_simulate(monkeypatch)
+    calls = _count_calls(monkeypatch)
     system = rotation_system()
     scheme = build_scheme(2, 1)
     task = _rotation_task(10)
@@ -812,8 +813,23 @@ def test_verify_and_rollout_share_one_simulation(monkeypatch):
     assert len(calls) == 5
 
 
+def test_verify_plan_simulates_only_through_rollout(monkeypatch):
+    simulated = _count_calls(monkeypatch)
+    rolled = _count_calls(monkeypatch, "rollout")
+    system = rotation_system()
+    scheme = build_scheme(2, 1)
+    task = _rotation_task(10)
+    lifted = lift(system, scheme)
+    for count, plan in enumerate((design_nonrepetitive(lifted, task),
+                                  ControlPlan(np.zeros((20, 1)))), start=1):
+        report = verify_plan(system, scheme, task, plan)
+        assert (len(rolled), len(simulated)) == (count, count)
+        assert rollout(system, task, plan) is report.trajectory
+        assert len(simulated) == count
+
+
 def test_verify_checks_the_step_count_before_simulating(monkeypatch):
-    calls = _counting_simulate(monkeypatch)
+    calls = _count_calls(monkeypatch)
     system = LtiSystem(A=[[0.0]], B=[[1.0]])
     scheme = build_scheme(2, 1)
     task = SteeringTask(x0=[0.0], xf=[0.0], b=2, regime="non-repetitive")

@@ -20,8 +20,8 @@ from cbcontrol import (
     check_nonrepetitive_sufficient,
     check_repetitive_sufficient,
     lift,
-    list_bundled,
 )
+from cbcontrol.bundled import list_bundled
 from cbcontrol.cli import main
 from cbcontrol.design import NON_REPETITIVE, REGIMES, REPETITIVE, design_nonrepetitive, design_repetitive
 from cbcontrol.errors import AnalysisError, ReachabilityError
