@@ -11,7 +11,6 @@ import numpy as np
 from cbcontrol import (
     LtiSystem,
     check_nonrepetitive_sufficient,
-    check_real_spectrum_shortcut,
     pbh_controllable,
     select_h,
     unit_ratio_orders,
@@ -45,8 +44,9 @@ print("sufficient conditions are one-sided.")
 
 print("\n== real distinct spectrum ==")
 diag = LtiSystem(A=np.diag([2.0, 0.5]), B=np.eye(2))
-print("all-real shortcut certifies h = 3:", check_real_spectrum_shortcut(diag))
 print("selected block length:", select_h(diag), "(no ratio is a root of unity)")
+print("conditions at h = 3:", check_nonrepetitive_sufficient(diag, 3).conditions,
+      "(distinct reals have distinct cubes)")
 
 print("\n== eigenvalue at 1: unfixable ==")
 stuck = LtiSystem(A=np.diag([1.0, 0.5]), B=np.eye(2))

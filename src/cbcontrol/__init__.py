@@ -12,7 +12,6 @@ from .analysis import (
     PbhResult,
     RatioOrder,
     check_nonrepetitive_sufficient,
-    check_real_spectrum_shortcut,
     check_repetitive_sufficient,
     hb_invertible,
     pbh_controllable,
@@ -74,7 +73,6 @@ __all__ = [
     "build_scheme",
     "bundled_problem",
     "check_nonrepetitive_sufficient",
-    "check_real_spectrum_shortcut",
     "check_repetitive_sufficient",
     "design_nonrepetitive",
     "design_repetitive",

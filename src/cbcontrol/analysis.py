@@ -10,8 +10,6 @@ The decidable conditions implemented here:
   unity of order k, powers of A can collapse distinct eigenvalues;
   h = lcm(orders) + 1 over orders up to MAX_ORDER avoids every such
   collapse, and the gap test on the spectrum of A^h catches the rest.
-* All-real shortcut: a distinct real spectrum keeps cubes distinct, so
-  h = 3 is certified.
 * Invertibility of the geometric sum H_b through the spectrum of A.
 * Repetitive regime, exact at every h: no disruptive root of unity in
   the spectrum (H_b invertible) and rank(Bbar) = n, read as rank(K) = n.
@@ -317,21 +315,6 @@ def select_h(system: LtiSystem, orders: list[RatioOrder] | None = None) -> int:
     if not orders:
         return 2
     return math.lcm(*(entry.order for entry in orders)) + 1
-
-
-def check_real_spectrum_shortcut(system: LtiSystem) -> bool:
-    """True when a distinct all-real spectrum certifies block length 3.
-
-    Needs (A, B) PBH-controllable, no eigenvalue at 1, and all eigenvalues
-    real and distinct; distinct reals keep cubes distinct, so h = 3 makes
-    the lifted pair controllable.
-    """
-    eigs = system.eigenvalues
-    return (
-        bool(np.all(np.abs(eigs.imag) <= EIG_SEP * _spectral_scale(eigs)))  # all real
-        and _pairwise_distinct(eigs)
-        and _necessary_conditions(system)[1]
-    )
 
 
 def _no_disruptive_roots(eigs: np.ndarray, h: int, b: int) -> bool:

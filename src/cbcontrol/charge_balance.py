@@ -85,11 +85,6 @@ class BlockScheme:
             raise ValueError("Q columns do not lie in the null space of R")
         object.__setattr__(self, "Q", Q)
 
-    @property
-    def latent_dim(self) -> int:
-        """Length of one latent coordinate vector w."""
-        return self.m * (self.h - 1)
-
 
 def build_scheme(h: int, m: int) -> BlockScheme:
     """Canonical scheme for block length h and m input channels.
@@ -115,7 +110,7 @@ def _shared_scheme(h: int, m: int) -> BlockScheme:
 def unpack(w, scheme: BlockScheme) -> np.ndarray:
     """Stacked block U = Q @ w; satisfies R @ U = 0 and ||U|| = ||w||, and Q.T @ U = w."""
     w = np.asarray(w, dtype=float).reshape(-1)
-    if w.size != scheme.latent_dim:
-        raise DimensionError(f"w has length {w.size}, expected {scheme.latent_dim}")
+    if w.size != scheme.Q.shape[1]:
+        raise DimensionError(f"w has length {w.size}, expected {scheme.Q.shape[1]}")
     return scheme.Q @ w
 

@@ -154,7 +154,7 @@ def parse_problem(text: str, source: str = "problem", overrides=None) -> Problem
     if not is_integer(b) or b < 1:
         raise ProblemFormatError(f"{source}: field 'task.b' must be a positive integer")
     h_raw = task_doc.get("h", "auto")
-    if h_raw == "auto" or h_raw is None:
+    if h_raw == "auto":
         h = None
     elif is_integer(h_raw) and h_raw >= 2:
         h = h_raw

@@ -86,10 +86,10 @@ def feasible_task(rng, system: LtiSystem, scheme, b: int, regime: str, scale: fl
     """A steering task whose target is exactly the simulated terminal state."""
     x0 = rng.standard_normal(system.n)
     if regime == "repetitive":
-        w = scale * rng.standard_normal(scheme.latent_dim)
+        w = scale * rng.standard_normal(scheme.Q.shape[1])
         latents = [w] * b
     else:
-        latents = [scale * rng.standard_normal(scheme.latent_dim) for _ in range(b)]
+        latents = [scale * rng.standard_normal(scheme.Q.shape[1]) for _ in range(b)]
     flat = np.vstack([unpack(w, scheme).reshape(scheme.h, scheme.m) for w in latents])
     traj = simulate(system, x0, flat)
     return SteeringTask(x0=x0, xf=traj.terminal, b=b, regime=regime)

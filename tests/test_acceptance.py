@@ -293,7 +293,7 @@ def test_criterion_9_property_suite():
         b = int(rng.integers(1, 5))
         system = random_system(rng, n, m)
         scheme = build_scheme(h, m)
-        theta = random_orthogonal(rng, scheme.latent_dim)
+        theta = random_orthogonal(rng, scheme.Q.shape[1])
         recombined = BlockScheme(h=h, m=m, Q=scheme.Q @ theta)
         task = feasible_task(rng, system, scheme, b, "non-repetitive")
         plan_a = design_nonrepetitive(lift(system, scheme), task)
@@ -307,7 +307,7 @@ def test_criterion_9_property_suite():
         h = int(rng.integers(2, 6))
         m = int(rng.integers(1, 4))
         scheme = build_scheme(h, m)
-        w = rng.standard_normal(scheme.latent_dim)
+        w = rng.standard_normal(scheme.Q.shape[1])
         U = unpack(w, scheme)
         ok = ok and abs(np.linalg.norm(U) - np.linalg.norm(w)) <= 1e-12 * max(
             1.0, float(np.linalg.norm(w))
@@ -340,7 +340,7 @@ def test_criterion_9_property_suite():
         scheme = build_scheme(h, m)
         lifted = lift(system, scheme)
         x0 = rng.standard_normal(n)
-        latents = [rng.standard_normal(scheme.latent_dim) for _ in range(b)]
+        latents = [rng.standard_normal(scheme.Q.shape[1]) for _ in range(b)]
         flat = np.vstack([unpack(w, scheme).reshape(h, m) for w in latents])
         traj = simulate(system, x0, flat)
         x = x0.copy()

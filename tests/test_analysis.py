@@ -17,7 +17,6 @@ from cbcontrol import (
     build_scheme,
     bundled_problem,
     check_nonrepetitive_sufficient,
-    check_real_spectrum_shortcut,
     check_repetitive_sufficient,
     hb_invertible,
     h_sum,
@@ -104,7 +103,6 @@ def test_rotation_spectrum_flags():
     assert eigs.shape == (2,)
     # conjugate closure of the spectrum of a real matrix
     assert np.abs(np.sort(eigs) - np.sort(eigs.conj())).max() <= 1e-9
-    assert not check_real_spectrum_shortcut(system)  # the spectrum is not real
     assert not _has_unit_eigenvalue(eigs)  # a rotation has no eigenvalue at 1
     reasons = {r.name: r.holds for r in check_nonrepetitive_sufficient(system, 3).reasons}
     assert reasons["no eigenvalue of A at 1"]
@@ -227,16 +225,55 @@ def test_select_h_certificate_keeps_power_spectrum_simple():
                 assert abs(eigs_h[i] - eigs_h[j]) > 1e-8 * scale
 
 
-def test_real_spectrum_shortcut():
-    assert check_real_spectrum_shortcut(LtiSystem(A=np.diag([2.0, 0.5]), B=np.eye(2)))
-    assert not check_real_spectrum_shortcut(rotation_system())
+def _real_diagonalizable_plant(rng, n: int, pair: bool) -> LtiSystem:
+    """Real eigenvalues, |lambda| in [0.1, 3], none within 0.05 of 1, on a random basis.
+
+    Distinct moduli lie at least 0.05 apart; with ``pair`` one of them
+    carries both signs, so lambda / -lambda = -1 is the only ratio on the
+    unit circle. The basis has condition number at most 4.
+    """
+    while True:
+        mags = rng.uniform(0.1, 3.0, size=n - pair)
+        eigs = rng.choice([-1.0, 1.0], size=mags.size) * mags
+        eigs = np.concatenate((eigs, -eigs[:pair]))
+        if np.min(np.diff(np.sort(mags)), initial=1.0) >= 0.05 and np.all(np.abs(eigs - 1.0) >= 0.05):
+            break
+    V = random_orthogonal(rng, n) @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ random_orthogonal(rng, n)
+    B = rng.standard_normal((n, int(rng.integers(1, 3))))
+    return LtiSystem(A=V @ np.diag(eigs) @ np.linalg.inv(V), B=B)
+
+
+def test_distinct_real_spectrum_certifies_h_3():
+    # distinct real eigenvalues have distinct cubes, so the verdict ladder
+    # certifies h = 3 on a controllable pair with no eigenvalue at 1; select_h
+    # needs 3 only for a pair lambda, -lambda (ratio -1, of order 2)
+    rng = np.random.default_rng(86)
+    for trial in range(300):
+        pair = trial % 3 == 0
+        system = _real_diagonalizable_plant(rng, int(rng.integers(2, 7)), pair)
+        assert pbh_controllable(system).controllable
+        assert select_h(system) == (3 if pair else 2)
+        assert check_nonrepetitive_sufficient(system, 3).conditions == "yes"
+
+
+def test_real_spectrum_at_h_3_through_the_verdict_ladder():
+    diag = LtiSystem(A=np.diag([2.0, 0.5]), B=np.eye(2))
+    assert select_h(diag) == 2
+    assert check_nonrepetitive_sufficient(diag, 3).conditions == "yes"
 
     # cross-check through the Gramian at the certified block length
     system = LtiSystem(A=np.diag([3.0, -3.0]), B=[[1.0], [1.0]])
-    assert check_real_spectrum_shortcut(system)
+    assert select_h(system) == 3
+    assert check_nonrepetitive_sufficient(system, 3).conditions == "yes"
     lifted = lift(system, build_scheme(3, 1))
     Rb = reachability_matrix(lifted, 2)
     assert np.linalg.matrix_rank(Rb @ Rb.T) == 2
+
+    # the gap test is relative to max(spectral radius, 1): the cubes of 0.001
+    # and 0.0011 lie 3.3e-10 apart, so the conditions leave h = 3 open and
+    # lifted PBH decides
+    tiny = check_nonrepetitive_sufficient(LtiSystem(A=np.diag([0.001, 0.0011]), B=[[1.0], [1.0]]), 3)
+    assert (tiny.conditions, tiny.controllable) == ("undetermined", "yes")
 
 
 def test_hb_invertible_expander():
@@ -672,7 +709,6 @@ def test_screen_cleared_verdicts_take_no_pencil_svd(monkeypatch):
         h = select_h(system)
         verdicts = [check_nonrepetitive_sufficient(system, h)]
         check_repetitive_sufficient(system, 4)
-        check_real_spectrum_shortcut(system)
         verdicts.append(check_nonrepetitive_sufficient(system, h + 1))
         # the modal screen decides every eigenvalue, and the verdict reports
         # its modal values: no pencil SVD at all
@@ -708,9 +744,8 @@ def test_pbh_decided_once_per_system(monkeypatch):
     assert select_h(system) == 2
     assert check_nonrepetitive_sufficient(system, 2).controllable == "no"
     assert check_repetitive_sufficient(system, 3).controllable == "no"
-    assert not check_real_spectrum_shortcut(system)
     # one real values-only SVD of the reported pencil, shared by both
-    # verdicts and the shortcut, and none with U
+    # verdicts, and none with U
     assert calls.count(((3, 4), False, False)) == 1
     assert not any(with_u for _, _, with_u in calls)
     taken = len(calls)

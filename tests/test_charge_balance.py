@@ -168,7 +168,7 @@ def test_pack_round_trip_oracle():
         h = int(rng.integers(2, 6))
         m = int(rng.integers(1, 4))
         scheme = build_scheme(h, m)
-        w0 = rng.standard_normal(scheme.latent_dim)
+        w0 = rng.standard_normal(scheme.Q.shape[1])
         U = unpack(w0, scheme)
         recovered = scheme.Q.T @ U
         assert np.abs(recovered - w0).max() <= 1e-12
@@ -195,7 +195,7 @@ def test_unpack_blocks_sum_to_zero():
         h = int(rng.integers(2, 6))
         m = int(rng.integers(1, 4))
         scheme = build_scheme(h, m)
-        U = unpack(rng.standard_normal(scheme.latent_dim), scheme)
+        U = unpack(rng.standard_normal(scheme.Q.shape[1]), scheme)
         per_channel = U.reshape(h, m).sum(axis=0)
         assert np.abs(per_channel).max() <= 1e-13
 
@@ -206,7 +206,7 @@ def test_energy_isometry():
         h = int(rng.integers(2, 6))
         m = int(rng.integers(1, 4))
         scheme = build_scheme(h, m)
-        w = rng.standard_normal(scheme.latent_dim)
+        w = rng.standard_normal(scheme.Q.shape[1])
         U = unpack(w, scheme)
         assert abs(np.linalg.norm(U) - np.linalg.norm(w)) <= 1e-12 * max(
             1.0, np.linalg.norm(w)

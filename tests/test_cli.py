@@ -129,7 +129,7 @@ def test_parse_rejects_bad_shapes_and_values(tmp_path, capsys):
     with pytest.raises(ProblemFormatError, match="must have length 2, got x0 of 3 and xf of 2"):
         parse_problem(json.dumps(bad_length))
 
-    for field, value in (("h", 1), ("h", True), ("b", True), ("b", 0)):
+    for field, value in (("h", 1), ("h", True), ("h", None), ("b", True), ("b", 0)):
         bad_task = json.loads(json.dumps(base))
         bad_task["task"][field] = value
         with pytest.raises(ProblemFormatError, match=f"task.{field}"):

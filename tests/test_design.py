@@ -519,7 +519,7 @@ def test_q_invariance_of_designed_blocks():
         b = int(rng.integers(1, 5))
         system = random_system(rng, n, m)
         scheme = build_scheme(h, m)
-        theta = random_orthogonal(rng, scheme.latent_dim)
+        theta = random_orthogonal(rng, scheme.Q.shape[1])
         recombined = BlockScheme(h=h, m=m, Q=scheme.Q @ theta)
 
         task = feasible_task(rng, system, scheme, b, "non-repetitive")

@@ -191,7 +191,7 @@ def test_lift_one_block_simulation_oracle():
         scheme = build_scheme(3, 2)
         lifted = lift(system, scheme)
         x0 = rng.standard_normal(3)
-        w = rng.standard_normal(scheme.latent_dim)
+        w = rng.standard_normal(scheme.Q.shape[1])
         flat = unpack(w, scheme).reshape(3, 2)
         traj = simulate(system, x0, flat)
         predicted = lifted.Abar @ x0 + lifted.Bbar @ w
@@ -410,7 +410,7 @@ def test_block_boundary_equivalence():
         scheme = build_scheme(h, m)
         lifted = lift(system, scheme)
         x0 = rng.standard_normal(n)
-        latents = [rng.standard_normal(scheme.latent_dim) for _ in range(b)]
+        latents = [rng.standard_normal(scheme.Q.shape[1]) for _ in range(b)]
 
         flat = np.vstack([unpack(w, scheme).reshape(h, m) for w in latents])
         traj = simulate(system, x0, flat)
@@ -435,7 +435,7 @@ def test_repetitive_closed_form():
         scheme = build_scheme(h, m)
         lifted = lift(system, scheme)
         x0 = rng.standard_normal(n)
-        w = rng.standard_normal(scheme.latent_dim)
+        w = rng.standard_normal(scheme.Q.shape[1])
 
         x = x0.copy()
         for _ in range(b):
