@@ -12,7 +12,9 @@ exits 3 or 4 writes nothing into it (a new directory stays empty).
 report.json is strict JSON: a non-finite number is written as null.
 
 main() builds its argument parser once per process, on the first call, and
-reuses it for every later call.
+reuses it for every later call. Consecutive calls on one plant (A and B
+equal bit for bit, whatever the task or flags) share the LtiSystem that
+problem_io.parse_problem holds, so A is decomposed and PBH decided once.
 """
 
 from __future__ import annotations

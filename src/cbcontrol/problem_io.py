@@ -16,6 +16,9 @@ Problem files are JSON with explicit field names:
     }
 
 Either Tolerances field may be overridden; any other key is refused.
+The plant is held between parses (one, the latest): problems whose A and
+B are equal bit for bit share one LtiSystem, so a run of commands on one
+plant decomposes A and decides PBH once.
 
 Numbers are decimal doubles and matrices are lists of rows. write_csv
 writes a table of doubles behind a step column: a comma delimiter, a
@@ -115,11 +118,22 @@ def _as_array(value, where, ndim: int, source) -> np.ndarray:
     return arr
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_system(a_shape, a_bytes, b_shape, b_bytes) -> LtiSystem:
+    """The LtiSystem of the float64 arrays with these shapes and bytes."""
+    return LtiSystem(A=np.frombuffer(a_bytes).reshape(a_shape),
+                     B=np.frombuffer(b_bytes).reshape(b_shape))
+
+
 def parse_problem(text: str, source: str = "problem", overrides=None) -> Problem:
     """Parse problem-file text; raises ProblemFormatError with diagnostics.
 
     ``overrides`` maps dotted field names ("task.b", "tolerances.terminal")
     to values that replace the text's before any check, as if written there.
+    The plant comes from a one-entry cache keyed by A's and B's shapes and
+    bytes: a parse on the latest plant built returns that immutable
+    LtiSystem, with the eigen-decomposition, modal screen and PBH decision
+    it has cached. A miss builds the system anew; a failure is not kept.
     """
     try:
         doc = json.loads(text)
@@ -138,7 +152,7 @@ def parse_problem(text: str, source: str = "problem", overrides=None) -> Problem
     A = _as_array(_require(system_doc, "A", "system", source), "system.A", 2, source)
     B = _as_array(_require(system_doc, "B", "system", source), "system.B", 2, source)
     try:
-        system = LtiSystem(A=A, B=B)
+        system = _shared_system(A.shape, A.tobytes(), B.shape, B.tobytes())
     except (DimensionError, ValueError) as exc:
         raise ProblemFormatError(f"{source}: invalid system matrices: {exc}") from exc
 

@@ -1,6 +1,7 @@
 """The pair runner's statistics, on synthetic numbers (no benchmark runs)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,34 @@ def test_src_lines_counts_python_files_at_any_depth(tmp_path):
     (package / "fixture.json").write_text("{}\n{}\n")  # not Python: not counted
     (package / "empty.py").write_text("")
     assert bench_pairs.src_lines(tmp_path / "src") == 5
+
+
+def test_seed_reaches_every_benchmark_run(tmp_path, monkeypatch):
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"] + spec["per_layer"]}
+    result = json.dumps({"correct": 1, "attempted": 1, "failed": 0, "metrics": metrics})
+    replies = {"run.py": f'env:{{"numpy": "x"}}\n{result}',
+               "cli_matrix.py": "a exit=0 b\nmatrix sha256=0",
+               "op_outcomes.py": "failed 0\npeak_rss_mb 1.0"}
+    runs = []
+
+    def fake_run(argv, **kwargs):
+        argv = [str(arg) for arg in argv]
+        runs.append(argv)
+        return replies[Path(argv[1]).name]
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.setattr(bench_pairs, "_make_sides",
+                        lambda work, rev: {side: tmp_path / side for side in bench_pairs.SIDES})
+    for flags, seed in (([], 1), (["--seed", "7"], 7)):
+        del runs[:]
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main(["--base", "HEAD", "--out", str(out), "--pairs", "2",
+                                 "--seconds", "1", *flags]) == 0
+        assert json.loads(out.read_text())["seed"] == seed
+        bench = [argv for argv in runs if Path(argv[1]).name == "run.py"]
+        # per workload: two runs a pair on two pairs, then one traced run a side
+        assert len(bench) == 6 * len(spec["workloads"])
+        for argv in bench:
+            assert argv[argv.index("--seed") + 1] == str(seed)
+            assert argv.count("--seed") == 1

@@ -3,9 +3,12 @@
 import argparse
 import csv
 import dataclasses
+import importlib.util
 import json
+import shutil
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,11 @@ from cbcontrol.problem_io import read_inputs_csv, write_csv, write_text
 from cbcontrol.tolerances import Tolerances
 
 from helpers import floored_rank, read_csv
+
+_MATRIX_SPEC = importlib.util.spec_from_file_location(
+    "cli_matrix", Path(__file__).resolve().parent.parent / "tools" / "cli_matrix.py")
+cli_matrix = importlib.util.module_from_spec(_MATRIX_SPEC)
+_MATRIX_SPEC.loader.exec_module(cli_matrix)
 
 # the thresholds and the ratio-order search bound: module constants, not
 # Tolerances fields, at their values
@@ -1390,3 +1398,84 @@ def test_one_rollout_per_design(tmp_path, monkeypatch):
         designer(lifted, task)
         design.oracle_stacked_ls(system, scheme, task)
     assert calls == []
+
+
+def _counting_eig(monkeypatch) -> list:
+    """np.linalg.eig, patched to append to the returned list on each call."""
+    calls, original = [], np.linalg.eig
+
+    def counting(matrix):
+        calls.append(1)
+        return original(matrix)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    return calls
+
+
+def test_session_decomposes_each_plant_once(tmp_path, monkeypatch):
+    # consecutive commands on one (A, B), whatever the task or flags, share
+    # parse_problem's LtiSystem and so its one eig
+    calls = _counting_eig(monkeypatch)
+    drift = str(bundled_problem("drift_only"))
+    for command in ("analyze", "design", "sweep-h"):
+        assert main([command, "--problem", drift, "--out", str(tmp_path / command)]) == 0
+    assert main(["simulate", "--problem", drift, "--inputs",
+                 str(tmp_path / "design" / "inputs.csv"), "--out", str(tmp_path / "sim")]) == 0
+    assert len(calls) == 1
+
+    expander = bundled_problem("expander_2d")
+    for flags in ([], ["--b", "20"], ["--b", "20", "--regime", "nonrep"]):
+        assert main(["analyze", "--problem", str(expander), *flags]) == 0
+    assert len(calls) == 2
+
+    # a plant one ulp away is another plant
+    doc = json.loads(expander.read_text())
+    doc["system"]["A"][0][1] = float(np.nextafter(doc["system"]["A"][0][1], np.inf))
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(doc))
+    assert main(["analyze", "--problem", str(moved)]) == 0
+    assert len(calls) == 3
+
+
+def _matrix_session(work: Path, capsys, cold: bool) -> list:
+    """Every run of tools/cli_matrix.py's bundled matrix, its simulate
+    replays included, called in-process from work with relative paths:
+    (argv, exit code, stdout, stderr, {file: bytes}) per run. A cold
+    session clears the plant cache before each call."""
+    runs = []
+
+    def run(problem, variant, command, flags):
+        out = Path(variant, problem, command)
+        argv = [command, "--problem", f"{problem}.json", *flags, "--out", str(out)]
+        if cold:
+            problem_io._shared_system.cache_clear()
+        code = main(argv)
+        captured = capsys.readouterr()
+        files = {str(path): path.read_bytes() for path in sorted(out.rglob("*"))
+                 if path.is_file()}
+        runs.append((argv, code, captured.out, captured.err, files))
+        return out
+
+    for problem in cli_matrix.PROBLEMS:
+        shutil.copy(bundled_problem(problem), work)
+        for variant, flags in cli_matrix.VARIANTS.items():
+            for command in cli_matrix.COMMANDS:
+                out = run(problem, variant, command, flags)
+                if command == "design" and (out / "inputs.csv").is_file():
+                    run(problem, variant, "simulate", [*flags, "--inputs", str(out / "inputs.csv")])
+    return runs
+
+
+def test_warm_and_cold_sessions_write_the_same_bytes(tmp_path, monkeypatch, capsys):
+    sessions = {}
+    for name in ("cold", "warm"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        calls = _counting_eig(monkeypatch)
+        sessions[name] = _matrix_session(tmp_path / name, capsys, cold=name == "cold")
+    assert len(calls) == len(cli_matrix.PROBLEMS)  # the warm session: one eig a plant
+    cold, warm = sessions["cold"], sessions["warm"]
+    assert len(cold) == 90
+    assert {run[1] for run in cold} == {0, 3, 4, 5}
+    for cold_run, warm_run in zip(cold, warm, strict=True):
+        assert warm_run == cold_run, cold_run[0]

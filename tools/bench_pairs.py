@@ -7,9 +7,9 @@ Both sides run in one fresh temporary directory, each as a copy of its
 `benchmark/run.py` takes `src/` from its own parent directory: the base
 side's `src/` comes from `git archive REV src`, the change side's is this
 checkout's working tree. For every workload in BENCHMARK.json it runs
---pairs pairs at seed 1 and --seconds (`--trace 0`), the side that goes first
-alternating from pair to pair, then one `--trace 1` run per side for the
-per-layer numbers.
+--pairs pairs at --seed (default 1, as CI's smoke runs) and --seconds
+(`--trace 0`), the side that goes first alternating from pair to pair,
+then one `--trace 1` run per side for the per-layer numbers.
 
 The JSON file named by --out holds, per workload and end-to-end metric,
 the values of both sides pair by pair, their medians, the base side's
@@ -43,7 +43,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
-SEED = 1  # the benchmark seed of every run, as in CI's smoke runs
 OUTCOME_SEEDS = (1, 2, 3)
 OUTCOME_SECONDS = 3
 # a child writes no bytecode, so nothing lands in this checkout's src/ or benchmark/
@@ -111,10 +110,11 @@ def _run(argv, **kwargs) -> str:
     return done.stdout
 
 
-def _bench(side: Path, workload: str, seconds: int, trace: int) -> tuple[dict, dict]:
+def _bench(side: Path, workload: str, seed: int, seconds: int,
+           trace: int) -> tuple[dict, dict]:
     """(env record, result document) of one benchmark/run.py run on a side."""
     out = _run([sys.executable, str(side / "benchmark" / "run.py"), "--workload", workload,
-                "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)])
+                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)])
     lines = out.splitlines()
     env = next(json.loads(line[len("env:"):]) for line in lines if line.startswith("env:"))
     return env, json.loads(lines[-1])
@@ -152,7 +152,7 @@ def _make_sides(work: Path, rev: str) -> dict[str, Path]:
 
 def measure(args, sides: dict[str, Path]) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    doc = {"base": args.base, "pairs": args.pairs, "seconds": args.seconds, "seed": SEED,
+    doc = {"base": args.base, "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
            "env": {}, "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         runs, values = [], {side: [] for side in SIDES}
@@ -160,7 +160,7 @@ def measure(args, sides: dict[str, Path]) -> dict:
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             run = {"first": order[0]}
             for side in order:
-                env, result = _bench(sides[side], workload, args.seconds, 0)
+                env, result = _bench(sides[side], workload, args.seed, args.seconds, 0)
                 doc["env"].setdefault(side, env)
                 run[side] = {key: result[key] for key in ("correct", "attempted", "failed")}
                 values[side].append({name: m["value"] for name, m in result["metrics"].items()})
@@ -168,7 +168,7 @@ def measure(args, sides: dict[str, Path]) -> dict:
             print(f"{workload} pair {pair + 1}/{args.pairs}", file=sys.stderr, flush=True)
         traced = {}
         for side in SIDES:
-            _, result = _bench(sides[side], workload, args.seconds, 1)
+            _, result = _bench(sides[side], workload, args.seed, args.seconds, 1)
             layers = {m["name"]: result["metrics"][m["name"]]["value"]
                       for m in spec["per_layer"] if m["name"] in result["metrics"]}
             traced[side] = {"correct": result["correct"], "failed": result["failed"],
@@ -216,6 +216,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     parser.add_argument("--seconds", type=int, default=10,
                         help="benchmark/run.py's --seconds for every run (default 10)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="benchmark/run.py's --seed for every run (default 1)")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds < 1:
         parser.error("--pairs and --seconds must be at least 1")
