@@ -35,8 +35,9 @@ stated in _scaled_digits). A smaller chunk costs one '%' call.
 An identical-block plan's inputs (period h) and block table (period 1)
 repeat. From _PERIODIC_MIN_CELLS cells on, write_csv formats one period
 of such rows and prints the steps into it, and read_inputs_csv parses
-the step column and one period, then tiles it: the same bytes and arrays
-as every row formatted or parsed.
+the step column and each distinct text past the step cell once, in
+whatever order the rows repeat it: the same bytes and arrays as every
+row formatted or parsed.
 """
 
 from __future__ import annotations
@@ -65,10 +66,12 @@ _CHUNK_CELLS = 8192
 # a smaller chunk goes through FLOAT_FMT: the kernel costs about 70 us a
 # call plus 105 ns a cell and '%' 255 ns a cell, crossing near 480 cells
 _KERNEL_MIN_CELLS = 512
-# a table is taken one period at a time from this many cells on, when one
-# period holds at most this many; ungated, cli-session's op_p50_ms rose
-# 1.3% and its peak_rss_mb 4.5 MB, and at 2048 its b = 150 plans'
-# 1,500-cell tables lost the op_p90_ms gain (measured in CHANGES.md)
+# from this many cells on, a table is written one period at a time and an
+# inputs file read one distinct row tail at a time, when the period (or the
+# distinct tails) hold at most this many rows' cells; ungated, cli-session's
+# op_p50_ms rose 1.3% and its peak_rss_mb 4.5 MB (writer) or op_p50_ms 2.1%
+# (reader), and at 2048 its b = 150 plans' 1,500-cell tables lost the
+# op_p90_ms gain (measured in CHANGES.md)
 _PERIODIC_MIN_CELLS = 1024
 
 _TOLERANCE_KEYS = {field.name for field in fields(Tolerances)}
@@ -466,10 +469,11 @@ def read_inputs_csv(path, m: int) -> np.ndarray:
     """Parse an inputs.csv (columns k, u_1 .. u_m) into an (N, m) array.
 
     The file is read once, as its header line and a list of row lines.
-    A file of _PERIODIC_MIN_CELLS cells or more whose row lines repeat
-    past their first comma is parsed one period at a time (see
-    _periodic_inputs); any other file, or one with an irregular row, by
-    one np.loadtxt of every row. Both give the same array, bit for bit.
+    A file of _PERIODIC_MIN_CELLS cells or more whose row lines take few
+    distinct texts past their first comma has each of those parsed once
+    (see _interned_inputs); any other file, or one with an irregular row,
+    is parsed by one np.loadtxt of every row. Both give the same array,
+    bit for bit.
     Raises ProblemFormatError when the file cannot be read, is empty, has
     a header that is not m + 1 columns wide, or has a malformed row (a
     blank line, a row of the wrong width, or a cell that is not a finite
@@ -493,7 +497,7 @@ def read_inputs_csv(path, m: int) -> np.ndarray:
     if not rows:
         return np.zeros((0, m))
     if len(rows) * (m + 1) >= _PERIODIC_MIN_CELLS:
-        inputs = _periodic_inputs(rows, m)
+        inputs = _interned_inputs(rows, m)
         if inputs is not None:
             return inputs
     table = _parse_lines(rows)
@@ -516,40 +520,30 @@ def _parse_lines(lines, ndmin=2):
         return None
 
 
-def _periodic_inputs(rows: list[str], m: int) -> np.ndarray | None:
-    """The (N, m) inputs of row lines that repeat past their step cell, else None.
+def _interned_inputs(rows: list[str], m: int) -> np.ndarray | None:
+    """The (N, m) inputs of row lines with few distinct tails, else None.
 
-    One period p is tried, as system._period tries one: the first line
-    after line 0 that ends as line 0 does from its first comma on, within
-    the first _PERIODIC_MIN_CELLS cells. The step cells of every line are
-    parsed to be checked, the first p tails once, and np.resize tiles
-    those. None on any irregular line, so the full parse reports it.
+    A line's tail is its text past its first comma. Each distinct tail
+    is parsed once and the rows take their values from it; every step
+    cell is parsed, to be checked. None past _PERIODIC_MIN_CELLS // (m + 1)
+    distinct tails, or on any irregular line, so the full parse reports it.
     """
-    # readlines leaves each line its "\n", and the searched text ends with
-    # line 0's, so a match ends a line: p counts the line ends before it
-    window = "".join(rows[1:_PERIODIC_MIN_CELLS // (m + 1) + 1])
-    at = window.find("," + rows[0].partition(",")[2])
-    if at < 0:
+    first_use, which, steps, cap = {}, [], [], _PERIODIC_MIN_CELLS // (m + 1)
+    for line in rows:
+        step, _, tail = line.partition(",")
+        index = first_use.get(tail)
+        if index is None:
+            if len(first_use) == cap:
+                return None
+            index = first_use[tail] = len(first_use)
+        which.append(index)
+        steps.append(step)
+    values, steps = _parse_lines(list(first_use)), _parse_lines(steps, ndmin=1)
+    if values is None or steps is None or values.shape != (len(first_use), m):
         return None
-    p = window.count("\n", 0, at) + 1
-    tails = [line.partition(",")[2] for line in rows[:p]]
-    values, steps = _parse_lines(tails), _parse_lines(_step_cells(rows, tails), ndmin=1)
-    if values is None or steps is None or values.shape != (p, m) or steps.shape != (len(rows),):
+    if steps.shape != (len(rows),) or not (np.isfinite(values).all() and np.isfinite(steps).all()):
         return None
-    if not (np.isfinite(values).all() and np.isfinite(steps).all()):
-        return None
-    return np.resize(values, (len(rows), m))
-
-
-def _step_cells(rows: list[str], tails: list[str]):
-    """Each line's text before its first comma, one at a time, so a long
-    file holds no list of them; ValueError at the first line k whose
-    text past its first comma is not tails[k % p], p = len(tails)."""
-    for index, line in enumerate(rows):
-        head, _, tail = line.partition(",")
-        if tail != tails[index % len(tails)]:
-            raise ValueError(f"row {index + 1} breaks the period")
-        yield head
+    return values.take(which, axis=0)
 
 
 def _first_malformed_row(rows: list[str], m: int) -> int:

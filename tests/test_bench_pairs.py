@@ -107,3 +107,14 @@ def test_seed_reaches_every_benchmark_run(tmp_path, monkeypatch):
         for argv in bench:
             assert argv[argv.index("--seed") + 1] == str(seed)
             assert argv.count("--seed") == 1
+
+
+def test_side_directories_have_names_of_one_length(tmp_path):
+    # an A/A run (one commit on both sides) read a higher median setup_s on
+    # all three workloads for the side whose directory name was longer, so
+    # neither side may import from longer paths
+    dirs = bench_pairs.side_dirs(tmp_path)
+    assert list(dirs) == list(bench_pairs.SIDES)
+    assert all(path.parent == tmp_path for path in dirs.values())
+    assert len({len(path.name) for path in dirs.values()}) == 1
+    assert len(set(dirs.values())) == len(dirs)

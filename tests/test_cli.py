@@ -1192,19 +1192,26 @@ def test_write_csv_formats_one_period_of_a_periodic_table(tmp_path, monkeypatch)
     assert formatted == [(2, 2)]
 
 
-def test_read_inputs_csv_periodic_files_match_the_full_parse(tmp_path, monkeypatch):
-    # a periodic file at or above the gate is parsed one period at a time,
-    # into the array one np.loadtxt of every row gives, bit for bit
-    gate = problem_io._PERIODIC_MIN_CELLS
-    periodic = []
-    one_period = problem_io._periodic_inputs
+def _record_interned(monkeypatch):
+    """A list that records, per call of problem_io._interned_inputs,
+    whether it took the file (True) or left it to the full parse."""
+    taken = []
+    interned = problem_io._interned_inputs
 
     def recording(rows, m):
-        inputs = one_period(rows, m)
-        periodic.append(inputs is not None)
+        inputs = interned(rows, m)
+        taken.append(inputs is not None)
         return inputs
 
-    monkeypatch.setattr(problem_io, "_periodic_inputs", recording)
+    monkeypatch.setattr(problem_io, "_interned_inputs", recording)
+    return taken
+
+
+def test_read_inputs_csv_periodic_files_match_the_full_parse(tmp_path, monkeypatch):
+    # a periodic file at or above the gate is parsed one distinct row tail
+    # at a time, into the array one np.loadtxt of every row gives, bit for bit
+    gate = problem_io._PERIODIC_MIN_CELLS
+    periodic = _record_interned(monkeypatch)
     rng = np.random.default_rng(55)
     tails = {
         "below the gate": (gate // 2 - 1, np.array([[1e-300], [-0.0], [0.0]])),
@@ -1224,6 +1231,34 @@ def test_read_inputs_csv_periodic_files_match_the_full_parse(tmp_path, monkeypat
         periodic.clear()
         got = read_inputs_csv(path, tail.shape[1])
         assert periodic == ([] if name == "below the gate" else [True]), name
+        assert got.shape == full.shape and got.flags.c_contiguous, name
+        assert got.tobytes() == np.ascontiguousarray(full).tobytes(), name
+
+
+def test_read_inputs_csv_interns_rows_in_any_order(tmp_path, monkeypatch):
+    # rows that repeat out of order take the interned path up to
+    # _PERIODIC_MIN_CELLS // (m + 1) distinct tails and the full parse past
+    # it, and both give what one np.loadtxt of every row gives, bit for bit
+    cap = problem_io._PERIODIC_MIN_CELLS // 3  # m = 2
+    taken = _record_interned(monkeypatch)
+    rng = np.random.default_rng(50)
+    three = np.array([[-0.0, 0.0], [1e-300, -0.0], [0.0, 1e-300]])
+    order = rng.integers(0, 3, 600)
+    assert not any(np.array_equal(order[p:], order[:-p]) for p in range(1, 600))
+    many = rng.standard_normal((cap + 1, 2))
+    cases = {
+        "3 tails, no period": (three[order], [True]),
+        "cap tails": (many[np.resize(np.arange(cap), 600)][rng.permutation(600)], [True]),
+        "cap + 1 tails": (many[np.resize(np.arange(cap + 1), 600)], [False]),
+    }
+    for name, (columns, want) in cases.items():
+        path = tmp_path / f"{name}.csv"
+        write_csv(path, ["k", "u_1", "u_2"], columns)
+        lines = path.read_text().splitlines(keepends=True)[1:]
+        full = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)[:, 1:]
+        taken.clear()
+        got = read_inputs_csv(path, 2)
+        assert taken == want, name
         assert got.shape == full.shape and got.flags.c_contiguous, name
         assert got.tobytes() == np.ascontiguousarray(full).tobytes(), name
 

@@ -137,9 +137,15 @@ def src_lines(src: Path) -> int:
     return sum(len(path.read_text().splitlines()) for path in src.rglob("*.py"))
 
 
+def side_dirs(work: Path) -> dict[str, Path]:
+    """Each side's directory in work, named by its initial: the names have
+    one length, so neither side imports from longer paths."""
+    return {name: work / name[0] for name in SIDES}
+
+
 def _make_sides(work: Path, rev: str) -> dict[str, Path]:
     ignore = shutil.ignore_patterns("__pycache__")
-    sides = {name: work / name for name in SIDES}
+    sides = side_dirs(work)
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
                              capture_output=True, check=True).stdout
     sides["base"].mkdir()
