@@ -12,7 +12,8 @@ and a Cholesky of its Gram matrix proves full rank, so the solution is
 unique, and otherwise as below. Pseudoinverses are SVD truncations with
 the shared rank rule, so both laws return the minimum-norm minimizer when
 the reachable space is rank deficient. Both laws and the oracle check
-their solve's residual with _require_reached. A plan is its inputs U = Q w.
+their solve's residual with _require_reached. A plan is its inputs U = Q w;
+a law's plan keeps that numeric.Solve as plan.solve, which no output reads.
 
 A stacked least-squares solver over the raw per-step inputs
 (oracle_stacked_ls) provides an independent optimality cross-check; it
@@ -30,7 +31,7 @@ import numpy as np
 from .charge_balance import BlockScheme, unpack
 from .errors import ChargeBalanceError, DimensionError, PreconditionError, ReachabilityError
 from .lifting import LiftedSystem, _require_channels, h_sum, reachability_matrix
-from .numeric import min_norm_solve, unique_or_min_norm_solve
+from .numeric import Solve, min_norm_solve, unique_or_min_norm_solve
 from .system import LtiSystem, Trajectory, _locked, simulate
 from .tolerances import DEFAULT, REACH, Tolerances, require_integer
 
@@ -74,11 +75,13 @@ class ControlPlan:
     flat_inputs is the (b*h, m) per-step sequence that is applied, stored
     as a C-ordered float64 copy and locked (it cannot be made writeable
     again); anything but a (steps, m) array-like raises DimensionError.
+    solve is the Solve a design law drew them from; None for other plans.
     A plan keeps its last rollout: verify_plan and rollout on the same
     system object from the same x0 share one simulation.
     """
 
     flat_inputs: np.ndarray
+    solve: Solve | None = None
 
     def __post_init__(self):
         flat = np.array(self.flat_inputs, dtype=float, order="C")
@@ -143,11 +146,11 @@ def design_nonrepetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPla
     _require_states(task, lifted.n)
     d = task.xf - np.linalg.matrix_power(lifted.Abar, task.b) @ task.x0
     Rb = reachability_matrix(lifted, task.b)
-    core, rank, _, residual = min_norm_solve(Rb @ Rb.T, d)
-    _require_reached(residual, d, f"target displacement is not reachable in {task.b} blocks",
-                     f"Gramian rank {rank} of {lifted.n}", rank)
-    latents = (Rb.T @ core).reshape(task.b, -1)
-    return ControlPlan((latents @ lifted.scheme.Q.T).reshape(-1, lifted.scheme.m))
+    solve = min_norm_solve(Rb @ Rb.T, d)
+    _require_reached(solve.residual, d, f"target displacement is not reachable in {task.b} blocks",
+                     f"Gramian rank {solve.rank} of {lifted.n}", solve.rank)
+    latents = (Rb.T @ solve.x).reshape(task.b, -1)
+    return ControlPlan((latents @ lifted.scheme.Q.T).reshape(-1, lifted.scheme.m), solve)
 
 
 def design_repetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPlan:
@@ -165,17 +168,17 @@ def design_repetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPlan:
     d = task.xf - free
     gain = total @ lifted.Bbar
     del total  # H_b is n x n: not held through the solve
-    w, rank, _, residual = unique_or_min_norm_solve(gain, d)
-    _require_reached(residual, d, "target displacement is not reachable with identical blocks",
-                     f"rank {rank} of {lifted.n}", rank)
-    block = unpack(w, lifted.scheme)
+    solve = unique_or_min_norm_solve(gain, d)
+    _require_reached(solve.residual, d, "target displacement is not reachable with "
+                     "identical blocks", f"rank {solve.rank} of {lifted.n}", solve.rank)
+    block = unpack(solve.x, lifted.scheme)
     try:
         inputs = np.tile(block, task.b)
     except (ValueError, OverflowError) as exc:  # past numpy's index range: as if out of memory
         raise MemoryError(
             f"a plan of {task.b} blocks of {block.size} inputs is too large to address: {exc}"
         ) from exc
-    return ControlPlan(inputs.reshape(-1, lifted.scheme.m))
+    return ControlPlan(inputs.reshape(-1, lifted.scheme.m), solve)
 
 
 def oracle_stacked_ls(system: LtiSystem, scheme: BlockScheme, task: SteeringTask) -> ControlPlan:

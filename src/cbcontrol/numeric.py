@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import AnalysisError
+from .system import _locked
 from .tolerances import _EPS, rank_cutoff
+
+
+class Solve(NamedTuple):
+    """x for matrix @ x = rhs, its arrays locked; singular_values None: the certified LU ran."""
+
+    x: np.ndarray
+    rank: int
+    singular_values: np.ndarray | None
+    residual: float
 
 
 def _require_finite(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -40,7 +52,7 @@ def numeric_rank(matrix):
 def min_norm_solve(matrix, rhs):
     """Minimum-norm least-squares solution of ``matrix @ x = rhs``.
 
-    Uses a truncated SVD with the shared rank cutoff. Returns
+    Uses a truncated SVD with the shared rank cutoff. Returns a Solve
     (x, rank, singular_values, residual); ``residual`` is the Euclidean
     distance from ``rhs`` to the numerical column space of ``matrix``.
     Raises AnalysisError when either has a non-finite entry.
@@ -52,7 +64,7 @@ def min_norm_solve(matrix, rhs):
     coeffs = u[:, :rank].T @ rhs
     x = vt[:rank].T @ (coeffs / s[:rank])
     residual = float(np.linalg.norm(rhs - u[:, :rank] @ coeffs))
-    return x, rank, s, residual
+    return Solve(_locked(x), rank, _locked(s), residual)
 
 
 def _certified_full_rank(matrix: np.ndarray) -> bool:
@@ -74,14 +86,14 @@ def _certified_full_rank(matrix: np.ndarray) -> bool:
 
 
 def unique_or_min_norm_solve(matrix, rhs):
-    """As min_norm_solve, but by LU (rank n, residual 0, singular values None) when
-    _certified_full_rank proves a square matrix has sigma_min > rank_cutoff sigma_max."""
+    """As min_norm_solve, but by LU (a Solve of rank n, residual 0, singular values None)
+    when _certified_full_rank proves a square matrix has sigma_min > rank_cutoff sigma_max."""
     matrix = _require_finite(np.asarray(matrix, dtype=float), "the matrix of the solve")
     rhs = _require_finite(np.asarray(rhs, dtype=float), "the right-hand side of the solve")
     n = len(matrix)
     if matrix.shape == (n, n) and _certified_full_rank(matrix):
         try:
-            return np.linalg.solve(matrix, rhs), n, None, 0.0
+            return Solve(_locked(np.linalg.solve(matrix, rhs)), n, None, 0.0)
         except np.linalg.LinAlgError:
             pass
     return min_norm_solve(matrix, rhs)

@@ -118,3 +118,23 @@ def test_side_directories_have_names_of_one_length(tmp_path):
     assert all(path.parent == tmp_path for path in dirs.values())
     assert len({len(path.name) for path in dirs.values()}) == 1
     assert len(set(dirs.values())) == len(dirs)
+
+
+def test_report_prints_outcomes_after_the_metrics():
+    metric = {"base_median": 2.0, "change_median": 1.5, "base_iqr": 0.25, "wins": 9,
+              "gain": True, "bound_verdict": "within"}
+    doc = {"pairs": 10,
+           "workloads": {"design-horizon": {"end_to_end": {"op_p90_ms": metric}}},
+           "op_outcomes": {"base": {"1": "failed 194 of 340", "2": "failed 194 of 340"},
+                           "change": {"1": "failed 194 of 340", "2": "failed 195 of 340"},
+                           "differing_lines": {"1": 0, "2": 3}},
+           "src_lines": {"base": 2366, "change": 2381}}
+    assert bench_pairs.report_lines(doc) == [
+        "design-horizon  op_p90_ms    base 2          change 1.5        iqr 0.25      "
+        "wins 9/10 gain True  within",
+        "op_outcomes seed 1   base failed 194 of 340  change failed 194 of 340  "
+        "differing lines 0",
+        "op_outcomes seed 2   base failed 194 of 340  change failed 195 of 340  "
+        "differing lines 3",
+        "src lines base 2366 change 2381 (+15)",
+    ]

@@ -563,22 +563,17 @@ def test_designed_plans_pass_verification():
             assert verify_plan(system, scheme, task, plan).passed
 
 
-def _per_block_reference(lifted, task):
+def _per_block_reference(lifted, task, plan):
     """Blocks and energy as the per-block loops build them: one unpack per latent.
 
-    The latents come from the solve the design uses, so the comparison
-    checks the assembly of the plan, not the solve.
+    The latents come from the plan's own solve, so the comparison checks
+    the assembly of the plan, not the solve.
     """
     scheme, b = lifted.scheme, task.b
     if task.regime == "repetitive":
-        total, free = h_sum(lifted, b, task.x0)
-        w, *_ = unique_or_min_norm_solve(total @ lifted.Bbar, task.xf - free)
-        latents = [w] * b
+        latents = [plan.solve.x] * b
     else:
-        d = task.xf - np.linalg.matrix_power(lifted.Abar, b) @ task.x0
-        Rb = reachability_matrix(lifted, b)
-        core, *_ = min_norm_solve(Rb @ Rb.T, d)
-        latents = (Rb.T @ core).reshape(b, -1)
+        latents = (reachability_matrix(lifted, b).T @ plan.solve.x).reshape(b, -1)
     blocks = [unpack(w, scheme) for w in latents]
     return blocks, float(sum(U @ U for U in blocks))
 
@@ -587,7 +582,7 @@ def test_plan_arrays_match_per_block_loops():
     # one product with Q (distinct blocks) or one tiled block (identical
     # blocks), the energy as one squared norm and the imbalances from the
     # (b, h, m) view agree with the per-block unpack, U @ U and R @ U loops
-    assert [f.name for f in dataclasses.fields(ControlPlan)] == ["flat_inputs"]
+    assert [f.name for f in dataclasses.fields(ControlPlan)] == ["flat_inputs", "solve"]
     rng = np.random.default_rng(58)
     designers = {"non-repetitive": design_nonrepetitive, "repetitive": design_repetitive}
     for _ in range(30):
@@ -599,7 +594,7 @@ def test_plan_arrays_match_per_block_loops():
         for regime, designer in designers.items():
             task = feasible_task(rng, system, scheme, b, regime)
             plan = designer(lifted, task)
-            blocks, energy = _per_block_reference(lifted, task)
+            blocks, energy = _per_block_reference(lifted, task, plan)
             reference = np.concatenate(blocks).reshape(-1, m)
             scale = np.abs(reference).max()
             assert plan.flat_inputs.shape == (b * h, m)
@@ -614,6 +609,45 @@ def test_plan_arrays_match_per_block_loops():
             imbalances = [np.abs(balance @ U).max() for U in applied]
             assert check.imbalances.shape == (b,)
             assert np.abs(check.imbalances - imbalances).max() <= 1e-15 * scale
+
+
+def test_plan_carries_the_solve_it_was_drawn_from():
+    # rotation_2d (distinct blocks) solves the Gramian Rb Rb^T by SVD,
+    # four_state (identical blocks, kappa 1.2e8) declines the certificate
+    # and expander_2d's square gain is certified and solved by LU; the
+    # oracle's plans and a caller's carry no solve
+    plans = {}
+    for name in ("rotation_2d", "four_state", "expander_2d"):
+        problem = parse_problem(bundled_problem(name).read_text())
+        h, system, task = _resolve_h(problem)[0], problem.system, problem.task
+        lifted = lift(system, build_scheme(h, system.m))
+        design = design_repetitive if task.regime == REPETITIVE else design_nonrepetitive
+        plans[name] = lifted, task, design(lifted, task)
+        assert verify_plan(system, lifted.scheme, task, plans[name][2]).passed
+        assert oracle_stacked_ls(system, lifted.scheme, task).solve is None
+
+    lifted, task, plan = plans["rotation_2d"]
+    _, rank, svals, residual = plan.solve
+    assert task.regime == NON_REPETITIVE and rank == 2 and residual <= 1e-15
+    Rb = reachability_matrix(lifted, task.b)
+    gram_rank, gram_svals = numeric_rank(Rb @ Rb.T)
+    assert gram_rank == rank and np.allclose(svals, gram_svals, rtol=1e-12, atol=0.0)
+    assert abs(svals[-1] / svals[0] - 12 / 13) <= 1e-12
+
+    _, task, plan = plans["four_state"]
+    svals = plan.solve.singular_values
+    assert task.regime == REPETITIVE and plan.solve.rank == 4
+    assert 8.1e-9 <= svals[-1] / svals[0] <= 8.2e-9
+
+    _, task, plan = plans["expander_2d"]
+    assert task.regime == REPETITIVE
+    assert plan.solve[1:] == (2, None, 0.0)
+    for solve in (plans["rotation_2d"][2].solve, plans["four_state"][2].solve, plan.solve):
+        arrays = [a for a in (solve.x, solve.singular_values) if a is not None]
+        assert all(not a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            arrays[0].flags.writeable = True
+    assert ControlPlan(plan.flat_inputs).solve is None
 
 
 def test_oracle_rejects_charged_solution(monkeypatch):

@@ -22,8 +22,11 @@ counts, the `env:` line of each side, and, for both sides,
 `tools/cli_matrix.py`'s sha and exit tally, `tools/op_outcomes.py
 --seconds 3`'s failed counts, differing lines (its last line, peak memory,
 is recorded apart and not compared) and peak memory at seeds 1-3, and the
-lines of `src/**/*.py`, whose difference it prints. Nothing is written
-under `src/` or `benchmark/`, and the temporary directory is removed.
+lines of `src/**/*.py`. It prints one line per workload and end-to-end
+metric, then per op_outcomes seed both sides' failed lines and the count
+of differing op lines, then the `src/` line counts and their difference.
+Nothing is written under `src/` or `benchmark/`, and the temporary
+directory is removed.
 """
 
 from __future__ import annotations
@@ -215,6 +218,24 @@ def measure(args, sides: dict[str, Path]) -> dict:
     return doc
 
 
+def report_lines(doc: dict) -> list[str]:
+    """The lines main prints for a measure() document."""
+    lines = [f"{workload:15} {name:12} base {metric['base_median']:<10.4g} change "
+             f"{metric['change_median']:<10.4g} iqr {metric['base_iqr']:<9.3g} "
+             f"wins {metric['wins']}/{doc['pairs']} gain {metric['gain']!s:5} "
+             f"{metric['bound_verdict']}"
+             for workload, result in doc["workloads"].items()
+             for name, metric in result["end_to_end"].items()]
+    outcomes = doc["op_outcomes"]
+    lines += [f"op_outcomes seed {seed:3} base {outcomes['base'][seed]:18} change "
+              f"{outcomes['change'][seed]:18} differing lines {differing}"
+              for seed, differing in outcomes["differing_lines"].items()]
+    src = doc["src_lines"]
+    lines.append(f"src lines base {src['base']} change {src['change']} "
+                 f"({src['change'] - src['base']:+d})")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision of the base side")
@@ -230,15 +251,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         doc = measure(args, _make_sides(Path(work), args.base))
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for workload, result in doc["workloads"].items():
-        for name, metric in result["end_to_end"].items():
-            print(f"{workload:15} {name:12} base {metric['base_median']:<10.4g} change "
-                  f"{metric['change_median']:<10.4g} iqr {metric['base_iqr']:<9.3g} "
-                  f"wins {metric['wins']}/{args.pairs} gain {metric['gain']!s:5} "
-                  f"{metric['bound_verdict']}")
-    lines = doc["src_lines"]
-    print(f"src lines base {lines['base']} change {lines['change']} "
-          f"({lines['change'] - lines['base']:+d})")
+    print("\n".join(report_lines(doc)))
     return 0
 
 
