@@ -1278,6 +1278,14 @@ def test_pbh_failure_reports_the_failing_pencil():
     assert np.array_equal(verdict.singular_values, pencils[k])
 
 
+def test_a_nan_gap_reads_as_near():
+    # a NaN eigenvalue (overflow) makes every gap and the scale NaN: each
+    # pair reads as near, so the spectrum is not simple
+    values = np.array([0.5, 2.0])
+    assert np.array_equal(_near(values), np.eye(2, dtype=bool))
+    assert _near(np.append(values, np.nan)).all()
+
+
 def test_pbh_raises_on_an_overflowing_pencil():
     # lambda - A_ii is +-inf in diag(1e308, -1e308), and 1e308 ones(2) has
     # an eigenvalue of inf: each pencil's SVD would be NaN and read rank 0,

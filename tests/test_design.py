@@ -35,8 +35,8 @@ from cbcontrol.bundled import list_bundled
 from cbcontrol.cli import _resolve_h
 from cbcontrol.design import NON_REPETITIVE, REGIMES, REPETITIVE
 from cbcontrol.errors import AnalysisError
-from cbcontrol.numeric import min_norm_solve, numeric_rank, unique_or_min_norm_solve
-from cbcontrol.tolerances import rank_cutoff
+from cbcontrol.numeric import Solve, min_norm_solve, numeric_rank, unique_or_min_norm_solve
+from cbcontrol.tolerances import Tolerances, rank_cutoff
 
 from helpers import (
     counting_svd,
@@ -274,9 +274,9 @@ def _min_norm_reference(lifted, task):
     """The identical-block plan and singular values of min_norm_solve on the gain."""
     total, free = h_sum(lifted, task.b, task.x0)
     gain = total @ lifted.Bbar
-    w, rank, svals, residual = min_norm_solve(gain, task.xf - free)
-    flat = np.tile(unpack(w, lifted.scheme), task.b).reshape(-1, lifted.scheme.m)
-    return flat, gain, rank, svals, residual
+    solve = min_norm_solve(gain, task.xf - free)
+    flat = np.tile(unpack(solve.x, lifted.scheme), task.b).reshape(-1, lifted.scheme.m)
+    return flat, gain, solve.rank, solve.singular_values, solve.residual
 
 
 def test_full_rank_square_gain_solves_by_lu(monkeypatch):
@@ -662,7 +662,7 @@ def test_oracle_rejects_charged_solution(monkeypatch):
     charged[2] += 1e-3  # block 1 now carries net charge
 
     def charged_solve(matrix, rhs):
-        return charged, 0, np.ones(1), 0.0
+        return Solve(charged, 0, np.ones(1), 0.0)
 
     monkeypatch.setattr(design, "min_norm_solve", charged_solve)
     with pytest.raises(ChargeBalanceError, match="not charge balanced") as info:
@@ -757,6 +757,46 @@ def test_verify_flags_perturbed_block():
     assert not check.passed
     flagged = np.nonzero(check.imbalances > 1e-9)[0]
     assert list(flagged) == [4]
+
+
+def test_verify_terminal_tolerance_is_inclusive():
+    # a plan passes when its terminal error equals tol.terminal, and fails
+    # one float below it
+    system = rotation_system()
+    scheme = build_scheme(2, 1)
+    task = _rotation_task(3)
+    plan = design_nonrepetitive(lift(system, scheme), task)
+    error = verify_plan(system, scheme, task, plan).terminal_error
+    assert error > 0.0
+    assert verify_plan(system, scheme, task, plan, Tolerances(terminal=error)).passed
+    below = Tolerances(terminal=float(np.nextafter(error, 0.0)))
+    assert not verify_plan(system, scheme, task, plan, below).passed
+
+
+def test_verify_charge_balance_tolerance_is_inclusive():
+    # the same at the plan's largest block imbalance
+    system = rotation_system()
+    scheme = build_scheme(2, 1)
+    task = _rotation_task(10)
+    flat = design_nonrepetitive(lift(system, scheme), task).flat_inputs.copy()
+    flat[8, 0] += 3e-12  # block 4 carries a net charge of about 3e-12
+    plan = ControlPlan(flat)
+    largest = float(verify_plan(system, scheme, task, plan).imbalances.max())
+    assert largest > 0.0
+    assert verify_plan(system, scheme, task, plan, Tolerances(charge_balance=largest)).passed
+    below = Tolerances(charge_balance=float(np.nextafter(largest, 0.0)))
+    assert not verify_plan(system, scheme, task, plan, below).passed
+
+
+def test_verify_fails_a_rollout_that_reaches_nan():
+    # the states overflow to inf - inf = NaN: a NaN terminal error is no pass
+    system = LtiSystem(A=[[1e300, -1e300], [1e300, 1e300]], B=[[1.0], [0.0]])
+    scheme = build_scheme(2, 1)
+    task = SteeringTask(x0=[1.0, 0.0], xf=[0.0, 0.0], b=2, regime="non-repetitive")
+    with np.errstate(all="ignore"):
+        check = verify_plan(system, scheme, task, ControlPlan(np.zeros((4, 1))))
+    assert np.isnan(check.terminal_error)
+    assert not check.passed
 
 
 def test_verify_reads_the_applied_inputs():
