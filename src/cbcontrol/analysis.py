@@ -34,7 +34,7 @@ from .lifting import krylov
 from .numeric import numeric_rank
 from .system import LtiSystem, _locked
 from .tolerances import _EPS, EIG_SEP, MAX_ORDER, ROOT_OF_UNITY, UNIT_MODULUS
-from .tolerances import exceeds, rank_cutoff, require_integer, within
+from .tolerances import rank_cutoff, require_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +101,7 @@ def _spectral_scale(eigs: np.ndarray) -> float:
 
 def _near(values: np.ndarray) -> np.ndarray:
     """Pairs whose gap is not above EIG_SEP times the scale: NaN (overflow) counts as near."""
-    gaps = np.abs(np.subtract.outer(values, values))
-    return ~exceeds("eigenvalue_gap", gaps, EIG_SEP * _spectral_scale(values))
+    return ~(np.abs(np.subtract.outer(values, values)) > EIG_SEP * _spectral_scale(values))
 
 
 def _pairwise_distinct(eigs: np.ndarray) -> bool:
@@ -110,8 +109,7 @@ def _pairwise_distinct(eigs: np.ndarray) -> bool:
 
 
 def _has_unit_eigenvalue(eigs: np.ndarray) -> bool:
-    # lambda**1 == 1
-    return bool(np.any(within("eigenvalue_at_one", np.abs(eigs - 1.0), ROOT_OF_UNITY)))
+    return bool(np.any(np.abs(eigs - 1.0) <= ROOT_OF_UNITY))  # lambda**1 == 1
 
 
 def _power(eigs: np.ndarray, k: int) -> np.ndarray:
@@ -139,8 +137,7 @@ def pbh_controllable(system: LtiSystem) -> PbhResult:
     A, B, eigs, n = system.A, system.B, system.eigenvalues, system.n
     values, holds_below = _modal_screen(system)
     taken, controllable = {}, False  # eigenvalue index -> (rank, singular values) of its pencil
-    cleared = exceeds("pbh_screen", holds_below, rank_cutoff((n, n + system.m)))
-    for k in np.flatnonzero(~cleared).tolist():
+    for k in np.flatnonzero(~(rank_cutoff((n, n + system.m)) < holds_below)).tolist():
         taken[k] = numeric_rank(_pencil(A, B, eigs[k]))
         if taken[k][0] < n:  # the first failure
             break
@@ -279,15 +276,15 @@ def unit_ratio_orders(system: LtiSystem) -> list[RatioOrder]:
     """
     eigs = system.eigenvalues
     # pairs i < j of moduli clear of zero (no ratio overflows), ratio on the unit circle
-    keep = exceeds("nonzero_modulus", np.abs(eigs), EIG_SEP * _spectral_scale(eigs)).nonzero()[0]
+    keep = (np.abs(eigs) > EIG_SEP * _spectral_scale(eigs)).nonzero()[0]
     ratios = np.divide.outer(eigs[keep], eigs[keep])
-    i, j = np.nonzero(within("unit_ratio", np.abs(np.abs(ratios) - 1.0), UNIT_MODULUS))
+    i, j = np.nonzero(np.abs(np.abs(ratios) - 1.0) <= UNIT_MODULUS)
     i, j = i[i < j], j[i < j]
     if not i.size:
         return []
     # r^k, k = 1..MAX_ORDER, down each column by a scalar loop's products r^(k-1) * r
     powers = np.multiply.accumulate(np.full((MAX_ORDER, i.size), ratios[i, j]))
-    hits = within("ratio_order", abs(powers - 1.0), ROOT_OF_UNITY)
+    hits = abs(powers - 1.0) <= ROOT_OF_UNITY
     orders = np.where(hits.any(axis=0), 1 + hits.argmax(axis=0), 0)  # order 0: none found
     return [RatioOrder(i=p, j=q, order=k) for p, q, k in zip(
         keep[i].tolist(), keep[j].tolist(), orders.tolist()) if k]
@@ -322,8 +319,9 @@ def select_h(system: LtiSystem, orders: list[RatioOrder] | None = None) -> int:
 
 def _no_disruptive_roots(eigs: np.ndarray, h: int, b: int) -> bool:
     """True when no eigenvalue satisfies lambda^(hb) = 1 with lambda^h != 1."""
-    disruptive = within("root_at_hb", np.abs(_power(eigs, h * b) - 1.0), ROOT_OF_UNITY)
-    disruptive &= exceeds("root_off_h", np.abs(eigs**h - 1.0), ROOT_OF_UNITY)
+    disruptive = (np.abs(_power(eigs, h * b) - 1.0) <= ROOT_OF_UNITY) & (
+        np.abs(eigs**h - 1.0) > ROOT_OF_UNITY
+    )
     return not np.any(disruptive)
 
 

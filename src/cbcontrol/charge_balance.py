@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .system import _locked
-from .tolerances import BASIS_ATOL, require_integer, within
+from .tolerances import BASIS_ATOL, require_integer
 
 
 def _zero_sum_basis(h: int) -> np.ndarray:
@@ -73,14 +73,13 @@ class BlockScheme:
             raise DimensionError(
                 f"Q must be {self.m * self.h} x {self.m * (self.h - 1)}, got {Q.shape}"
             )
-        # |Q.T Q - I| in the one Gram array
+        # |Q.T Q - I| in the one Gram array; written "not <=" so NaN fails
         gram = Q.T @ Q
         gram.flat[:: gram.shape[0] + 1] -= 1.0
-        if not within("basis_orthonormal", np.abs(gram, out=gram).max(), BASIS_ATOL):
+        if not np.abs(gram, out=gram).max() <= BASIS_ATOL:
             raise ValueError("Q columns are not orthonormal")
         # R @ Q without the product: per channel, Q's rows summed over the h steps
-        if not within("basis_kernel", np.abs(Q.reshape(self.h, self.m, -1).sum(axis=0)).max(),
-                      BASIS_ATOL):
+        if not np.abs(Q.reshape(self.h, self.m, -1).sum(axis=0)).max() <= BASIS_ATOL:
             raise ValueError("Q columns do not lie in the null space of R")
         object.__setattr__(self, "Q", Q)
 

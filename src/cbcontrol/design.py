@@ -33,7 +33,7 @@ from .errors import ChargeBalanceError, DimensionError, PreconditionError, Reach
 from .lifting import LiftedSystem, _require_channels, h_sum, reachability_matrix
 from .numeric import Solve, min_norm_solve, unique_or_min_norm_solve
 from .system import LtiSystem, Trajectory, _locked, simulate
-from .tolerances import DEFAULT, REACH, Tolerances, exceeds, require_integer, within
+from .tolerances import DEFAULT, REACH, Tolerances, require_integer
 
 NON_REPETITIVE = "non-repetitive"
 REPETITIVE = "repetitive"
@@ -127,7 +127,7 @@ def _block_imbalances(flat_inputs: np.ndarray, h: int) -> np.ndarray:
 def _require_reached(residual: float, d, what: str, rank_text: str, rank: int):
     """ReachabilityError when residual exceeds REACH relative to d; a zero d is always reached."""
     dnorm = float(np.linalg.norm(d))
-    if dnorm > 0.0 and exceeds("reach", residual, REACH * dnorm):
+    if dnorm > 0.0 and residual > REACH * dnorm:
         raise ReachabilityError(
             f"{what}: residual {residual:.3e} (relative {residual / dnorm:.3e}), {rank_text}",
             residual=residual,
@@ -224,7 +224,7 @@ def oracle_stacked_ls(system: LtiSystem, scheme: BlockScheme, task: SteeringTask
     scaled_target = target / row_norms
     solve = min_norm_solve(scaled_lhs, scaled_target)
     u, rank, residual = solve.x, solve.rank, solve.residual
-    if exceeds("oracle_reach", residual, REACH * max(1.0, float(np.linalg.norm(scaled_target)))):
+    if residual > REACH * max(1.0, float(np.linalg.norm(scaled_target))):
         raise ReachabilityError(
             f"stacked equality system is infeasible: scaled residual {residual:.3e}, rank {rank}",
             residual=residual,
@@ -233,7 +233,7 @@ def oracle_stacked_ls(system: LtiSystem, scheme: BlockScheme, task: SteeringTask
 
     flat = (np.tile(u, b) if task.regime == REPETITIVE else u).reshape(steps, m)
     imbalances = _block_imbalances(flat, h)
-    if exceeds("oracle_charge_balance", imbalances.max(), DEFAULT.charge_balance):
+    if imbalances.max() > DEFAULT.charge_balance:
         raise ChargeBalanceError(
             f"stacked solution is not charge balanced: block imbalance "
             f"{imbalances.max():.3e} exceeds {DEFAULT.charge_balance:g}",
@@ -272,8 +272,8 @@ def verify_plan(
     traj = rollout(system, task, plan)
     terminal_error = float(np.linalg.norm(traj.terminal - task.xf))
     imbalances = _block_imbalances(plan.flat_inputs, scheme.h)
-    passed = within("terminal", terminal_error, tol.terminal) and bool(
-        np.all(within("charge_balance", imbalances, tol.charge_balance))
+    passed = terminal_error <= tol.terminal and bool(
+        np.all(imbalances <= tol.charge_balance)
     )
     return PlanVerification(
         trajectory=traj, terminal_error=terminal_error, imbalances=imbalances, passed=passed

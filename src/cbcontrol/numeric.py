@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import AnalysisError
 from .system import _locked
-from .tolerances import _EPS, exceeds, rank_cutoff
+from .tolerances import _EPS, rank_cutoff
 
 
 class Solve(NamedTuple):
@@ -31,7 +31,7 @@ def _require_finite(matrix: np.ndarray, what: str) -> np.ndarray:
 def _rank(svals: np.ndarray, shape) -> int:
     """Count of descending singular values above the cutoff."""
     top = svals[0] if svals.size else 0.0
-    return int(np.count_nonzero(exceeds("rank_cutoff", svals, rank_cutoff(shape) * top)))
+    return int(np.count_nonzero(svals > rank_cutoff(shape) * top))
 
 
 def numeric_rank(matrix):

@@ -1,13 +1,9 @@
 """The fixed thresholds of the rank and spectral tests, the tolerances a caller
-sets (with desk-scale defaults), the integer checks shared by argument
-validation, and the two named decisions every threshold test goes through:
-exceeds (value > threshold) and within (value <= threshold), each False on a
-NaN. While the context variable margins holds a dict, each decision keeps in it,
-under its name, the (value, threshold) pair whose ratio lies nearest 1 in log scale."""
+sets (with desk-scale defaults), and the integer checks shared by argument
+validation."""
 
 from __future__ import annotations
 
-import contextvars
 import numbers
 import sys
 from dataclasses import dataclass, fields
@@ -39,29 +35,6 @@ UNIT_MODULUS = 1e-9  # bound on abs(abs(r) - 1) screening eigenvalue ratios r
 ROOT_OF_UNITY = 1e-8  # bound on abs(r**k - 1) for a ratio order, and on abs(lambda**k - 1), k >= 1
 MAX_ORDER = 64  # largest eigenvalue-ratio order searched when selecting a block length
 BASIS_ATOL = 1e-12  # bound on the entries of Q^T Q - I and R Q for a block scheme's basis Q
-margins = contextvars.ContextVar("margins", default=None)
-
-
-def exceeds(name: str, value, threshold):
-    """value > threshold (elementwise for arrays), recorded under name; see the module doc."""
-    return _decided(name, value, threshold, value > threshold)
-
-
-def within(name: str, value, threshold):
-    """value <= threshold (elementwise for arrays), recorded under name; see the module doc."""
-    return _decided(name, value, threshold, value <= threshold)
-
-
-def _decided(name: str, value, threshold, answer):
-    log = margins.get()
-    if log is not None:  # the kept pair goes first, so a tie keeps it
-        pair = np.broadcast_arrays(value, threshold)
-        value, threshold = map(np.append, log.get(name, ((), ())), pair)
-        with np.errstate(all="ignore"):  # a NaN, zero or negative ratio is farthest from 1
-            distance = np.fmin(np.abs(np.log(value / threshold)), np.inf)
-        if distance.size:
-            log[name] = float(value[distance.argmin()]), float(threshold[distance.argmin()])
-    return answer
 
 
 def rank_cutoff(shape) -> float:
