@@ -290,15 +290,13 @@ def unit_ratio_orders(system: LtiSystem) -> list[RatioOrder]:
         keep[i].tolist(), keep[j].tolist(), orders.tolist()) if k]
 
 
-def select_h(system: LtiSystem, orders: list[RatioOrder] | None = None) -> int:
+def select_h(system: LtiSystem) -> int:
     """Block length certified to keep the eigenvalues of A^h distinct.
 
     Requires numerically distinct eigenvalues and no eigenvalue at 1.
     Returns lcm(orders) + 1 over all root-of-unity ratio orders up to
     MAX_ORDER, or 2 when no ratio has one; a higher order that divides
     the result is caught by the gap test on the spectrum of A^h.
-    ``orders`` takes the result of ``unit_ratio_orders(system)`` when the
-    caller already has it, so the pair search runs once.
     """
     eigs = system.eigenvalues
     if not _pairwise_distinct(eigs):
@@ -310,8 +308,7 @@ def select_h(system: LtiSystem, orders: list[RatioOrder] | None = None) -> int:
         raise PreconditionError(
             "A has an eigenvalue at 1; no block length restores controllability"
         )
-    if orders is None:
-        orders = unit_ratio_orders(system)
+    orders = unit_ratio_orders(system)
     if not orders:
         return 2
     return math.lcm(*(entry.order for entry in orders)) + 1

@@ -109,9 +109,9 @@ def _resolve_h(problem: Problem):
     if problem.h is not None:
         return problem.h, None
     if problem.task.regime == NON_REPETITIVE:
-        orders = unit_ratio_orders(problem.system)
-        h = select_h(problem.system, orders=orders)
-        return h, {"selected_h": h, "ratio_orders": [dataclasses.asdict(o) for o in orders]}
+        h = select_h(problem.system)
+        orders = [dataclasses.asdict(o) for o in unit_ratio_orders(problem.system)]
+        return h, {"selected_h": h, "ratio_orders": orders}
     # identical blocks: the h = 2 conditions are the ones with coverage
     return 2, {"selected_h": 2, "ratio_orders": []}
 
