@@ -124,6 +124,22 @@ def _block_imbalances(flat_inputs: np.ndarray, h: int) -> np.ndarray:
     return np.abs(flat_inputs.reshape(-1, h, flat_inputs.shape[1]).sum(axis=1)).max(axis=1)
 
 
+def _balanced(inputs: np.ndarray, scheme: BlockScheme) -> np.ndarray:
+    """Inputs whose per-channel block sums are exactly 0.0 in every summation order.
+
+    Per block and channel, with max |U| < 2^e and g = 2^(e + ceil(log2 h) - 53),
+    the h steps are rounded to multiples of g, so every partial sum of them is
+    a multiple of g below 2^53 g and exact; the last step is then minus the sum
+    of the others. The shift is about h eps relative to max |U|.
+    """
+    blocks = inputs.reshape(-1, scheme.h, scheme.m)
+    e = np.frexp(np.abs(blocks).max(axis=1, keepdims=True))[1]
+    shift = e + (scheme.h - 1).bit_length() - 53  # (h - 1).bit_length() is ceil(log2 h)
+    snapped = np.ldexp(np.rint(np.ldexp(blocks, -shift)), shift)
+    snapped[:, -1] = -snapped[:, :-1].sum(axis=1)
+    return snapped.reshape(inputs.shape)
+
+
 def _require_reached(residual: float, d, what: str, rank_text: str, rank: int):
     """ReachabilityError when residual exceeds REACH relative to d; a zero d is always reached."""
     dnorm = float(np.linalg.norm(d))
@@ -150,7 +166,8 @@ def design_nonrepetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPla
     _require_reached(solve.residual, d, f"target displacement is not reachable in {task.b} blocks",
                      f"Gramian rank {solve.rank} of {lifted.n}", solve.rank)
     latents = (Rb.T @ solve.x).reshape(task.b, -1)
-    return ControlPlan((latents @ lifted.scheme.Q.T).reshape(-1, lifted.scheme.m), solve)
+    inputs = _balanced(latents @ lifted.scheme.Q.T, lifted.scheme)
+    return ControlPlan(inputs.reshape(-1, lifted.scheme.m), solve)
 
 
 def design_repetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPlan:
@@ -171,7 +188,7 @@ def design_repetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPlan:
     solve = unique_or_min_norm_solve(gain, d)
     _require_reached(solve.residual, d, "target displacement is not reachable with "
                      "identical blocks", f"rank {solve.rank} of {lifted.n}", solve.rank)
-    block = unpack(solve.x, lifted.scheme)
+    block = _balanced(unpack(solve.x, lifted.scheme), lifted.scheme)
     try:
         inputs = np.tile(block, task.b)
     except (ValueError, OverflowError) as exc:  # past numpy's index range: as if out of memory

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -270,12 +271,27 @@ def test_unreachable_repetitive_raises():
         design_repetitive(lifted, task)
 
 
+def _snapped(block, h, m):
+    """One block on the laws' exact-balance grid, from its definition.
+
+    Per channel, with max |U| < 2^e and g = 2^(e + ceil(log2 h) - 53), the
+    steps round to multiples of g and the last is minus the sum of the others.
+    """
+    U = np.reshape(block, (h, m))
+    g = np.ldexp(1.0, np.frexp(np.abs(U).max(axis=0))[1] + math.ceil(math.log2(h)) - 53)
+    U = np.round(U / g) * g
+    U[-1] = -U[:-1].sum(axis=0)
+    return U.reshape(np.shape(block))
+
+
 def _min_norm_reference(lifted, task):
     """The identical-block plan and singular values of min_norm_solve on the gain."""
     total, free = h_sum(lifted, task.b, task.x0)
     gain = total @ lifted.Bbar
     solve = min_norm_solve(gain, task.xf - free)
-    flat = np.tile(unpack(solve.x, lifted.scheme), task.b).reshape(-1, lifted.scheme.m)
+    scheme = lifted.scheme
+    block = _snapped(unpack(solve.x, scheme), scheme.h, scheme.m)
+    flat = np.tile(block, task.b).reshape(-1, scheme.m)
     return flat, gain, solve.rank, solve.singular_values, solve.residual
 
 
@@ -564,7 +580,7 @@ def test_designed_plans_pass_verification():
 
 
 def _per_block_reference(lifted, task, plan):
-    """Blocks and energy as the per-block loops build them: one unpack per latent.
+    """Blocks and energy as the per-block loops build them: one unpack and snap per latent.
 
     The latents come from the plan's own solve, so the comparison checks
     the assembly of the plan, not the solve.
@@ -574,7 +590,7 @@ def _per_block_reference(lifted, task, plan):
         latents = [plan.solve.x] * b
     else:
         latents = (reachability_matrix(lifted, b).T @ plan.solve.x).reshape(b, -1)
-    blocks = [unpack(w, scheme) for w in latents]
+    blocks = [_snapped(unpack(w, scheme), scheme.h, scheme.m) for w in latents]
     return blocks, float(sum(U @ U for U in blocks))
 
 
@@ -598,10 +614,15 @@ def test_plan_arrays_match_per_block_loops():
             reference = np.concatenate(blocks).reshape(-1, m)
             scale = np.abs(reference).max()
             assert plan.flat_inputs.shape == (b * h, m)
-            assert np.abs(plan.flat_inputs - reference).max() <= 1e-15 * scale
-            assert abs(plan.energy - energy) <= 1e-13 * energy
             if regime == "repetitive":
-                assert all(np.array_equal(U, blocks[0]) for U in plan.flat_inputs.reshape(b, -1))
+                assert np.array_equal(plan.flat_inputs, reference)
+            else:
+                # the product's last bits can round to the next cell of the snap's
+                # grid (at most 2^(ceil(log2 h) - 52) scale), each step's error
+                # landing once more on the last step
+                cell = 2.0 ** (math.ceil(math.log2(h)) - 52) * scale
+                assert np.abs(plan.flat_inputs - reference).max() <= 1e-15 * scale + h * cell
+            assert abs(plan.energy - energy) <= 1e-13 * energy
 
             check = verify_plan(system, scheme, task, plan)
             applied = plan.flat_inputs.reshape(b, -1)
@@ -609,6 +630,46 @@ def test_plan_arrays_match_per_block_loops():
             imbalances = [np.abs(balance @ U).max() for U in applied]
             assert check.imbalances.shape == (b,)
             assert np.abs(check.imbalances - imbalances).max() <= 1e-15 * scale
+
+
+def test_every_block_of_every_plan_sums_to_exactly_zero():
+    # U = Q w balances only to rounding, and minus the sum of the other steps
+    # alone is exact only in one order: numpy sums a contiguous axis in eight
+    # interleaved lanes, so at m = 1 and h >= 9 that leaves nonzero sums. The
+    # laws' grid makes every order give 0.0, down to rotation_2d steered to
+    # xf x 1e8 (inputs near 1e7), which then passes the absolute 1e-9 check
+    rng = np.random.default_rng(61)
+    plans, plain_sums = [], []
+    for _ in range(12):
+        n, h, b = int(rng.integers(2, 6)), int(rng.integers(9, 40)), int(rng.integers(1, 30))
+        system, scheme = random_system(rng, n, 1), build_scheme(h, 1)
+        lifted = lift(system, scheme)
+        for regime, designer in (("non-repetitive", design_nonrepetitive),
+                                 ("repetitive", design_repetitive)):
+            plan = designer(lifted, feasible_task(rng, system, scheme, b, regime))
+            plans.append((plan, h))
+            if regime == "repetitive":
+                plain = unpack(plan.solve.x, scheme).reshape(1, h)
+            else:
+                latents = (reachability_matrix(lifted, b).T @ plan.solve.x).reshape(b, -1)
+                plain = latents @ scheme.Q.T
+            plain[:, -1] = -plain[:, :-1].sum(axis=1)
+            plain_sums.append(plain.sum(axis=1))
+    assert np.count_nonzero(np.concatenate(plain_sums))
+
+    system, scheme = rotation_system(), build_scheme(4, 1)
+    task = SteeringTask(x0=[-0.2, 0.2], xf=[1e8, -0.6e8], b=5, regime="non-repetitive")
+    plan = design_nonrepetitive(lift(system, scheme), task)
+    assert np.abs(plan.flat_inputs).max() > 1e7
+    assert verify_plan(system, scheme, task, plan).passed
+    plans.append((plan, 4))
+
+    for plan, h in plans:
+        m = plan.flat_inputs.shape[1]
+        blocks = plan.flat_inputs.reshape(-1, h, m)
+        assert not np.any(blocks.sum(axis=1))
+        for column in np.ascontiguousarray(blocks.transpose(0, 2, 1)).reshape(-1, h):
+            assert column.sum() == sum(reversed(column.tolist())) == math.fsum(column) == 0.0
 
 
 def test_plan_carries_the_solve_it_was_drawn_from():
