@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import cbcontrol
 from cbcontrol.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,3 +62,8 @@ def test_readme_problem_designs(tmp_path):
     out = tmp_path / "run"
     assert main(["design", "--problem", str(problem), "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["design"]["passed"] is True
+
+
+def test_readme_names_every_exported_name():
+    words = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    assert [name for name in cbcontrol.__all__ if name not in words] == []
