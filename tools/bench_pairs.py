@@ -21,10 +21,11 @@ run, else "within"). It also records each run's correct and failed
 counts, the `env:` line of each side, and, for both sides,
 `tools/cli_matrix.py`'s sha and exit tally, `tools/op_outcomes.py
 --seconds 3`'s failed counts, differing lines (its last line, peak memory,
-is recorded apart and not compared) and peak memory at seeds 1-3, and the
-lines of `src/**/*.py`. It prints one line per workload and end-to-end
-metric, then per op_outcomes seed both sides' failed lines and the count
-of differing op lines, then the `src/` line counts and their difference.
+is recorded apart and not compared) and peak memory at seeds 1-12 (about
+2 s a run, so about 48 s for both sides), and the lines of `src/**/*.py`.
+It prints one line per workload and end-to-end metric, then per
+op_outcomes seed both sides' failed lines and the count of differing op
+lines, then the `src/` line counts and their difference.
 Nothing is written under `src/` or `benchmark/`, and the temporary
 directory is removed.
 """
@@ -46,7 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
-OUTCOME_SEEDS = (1, 2, 3)
+OUTCOME_SEEDS = tuple(range(1, 13))
 OUTCOME_SECONDS = 3
 # a child writes no bytecode, so nothing lands in this checkout's src/ or benchmark/
 CHILD_ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
