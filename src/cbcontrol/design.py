@@ -12,8 +12,9 @@ and a Cholesky of its Gram matrix proves full rank, so the solution is
 unique, and otherwise as below. Pseudoinverses are SVD truncations with
 the shared rank rule, so both laws return the minimum-norm minimizer when
 the reachable space is rank deficient. Both laws and the oracle check
-their solve's residual with _require_reached. A plan is its inputs U = Q w;
-a law's plan keeps that numeric.Solve as plan.solve, which no output reads.
+their solve's residual with _require_reached. A plan is its inputs U = Q w
+on _balanced's grid, so each block sums to exactly 0.0; a law's plan keeps
+that numeric.Solve as plan.solve, which no output reads.
 
 A stacked least-squares solver over the raw per-step inputs
 (oracle_stacked_ls) provides an independent optimality cross-check; it
@@ -177,7 +178,7 @@ def design_repetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPlan:
     d = x_f - Abar^b x_0; one binary doubling (h_sum) gives both H_b and
     Abar^b x_0, the last squaring applied to x_0 alone. A square gain
     that a Cholesky certifies of full rank is solved by LU. By the
-    isometry of the kernel basis the energy is b * ||w||^2.
+    isometry of the kernel basis the energy is b * ||w||^2, to about h eps.
     """
     _require_regime(task, REPETITIVE)
     _require_states(task, lifted.n)

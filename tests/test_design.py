@@ -636,7 +636,7 @@ def test_every_block_of_every_plan_sums_to_exactly_zero():
     # U = Q w balances only to rounding, and minus the sum of the other steps
     # alone is exact only in one order: numpy sums a contiguous axis in eight
     # interleaved lanes, so at m = 1 and h >= 9 that leaves nonzero sums. The
-    # laws' grid makes every order give 0.0, down to rotation_2d steered to
+    # laws' grid makes every order give 0.0, even for rotation_2d steered to
     # xf x 1e8 (inputs near 1e7), which then passes the absolute 1e-9 check
     rng = np.random.default_rng(61)
     plans, plain_sums = [], []
