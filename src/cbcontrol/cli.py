@@ -329,8 +329,6 @@ def _add_common(parser: argparse.ArgumentParser, needs_out: bool):
                         help="override regime (rep / nonrep)")
     parser.add_argument("--tol-term", dest="tolerances.terminal", metavar="TOL_TERM",
                         type=float, help="terminal-state tolerance override")
-    parser.add_argument("--tol-cb", dest="tolerances.charge_balance", metavar="TOL_CB",
-                        type=float, help="charge-balance tolerance override")
 
 
 @functools.cache

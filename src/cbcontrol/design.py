@@ -273,9 +273,10 @@ def verify_plan(
 
     Both checks read plan.flat_inputs, the very array that is simulated;
     the imbalance of a block is the largest per-channel net charge of its
-    h steps. The report passes iff the terminal error is within the
-    terminal tolerance and every per-block imbalance is within the
-    charge-balance tolerance; a failed check is reported, not raised.
+    h steps. The report passes iff the terminal error is within
+    tol.terminal and every per-block imbalance is within the fixed bound
+    DEFAULT.charge_balance, which a designed plan meets with 0.0 and only
+    a caller's plan can miss; a failed check is reported, not raised.
     Raises DimensionError when the inputs are not b blocks of h steps
     (checked before simulating) of m channels.
     The trajectory is rollout(system, task, plan), so a later rollout
@@ -291,7 +292,7 @@ def verify_plan(
     terminal_error = float(np.linalg.norm(traj.terminal - task.xf))
     imbalances = _block_imbalances(plan.flat_inputs, scheme.h)
     passed = terminal_error <= tol.terminal and bool(
-        np.all(imbalances <= tol.charge_balance)
+        np.all(imbalances <= DEFAULT.charge_balance)
     )
     return PlanVerification(
         trajectory=traj, terminal_error=terminal_error, imbalances=imbalances, passed=passed

@@ -10,12 +10,10 @@ Problem files are JSON with explicit field names:
         "h": 2,                       // or "auto"
         "regime": "repetitive"        // or "non-repetitive"
       },
-      "tolerances": {                 // optional overrides
-        "charge_balance": 1e-9, "terminal": 1e-6
-      }
+      "tolerances": {"terminal": 1e-6}  // optional override
     }
 
-Either Tolerances field may be overridden; any other key is refused.
+The Tolerances field terminal may be overridden; any other key is refused.
 The plant is held between parses (one, the latest): problems whose A and
 B are equal bit for bit share one LtiSystem, so a run of commands on one
 plant decomposes A and decides PBH once.

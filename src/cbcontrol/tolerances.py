@@ -1,12 +1,13 @@
-"""The fixed thresholds of the rank and spectral tests, the tolerances a caller
-sets (with desk-scale defaults), and the integer checks shared by argument
-validation."""
+"""The fixed thresholds of the rank and spectral tests, the terminal tolerance a
+caller sets (with a desk-scale default) beside the fixed charge-balance bound,
+and the integer checks shared by argument validation."""
 
 from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,24 +45,23 @@ def rank_cutoff(shape) -> float:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The bounds a caller sets; the thresholds of the tests are constants above.
+    """The bound a caller sets; the thresholds of the tests are constants above.
 
-    charge_balance: absolute per-channel bound on the block sum of inputs.
-    terminal: absolute bound on the terminal-state error of a designed plan.
-
-    Both must be positive and finite in float64; else ValueError.
+    terminal: absolute bound on the terminal-state error of a designed plan,
+    positive and finite in float64; else ValueError.
+    charge_balance: fixed absolute per-channel bound on the block sum of
+    inputs, no field: every designed block sums to exactly 0.0, so it only
+    judges plans a caller builds.
     """
 
-    charge_balance: float = 1e-9
+    charge_balance: ClassVar[float] = 1e-9
     terminal: float = 1e-6
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            ok = isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max
-            if isinstance(value, bool) or not ok:
-                raise ValueError(f"tolerances.{field.name} must be finite and positive, "
-                                 f"got {value!r}")
+        value = self.terminal
+        ok = isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max
+        if isinstance(value, bool) or not ok:
+            raise ValueError(f"tolerances.terminal must be finite and positive, got {value!r}")
 
 
 DEFAULT = Tolerances()

@@ -39,12 +39,12 @@ _MATRIX_SPEC = importlib.util.spec_from_file_location(
 cli_matrix = importlib.util.module_from_spec(_MATRIX_SPEC)
 _MATRIX_SPEC.loader.exec_module(cli_matrix)
 
-# the thresholds and the ratio-order search bound: module constants, not
-# Tolerances fields, at their values
+# the thresholds, the ratio-order search bound and the charge-balance bound:
+# constants, not Tolerances fields, at their values
 RETIRED_TOLERANCE_KEYS = (
     ("reach", 1e-8), ("rank_slack", 100.0), ("eig_sep", 1e-8),
     ("unit_modulus", 1e-9), ("root_of_unity", 1e-8), ("unit_eigenvalue", 1e-8),
-    ("max_order", 64),
+    ("max_order", 64), ("charge_balance", 1e-9),
 )
 
 
@@ -156,15 +156,16 @@ def test_parse_rejects_bad_shapes_and_values(tmp_path, capsys):
     with pytest.raises(ProblemFormatError, match="windup"):
         parse_problem(json.dumps(bad_tol))
 
-    for field, value in (("terminal", "tiny"), ("charge_balance", True),
-                         ("terminal", 10**400), ("charge_balance", 10**400)):
-        bad_tol["tolerances"] = {field: value}
-        with pytest.raises(ProblemFormatError, match=field):
+    for value in ("tiny", True, 10**400):
+        bad_tol["tolerances"] = {"terminal": value}
+        with pytest.raises(ProblemFormatError, match="terminal"):
             parse_problem(json.dumps(bad_tol))
     # the fixed thresholds are no fields: a file naming one is refused, even
     # at the value the threshold has
-    assert [f.name for f in dataclasses.fields(Tolerances)] == [
-        "charge_balance", "terminal"]
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["terminal"]
+    assert Tolerances.charge_balance == Tolerances().charge_balance == 1e-9
+    with pytest.raises(TypeError, match="charge_balance"):
+        Tolerances(charge_balance=1e-9)
     for field, value in RETIRED_TOLERANCE_KEYS:
         bad_tol["tolerances"] = {field: value}
         with pytest.raises(ProblemFormatError, match=rf"unknown tolerance fields \['{field}'\]"):
@@ -172,13 +173,16 @@ def test_parse_rejects_bad_shapes_and_values(tmp_path, capsys):
 
 
 def test_max_order_is_no_flag(capsys):
-    # the ratio-order search bound is the constant MAX_ORDER: --max-order is
-    # a usage error, as a file naming max_order is a parse error (with the
-    # other retired keys in RETIRED_TOLERANCE_KEYS)
-    with pytest.raises(SystemExit) as exited:
-        main(["analyze", "--problem", str(bundled_problem("rotation_2d")), "--max-order", "8"])
-    assert exited.value.code == 2
-    assert "unrecognized arguments: --max-order 8" in capsys.readouterr().err
+    # the ratio-order search bound is the constant MAX_ORDER and the
+    # charge-balance bound the constant Tolerances.charge_balance: --max-order
+    # and --tol-cb are usage errors, as a file naming max_order or
+    # charge_balance is a parse error (with the other retired keys in
+    # RETIRED_TOLERANCE_KEYS)
+    for flag, value in (("--max-order", "8"), ("--tol-cb", "1e-9")):
+        with pytest.raises(SystemExit) as exited:
+            main(["analyze", "--problem", str(bundled_problem("rotation_2d")), flag, value])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_parse_tolerance_overrides():
@@ -215,7 +219,6 @@ def test_main_exit_code_parse_error(tmp_path, capsys):
         (["--b", "0"], "task", "b", 0),
         (["--h", "1"], "task", "h", 1),
         (["--tol-term", "-1"], "tolerances", "terminal", -1.0),
-        (["--tol-cb", "nan"], "tolerances", "charge_balance", float("nan")),
     ):
         doc = json.loads(bundled_problem("rotation_2d").read_text())
         path.write_text(json.dumps(doc))
@@ -269,7 +272,6 @@ _OVERRIDE_FLAGS = (
     ("--regime", "rep", "task", "regime", "repetitive"),
     ("--regime", "nonrep", "task", "regime", "non-repetitive"),
     ("--tol-term", "1e-9", "tolerances", "terminal", 1e-9),
-    ("--tol-cb", "1e-7", "tolerances", "charge_balance", 1e-7),
 )
 
 

@@ -37,7 +37,7 @@ from cbcontrol.cli import _resolve_h
 from cbcontrol.design import NON_REPETITIVE, REGIMES, REPETITIVE
 from cbcontrol.errors import AnalysisError
 from cbcontrol.numeric import Solve, min_norm_solve, numeric_rank, unique_or_min_norm_solve
-from cbcontrol.tolerances import Tolerances, rank_cutoff
+from cbcontrol.tolerances import DEFAULT, Tolerances, rank_cutoff
 
 from helpers import (
     counting_svd,
@@ -835,18 +835,19 @@ def test_verify_terminal_tolerance_is_inclusive():
 
 
 def test_verify_charge_balance_tolerance_is_inclusive():
-    # the same at the plan's largest block imbalance
+    # a caller's plan passes when its largest block imbalance equals the
+    # fixed bound DEFAULT.charge_balance, and fails one float above it
     system = rotation_system()
     scheme = build_scheme(2, 1)
-    task = _rotation_task(10)
-    flat = design_nonrepetitive(lift(system, scheme), task).flat_inputs.copy()
-    flat[8, 0] += 3e-12  # block 4 carries a net charge of about 3e-12
-    plan = ControlPlan(flat)
-    largest = float(verify_plan(system, scheme, task, plan).imbalances.max())
-    assert largest > 0.0
-    assert verify_plan(system, scheme, task, plan, Tolerances(charge_balance=largest)).passed
-    below = Tolerances(charge_balance=float(np.nextafter(largest, 0.0)))
-    assert not verify_plan(system, scheme, task, plan, below).passed
+    task = SteeringTask(x0=[0.0, 0.0], xf=[0.0, 0.0], b=10, regime="non-repetitive")
+    for charge, passed in ((DEFAULT.charge_balance, True),
+                           (float(np.nextafter(DEFAULT.charge_balance, np.inf)), False)):
+        flat = np.zeros((20, 1))
+        flat[8, 0] = charge  # block 4 carries net charge `charge`, and no other block any
+        check = verify_plan(system, scheme, task, ControlPlan(flat))
+        assert check.imbalances.max() == charge
+        assert check.terminal_error <= DEFAULT.terminal
+        assert check.passed is passed
 
 
 def test_verify_fails_a_rollout_that_reaches_nan():
