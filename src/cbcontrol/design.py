@@ -130,14 +130,15 @@ def _balanced(inputs: np.ndarray, scheme: BlockScheme) -> np.ndarray:
 
     Per block and channel, with max |U| < 2^e and g = 2^(e + ceil(log2 h) - 53),
     the h steps are rounded to multiples of g, so every partial sum of them is
-    a multiple of g below 2^53 g and exact; the last step is then minus the sum
-    of the others. The shift is about h eps relative to max |U|.
+    a multiple of g below 2^53 g and exact; the last step is then 0.0 minus the
+    sum of the others. Adding 0.0 to a rounded step and subtracting from 0.0
+    make every zero +0.0. The shift is about h eps relative to max |U|.
     """
     blocks = inputs.reshape(-1, scheme.h, scheme.m)
     e = np.frexp(np.abs(blocks).max(axis=1, keepdims=True))[1]
     shift = e + (scheme.h - 1).bit_length() - 53  # (h - 1).bit_length() is ceil(log2 h)
-    snapped = np.ldexp(np.rint(np.ldexp(blocks, -shift)), shift)
-    snapped[:, -1] = -snapped[:, :-1].sum(axis=1)
+    snapped = np.ldexp(np.rint(np.ldexp(blocks, -shift)) + 0.0, shift)
+    snapped[:, -1] = 0.0 - snapped[:, :-1].sum(axis=1)
     return snapped.reshape(inputs.shape)
 
 

@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 from cbcontrol import (
+    SteeringTask,
     build_scheme,
     bundled_problem,
     check_nonrepetitive_sufficient,
     design_nonrepetitive,
+    design_repetitive,
     lift,
     load_problem,
     parse_problem,
@@ -27,12 +29,13 @@ from cbcontrol import (
 )
 from cbcontrol.bundled import list_bundled
 from cbcontrol.cli import cmd_analyze, cmd_design, cmd_sweep_h, main
+from cbcontrol.design import _balanced
 from cbcontrol.errors import ProblemFormatError
 from cbcontrol.lifting import krylov
 from cbcontrol.problem_io import read_inputs_csv, write_csv, write_text
 from cbcontrol.tolerances import Tolerances
 
-from helpers import floored_rank, read_csv
+from helpers import floored_rank, read_csv, rotation_system
 
 _MATRIX_SPEC = importlib.util.spec_from_file_location(
     "cli_matrix", Path(__file__).resolve().parent.parent / "tools" / "cli_matrix.py")
@@ -669,6 +672,38 @@ def test_bundled_yes_verdict_never_exits_3(tmp_path, capsys, name, variant):
     code = main(["design", *args, "--out", str(tmp_path / "design")])
     capsys.readouterr()
     assert code in ((0, 5) if verdict["controllable"] == "yes" else (4,)), code
+
+
+def test_designed_blocks_balance_exactly_with_no_negative_zero(tmp_path, capsys):
+    # every bundled design that writes a plan reports max_imbalance 0.0 and
+    # an all-0 imbalance column, and no input cell reads -0: the last step of
+    # a block is 0.0 minus the others' sum, +0.0 where that sum is a zero;
+    # a zero-displacement plan of either law holds no negative zero, nor does
+    # a block whose tiny negative step rounds to zero on the balance grid
+    written = 0
+    for name in list_bundled():
+        for variant, flags in VARIANT_FLAGS.items():
+            out = tmp_path / f"{name}-{variant}"
+            code = main(["design", "--problem", str(bundled_problem(name)), *flags,
+                         "--out", str(out)])
+            capsys.readouterr()
+            if code not in (0, 5):
+                continue
+            written += 1
+            assert json.loads((out / "report.json").read_text())["design"]["max_imbalance"] == 0.0
+            with open(out / "blocks.csv", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert {row[header.index("imbalance")] for row in rows} == {"0"}, (name, variant)
+            with open(out / "inputs.csv", newline="") as fh:
+                assert not any("-0" in row for row in csv.reader(fh)), (name, variant)
+    assert written > 0
+    lifted = lift(rotation_system(), build_scheme(3, 1))
+    for regime, law in (("non-repetitive", design_nonrepetitive),
+                        ("repetitive", design_repetitive)):
+        plan = law(lifted, SteeringTask(x0=[0.0, 0.0], xf=[0.0, 0.0], b=4, regime=regime))
+        assert not np.signbit(plan.flat_inputs).any(), regime
+    steps = _balanced(np.array([[1.0], [-1e-20], [-1.0]]), build_scheme(3, 1))
+    assert steps.tolist() == [[1.0], [0.0], [-1.0]] and not np.signbit(steps[1, 0])
 
 
 def test_analyze_rotation_auto_selects_four(capsys):

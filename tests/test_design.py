@@ -275,12 +275,13 @@ def _snapped(block, h, m):
     """One block on the laws' exact-balance grid, from its definition.
 
     Per channel, with max |U| < 2^e and g = 2^(e + ceil(log2 h) - 53), the
-    steps round to multiples of g and the last is minus the sum of the others.
+    steps round to multiples of g and the last is 0.0 minus the sum of the
+    others; every zero is +0.0.
     """
     U = np.reshape(block, (h, m))
     g = np.ldexp(1.0, np.frexp(np.abs(U).max(axis=0))[1] + math.ceil(math.log2(h)) - 53)
-    U = np.round(U / g) * g
-    U[-1] = -U[:-1].sum(axis=0)
+    U = np.round(U / g) * g + 0.0
+    U[-1] = 0.0 - U[:-1].sum(axis=0)
     return U.reshape(np.shape(block))
 
 
