@@ -8,7 +8,7 @@ length genuinely matters later on.
 
 import numpy as np
 
-from cbcontrol import LtiSystem, build_scheme, lift, simulate, unpack
+from cbcontrol import LtiSystem, build_scheme, lift, simulate
 
 A = np.array([[-0.5, -np.sqrt(3) / 2], [np.sqrt(3) / 2, -0.5]])
 system = LtiSystem(A=A, B=[[1.0], [0.0]])
@@ -31,7 +31,7 @@ print("kernel basis Q (each block is (u, -u) / sqrt(2)):")
 print(scheme.Q)
 
 w = np.array([0.8])
-U = unpack(w, scheme)
+U = scheme.Q @ w
 print("latent w =", w, "-> stacked block U =", U, " (sums to", U.sum(), ")")
 
 # lifting compresses one block into a single update of the boundary state

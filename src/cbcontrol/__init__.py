@@ -19,11 +19,7 @@ from .analysis import (
     unit_ratio_orders,
 )
 from .bundled import bundled_problem
-from .charge_balance import (
-    BlockScheme,
-    build_scheme,
-    unpack,
-)
+from .charge_balance import BlockScheme, build_scheme
 from .design import (
     ControlPlan,
     PlanVerification,
@@ -88,6 +84,5 @@ __all__ = [
     "select_h",
     "simulate",
     "unit_ratio_orders",
-    "unpack",
     "verify_plan",
 ]

@@ -1,4 +1,4 @@
-"""Zero-net-charge block constraint: kernel basis and latent coordinates.
+"""Zero-net-charge block constraint: kernel basis, exact balance and its measure.
 
 Inputs are grouped into blocks of h consecutive steps, and within each
 block every input channel must sum to zero. Stacking one block into a
@@ -6,7 +6,9 @@ vector U in R^(m*h), the constraint reads R @ U = 0 with
 R = [I_m  I_m ... I_m], which no law needs formed. An orthonormal basis
 Q of the null space of R turns constrained blocks into free latent
 coordinates w through U = Q @ w, and the orthonormality makes the map an
-isometry: ||U|| = ||w||.
+isometry: ||U|| = ||w||. The design laws form their blocks as the rows
+of w @ Q.T, one row per latent vector; _balanced snaps them so that each
+block sums to exactly 0.0, and _block_imbalances measures a plan's blocks.
 """
 
 from __future__ import annotations
@@ -94,21 +96,35 @@ def build_scheme(h: int, m: int) -> BlockScheme:
     Raises PreconditionError unless h >= 2 and m >= 1 are integers (numpy
     integers count; bool and float do not). A scheme is immutable, with Q
     locked read-only, so one object per (h, m) is built and checked once
-    and shared by every caller in the process; the 128 latest shapes are
+    and shared by every caller in the process; the 32 latest shapes are
     held.
     """
     return _shared_scheme(*_require_block_shape(h, m))
 
 
-@functools.lru_cache
+# benchmark traffic at seed 1: design-horizon 14 shapes in 1,105 ops, cli-session 18 in 788
+@functools.lru_cache(maxsize=32)
 def _shared_scheme(h: int, m: int) -> BlockScheme:
     return BlockScheme(h=h, m=m, Q=np.kron(_zero_sum_basis(h), np.eye(m)))
 
 
-def unpack(w, scheme: BlockScheme) -> np.ndarray:
-    """Stacked block U = Q @ w; satisfies R @ U = 0 and ||U|| = ||w||, and Q.T @ U = w."""
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.size != scheme.Q.shape[1]:
-        raise DimensionError(f"w has length {w.size}, expected {scheme.Q.shape[1]}")
-    return scheme.Q @ w
+def _block_imbalances(flat_inputs: np.ndarray, h: int) -> np.ndarray:
+    """Largest per-channel net charge of each block of h steps."""
+    return np.abs(flat_inputs.reshape(-1, h, flat_inputs.shape[1]).sum(axis=1)).max(axis=1)
 
+
+def _balanced(inputs: np.ndarray, scheme: BlockScheme) -> np.ndarray:
+    """Inputs whose per-channel block sums are exactly 0.0 in every summation order.
+
+    Per block and channel, with max |U| < 2^e and g = 2^(e + ceil(log2 h) - 53),
+    the h steps are rounded to multiples of g, so every partial sum of them is
+    a multiple of g below 2^53 g and exact; the last step is then 0.0 minus the
+    sum of the others. Adding 0.0 to a rounded step and subtracting from 0.0
+    make every zero +0.0. The shift is about h eps relative to max |U|.
+    """
+    blocks = inputs.reshape(-1, scheme.h, scheme.m)
+    e = np.frexp(np.abs(blocks).max(axis=1, keepdims=True))[1]
+    shift = e + (scheme.h - 1).bit_length() - 53  # (h - 1).bit_length() is ceil(log2 h)
+    snapped = np.ldexp(np.rint(np.ldexp(blocks, -shift)) + 0.0, shift)
+    snapped[:, -1] = 0.0 - snapped[:, :-1].sum(axis=1)
+    return snapped.reshape(inputs.shape)

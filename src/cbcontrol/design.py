@@ -12,9 +12,10 @@ and a Cholesky of its Gram matrix proves full rank, so the solution is
 unique, and otherwise as below. Pseudoinverses are SVD truncations with
 the shared rank rule, so both laws return the minimum-norm minimizer when
 the reachable space is rank deficient. Both laws and the oracle check
-their solve's residual with _require_reached. A plan is its inputs U = Q w
-on _balanced's grid, so each block sums to exactly 0.0; a law's plan keeps
-that numeric.Solve as plan.solve, which no output reads.
+their solve's residual with _require_reached. A plan is its inputs U = Q w,
+formed as the rows of w @ Q.T and snapped by charge_balance._balanced so
+that each block sums to exactly 0.0; a law's plan keeps that numeric.Solve
+as plan.solve, which no output reads.
 
 A stacked least-squares solver over the raw per-step inputs
 (oracle_stacked_ls) provides an independent optimality cross-check; it
@@ -29,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .charge_balance import BlockScheme, unpack
+from .charge_balance import BlockScheme, _balanced, _block_imbalances
 from .errors import ChargeBalanceError, DimensionError, PreconditionError, ReachabilityError
 from .lifting import LiftedSystem, _require_channels, h_sum, reachability_matrix
 from .numeric import Solve, min_norm_solve, unique_or_min_norm_solve
@@ -120,28 +121,6 @@ def _require_states(task: SteeringTask, n: int):
         raise DimensionError(f"task states have length {task.x0.size}, system has {n}")
 
 
-def _block_imbalances(flat_inputs: np.ndarray, h: int) -> np.ndarray:
-    """Largest per-channel net charge of each block of h steps."""
-    return np.abs(flat_inputs.reshape(-1, h, flat_inputs.shape[1]).sum(axis=1)).max(axis=1)
-
-
-def _balanced(inputs: np.ndarray, scheme: BlockScheme) -> np.ndarray:
-    """Inputs whose per-channel block sums are exactly 0.0 in every summation order.
-
-    Per block and channel, with max |U| < 2^e and g = 2^(e + ceil(log2 h) - 53),
-    the h steps are rounded to multiples of g, so every partial sum of them is
-    a multiple of g below 2^53 g and exact; the last step is then 0.0 minus the
-    sum of the others. Adding 0.0 to a rounded step and subtracting from 0.0
-    make every zero +0.0. The shift is about h eps relative to max |U|.
-    """
-    blocks = inputs.reshape(-1, scheme.h, scheme.m)
-    e = np.frexp(np.abs(blocks).max(axis=1, keepdims=True))[1]
-    shift = e + (scheme.h - 1).bit_length() - 53  # (h - 1).bit_length() is ceil(log2 h)
-    snapped = np.ldexp(np.rint(np.ldexp(blocks, -shift)) + 0.0, shift)
-    snapped[:, -1] = 0.0 - snapped[:, :-1].sum(axis=1)
-    return snapped.reshape(inputs.shape)
-
-
 def _require_reached(residual: float, d, what: str, rank_text: str, rank: int):
     """ReachabilityError when residual exceeds REACH relative to d; a zero d is always reached."""
     dnorm = float(np.linalg.norm(d))
@@ -190,7 +169,7 @@ def design_repetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPlan:
     solve = unique_or_min_norm_solve(gain, d)
     _require_reached(solve.residual, d, "target displacement is not reachable with "
                      "identical blocks", f"rank {solve.rank} of {lifted.n}", solve.rank)
-    block = _balanced(unpack(solve.x, lifted.scheme), lifted.scheme)
+    block = _balanced(solve.x[None, :] @ lifted.scheme.Q.T, lifted.scheme)
     try:
         inputs = np.tile(block, task.b)
     except (ValueError, OverflowError) as exc:  # past numpy's index range: as if out of memory

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cbcontrol import LtiSystem, SteeringTask, simulate, unpack
+from cbcontrol import LtiSystem, SteeringTask, simulate
 from cbcontrol.tolerances import rank_cutoff
 
 ROOT3 = np.sqrt(3.0)
@@ -90,7 +90,7 @@ def feasible_task(rng, system: LtiSystem, scheme, b: int, regime: str, scale: fl
         latents = [w] * b
     else:
         latents = [scale * rng.standard_normal(scheme.Q.shape[1]) for _ in range(b)]
-    flat = np.vstack([unpack(w, scheme).reshape(scheme.h, scheme.m) for w in latents])
+    flat = np.vstack([(scheme.Q @ w).reshape(scheme.h, scheme.m) for w in latents])
     traj = simulate(system, x0, flat)
     return SteeringTask(x0=x0, xf=traj.terminal, b=b, regime=regime)
 

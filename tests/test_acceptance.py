@@ -24,7 +24,6 @@ from cbcontrol import (
     reachability_matrix,
     select_h,
     simulate,
-    unpack,
     verify_plan,
 )
 from cbcontrol.cli import cmd_sweep_h
@@ -308,7 +307,7 @@ def test_criterion_9_property_suite():
         m = int(rng.integers(1, 4))
         scheme = build_scheme(h, m)
         w = rng.standard_normal(scheme.Q.shape[1])
-        U = unpack(w, scheme)
+        U = scheme.Q @ w
         ok = ok and abs(np.linalg.norm(U) - np.linalg.norm(w)) <= 1e-12 * max(
             1.0, float(np.linalg.norm(w))
         )
@@ -341,7 +340,7 @@ def test_criterion_9_property_suite():
         lifted = lift(system, scheme)
         x0 = rng.standard_normal(n)
         latents = [rng.standard_normal(scheme.Q.shape[1]) for _ in range(b)]
-        flat = np.vstack([unpack(w, scheme).reshape(h, m) for w in latents])
+        flat = np.vstack([(scheme.Q @ w).reshape(h, m) for w in latents])
         traj = simulate(system, x0, flat)
         x = x0.copy()
         for p in range(b):

@@ -1,9 +1,9 @@
 """Kernel basis and block coordinate maps.
 
 A charge-balanced block U packs into its latent coordinates as
-w = scheme.Q.T @ U, the inverse of unpack on the kernel. No scheme holds
-the block-sum matrix R = [I_m ... I_m]; _block_sums builds it from its
-definition.
+w = scheme.Q.T @ U, the inverse of U = scheme.Q @ w on the kernel. No
+scheme holds the block-sum matrix R = [I_m ... I_m]; _block_sums builds
+it from its definition.
 """
 
 import tracemalloc
@@ -16,9 +16,8 @@ from cbcontrol import (
     DimensionError,
     PreconditionError,
     build_scheme,
-    unpack,
 )
-from cbcontrol.charge_balance import _zero_sum_basis
+from cbcontrol.charge_balance import _shared_scheme, _zero_sum_basis
 
 ROOT2 = np.sqrt(2.0)
 ROOT6 = np.sqrt(6.0)
@@ -115,6 +114,27 @@ def test_build_scheme_shares_one_locked_scheme_per_shape():
             BlockScheme(h=h, m=m, Q=scheme.Q)
 
 
+# the 14 (h, m) shapes design-horizon builds at seed 1
+DESIGN_HORIZON_SHAPES = ((3, 5), (2, 50), (2, 5), (2, 20), (2, 4), (3, 3), (2, 200),
+                         (2, 3), (4, 5), (2, 100), (4, 3), (2, 1), (4, 1), (3, 1))
+
+
+def test_shared_schemes_are_bounded_and_reused():
+    # a long sweep builds one-shot shapes; at most 32 stay held, and a
+    # workload's repeated shapes are each built once and then shared
+    _shared_scheme.cache_clear()
+    for h in range(2, 42):
+        build_scheme(h, 1)
+    assert _shared_scheme.cache_info().currsize <= 32
+    _shared_scheme.cache_clear()
+    for h, m in DESIGN_HORIZON_SHAPES:
+        build_scheme(h, m)
+    assert _shared_scheme.cache_info()[:2] == (0, 14)  # (hits, misses)
+    for h, m in DESIGN_HORIZON_SHAPES:
+        build_scheme(h, m)
+    assert _shared_scheme.cache_info()[:2] == (14, 14)
+
+
 def test_scheme_rejects_bases_outside_the_kernel():
     # the kernel test reads block sums: turning one column slightly towards
     # a constant-charge block keeps Q orthonormal but puts net charge on
@@ -152,14 +172,14 @@ def test_scheme_check_holds_one_gram_array():
 
 def test_pack_zero_block():
     scheme = build_scheme(3, 2)
-    assert np.array_equal(scheme.Q.T @ unpack(np.zeros(4), scheme), np.zeros(4))
+    assert np.array_equal(scheme.Q.T @ (scheme.Q @ np.zeros(4)), np.zeros(4))
 
 
 def test_pack_h2_forced_value():
     scheme = build_scheme(2, 1)
     w = scheme.Q.T @ np.array([3.0, -3.0])
     assert np.allclose(w, [3.0 * ROOT2], atol=1e-14)
-    assert np.allclose(unpack(w, scheme), [3.0, -3.0], atol=1e-14)
+    assert np.allclose(scheme.Q @ w, [3.0, -3.0], atol=1e-14)
 
 
 def test_pack_round_trip_oracle():
@@ -169,24 +189,24 @@ def test_pack_round_trip_oracle():
         m = int(rng.integers(1, 4))
         scheme = build_scheme(h, m)
         w0 = rng.standard_normal(scheme.Q.shape[1])
-        U = unpack(w0, scheme)
+        U = scheme.Q @ w0
         recovered = scheme.Q.T @ U
         assert np.abs(recovered - w0).max() <= 1e-12
         assert abs(np.linalg.norm(recovered) - np.linalg.norm(U)) <= 1e-12 * np.linalg.norm(U)
-        restored = unpack(recovered, scheme)
+        restored = scheme.Q @ recovered
         assert np.abs(restored - U).max() <= 1e-10
 
 
 def test_unpack_zero():
     scheme = build_scheme(4, 1)
-    assert np.array_equal(unpack(np.zeros(3), scheme), np.zeros(4))
+    assert np.array_equal(scheme.Q @ np.zeros(3), np.zeros(4))
 
 
 def test_unpack_h2_two_channels_closed_form():
     scheme = build_scheme(2, 2)
     a, b = 0.7, -1.3
     expected = np.array([a, b, -a, -b]) / ROOT2
-    assert np.allclose(unpack([a, b], scheme), expected, atol=1e-15)
+    assert np.allclose(scheme.Q @ np.array([a, b]), expected, atol=1e-15)
 
 
 def test_unpack_blocks_sum_to_zero():
@@ -195,7 +215,7 @@ def test_unpack_blocks_sum_to_zero():
         h = int(rng.integers(2, 6))
         m = int(rng.integers(1, 4))
         scheme = build_scheme(h, m)
-        U = unpack(rng.standard_normal(scheme.Q.shape[1]), scheme)
+        U = scheme.Q @ rng.standard_normal(scheme.Q.shape[1])
         per_channel = U.reshape(h, m).sum(axis=0)
         assert np.abs(per_channel).max() <= 1e-13
 
@@ -207,7 +227,7 @@ def test_energy_isometry():
         m = int(rng.integers(1, 4))
         scheme = build_scheme(h, m)
         w = rng.standard_normal(scheme.Q.shape[1])
-        U = unpack(w, scheme)
+        U = scheme.Q @ w
         assert abs(np.linalg.norm(U) - np.linalg.norm(w)) <= 1e-12 * max(
             1.0, np.linalg.norm(w)
         )
@@ -228,8 +248,6 @@ def test_identical_stacked_blocks_annihilate():
 
 def test_dimension_errors():
     scheme = build_scheme(3, 2)
-    with pytest.raises(DimensionError):
-        unpack(np.zeros(5), scheme)
     with pytest.raises(DimensionError, match="Q must be 6 x 4"):
         BlockScheme(h=3, m=2, Q=scheme.Q[:, :3])
 
@@ -237,7 +255,7 @@ def test_dimension_errors():
 def test_block_input_round_trip():
     scheme = build_scheme(3, 1)
     w = np.array([1.0, -0.5])
-    U = unpack(w, scheme)
+    U = scheme.Q @ w
     assert np.allclose(U, scheme.Q @ w)
     again = scheme.Q.T @ U
     assert np.abs(again - w).max() <= 1e-12

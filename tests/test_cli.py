@@ -29,7 +29,7 @@ from cbcontrol import (
 )
 from cbcontrol.bundled import list_bundled
 from cbcontrol.cli import cmd_analyze, cmd_design, cmd_sweep_h, main
-from cbcontrol.design import _balanced
+from cbcontrol.charge_balance import _balanced
 from cbcontrol.errors import ProblemFormatError
 from cbcontrol.lifting import krylov
 from cbcontrol.problem_io import read_inputs_csv, write_csv, write_text

@@ -29,7 +29,6 @@ from cbcontrol import (
     reachability_matrix,
     rollout,
     simulate,
-    unpack,
     verify_plan,
 )
 from cbcontrol.bundled import list_bundled
@@ -291,7 +290,7 @@ def _min_norm_reference(lifted, task):
     gain = total @ lifted.Bbar
     solve = min_norm_solve(gain, task.xf - free)
     scheme = lifted.scheme
-    block = _snapped(unpack(solve.x, scheme), scheme.h, scheme.m)
+    block = _snapped(scheme.Q @ solve.x, scheme.h, scheme.m)
     flat = np.tile(block, task.b).reshape(-1, scheme.m)
     return flat, gain, solve.rank, solve.singular_values, solve.residual
 
@@ -581,7 +580,7 @@ def test_designed_plans_pass_verification():
 
 
 def _per_block_reference(lifted, task, plan):
-    """Blocks and energy as the per-block loops build them: one unpack and snap per latent.
+    """Blocks and energy as the per-block loops build them: one U = Q @ w and snap per latent.
 
     The latents come from the plan's own solve, so the comparison checks
     the assembly of the plan, not the solve.
@@ -591,14 +590,14 @@ def _per_block_reference(lifted, task, plan):
         latents = [plan.solve.x] * b
     else:
         latents = (reachability_matrix(lifted, b).T @ plan.solve.x).reshape(b, -1)
-    blocks = [_snapped(unpack(w, scheme), scheme.h, scheme.m) for w in latents]
+    blocks = [_snapped(scheme.Q @ w, scheme.h, scheme.m) for w in latents]
     return blocks, float(sum(U @ U for U in blocks))
 
 
 def test_plan_arrays_match_per_block_loops():
     # one product with Q (distinct blocks) or one tiled block (identical
     # blocks), the energy as one squared norm and the imbalances from the
-    # (b, h, m) view agree with the per-block unpack, U @ U and R @ U loops
+    # (b, h, m) view agree with the per-block Q @ w, U @ U and R @ U loops
     assert [f.name for f in dataclasses.fields(ControlPlan)] == ["flat_inputs", "solve"]
     rng = np.random.default_rng(58)
     designers = {"non-repetitive": design_nonrepetitive, "repetitive": design_repetitive}
@@ -650,7 +649,7 @@ def test_every_block_of_every_plan_sums_to_exactly_zero():
             plan = designer(lifted, feasible_task(rng, system, scheme, b, regime))
             plans.append((plan, h))
             if regime == "repetitive":
-                plain = unpack(plan.solve.x, scheme).reshape(1, h)
+                plain = (scheme.Q @ plan.solve.x).reshape(1, h)
             else:
                 latents = (reachability_matrix(lifted, b).T @ plan.solve.x).reshape(b, -1)
                 plain = latents @ scheme.Q.T
@@ -889,7 +888,7 @@ def test_verify_reads_the_applied_inputs():
 def test_plan_inputs_are_one_c_ordered_form():
     # a plan stores its inputs as a C-ordered (steps, m) float64 copy, so
     # simulate runs on that very array; any other form is refused by shape
-    from cbcontrol.design import _block_imbalances
+    from cbcontrol.charge_balance import _block_imbalances
 
     rng = np.random.default_rng(58)
     inputs = np.asfortranarray(rng.standard_normal((6, 2)))

@@ -20,7 +20,6 @@ from cbcontrol import (
     lift,
     reachability_matrix,
     simulate,
-    unpack,
     verify_plan,
 )
 from cbcontrol.lifting import krylov
@@ -192,7 +191,7 @@ def test_lift_one_block_simulation_oracle():
         lifted = lift(system, scheme)
         x0 = rng.standard_normal(3)
         w = rng.standard_normal(scheme.Q.shape[1])
-        flat = unpack(w, scheme).reshape(3, 2)
+        flat = (scheme.Q @ w).reshape(3, 2)
         traj = simulate(system, x0, flat)
         predicted = lifted.Abar @ x0 + lifted.Bbar @ w
         scale = max(1.0, np.abs(predicted).max())
@@ -412,7 +411,7 @@ def test_block_boundary_equivalence():
         x0 = rng.standard_normal(n)
         latents = [rng.standard_normal(scheme.Q.shape[1]) for _ in range(b)]
 
-        flat = np.vstack([unpack(w, scheme).reshape(h, m) for w in latents])
+        flat = np.vstack([(scheme.Q @ w).reshape(h, m) for w in latents])
         traj = simulate(system, x0, flat)
 
         x = x0.copy()
