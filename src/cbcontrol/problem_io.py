@@ -474,8 +474,8 @@ def read_inputs_csv(path, m: int) -> np.ndarray:
     bit for bit.
     Raises ProblemFormatError when the file cannot be read, is empty, has
     a header that is not m + 1 columns wide, or has a malformed row (a
-    blank line, a row of the wrong width, or a cell that is not a finite
-    number).
+    blank line, a row of the wrong width, a cell that is not a finite
+    number, or a k that is not the row's 0-based index).
     """
     path = Path(path)
     try:
@@ -499,7 +499,8 @@ def read_inputs_csv(path, m: int) -> np.ndarray:
         if inputs is not None:
             return inputs
     table = _parse_lines(rows)
-    if table is None or table.shape != (len(rows), m + 1) or not np.isfinite(table).all():
+    if (table is None or table.shape != (len(rows), m + 1) or not np.isfinite(table).all()
+            or not np.array_equal(table[:, 0], np.arange(len(rows)))):
         raise ProblemFormatError(f"{path}: malformed row {_first_malformed_row(rows, m)}")
     return np.ascontiguousarray(table[:, 1:])
 
@@ -523,8 +524,9 @@ def _interned_inputs(rows: list[str], m: int) -> np.ndarray | None:
 
     A line's tail is its text past its first comma. Each distinct tail
     is parsed once and the rows take their values from it; every step
-    cell is parsed, to be checked. None past _PERIODIC_MIN_CELLS // (m + 1)
-    distinct tails, or on any irregular line, so the full parse reports it.
+    cell is parsed, to be checked against its row's index. None past
+    _PERIODIC_MIN_CELLS // (m + 1) distinct tails, or on any irregular
+    line, so the full parse reports it.
     """
     first_use, which, steps, cap = {}, [], [], _PERIODIC_MIN_CELLS // (m + 1)
     for line in rows:
@@ -539,18 +541,20 @@ def _interned_inputs(rows: list[str], m: int) -> np.ndarray | None:
     values, steps = _parse_lines(list(first_use)), _parse_lines(steps, ndmin=1)
     if values is None or steps is None or values.shape != (len(first_use), m):
         return None
-    if steps.shape != (len(rows),) or not (np.isfinite(values).all() and np.isfinite(steps).all()):
+    if not (np.isfinite(values).all() and np.array_equal(steps, np.arange(len(rows)))):
         return None
     return values.take(which, axis=0)
 
 
 def _first_malformed_row(rows: list[str], m: int) -> int:
     """1-based index of the first of the row lines (each with its line end,
-    as readlines gives them) that is not m + 1 finite numbers."""
+    as readlines gives them) that is not m + 1 finite numbers led by its
+    0-based index."""
     for index, line in enumerate(rows, 1):
         if line == "\n":
             return index
         row = _parse_lines([line])
-        if row is None or row.shape[1] != m + 1 or not np.isfinite(row).all():
+        if (row is None or row.shape[1] != m + 1 or not np.isfinite(row).all()
+                or row[0, 0] != index - 1):
             return index
     raise AssertionError("no malformed row")

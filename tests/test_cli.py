@@ -1318,6 +1318,9 @@ def test_read_inputs_csv_rejects_malformed(tmp_path, capsys):
         "inf cell": (good.replace("0,1,-1", "0,1,-inf"), "malformed row 1"),
         "Infinity cell": (good + "2,Infinity,1\r\n", "malformed row 3"),
         "nan step index": (good.replace("\r\n1,", "\r\nNaN,"), "malformed row 2"),
+        # k counts rows from 0, since rows are replayed in file order
+        "steps 5, 7": ("k,u_1,u_2\r\n5,1,-1\r\n7,-1,1\r\n", "malformed row 1"),
+        "steps 0, 2": (good.replace("\r\n1,", "\r\n2,"), "malformed row 2"),
     }
     # a periodic file above the gate, each bad row after its first period
     rows = [f"{k},{0.5 if k % 2 else -0.25},{-0.5 if k % 2 else 0.25}\r\n" for k in range(600)]
@@ -1329,6 +1332,8 @@ def test_read_inputs_csv_rejects_malformed(tmp_path, capsys):
         cases[f"periodic, {name}"] = (periodic.replace(rows[300], bad), "malformed row 301")
     cases["periodic, blank line inserted"] = (
         periodic.replace(rows[300], "\r\n" + rows[300]), "malformed row 301")
+    cases["periodic, two rows swapped"] = (
+        periodic.replace(rows[300] + rows[301], rows[301] + rows[300]), "malformed row 301")
     for name, (text, message) in cases.items():
         path = tmp_path / f"{name}.csv"
         path.write_bytes(text.encode())
@@ -1349,9 +1354,11 @@ def test_read_inputs_csv_rejects_malformed(tmp_path, capsys):
     with pytest.raises(ProblemFormatError, match="malformed row 3"):
         read_inputs_csv(undecodable, 2)
 
-    # the accepted forms: "\r\n" or "\n" line ends, no final line end, no rows
+    # the accepted forms: "\r\n" or "\n" line ends, no final line end,
+    # steps written as floats, no rows
     path = tmp_path / "ok.csv"
-    for text in (good, good.replace("\r\n", "\n"), good.rstrip("\r\n")):
+    for text in (good, good.replace("\r\n", "\n"), good.rstrip("\r\n"),
+                 good.replace("\r\n0,", "\r\n0.0,").replace("\r\n1,", "\r\n1.0,")):
         path.write_bytes(text.encode())
         assert np.array_equal(read_inputs_csv(path, 2), [[1.0, -1.0], [-1.0, 1.0]])
     path.write_bytes(periodic.encode())
