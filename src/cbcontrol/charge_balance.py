@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .system import _locked
+from .system import _addressable, _locked
 from .tolerances import BASIS_ATOL, require_integer
 
 
@@ -35,10 +35,7 @@ def _zero_sum_basis(h: int) -> np.ndarray:
     a contiguous row. The construction is deterministic, so schemes are
     reproducible across runs and platforms.
     """
-    try:
-        rows = np.zeros((h - 1, h))
-    except ValueError as exc:  # past numpy's index range: as if out of memory
-        raise MemoryError(f"a {h} x {h - 1} kernel basis is too large to address: {exc}") from exc
+    rows = _addressable(f"a {h} x {h - 1} kernel basis", np.zeros, (h - 1, h))
     for i in range(h - 1):
         v = rows[i]
         v[i] = 1.0

@@ -34,7 +34,7 @@ from .charge_balance import BlockScheme, _balanced, _block_imbalances
 from .errors import ChargeBalanceError, DimensionError, PreconditionError, ReachabilityError
 from .lifting import LiftedSystem, _require_channels, h_sum, reachability_matrix
 from .numeric import Solve, min_norm_solve, unique_or_min_norm_solve
-from .system import LtiSystem, Trajectory, _locked, simulate
+from .system import LtiSystem, Trajectory, _addressable, _locked, simulate
 from .tolerances import DEFAULT, REACH, Tolerances, require_integer
 
 NON_REPETITIVE = "non-repetitive"
@@ -170,12 +170,8 @@ def design_repetitive(lifted: LiftedSystem, task: SteeringTask) -> ControlPlan:
     _require_reached(solve.residual, d, "target displacement is not reachable with "
                      "identical blocks", f"rank {solve.rank} of {lifted.n}", solve.rank)
     block = _balanced(solve.x[None, :] @ lifted.scheme.Q.T, lifted.scheme)
-    try:
-        inputs = np.tile(block, task.b)
-    except (ValueError, OverflowError) as exc:  # past numpy's index range: as if out of memory
-        raise MemoryError(
-            f"a plan of {task.b} blocks of {block.size} inputs is too large to address: {exc}"
-        ) from exc
+    inputs = _addressable(f"a plan of {task.b} blocks of {block.size} inputs",
+                          np.tile, block, task.b)
     return ControlPlan(inputs.reshape(-1, lifted.scheme.m), solve)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .charge_balance import BlockScheme
 from .errors import DimensionError
-from .system import LtiSystem, _locked
+from .system import LtiSystem, _addressable, _locked
 from .tolerances import require_integer
 
 
@@ -57,10 +57,7 @@ def krylov(M: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     """
     n, w = X.shape
     c = min(k, max(2, 2**16 // max(1, n * w)))
-    try:
-        result = np.empty((n, k, w))
-    except ValueError as exc:  # past numpy's index range: as if out of memory
-        raise MemoryError(f"a {k} x {n} x {w} Krylov array is too large to address: {exc}") from exc
+    result = _addressable(f"a {k} x {n} x {w} Krylov array", np.empty, (n, k, w))
     stage = np.empty((c, n, w))
     stage[-1] = X
     dot = M.dot

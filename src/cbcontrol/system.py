@@ -31,6 +31,14 @@ def _locked(arr: np.ndarray) -> np.ndarray:
     return arr.view()
 
 
+def _addressable(what: str, allocate, *args) -> np.ndarray:
+    """allocate(*args), a size past numpy's index range refused as if out of memory."""
+    try:
+        return allocate(*args)
+    except (ValueError, OverflowError) as exc:
+        raise MemoryError(f"{what} is too large to address: {exc}") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class LtiSystem:
     """The pair (A, B) of the recursion x[k+1] = A x[k] + B u[k].

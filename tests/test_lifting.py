@@ -62,26 +62,13 @@ def test_lifted_system_holds_only_abar_and_bbar():
     assert [f.name for f in dataclasses.fields(lifted)] == ["system", "scheme", "Abar", "Bbar"]
 
 
-# the three loops krylov replaced, copied as they were: lift's S over h
-# blocks, reachability_matrix's Rb over b blocks, analysis' K over h - 1
-def _loop_S(A, B, h):
-    blocks = [B]
-    for _ in range(h - 1):
-        blocks.append(A @ blocks[-1])
-    return np.hstack(blocks[::-1])
-
-
-def _loop_Rb(Abar, Bbar, b):
-    blocks = [Bbar]
-    for _ in range(b - 1):
-        blocks.append(Abar @ blocks[-1])
-    return np.hstack(blocks[::-1])
-
-
-def _loop_K(A, B, h):
-    blocks = [B]
-    for _ in range(h - 2):
-        blocks.append(A @ blocks[-1])
+# the loop krylov replaced, copied as it was: lift's S over h blocks,
+# reachability_matrix's Rb over b blocks and analysis' K over h - 1 all
+# ran it, each with its own (M, X, k)
+def _loop_krylov(M, X, k):
+    blocks = [X]
+    for _ in range(k - 1):
+        blocks.append(M @ blocks[-1])
     return np.hstack(blocks[::-1])
 
 
@@ -93,8 +80,7 @@ def test_krylov_is_bit_identical_to_the_loops_it_replaced():
         X = rng.standard_normal((n, m))
         got = krylov(M, X, k)
         assert got.shape == (n, k * m) and np.isfinite(got).all()
-        for want in (_loop_S(M, X, k), _loop_Rb(M, X, k), _loop_K(M, X, k + 1)):
-            assert got.tobytes() == want.tobytes(), k
+        assert got.tobytes() == _loop_krylov(M, X, k).tobytes(), k
     X = rng.standard_normal((3, 2))
     K = krylov(rng.standard_normal((3, 3)), X, 1)  # h = 2: K = B, as a new array
     assert np.array_equal(K, X) and not np.shares_memory(K, X)
@@ -163,15 +149,15 @@ def test_lift_reachability_and_analysis_build_the_parent_arrays():
     for h, m in ((2, 1), (2, 2), (3, 1), (7, 2), (64, 1), (300, 2)):
         system = random_system(rng, int(rng.integers(2, 6)), m)
         lifted = lift(system, build_scheme(h, m))
-        S = _loop_S(system.A, system.B, h)
+        S = _loop_krylov(system.A, system.B, h)
         assert krylov(system.A, system.B, h).tobytes() == S.tobytes(), h
         assert lifted.Bbar.tobytes() == (S @ lifted.scheme.Q).tobytes(), h
         for b in (1, 2, 7):
             Rb = reachability_matrix(lifted, b)
-            assert Rb.tobytes() == _loop_Rb(lifted.Abar, lifted.Bbar, b).tobytes(), (h, b)
+            assert Rb.tobytes() == _loop_krylov(lifted.Abar, lifted.Bbar, b).tobytes(), (h, b)
         if h <= 7:
             verdict = check_repetitive_sufficient(system, 2, h=h)
-            _, svals = numeric_rank(_loop_K(system.A, system.B, h))
+            _, svals = numeric_rank(_loop_krylov(system.A, system.B, h - 1))
             assert verdict.singular_values.tobytes() == svals.tobytes(), h
 
 

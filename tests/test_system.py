@@ -94,9 +94,7 @@ def test_simulate_matches_step_loop():
         system = LtiSystem(A=A, B=rng.standard_normal((n, m)))
         x0 = rng.standard_normal(n)
         inputs = rng.standard_normal((steps, m))
-        want = [x0]
-        for u in inputs:
-            want.append(system.A @ want[-1] + system.B @ u)
+        want = _step_loop_states(system, x0, inputs).tobytes()
         forms = {
             "array": inputs,
             "list": [list(u) for u in inputs],
@@ -106,7 +104,7 @@ def test_simulate_matches_step_loop():
         }
         for name, form in forms.items():
             traj = simulate(system, x0, form)
-            assert traj.states.tobytes() == np.array(want).tobytes(), name
+            assert traj.states.tobytes() == want, name
     empty = simulate(system, x0, np.zeros((0, 4)))
     assert empty.states.tolist() == [list(x0)] and empty.horizon == 0
 
