@@ -333,7 +333,7 @@ def hb_invertible(system: LtiSystem, h: int, b: int) -> bool:
     return _no_disruptive_roots(system.eigenvalues, h, b)
 
 
-def check_repetitive_sufficient(system: LtiSystem, b: int, h: int = 2) -> ControllabilityVerdict:
+def check_repetitive_sufficient(system: LtiSystem, b: int, h: int) -> ControllabilityVerdict:
     """Verdict for identical blocks over b repetitions, exact at every h.
 
     The state after b blocks is Abar^b x0 + H_b Bbar w with H_b square,

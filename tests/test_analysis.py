@@ -5,6 +5,7 @@ import gc
 import warnings
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ def test_select_h_preconditions():
             check_nonrepetitive_sufficient(system, bad_h)
     for bad_b in (2.7, True, 0):
         with pytest.raises(PreconditionError, match="block horizon must be an integer"):
-            check_repetitive_sufficient(system, bad_b)
+            check_repetitive_sufficient(system, bad_b, h=2)
         with pytest.raises(PreconditionError, match="block horizon must be an integer"):
             hb_invertible(system, 2, bad_b)
     # numpy integers are integers
@@ -519,7 +520,7 @@ def test_one_eigen_solve_per_system(monkeypatch):
     system = expander_system()
     h = select_h(system)
     check_nonrepetitive_sufficient(system, h)
-    check_repetitive_sufficient(system, 4)
+    check_repetitive_sufficient(system, 4, h=2)
     hb_invertible(system, 2, 4)
     assert calls == [("eig", (2, 2)), ("inv", (2, 2))]
     assert not system.eigenvalues.flags.writeable
@@ -708,7 +709,7 @@ def test_screen_cleared_verdicts_take_no_pencil_svd(monkeypatch):
         calls.clear()
         h = select_h(system)
         verdicts = [check_nonrepetitive_sufficient(system, h)]
-        check_repetitive_sufficient(system, 4)
+        check_repetitive_sufficient(system, 4, h=2)
         verdicts.append(check_nonrepetitive_sufficient(system, h + 1))
         # the modal screen decides every eigenvalue, and the verdict reports
         # its modal values: no pencil SVD at all
@@ -743,7 +744,7 @@ def test_pbh_decided_once_per_system(monkeypatch):
     system = LtiSystem(A=np.diag([0.5, -0.3, 2.0]), B=[[1.0], [1.0], [0.0]])
     assert select_h(system) == 2
     assert check_nonrepetitive_sufficient(system, 2).controllable == "no"
-    assert check_repetitive_sufficient(system, 3).controllable == "no"
+    assert check_repetitive_sufficient(system, 3, h=2).controllable == "no"
     # one real values-only SVD of the reported pencil, shared by both
     # verdicts, and none with U
     assert calls.count(((3, 4), False, False)) == 1
@@ -770,7 +771,7 @@ def test_modal_pbh_failure_takes_one_pencil_svd(monkeypatch):
     assert system.eigenvalues[k] == 2.0
     calls = counting_svd(monkeypatch)
     verdict = check_nonrepetitive_sufficient(system, 2)
-    assert check_repetitive_sufficient(system, 3).controllable == "no"
+    assert check_repetitive_sufficient(system, 3, h=2).controllable == "no"
     # the reported pencil's values-only SVD, then the repetitive verdict's rank(B)
     assert calls == [((3, 4), False, False), ((3, 1), False, False)]
     assert verdict.controllable == "no" and verdict.numeric_rank == rank == 2
@@ -856,7 +857,7 @@ def test_reported_pencil_svd_is_taken_with_the_decision(monkeypatch):
     system = LtiSystem(A=np.diag([0.5, 0.5 + 1e-15, 1.0]), B=[[1.0, 0.0], [0.0, 1.0], [0.01, 0.01]])
     reported = np.linalg.svd(_pencil(system.A, system.B, system.eigenvalues[2]), compute_uv=False)
     calls = counting_svd(monkeypatch)
-    assert check_repetitive_sufficient(system, 3).controllable == "no"
+    assert check_repetitive_sufficient(system, 3, h=2).controllable == "no"
     pbh = pbh_controllable(system)
     assert pbh.controllable
     assert calls == [((3, 5), False, False)] * 3 + [((3, 2), False, False)]
@@ -876,11 +877,12 @@ def test_cached_pbh_decision_keeps_no_reference_cycle():
     # what the decision caches on a system refers to none of it, so a
     # system is freed with its last reference, not at a later cyclic GC
     A, B = np.diag([0.5, 0.5 + 1e-15, 1.0]), [[1.0, 0.0], [0.0, 1.0], [0.01, 0.01]]
-    for verdicts in ([], [check_repetitive_sufficient], [check_nonrepetitive_sufficient]):
+    for verdicts in ([], [partial(check_repetitive_sufficient, b=2, h=2)],
+                     [partial(check_nonrepetitive_sufficient, h=2)]):
         system = LtiSystem(A=A, B=B)
         pbh_controllable(system)
         for verdict in verdicts:
-            verdict(system, 2)
+            verdict(system)
         ref = weakref.ref(system)
         gc.disable()
         try:
@@ -977,7 +979,7 @@ def test_repeated_eigenvalue_verdicts_decide_without_warnings():
         warnings.simplefilter("error")
         for system in systems:
             check_nonrepetitive_sufficient(system, 2)
-            check_repetitive_sufficient(system, 3)
+            check_repetitive_sufficient(system, 3, h=2)
             pbh_controllable(system)
 
 
